@@ -26,17 +26,20 @@
 //! whole chip across the DIMM), letting tests and examples exercise every
 //! scenario of Figure 7(c).
 
-use std::collections::HashMap;
-
 use synergy_crypto::ctr::LineCipher;
 use synergy_crypto::gmac::Gmac;
 use synergy_crypto::{CacheLine, EncryptionKey, MacKey};
-use synergy_secure::layout::{CounterOrg, MetadataLayout, Region, TreeLeaves, LINE};
+use synergy_secure::layout::{CounterOrg, MetadataLayout, Region, TreeLeaves, LINE, LINE_SHIFT};
 
 use crate::stored::{xor_slices, ChipSlice, StoredLine, CHIPS};
 
 /// 56-bit counter mask.
 const MASK56: u64 = (1 << 56) - 1;
+
+/// Bound on the write-update chain: the counter line plus every in-memory
+/// tree level. A 2^64-byte memory has 2^55 counter lines, so at most 18
+/// tree levels.
+const MAX_CHAIN: usize = 24;
 
 /// Errors returned by the functional memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,6 +93,12 @@ impl std::error::Error for MemoryError {}
 #[derive(Debug, Clone)]
 pub struct SynergyMemoryConfig {
     /// Protected data capacity in bytes (multiple of 512).
+    ///
+    /// The memory keeps every data, counter, parity and tree line in one
+    /// dense array allocated up front: 72 bytes of host memory (nine 8-byte
+    /// chip slices) per 64-byte line, over about 1.27 lines per data line,
+    /// which is about 1.43 bytes of host memory per protected byte.
+    /// Construction is O(capacity) in time and space.
     pub capacity_bytes: u64,
     /// Key for counter-mode encryption.
     pub encryption_key: EncryptionKey,
@@ -203,7 +212,16 @@ pub struct SynergyMemory {
     layout: MetadataLayout,
     cipher: LineCipher,
     gmac: Gmac,
-    lines: HashMap<u64, StoredLine>,
+    /// Every line of the layout except the MAC region (SYNERGY keeps its
+    /// MACs in the ECC chip), indexed by [`Self::index`].
+    lines: Vec<StoredLine>,
+    /// One bit per entry of `lines`: set once the line has left its
+    /// implicit zero state. Unset entries hold no meaningful value.
+    materialized: Vec<u64>,
+    /// First address of the MAC region, which `lines` leaves out.
+    mac_base: u64,
+    /// Lines in the MAC region.
+    mac_lines: u64,
     root_counters: Vec<u64>,
     stats: MemoryStats,
     fault_tracking_threshold: Option<u64>,
@@ -216,7 +234,9 @@ impl SynergyMemory {
     /// # Errors
     ///
     /// Returns [`MemoryError::InvalidConfig`] when the capacity is zero or
-    /// not a multiple of 512 bytes (8 lines — one parity-line group).
+    /// not a multiple of 512 bytes (8 lines — one parity-line group), or
+    /// when the host cannot allocate the line store (see
+    /// [`SynergyMemoryConfig::capacity_bytes`]).
     pub fn new(config: SynergyMemoryConfig) -> Result<Self, MemoryError> {
         if config.capacity_bytes == 0 || !config.capacity_bytes.is_multiple_of(8 * LINE) {
             return Err(MemoryError::InvalidConfig {
@@ -231,12 +251,31 @@ impl SynergyMemory {
             CounterOrg::Monolithic,
             TreeLeaves::CounterLines,
         );
+        let mac_base = layout.mac_line_addr(0);
+        let mac_lines = (layout.parity_base() - mac_base) >> LINE_SHIFT;
+        let stored_lines = (layout.total_bytes() >> LINE_SHIFT) - mac_lines;
+        let too_large = || MemoryError::InvalidConfig {
+            reason: format!(
+                "cannot allocate the {stored_lines}-line store for capacity {}",
+                config.capacity_bytes
+            ),
+        };
+        let stored_lines = usize::try_from(stored_lines).map_err(|_| too_large())?;
+        let mut lines = Vec::new();
+        lines.try_reserve_exact(stored_lines).map_err(|_| too_large())?;
+        let mut materialized = Vec::new();
+        materialized.try_reserve_exact(stored_lines.div_ceil(64)).map_err(|_| too_large())?;
+        lines.resize(stored_lines, StoredLine { chips: [[0; 8]; CHIPS] });
+        materialized.resize(stored_lines.div_ceil(64), 0);
         let roots = layout.root_counter_count() as usize;
         Ok(Self {
             layout,
             cipher: LineCipher::new(&config.encryption_key),
             gmac: Gmac::new(&config.mac_key),
-            lines: HashMap::new(),
+            lines,
+            materialized,
+            mac_base,
+            mac_lines,
             root_counters: vec![0; roots],
             stats: MemoryStats::default(),
             fault_tracking_threshold: config.fault_tracking_threshold,
@@ -274,19 +313,28 @@ impl SynergyMemory {
         self.verified_counters(ctr_addr)?;
 
         // Bump every counter on the path root-down, recomputing MACs with
-        // the parent's fresh value (Bonsai update).
-        let chain = self.chain_top_down(addr);
-        let root_idx = self.root_index(ctr_addr);
+        // the parent's fresh value (Bonsai update). The chain is collected
+        // bottom-up and walked in reverse.
+        let mut chain = [(0u64, 0usize); MAX_CHAIN];
+        let mut len = 0;
+        let mut link = (ctr_addr, self.layout.counter_slot(addr));
+        let root_idx = loop {
+            chain[len] = link;
+            len += 1;
+            match self.parent_of(link.0) {
+                Parent::Root(i) => break i,
+                Parent::Node { addr: parent, slot } => link = (parent, slot),
+            }
+        };
         self.root_counters[root_idx] = (self.root_counters[root_idx] + 1) & MASK56;
         let mut parent_ctr = self.root_counters[root_idx];
-        for (node_addr, child_slot) in chain {
-            self.ensure_line(node_addr);
-            let stored = self.lines[&node_addr];
-            let (mut counters, _, _) = stored.counter_parts();
+        for &(node_addr, child_slot) in chain[..len].iter().rev() {
+            let i = self.ensure_line(node_addr);
+            let (mut counters, _, _) = self.lines[i].counter_parts();
             counters[child_slot] = (counters[child_slot] + 1) & MASK56;
             let mac = self.gmac.node_tag(node_addr, parent_ctr, &pack_counters(&counters));
             self.stats.mac_computations += 1;
-            self.lines.insert(node_addr, StoredLine::from_counters(&counters, mac));
+            self.lines[i] = StoredLine::from_counters(&counters, mac);
             parent_ctr = counters[child_slot];
         }
         let new_counter = parent_ctr;
@@ -298,14 +346,14 @@ impl SynergyMemory {
         let new_stored = StoredLine::from_data(&ciphertext, mac);
 
         // Parity slot update (P = XOR of all nine chips).
-        let p_addr = self.layout.parity_line_addr(addr);
         let p_slot = self.layout.parity_slot(addr);
-        self.ensure_line(p_addr);
-        let (mut slots, _) = self.lines[&p_addr].parity_parts();
+        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        let (mut slots, _) = self.lines[pi].parity_parts();
         slots[p_slot] = new_stored.xor_of_nine();
-        self.lines.insert(p_addr, StoredLine::from_parities(&slots));
+        self.lines[pi] = StoredLine::from_parities(&slots);
 
-        self.lines.insert(addr, new_stored);
+        let i = self.ensure_line(addr);
+        self.lines[i] = new_stored;
         Ok(())
     }
 
@@ -323,12 +371,12 @@ impl SynergyMemory {
         let ctr_addr = self.layout.counter_line_addr(addr);
         let counters = self.verified_counters(ctr_addr)?;
         let counter = counters[self.layout.counter_slot(addr)];
-        self.ensure_line(addr);
+        let i = self.ensure_line(addr);
 
         // Fast path for a tracked permanent chip failure: reconstruct that
         // chip first; the MAC verification that follows is the same single
         // computation the error-free path performs (§IV-A).
-        let stored = self.lines[&addr];
+        let stored = self.lines[i];
         if let Some(chip) = self.tracked_faulty_chip {
             let parity = self.parity_slot_value(addr);
             let candidate = stored.with_chip_reconstructed(chip, &parity);
@@ -337,7 +385,7 @@ impl SynergyMemory {
             if self.gmac.line_tag(addr, counter, &cl) == cmac {
                 let fixed = candidate != stored;
                 if fixed {
-                    self.lines.insert(addr, candidate);
+                    self.lines[i] = candidate;
                     self.stats.preemptive_corrections += 1;
                 }
                 return Ok(ReadOutput {
@@ -386,14 +434,11 @@ impl SynergyMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `chip >= 9` or the address is outside the layout.
+    /// Panics if `chip >= 9` or the address is not a stored line (see
+    /// [`Self::snapshot_raw`]).
     pub fn inject_chip_pattern(&mut self, line_addr: u64, chip: usize, pattern: ChipSlice) {
-        assert!(
-            self.layout.classify(line_addr) != Region::OutOfRange,
-            "address {line_addr:#x} outside layout"
-        );
-        self.ensure_line(line_addr);
-        self.lines.get_mut(&line_addr).expect("ensured").corrupt_chip(chip, pattern);
+        let i = self.raw_line(line_addr);
+        self.lines[i].corrupt_chip(chip, pattern);
     }
 
     /// Flips a single bit (0..64) of one chip of one line.
@@ -413,8 +458,13 @@ impl SynergyMemory {
     /// Panics if `chip >= 9`.
     pub fn inject_chip_failure(&mut self, chip: usize) {
         assert!(chip < CHIPS, "chip {chip} out of range");
-        for stored in self.lines.values_mut() {
-            stored.corrupt_chip(chip, crate::testsupport::CHIP_FAILURE_PATTERN);
+        for (w, &word) in self.materialized.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                self.lines[i].corrupt_chip(chip, crate::testsupport::CHIP_FAILURE_PATTERN);
+                bits &= bits - 1;
+            }
         }
     }
 
@@ -423,11 +473,11 @@ impl SynergyMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the address is outside the layout.
+    /// Panics if the address is not line-aligned, lies outside the layout,
+    /// or lies in the MAC region (SYNERGY stores its MACs in the ECC chip).
     pub fn snapshot_raw(&mut self, line_addr: u64) -> StoredLine {
-        assert!(self.layout.classify(line_addr) != Region::OutOfRange);
-        self.ensure_line(line_addr);
-        self.lines[&line_addr]
+        let i = self.raw_line(line_addr);
+        self.lines[i]
     }
 
     /// Adversary primitive: overwrite the raw stored line (splicing or
@@ -435,15 +485,26 @@ impl SynergyMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the address is outside the layout.
+    /// Panics if the address is not a stored line (see
+    /// [`Self::snapshot_raw`]).
     pub fn overwrite_raw(&mut self, line_addr: u64, stored: StoredLine) {
-        assert!(self.layout.classify(line_addr) != Region::OutOfRange);
-        self.lines.insert(line_addr, stored);
+        let i = self.raw_line(line_addr);
+        self.lines[i] = stored;
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// Validates an adversary/injection address and materializes its line.
+    fn raw_line(&mut self, line_addr: u64) -> usize {
+        assert!(line_addr.is_multiple_of(LINE), "address {line_addr:#x} is not line-aligned");
+        match self.layout.classify(line_addr) {
+            Region::Mac => panic!("SYNERGY stores no separate MAC region; addr {line_addr:#x}"),
+            Region::OutOfRange => panic!("address {line_addr:#x} outside layout"),
+            _ => self.ensure_line(line_addr),
+        }
+    }
 
     fn check_data_addr(&self, addr: u64) -> Result<(), MemoryError> {
         if !addr.is_multiple_of(LINE) {
@@ -461,8 +522,8 @@ impl SynergyMemory {
             Parent::Root(i) => self.root_counters[i],
             Parent::Node { addr, slot } => self.verified_counters(addr)?[slot],
         };
-        self.ensure_line(line_addr);
-        let stored = self.lines[&line_addr];
+        let i = self.ensure_line(line_addr);
+        let stored = self.lines[i];
         let (counters, mac, _) = stored.counter_parts();
         self.stats.mac_computations += 1;
         if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&counters)) == mac {
@@ -478,7 +539,7 @@ impl SynergyMemory {
             let (c2, m2, _) = candidate.counter_parts();
             self.stats.mac_computations += 1;
             if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&c2)) == m2 {
-                self.lines.insert(line_addr, candidate);
+                self.lines[i] = candidate;
                 self.record_correction(chip);
                 return Ok(c2);
             }
@@ -489,11 +550,11 @@ impl SynergyMemory {
 
     /// The §III-B data-line reconstruction engine (Scenario D included).
     fn correct_data_line(&mut self, addr: u64, counter: u64) -> Result<StoredLine, MemoryError> {
-        let stored = self.lines[&addr];
-        let p_addr = self.layout.parity_line_addr(addr);
+        let i = self.ensure_line(addr);
+        let stored = self.lines[i];
         let p_slot = self.layout.parity_slot(addr);
-        self.ensure_line(p_addr);
-        let (slots, parity_p) = self.lines[&p_addr].parity_parts();
+        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        let (slots, parity_p) = self.lines[pi].parity_parts();
         let primary = slots[p_slot];
 
         // MAC chip first, then the data chips (§III-B ordering).
@@ -529,11 +590,11 @@ impl SynergyMemory {
                 let (cl, cmac) = candidate.data_parts();
                 self.stats.mac_computations += 1;
                 if self.gmac.line_tag(addr, counter, &cl) == cmac {
-                    self.lines.insert(addr, candidate);
+                    self.lines[i] = candidate;
                     if reconstructed_parity {
                         let mut new_slots = slots;
                         new_slots[p_slot] = parity;
-                        self.lines.insert(p_addr, StoredLine::from_parities(&new_slots));
+                        self.lines[pi] = StoredLine::from_parities(&new_slots);
                         self.stats.parity_reconstructions += 1;
                     }
                     self.record_correction(chip);
@@ -557,10 +618,8 @@ impl SynergyMemory {
 
     /// Current parity value protecting the data line at `addr`.
     fn parity_slot_value(&mut self, addr: u64) -> ChipSlice {
-        let p_addr = self.layout.parity_line_addr(addr);
-        self.ensure_line(p_addr);
-        let (slots, _) = self.lines[&p_addr].parity_parts();
-        slots[self.layout.parity_slot(addr)]
+        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        self.lines[pi].chips[self.layout.parity_slot(addr)]
     }
 
     fn parent_of(&self, line_addr: u64) -> Parent {
@@ -591,75 +650,73 @@ impl SynergyMemory {
         }
     }
 
-    /// Root-counter index guarding the chain of `ctr_addr`.
-    fn root_index(&self, ctr_addr: u64) -> usize {
-        let mut addr = ctr_addr;
-        loop {
-            match self.parent_of(addr) {
-                Parent::Root(i) => return i,
-                Parent::Node { addr: parent, .. } => addr = parent,
-            }
-        }
+    /// Index of a line in `lines`: its line number, with the MAC region
+    /// cut out. Only meaningful for data, counter, parity and tree lines.
+    #[inline]
+    fn index(&self, line_addr: u64) -> usize {
+        let line = line_addr >> LINE_SHIFT;
+        (if line_addr < self.mac_base { line } else { line - self.mac_lines }) as usize
     }
 
-    /// The write-update chain from the top in-memory node down to the
-    /// counter line, as `(line_addr, child_slot_to_bump)` pairs. The final
-    /// entry is the counter line with the data line's slot.
-    fn chain_top_down(&self, data_addr: u64) -> Vec<(u64, usize)> {
-        let ctr_addr = self.layout.counter_line_addr(data_addr);
-        let mut chain = vec![(ctr_addr, self.layout.counter_slot(data_addr))];
-        let mut addr = ctr_addr;
-        loop {
-            match self.parent_of(addr) {
-                Parent::Root(_) => break,
-                Parent::Node { addr: parent, slot } => {
-                    chain.push((parent, slot));
-                    addr = parent;
+    #[inline]
+    fn is_materialized(&self, i: usize) -> bool {
+        self.materialized[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    #[inline]
+    fn store(&mut self, i: usize, stored: StoredLine) {
+        self.lines[i] = stored;
+        self.materialized[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Materializes the consistent zero-state of an untouched line and
+    /// returns its index in `lines`.
+    ///
+    /// A data line and its parity line are materialized together, so a
+    /// parity line is always built from clean zero-state data, never from
+    /// data a later fault has already corrupted.
+    #[inline]
+    fn ensure_line(&mut self, line_addr: u64) -> usize {
+        let i = self.index(line_addr);
+        if !self.is_materialized(i) {
+            match self.layout.classify(line_addr) {
+                Region::Data => {
+                    self.materialize_parity_group(self.layout.parity_line_addr(line_addr))
+                }
+                Region::Parity => self.materialize_parity_group(line_addr),
+                Region::Counter | Region::Tree(_) => {
+                    // All-zero counters, MAC keyed by the (necessarily zero)
+                    // parent counter.
+                    let mac = self.gmac.node_tag(line_addr, 0, &pack_counters(&[0; 8]));
+                    self.store(i, StoredLine::from_counters(&[0; 8], mac));
+                }
+                Region::Mac | Region::OutOfRange => {
+                    unreachable!("SYNERGY stores no separate MAC region; addr {line_addr:#x}")
                 }
             }
         }
-        chain.reverse();
-        chain
+        i
     }
 
-    /// Materializes the consistent zero-state of an untouched line.
-    fn ensure_line(&mut self, line_addr: u64) {
-        if self.lines.contains_key(&line_addr) {
-            return;
+    /// Materializes the parity line at `p_addr` together with the eight
+    /// data lines it covers (the capacity is a multiple of 512 bytes, so
+    /// every group is full), all in their zero state: plaintext zero under
+    /// counter zero, and the parity slots they imply.
+    fn materialize_parity_group(&mut self, p_addr: u64) {
+        let first_data = (p_addr - self.layout.parity_base()) * 8;
+        let mut slots = [[0u8; 8]; 8];
+        for (k, slot) in slots.iter_mut().enumerate() {
+            let d = first_data + k as u64 * LINE;
+            let di = self.index(d);
+            debug_assert!(!self.is_materialized(di), "data line {d:#x} without its parity");
+            let ciphertext = self.cipher.encrypt(d, 0, &CacheLine::zeroed());
+            let mac = self.gmac.line_tag(d, 0, &ciphertext);
+            let stored = StoredLine::from_data(&ciphertext, mac);
+            *slot = stored.xor_of_nine();
+            self.store(di, stored);
         }
-        let stored = match self.layout.classify(line_addr) {
-            Region::Data => {
-                // Never-written data: plaintext zero, counter zero.
-                let ciphertext = self.cipher.encrypt(line_addr, 0, &CacheLine::zeroed());
-                let mac = self.gmac.line_tag(line_addr, 0, &ciphertext);
-                StoredLine::from_data(&ciphertext, mac)
-            }
-            Region::Counter | Region::Tree(_) => {
-                // All-zero counters, MAC keyed by the (necessarily zero)
-                // parent counter.
-                let mac = self.gmac.node_tag(line_addr, 0, &pack_counters(&[0; 8]));
-                StoredLine::from_counters(&[0; 8], mac)
-            }
-            Region::Parity => {
-                // Slots derived from the current (possibly zero-state)
-                // contents of the 8 covered data lines.
-                let first_data =
-                    (line_addr - self.layout.parity_base()) / LINE * 8 * LINE;
-                let mut slots = [[0u8; 8]; 8];
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    let d = first_data + i as u64 * LINE;
-                    if d < self.layout.data_bytes() {
-                        self.ensure_line(d);
-                        *slot = self.lines[&d].xor_of_nine();
-                    }
-                }
-                StoredLine::from_parities(&slots)
-            }
-            Region::Mac | Region::OutOfRange => {
-                unreachable!("SYNERGY stores no separate MAC region; addr {line_addr:#x}")
-            }
-        };
-        self.lines.insert(line_addr, stored);
+        let pi = self.index(p_addr);
+        self.store(pi, StoredLine::from_parities(&slots));
     }
 }
 
@@ -727,6 +784,33 @@ mod tests {
             Err(MemoryError::OutOfRange { .. })
         ));
         assert!(SynergyMemory::new(SynergyMemoryConfig::with_capacity(100)).is_err());
+    }
+
+    #[test]
+    fn unallocatable_capacity_is_an_error_not_an_abort() {
+        let err = SynergyMemory::new(SynergyMemoryConfig::with_capacity(1 << 50)).unwrap_err();
+        assert!(matches!(err, MemoryError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn read_only_line_survives_chip_failure() {
+        // The line's parity is built while its zero-state data is clean, so
+        // the failed chip stays correctable even though the line was never
+        // written.
+        let mut m = mem();
+        assert_eq!(m.read_line(0x1000).unwrap().data, CacheLine::zeroed());
+        m.inject_chip_failure(3);
+        let out = m.read_line(0x1000).unwrap();
+        assert_eq!(out.data, CacheLine::zeroed());
+        assert!(out.corrected);
+    }
+
+    #[test]
+    #[should_panic(expected = "no separate MAC region")]
+    fn raw_access_to_the_mac_region_panics() {
+        let mut m = mem();
+        let mac_line = m.layout().mac_line_addr(0);
+        m.snapshot_raw(mac_line);
     }
 
     #[test]

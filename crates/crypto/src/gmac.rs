@@ -107,22 +107,26 @@ impl Gmac {
     /// Tag for a 64-byte data cacheline: MAC(addr, counter, ciphertext).
     ///
     /// Semantically `tag64(addr, counter, line.as_bytes())`, but routed
-    /// through [`GhashKey::ghash_line`]'s fixed-shape single-fold path
-    /// (pinned equal to the generic path by test).
+    /// through the fixed-shape single-fold path (pinned equal to the
+    /// generic path by test).
     pub fn line_tag(&self, addr: u64, counter: u64, line: &CacheLine) -> u64 {
+        self.tag64_line_shape(addr, counter, line.as_bytes())
+    }
+
+    /// `tag64` for exactly 64 bytes of data: the fused single-call kernel
+    /// on the SIMD backend, [`GhashKey::ghash_line`] on the table backend.
+    /// Both equal the generic streaming path bit for bit (a 4-byte AAD and
+    /// 64 data bytes are exactly the shape `ghash_line` is pinned on).
+    #[inline]
+    fn tag64_line_shape(&self, addr: u64, counter: u64, data: &[u8; 64]) -> u64 {
         let (j0, aad) = Self::nonce_parts(addr, counter);
         #[cfg(target_arch = "x86_64")]
         if self.aes.backend() == Backend::Simd {
-            let tag = crate::simd::gmac_line_tag(
-                self.aes.round_keys(),
-                self.hkey.powers(),
-                j0,
-                aad,
-                line.as_bytes(),
-            );
+            let keys = self.aes.round_keys();
+            let tag = crate::simd::gmac_line_tag(keys, self.hkey.powers(), j0, aad, data);
             return (tag >> 64) as u64;
         }
-        let g = self.hkey.ghash_line(aad, line.as_bytes());
+        let g = self.hkey.ghash_line(aad, data);
         ((g ^ self.aes.encrypt_u128(j0)) >> 64) as u64
     }
 
@@ -143,8 +147,12 @@ impl Gmac {
     /// Tag for an integrity-tree or counter cacheline: the MAC covers the
     /// eight 56-bit counters (packed into `payload`) and is keyed by the
     /// node's address and the parent tree counter.
-    pub fn node_tag(&self, addr: u64, parent_counter: u64, payload: &[u8]) -> u64 {
-        self.tag64(addr, parent_counter, payload)
+    ///
+    /// Semantically `tag64(addr, parent_counter, payload)`, computed on the
+    /// same fixed-shape kernel as [`Gmac::line_tag`]: a counter-tree walk
+    /// costs one fused tag per level.
+    pub fn node_tag(&self, addr: u64, parent_counter: u64, payload: &[u8; 64]) -> u64 {
+        self.tag64_line_shape(addr, parent_counter, payload)
     }
 
     /// Computes line tags for a batch of independent `(addr, counter,
@@ -383,7 +391,7 @@ mod tests {
     #[test]
     fn node_tag_binds_parent_counter() {
         let g = gmac();
-        let payload = [0xABu8; 56];
+        let payload = [0xABu8; 64];
         assert_ne!(g.node_tag(100, 1, &payload), g.node_tag(100, 2, &payload));
     }
 

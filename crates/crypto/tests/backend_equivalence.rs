@@ -109,6 +109,28 @@ proptest! {
         }
     }
 
+    /// Counter-tree node tags: the fixed-shape kernel equals the generic
+    /// streaming tag and the bit-serial reference on every backend.
+    #[test]
+    fn gmac_node_tag_three_way(
+        key in any::<[u8; 16]>(),
+        payload in any::<[u8; 64]>(),
+        addr in any::<u64>(),
+        parent_counter in 0u64..(1 << 56),
+    ) {
+        let mac_key = MacKey::from_bytes(key);
+        let expect = (Gmac::with_backend(&mac_key, Backend::Table)
+            .tag128_reference(addr, parent_counter, &payload)
+            >> 64) as u64;
+        for backend in backends() {
+            let gmac = Gmac::with_backend(&mac_key, backend);
+            let node = gmac.node_tag(addr, parent_counter, &payload);
+            prop_assert_eq!(node, expect, "{:?} node_tag", backend);
+            let streaming = gmac.tag64(addr, parent_counter, &payload);
+            prop_assert_eq!(streaming, expect, "{:?} tag64", backend);
+        }
+    }
+
     /// Carter–Wegman line tags: every backend equals the bit-serial
     /// GF(2^64) reference.
     #[test]
