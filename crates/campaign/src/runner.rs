@@ -9,6 +9,8 @@
 //! [`verdicts_agree`] is the campaign's core assertion: an outcome in
 //! [`Outcome::is_failure`] iff the analytic model predicts a failure.
 
+use std::sync::OnceLock;
+
 use synergy_core::memory::{MemoryError, SynergyMemory, SynergyMemoryConfig};
 use synergy_core::secded_memory::{SecdedError, SecdedMemory};
 use synergy_crypto::CacheLine;
@@ -123,8 +125,31 @@ fn run_secded(scenario: &Scenario) -> FunctionalResult {
     FunctionalResult { outcome, mac_computations: 0 }
 }
 
+/// The Chipkill codec, built once per process; it is immutable.
+fn chipkill() -> &'static Chipkill {
+    static CHIPKILL: OnceLock<Chipkill> = OnceLock::new();
+    CHIPKILL.get_or_init(|| Chipkill::new().expect("fixed geometry"))
+}
+
+/// A pristine SYNERGY memory of [`MEMORY_CAPACITY`] bytes, keyed once per
+/// process. Every injection runs on a clone and the template is never
+/// written, so each scenario stays a self-contained `(seed, index)`
+/// reproducer.
+fn pristine_synergy() -> &'static SynergyMemory {
+    static TEMPLATE: OnceLock<SynergyMemory> = OnceLock::new();
+    TEMPLATE.get_or_init(|| {
+        SynergyMemory::new(SynergyMemoryConfig {
+            // Cross-read fault tracking would make outcomes depend on
+            // scenario order.
+            fault_tracking_threshold: None,
+            ..SynergyMemoryConfig::with_capacity(MEMORY_CAPACITY)
+        })
+        .expect("valid capacity")
+    })
+}
+
 fn run_chipkill(scenario: &Scenario) -> FunctionalResult {
-    let ck = Chipkill::new().expect("fixed geometry");
+    let ck = chipkill();
     let mut beats = ck.encode_line(&scenario.truth).expect("encode");
     // Chip `c` contributes one RS symbol per beat; a beat spans two word
     // columns, so the symbol's corruption is the union of both words'
@@ -143,13 +168,7 @@ fn run_chipkill(scenario: &Scenario) -> FunctionalResult {
 }
 
 fn run_synergy(scenario: &Scenario) -> FunctionalResult {
-    let mut m = SynergyMemory::new(SynergyMemoryConfig {
-        // Cross-read fault tracking would make outcomes depend on scenario
-        // order; each scenario must be a self-contained reproducer.
-        fault_tracking_threshold: None,
-        ..SynergyMemoryConfig::with_capacity(MEMORY_CAPACITY)
-    })
-    .expect("valid capacity");
+    let mut m = pristine_synergy().clone();
     let addr = scenario.data_addr;
     let truth = CacheLine::from_bytes(scenario.truth);
     m.write_line(addr, &truth).expect("in range");

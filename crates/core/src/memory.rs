@@ -207,7 +207,10 @@ enum Parent {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+///
+/// Cloning copies the whole memory, keys included: a clone of a pristine
+/// memory is a fresh memory without repeating the key setup.
+#[derive(Debug, Clone)]
 pub struct SynergyMemory {
     layout: MetadataLayout,
     cipher: LineCipher,

@@ -94,12 +94,15 @@ impl core::fmt::Debug for GhashKey {
 }
 
 impl GhashKey {
-    /// Builds the per-key table from the hash subkey `H = AES_K(0^128)`.
+    /// Builds the key from the hash subkey `H = AES_K(0^128)`: the
+    /// 8-bit-window table (table backend only), then the key powers
+    /// `H^2..H^8` by the key's own [`GhashKey::mul`].
     ///
-    /// Setup performs 128 reference multiplies (one per bit position, for
-    /// `bit_products`) and fills the remaining 4080 entries by XOR via
-    /// linearity: `table[pos][b] = table[pos][b without lowest bit] ^
-    /// table[pos][lowest bit of b]`.
+    /// The table needs the 128 products `H·x^k`, one per bit position.
+    /// Multiplying by `x` is one shift-and-reduce step, so they come from a
+    /// single walk `H, H·x, H·x², …`; the 4080 nonzero entries follow by
+    /// XOR via linearity: `table[pos][b] = table[pos][b without lowest bit]
+    /// ^ table[pos][lowest bit of b]`.
     pub fn new(h: u128) -> Self {
         Self::with_backend(h, Backend::detect())
     }
@@ -111,12 +114,6 @@ impl GhashKey {
     ///
     /// Panics if `backend` is [`Backend::Simd`] on a host without PCLMULQDQ.
     pub fn with_backend(h: u128, backend: Backend) -> Self {
-        let mut powers = [0u128; AGG_BLOCKS];
-        let mut p = h;
-        for slot in powers.iter_mut() {
-            *slot = p;
-            p = gf128_mul_reference(p, h);
-        }
         let table = match backend {
             Backend::Simd => {
                 assert!(Backend::simd_available(), "SIMD backend requires PCLMULQDQ");
@@ -124,14 +121,16 @@ impl GhashKey {
             }
             Backend::Table => {
                 let mut table = Box::new([[0u128; 256]; 16]);
-                for pos in 0..16 {
-                    // Product of H with each single-bit byte at this position.
+                // `h_xk` walks H·x^k for k = 0..128. In the GCM bit order
+                // the polynomial x^k is bit 127 − k, so the single-bit byte
+                // `1 << bit` at byte position `pos` is x^(8·pos + 7 − bit).
+                let mut h_xk = h;
+                for row in table.iter_mut() {
                     let mut bit_products = [0u128; 8];
-                    for (bit, p) in bit_products.iter_mut().enumerate() {
-                        let operand = 1u128 << (120 - 8 * pos + bit);
-                        *p = gf128_mul_reference(operand, h);
+                    for p in bit_products.iter_mut().rev() {
+                        *p = h_xk;
+                        h_xk = (h_xk >> 1) ^ if h_xk & 1 == 1 { R } else { 0 };
                     }
-                    let row = &mut table[pos];
                     for b in 1usize..256 {
                         row[b] = row[b & (b - 1)] ^ bit_products[b.trailing_zeros() as usize];
                     }
@@ -139,7 +138,11 @@ impl GhashKey {
                 Some(table)
             }
         };
-        Self { h, powers, table, backend }
+        let mut key = Self { h, powers: [h; AGG_BLOCKS], table, backend };
+        for j in 1..AGG_BLOCKS {
+            key.powers[j] = key.mul(key.powers[j - 1]);
+        }
+        key
     }
 
     /// The raw hash subkey `H`.
@@ -472,6 +475,26 @@ mod tests {
                     key.ghash(&aad, &data),
                     "{backend:?} aad={aad:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn key_powers_match_reference_powers_on_every_backend() {
+        let backends: &[Backend] = if Backend::simd_available() {
+            &[Backend::Table, Backend::Simd]
+        } else {
+            eprintln!("SKIP: host lacks PCLMULQDQ — key powers checked on table backend only");
+            &[Backend::Table]
+        };
+        for h in [0x66e94bd4ef8a2c3b_884cfa59ca342b2eu128, 1 << 127, 1, u128::MAX] {
+            let mut expected = [h; AGG_BLOCKS];
+            for j in 1..AGG_BLOCKS {
+                expected[j] = gf128_mul_reference(expected[j - 1], h);
+            }
+            for &backend in backends {
+                let key = GhashKey::with_backend(h, backend);
+                assert_eq!(key.powers(), &expected[..], "{backend:?} h={h:032x}");
             }
         }
     }

@@ -9,8 +9,10 @@
 //!
 //! [`ReedSolomon`] is a general systematic RS encoder/decoder (any data and
 //! parity length with `n ≤ 255`), with Berlekamp–Massey error location and
-//! syndrome-solving magnitude recovery. [`Chipkill`] specializes it to the
-//! 18-chip, 2-check-symbol organization the paper compares against.
+//! syndrome-solving magnitude recovery. [`Chipkill`] is the fixed
+//! 18-chip, 2-check-symbol organization the paper compares against: it
+//! encodes into stack arrays and corrects each beat in closed form, with
+//! the general code as its test oracle.
 
 use crate::gf256 as gf;
 use crate::DecodeOutcome;
@@ -446,7 +448,11 @@ fn poly_eval_ascending(poly: &[u8], x: u8) -> u8 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Chipkill {
-    rs: ReedSolomon,
+    /// The two generator rows of the 2-check code (`g_k · x`), the
+    /// synthetic-division step of [`ReedSolomon::encode`].
+    enc_rows: [[u8; 256]; 2],
+    /// The `α · x` row: the Horner step of the syndrome `S1`.
+    alpha_row: [u8; 256],
 }
 
 impl Chipkill {
@@ -463,50 +469,84 @@ impl Chipkill {
     ///
     /// Never fails in practice; the signature mirrors [`ReedSolomon::new`].
     pub fn new() -> Result<Self, RsError> {
-        Ok(Self { rs: ReedSolomon::new(Self::DATA_CHIPS, 2)? })
+        let rs = ReedSolomon::new(Self::DATA_CHIPS, 2)?;
+        Ok(Self { enc_rows: [rs.enc_rows[0], rs.enc_rows[1]], alpha_row: rs.synd_rows[1] })
     }
 
     /// Encodes a 64-byte line into four 18-symbol beats (`data || check`).
     ///
     /// # Errors
     ///
-    /// Propagates length errors from the inner code (unreachable for the
-    /// fixed geometry).
+    /// Never fails; the `Result` mirrors [`ReedSolomon::encode`].
     pub fn encode_line(&self, data: &[u8; 64]) -> Result<[[u8; 18]; 4], RsError> {
         let mut beats = [[0u8; 18]; 4];
-        for (b, beat) in beats.iter_mut().enumerate() {
-            let chunk = &data[b * 16..(b + 1) * 16];
-            let cw = self.rs.encode_codeword(chunk)?;
-            beat.copy_from_slice(&cw);
+        for (beat, chunk) in beats.iter_mut().zip(data.chunks_exact(Self::DATA_CHIPS)) {
+            // Synthetic division by the degree-2 generator, as in
+            // `ReedSolomon::encode`, with the remainder on the stack.
+            let mut rem = [0u8; 2];
+            for &d in chunk {
+                let coef = usize::from(d ^ rem[0]);
+                rem = [rem[1] ^ self.enc_rows[0][coef], self.enc_rows[1][coef]];
+            }
+            beat[..Self::DATA_CHIPS].copy_from_slice(chunk);
+            beat[Self::DATA_CHIPS..].copy_from_slice(&rem);
         }
         Ok(beats)
+    }
+
+    /// Corrects one beat in place, in closed form for a single-symbol code.
+    ///
+    /// An error `e` at beat index `i` (coefficient position `p = 17 − i`)
+    /// gives `S0 = e` and `S1 = e·α^p`, so `p = log S1 − log S0`. Both
+    /// syndromes zero is clean; exactly one zero, or a position past the
+    /// beat, is uncorrectable and leaves the beat untouched. This is what
+    /// [`ReedSolomon::correct`] decides for this code (Berlekamp–Massey,
+    /// Chien search and the one-unknown magnitude solve), pinned
+    /// exhaustively by the tests.
+    fn correct_beat(&self, beat: &mut [u8; 18]) -> DecodeOutcome {
+        // Horner evaluation at α^0 = 1 (a plain XOR) and at α.
+        let (s0, s1) = beat
+            .iter()
+            .fold((0u8, 0u8), |(s0, s1), &c| (s0 ^ c, self.alpha_row[usize::from(s1)] ^ c));
+        match (s0, s1) {
+            (0, 0) => DecodeOutcome::Clean,
+            (0, _) | (_, 0) => DecodeOutcome::DetectedUncorrectable,
+            _ => {
+                let p = (gf::log(s1) + 255 - gf::log(s0)) % 255;
+                if p >= Self::TOTAL_CHIPS {
+                    return DecodeOutcome::DetectedUncorrectable;
+                }
+                beat[Self::TOTAL_CHIPS - 1 - p] ^= s0;
+                DecodeOutcome::Corrected
+            }
+        }
     }
 
     /// Corrects all four beats and reassembles the line.
     ///
     /// Returns `(Some(line), outcome)` when every beat decodes; `(None,
     /// DetectedUncorrectable)` when any beat is beyond repair (e.g. two
-    /// chips failed).
+    /// chips failed). Beats before the first uncorrectable one are left
+    /// corrected, that beat and those after it untouched.
     ///
     /// # Errors
     ///
-    /// Propagates length errors from the inner code (unreachable here).
+    /// Never fails; the `Result` mirrors [`ReedSolomon::correct`].
     pub fn correct_line(
         &self,
         beats: &mut [[u8; 18]; 4],
     ) -> Result<(Option<[u8; 64]>, DecodeOutcome), RsError> {
         let mut line = [0u8; 64];
         let mut worst = DecodeOutcome::Clean;
-        for (b, beat) in beats.iter_mut().enumerate() {
-            let report = self.rs.correct(beat)?;
-            match report.outcome {
+        for (beat, chunk) in beats.iter_mut().zip(line.chunks_exact_mut(Self::DATA_CHIPS)) {
+            match self.correct_beat(beat) {
                 DecodeOutcome::DetectedUncorrectable => {
                     return Ok((None, DecodeOutcome::DetectedUncorrectable))
                 }
                 DecodeOutcome::Corrected => worst = DecodeOutcome::Corrected,
                 DecodeOutcome::Clean => {}
             }
-            line[b * 16..(b + 1) * 16].copy_from_slice(&beat[..16]);
+            chunk.copy_from_slice(&beat[..Self::DATA_CHIPS]);
         }
         Ok((Some(line), worst))
     }
@@ -754,5 +794,46 @@ mod tests {
         // counting "1 failure out of 18" as the reliability unit.
         assert_eq!(outcome, DecodeOutcome::DetectedUncorrectable);
         assert_eq!(line, None);
+    }
+
+    #[test]
+    fn chipkill_encoder_matches_the_general_code() {
+        let ck = Chipkill::new().unwrap();
+        let code = rs(16, 2);
+        let data: [u8; 64] = core::array::from_fn(|i| (i * 89 + 17) as u8);
+        for (beat, chunk) in ck.encode_line(&data).unwrap().iter().zip(data.chunks_exact(16)) {
+            assert_eq!(beat[..], code.encode_codeword(chunk).unwrap()[..]);
+        }
+    }
+
+    /// Every error pair `(e_a, e_b)` on two position pairs, through the
+    /// closed-form beat decoder and through the general Berlekamp–Massey
+    /// decoder: same outcome, same bytes afterwards. On the check symbols
+    /// (16, 17) the syndrome map is a bijection, so every `(S0, S1)` pair
+    /// — every branch of the closed form — is reached.
+    #[test]
+    fn chipkill_beat_decoder_matches_the_general_code_exhaustively() {
+        let ck = Chipkill::new().unwrap();
+        let code = rs(16, 2);
+        let data: Vec<u8> = (0..16usize).map(|i| (i * 29 + 7) as u8).collect();
+        let clean = code.encode_codeword(&data).unwrap();
+        for (a, b) in [(16usize, 17usize), (2, 11)] {
+            let mut outcomes = [0usize; 3];
+            for e_a in 0..=255u8 {
+                for e_b in 0..=255u8 {
+                    let mut general = clean.clone();
+                    general[a] ^= e_a;
+                    general[b] ^= e_b;
+                    let mut beat: [u8; 18] = general[..].try_into().unwrap();
+                    let expected = code.correct(&mut general).unwrap().outcome;
+                    let outcome = ck.correct_beat(&mut beat);
+                    let case = format!("positions {a},{b} errors {e_a:#04x},{e_b:#04x}");
+                    assert_eq!(outcome, expected, "{case}");
+                    assert_eq!(beat[..], general[..], "{case}");
+                    outcomes[outcome as usize] += 1;
+                }
+            }
+            assert!(outcomes.iter().all(|&n| n > 0), "positions {a},{b}: {outcomes:?}");
+        }
     }
 }

@@ -14,6 +14,12 @@
 //! | s ≠ 0 | odd | single-bit error at position `s` — corrected |
 //! | 0 | odd | error in the overall parity bit — corrected |
 //! | s ≠ 0 | even | double-bit error — detected, uncorrectable |
+//!
+//! The line codecs never build the 72-bit codeword: they compute on the
+//! stored (data word, check byte) pair with constant masks (one popcount
+//! parity per check bit) and map a syndrome to its data bit through a
+//! constant table. [`Codeword`]'s bit-position API is the only place the
+//! codeword layout is materialized.
 
 use crate::DecodeOutcome;
 
@@ -21,6 +27,91 @@ use crate::DecodeOutcome;
 const CHECK_BITS: usize = 7;
 /// Total codeword length including the overall parity bit at position 0.
 const CODEWORD_BITS: usize = 72;
+
+/// Codeword position (1..72) of each data bit: the positions that are not
+/// powers of two, in increasing order.
+const DATA_POSITIONS: [usize; 64] = {
+    let mut positions = [0; 64];
+    let (mut pos, mut d) = (1, 0);
+    while pos < CODEWORD_BITS {
+        if !pos.is_power_of_two() {
+            positions[d] = pos;
+            d += 1;
+        }
+        pos += 1;
+    }
+    positions
+};
+
+/// `CHECK_MASKS[i]`: the data bits whose codeword position has bit `i`
+/// set — the coverage of the check bit at position `2^i`.
+const CHECK_MASKS: [u64; CHECK_BITS] = {
+    let mut masks = [0; CHECK_BITS];
+    let mut d = 0;
+    while d < 64 {
+        let mut i = 0;
+        while i < CHECK_BITS {
+            if DATA_POSITIONS[d] & (1 << i) != 0 {
+                masks[i] |= 1 << d;
+            }
+            i += 1;
+        }
+        d += 1;
+    }
+    masks
+};
+
+/// `SYNDROME_FLIPS[s]`: the data-word bit that a single-bit error at
+/// codeword position `s` flipped, or 0 when `s` is a check position or
+/// lies past the codeword (a 7-bit syndrome reaches 127, the codeword
+/// ends at 71).
+const SYNDROME_FLIPS: [u64; 128] = {
+    let mut flips = [0; 128];
+    let mut d = 0;
+    while d < 64 {
+        flips[DATA_POSITIONS[d]] = 1 << d;
+        d += 1;
+    }
+    flips
+};
+
+/// The seven Hamming check bits of `data`: bit `i` is the check bit at
+/// codeword position `2^i`, the parity of the data bits it covers.
+#[inline]
+fn hamming_bits(data: u64) -> u8 {
+    let mut bits = 0;
+    for (i, mask) in CHECK_MASKS.iter().enumerate() {
+        bits |= (((data & mask).count_ones() & 1) as u8) << i;
+    }
+    bits
+}
+
+/// The stored check byte of `data` (see [`Codeword::from_parts`] for the
+/// layout).
+#[inline]
+fn check_byte(data: u64) -> u8 {
+    let hamming = hamming_bits(data);
+    // Overall parity makes the whole codeword even-weight.
+    let overall = ((data.count_ones() + hamming.count_ones()) & 1) as u8;
+    (hamming << 1) | overall
+}
+
+/// Decodes one stored (data word, check byte) pair; see
+/// [`Codeword::decode`].
+#[inline]
+fn decode_word(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
+    // The syndrome is the XOR of the positions of all set bits: bit `i`
+    // is the parity of check bit `2^i` and the data bits it covers.
+    let syndrome = usize::from(hamming_bits(data) ^ (check >> 1));
+    let parity_odd = (data.count_ones() + check.count_ones()) & 1 == 1;
+    match (syndrome, parity_odd) {
+        (0, false) => (Some(data), DecodeOutcome::Clean),
+        // Syndrome 0 means the overall parity bit itself flipped; a check
+        // position or one past the codeword flips no data bit.
+        (s, true) => (Some(data ^ SYNDROME_FLIPS[s]), DecodeOutcome::Corrected),
+        (_, false) => (None, DecodeOutcome::DetectedUncorrectable),
+    }
+}
 
 /// A (72,64) SECDED codeword: 64 data bits plus 8 check bits.
 ///
@@ -41,69 +132,24 @@ const CODEWORD_BITS: usize = 72;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Codeword(u128);
 
-/// True if `pos` (1-based Hamming position) holds a check bit.
-#[inline]
-fn is_check_position(pos: usize) -> bool {
-    pos.is_power_of_two()
-}
-
 impl Codeword {
     /// Encodes a 64-bit data word into a 72-bit SECDED codeword.
     pub fn encode(data: u64) -> Self {
-        let mut bits = 0u128;
-        // Scatter data bits into non-check positions 1..72.
-        let mut d = 0;
-        for pos in 1..CODEWORD_BITS {
-            if !is_check_position(pos) {
-                if (data >> d) & 1 == 1 {
-                    bits |= 1 << pos;
-                }
-                d += 1;
-            }
-        }
-        debug_assert_eq!(d, 64);
-        // Hamming check bits: check bit at 2^i covers positions with bit i set.
-        for i in 0..CHECK_BITS {
-            let mask = 1usize << i;
-            let mut parity = 0u32;
-            for pos in 1..CODEWORD_BITS {
-                if pos & mask != 0 && !is_check_position(pos) && (bits >> pos) & 1 == 1 {
-                    parity ^= 1;
-                }
-            }
-            if parity == 1 {
-                bits |= 1 << mask;
-            }
-        }
-        // Overall parity (position 0) makes the whole codeword even-weight.
-        if (bits.count_ones() & 1) == 1 {
-            bits |= 1;
-        }
-        Self(bits)
+        Self::from_parts(data, check_byte(data))
     }
 
     /// Reassembles a codeword from stored data + check byte, as read from
     /// the 8 data chips and the ECC chip.
+    ///
+    /// Check byte layout: bit 0 = overall parity, bits 1..8 = Hamming
+    /// check bits in position order 1,2,4,8,16,32,64.
     pub fn from_parts(data: u64, check: u8) -> Self {
-        let mut bits = 0u128;
-        let mut d = 0;
-        for pos in 1..CODEWORD_BITS {
-            if !is_check_position(pos) {
-                if (data >> d) & 1 == 1 {
-                    bits |= 1 << pos;
-                }
-                d += 1;
-            }
-        }
-        // Check byte layout: bit 0 = overall parity, bits 1..8 = Hamming
-        // check bits in position order 1,2,4,8,16,32,64.
-        if check & 1 != 0 {
-            bits |= 1;
+        let mut bits = u128::from(check & 1);
+        for (d, &pos) in DATA_POSITIONS.iter().enumerate() {
+            bits |= u128::from((data >> d) & 1) << pos;
         }
         for i in 0..CHECK_BITS {
-            if (check >> (i + 1)) & 1 != 0 {
-                bits |= 1 << (1usize << i);
-            }
+            bits |= u128::from((check >> (i + 1)) & 1) << (1usize << i);
         }
         Self(bits)
     }
@@ -112,20 +158,12 @@ impl Codeword {
     /// `(data word, check byte)`.
     pub fn to_parts(self) -> (u64, u8) {
         let mut data = 0u64;
-        let mut d = 0;
-        for pos in 1..CODEWORD_BITS {
-            if !is_check_position(pos) {
-                if (self.0 >> pos) & 1 == 1 {
-                    data |= 1 << d;
-                }
-                d += 1;
-            }
+        for (d, &pos) in DATA_POSITIONS.iter().enumerate() {
+            data |= (((self.0 >> pos) & 1) as u64) << d;
         }
         let mut check = (self.0 & 1) as u8;
         for i in 0..CHECK_BITS {
-            if (self.0 >> (1usize << i)) & 1 == 1 {
-                check |= 1 << (i + 1);
-            }
+            check |= (((self.0 >> (1usize << i)) & 1) as u8) << (i + 1);
         }
         (data, check)
     }
@@ -150,48 +188,36 @@ impl Codeword {
     ///
     /// Returns the corrected data word (or `None` for a detected
     /// uncorrectable error) along with the [`DecodeOutcome`].
+    ///
+    /// **Phantom-bit corrections.** With odd overall parity, a nonzero
+    /// syndrome that names a check position, or a position past bit 71
+    /// (the 7-bit syndrome reaches 127), flips no data bit: the data comes
+    /// back unchanged and the outcome is [`DecodeOutcome::Corrected`]. An
+    /// odd-weight multi-bit error confined to the check byte can land here
+    /// — the check-chip aliasing note in EXPERIMENTS.md, which the
+    /// campaign's even-weight check-byte guard relies on.
     pub fn decode(self) -> (Option<u64>, DecodeOutcome) {
-        let mut syndrome = 0usize;
-        for pos in 1..CODEWORD_BITS {
-            if (self.0 >> pos) & 1 == 1 {
-                syndrome ^= pos;
-            }
-        }
-        let overall_parity_odd = (self.0.count_ones() & 1) == 1;
-        match (syndrome, overall_parity_odd) {
-            (0, false) => (Some(self.to_parts().0), DecodeOutcome::Clean),
-            (0, true) => {
-                // The overall parity bit itself flipped; data is intact.
-                (Some(self.to_parts().0), DecodeOutcome::Corrected)
-            }
-            (s, true) => {
-                let fixed = Self(self.0 ^ (1 << s));
-                (Some(fixed.to_parts().0), DecodeOutcome::Corrected)
-            }
-            (_, false) => (None, DecodeOutcome::DetectedUncorrectable),
-        }
+        let (data, check) = self.to_parts();
+        decode_word(data, check)
     }
 }
 
 /// Encodes all eight 64-bit words of a 64-byte cacheline, producing the
 /// 8 check bytes stored in the ECC chip.
 pub fn encode_line(words: &[u64; 8]) -> [u8; 8] {
-    let mut check = [0u8; 8];
-    for (i, &w) in words.iter().enumerate() {
-        check[i] = Codeword::encode(w).to_parts().1;
-    }
-    check
+    words.map(check_byte)
 }
 
 /// Decodes a full cacheline of eight words against its 8 check bytes.
 ///
 /// Returns the corrected words and the worst outcome across the line
-/// (a line is only usable if every word decodes).
+/// (a line is only usable if every word decodes). Each word decodes as
+/// [`Codeword::decode`] does, phantom-bit corrections included.
 pub fn decode_line(words: &[u64; 8], check: &[u8; 8]) -> (Option<[u64; 8]>, DecodeOutcome) {
     let mut out = [0u64; 8];
     let mut worst = DecodeOutcome::Clean;
     for i in 0..8 {
-        let (decoded, outcome) = Codeword::from_parts(words[i], check[i]).decode();
+        let (decoded, outcome) = decode_word(words[i], check[i]);
         match decoded {
             Some(w) => out[i] = w,
             None => return (None, DecodeOutcome::DetectedUncorrectable),
@@ -333,5 +359,162 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn flip_bounds_checked() {
         let _ = Codeword::encode(0).with_bit_flipped(72);
+    }
+
+    /// The bit-serial textbook code: scatter the word into Hamming
+    /// positions, sum positions for the syndrome, flip the named bit of the
+    /// 128-bit register. The oracle for the mask-and-table code.
+    mod oracle {
+        use super::super::CODEWORD_BITS;
+        use crate::DecodeOutcome;
+
+        fn scatter(data: u64) -> u128 {
+            let mut bits = 0u128;
+            let mut d = 0;
+            for pos in 1..CODEWORD_BITS {
+                if !pos.is_power_of_two() {
+                    bits |= u128::from((data >> d) & 1) << pos;
+                    d += 1;
+                }
+            }
+            bits
+        }
+
+        fn gather(bits: u128) -> u64 {
+            let mut data = 0u64;
+            let mut d = 0;
+            for pos in 1..CODEWORD_BITS {
+                if !pos.is_power_of_two() {
+                    data |= (((bits >> pos) & 1) as u64) << d;
+                    d += 1;
+                }
+            }
+            data
+        }
+
+        fn check_of(bits: u128) -> u8 {
+            let mut check = (bits & 1) as u8;
+            for i in 0..7 {
+                check |= (((bits >> (1usize << i)) & 1) as u8) << (i + 1);
+            }
+            check
+        }
+
+        pub fn encode(data: u64) -> u8 {
+            let mut bits = scatter(data);
+            for i in 0..7 {
+                let mask = 1usize << i;
+                let mut parity = 0u32;
+                for pos in 1..CODEWORD_BITS {
+                    if pos & mask != 0 && !pos.is_power_of_two() && (bits >> pos) & 1 == 1 {
+                        parity ^= 1;
+                    }
+                }
+                if parity == 1 {
+                    bits |= 1 << mask;
+                }
+            }
+            if bits.count_ones() & 1 == 1 {
+                bits |= 1;
+            }
+            check_of(bits)
+        }
+
+        pub fn decode(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
+            let mut bits = scatter(data) | u128::from(check & 1);
+            for i in 0..7 {
+                bits |= u128::from((check >> (i + 1)) & 1) << (1usize << i);
+            }
+            let mut syndrome = 0usize;
+            for pos in 1..CODEWORD_BITS {
+                if (bits >> pos) & 1 == 1 {
+                    syndrome ^= pos;
+                }
+            }
+            match (syndrome, bits.count_ones() & 1 == 1) {
+                (0, false) => (Some(gather(bits)), DecodeOutcome::Clean),
+                (0, true) => (Some(gather(bits)), DecodeOutcome::Corrected),
+                (s, true) => (Some(gather(bits ^ (1 << s))), DecodeOutcome::Corrected),
+                (_, false) => (None, DecodeOutcome::DetectedUncorrectable),
+            }
+        }
+
+        pub fn decode_line(words: &[u64; 8], check: &[u8; 8]) -> (Option<[u64; 8]>, DecodeOutcome) {
+            let mut out = [0u64; 8];
+            let mut worst = DecodeOutcome::Clean;
+            for i in 0..8 {
+                match decode(words[i], check[i]) {
+                    (Some(w), outcome) => {
+                        out[i] = w;
+                        if outcome == DecodeOutcome::Corrected {
+                            worst = outcome;
+                        }
+                    }
+                    (None, _) => return (None, DecodeOutcome::DetectedUncorrectable),
+                }
+            }
+            (Some(out), worst)
+        }
+    }
+
+    #[test]
+    fn every_check_byte_decodes_like_the_oracle() {
+        for data in [0u64, u64::MAX, 0xA5A5_5A5A_DEAD_BEEF, 1 << 63, 0x0123_4567_89AB_CDEF] {
+            assert_eq!(encode_line(&[data; 8])[0], oracle::encode(data));
+            for check in 0..=255u8 {
+                let expected = oracle::decode(data, check);
+                assert_eq!(decode_word(data, check), expected, "{data:#x} {check:#04x}");
+                assert_eq!(Codeword::from_parts(data, check).decode(), expected);
+            }
+        }
+    }
+
+    /// An odd-weight error confined to the check byte whose syndrome names
+    /// a check position or a position past bit 71 "corrects" a phantom bit:
+    /// the data reads back unchanged as `Corrected` (EXPERIMENTS.md,
+    /// check-chip aliasing). One naming a data position miscorrects that
+    /// data bit instead, and any even-weight check-byte error is a DUE —
+    /// which is why the campaign's sampler keeps check-byte errors even.
+    #[test]
+    fn odd_weight_check_byte_errors_correct_a_phantom_bit() {
+        let data = 0x0F1E_2D3C_4B5A_6978u64;
+        let check = encode_line(&[data; 8])[0];
+        let (mut phantom_multi_bit, mut past_end) = (0, 0);
+        for error in 1..=255u8 {
+            let syndrome = usize::from(error >> 1);
+            let (decoded, outcome) = Codeword::from_parts(data, check ^ error).decode();
+            if error.count_ones() % 2 == 0 {
+                assert_eq!(outcome, DecodeOutcome::DetectedUncorrectable, "error {error:#04x}");
+                continue;
+            }
+            assert_eq!(outcome, DecodeOutcome::Corrected, "error {error:#04x}");
+            if syndrome == 0 || syndrome.is_power_of_two() || syndrome >= CODEWORD_BITS {
+                assert_eq!(decoded, Some(data), "error {error:#04x}");
+                phantom_multi_bit += usize::from(error.count_ones() > 1);
+                past_end += usize::from(syndrome >= CODEWORD_BITS);
+            } else {
+                assert_eq!(decoded, Some(data ^ SYNDROME_FLIPS[syndrome]), "error {error:#04x}");
+            }
+        }
+        assert!(phantom_multi_bit > 0 && past_end > 0);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn line_codec_matches_the_bit_serial_oracle(
+            words in any::<[u64; 8]>(),
+            check in any::<[u8; 8]>(),
+        ) {
+            prop_assert_eq!(encode_line(&words), words.map(oracle::encode));
+            prop_assert_eq!(decode_line(&words, &check), oracle::decode_line(&words, &check));
+            // Mostly-valid lines too: the true check bytes with one byte hit.
+            let mut near = encode_line(&words);
+            near[(check[0] % 8) as usize] ^= check[1];
+            prop_assert_eq!(decode_line(&words, &near), oracle::decode_line(&words, &near));
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Tier-1 differential campaign: the functional recovery pipelines must
 //! agree with the analytic reliability model, identically for any thread
-//! count.
+//! count, and a fixed-seed campaign's results are pinned.
 
-use synergy::campaign::{run, CampaignParams, Design, Outcome, SHARD_INJECTIONS};
+use synergy::campaign::{run, CampaignParams, CampaignResult, Design, Outcome, SHARD_INJECTIONS};
 
 fn params(injections: u64, threads: usize) -> CampaignParams {
     CampaignParams { injections, threads, seed: 0x7E57_CA3B, ..Default::default() }
@@ -36,4 +36,29 @@ fn campaign_results_are_thread_count_invariant() {
     for threads in [2, 8] {
         assert_eq!(baseline, run(&params(injections, threads)), "threads={threads} diverged");
     }
+}
+
+/// The digest of the 30k-injection campaign below when it was recorded.
+const GOLDEN: u64 = 0x62c3_ac75_31a6_5525;
+
+/// Order-sensitive fold of the outcome matrix, the analytic failure
+/// counts, the mismatch count and the MAC-count histogram snapshot.
+fn digest(r: &CampaignResult) -> u64 {
+    let mut d = 0xCBF2_9CE4_8422_2325u64;
+    let mut word = |x: u64| d = (d ^ x).wrapping_mul(0x0000_0100_0000_01B3).rotate_left(23);
+    r.matrix.cells().iter().flatten().for_each(|&x| word(x));
+    r.analytic_failures.iter().for_each(|&x| word(x));
+    word(r.mismatch_count);
+    r.mac_computations.snapshot_json().bytes().for_each(|b| word(u64::from(b)));
+    d
+}
+
+#[test]
+fn campaign_golden_pin() {
+    // Any change to what a decoder or the functional memory returns for a
+    // corrupted line, or to how many MACs a SYNERGY read computes, moves
+    // the digest.
+    let r = run(&params(30_000, 2));
+    assert!(r.passed(), "functional-vs-analytic mismatches: {:#?}", r.mismatches);
+    assert_eq!(digest(&r), GOLDEN, "campaign digest {:#018x}", digest(&r));
 }

@@ -5,7 +5,8 @@
 //! iterators) is designed to touch the heap only while warming up —
 //! inline expansion buffers, retained spill capacity, and cache arrays
 //! are all allocated once. The functional [`SynergyMemory`] allocates its
-//! line store at construction and nothing per operation. These tests
+//! line store at construction and nothing per operation, and the SECDED
+//! and Chipkill line codecs work on stack arrays only. These tests
 //! install a counting global allocator and assert the warm paths perform
 //! literally zero allocations.
 
@@ -15,6 +16,8 @@ use std::cell::Cell;
 use synergy::cache::{CacheConfig, SetAssocCache};
 use synergy::core::{SynergyMemory, SynergyMemoryConfig};
 use synergy::crypto::CacheLine;
+use synergy::ecc::reed_solomon::Chipkill;
+use synergy::ecc::{secded, DecodeOutcome};
 use synergy::secure::{DesignConfig, Expansion, SecureEngine};
 
 struct CountingAllocator;
@@ -158,6 +161,55 @@ fn warm_functional_memory_performs_zero_allocations() {
         after - before,
         0,
         "functional memory allocated {} times in steady state",
+        after - before
+    );
+}
+
+/// Encodes and decodes one line through both ECC codecs: SECDED with a
+/// single-bit and a double-bit word error, Chipkill clean, with one failed
+/// chip and with two. Returns the decoded lines' outcomes.
+fn drive_ecc(ck: &Chipkill, line: &[u8; 64]) -> [DecodeOutcome; 5] {
+    let words = CacheLine::from_bytes(*line).to_words();
+    let check = secded::encode_line(&words);
+    let mut single = words;
+    single[1] ^= 1 << 9;
+    let mut double = words;
+    double[6] ^= 0b101 << 30;
+
+    let clean = ck.encode_line(line).expect("encode");
+    let mut one_chip = clean;
+    let mut two_chips = clean;
+    for beat in one_chip.iter_mut().chain(two_chips.iter_mut()) {
+        beat[3] ^= 0x77;
+    }
+    for beat in two_chips.iter_mut() {
+        beat[8] ^= 0x21;
+    }
+    [
+        secded::decode_line(&single, &check).1,
+        secded::decode_line(&double, &check).1,
+        ck.correct_line(&mut clean.clone()).expect("well-formed").1,
+        ck.correct_line(&mut one_chip).expect("well-formed").1,
+        ck.correct_line(&mut two_chips).expect("well-formed").1,
+    ]
+}
+
+#[test]
+fn warm_ecc_line_codecs_perform_zero_allocations() {
+    let ck = Chipkill::new().expect("fixed geometry");
+    let line: [u8; 64] = std::array::from_fn(|i| (i * 37 + 11) as u8);
+    let warm = drive_ecc(&ck, &line);
+
+    let before = allocation_count();
+    let steady = drive_ecc(&ck, &line);
+    let after = allocation_count();
+    use DecodeOutcome::{Clean, Corrected, DetectedUncorrectable as Due};
+    assert_eq!(steady, [Corrected, Due, Clean, Corrected, Due]);
+    assert_eq!(warm, steady);
+    assert_eq!(
+        after - before,
+        0,
+        "ECC line codecs allocated {} times in steady state",
         after - before
     );
 }
