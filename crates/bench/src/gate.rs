@@ -5,8 +5,7 @@
 //! committed baselines under `baselines/metrics/`, metric by metric, with
 //! per-prefix relative or absolute tolerances. Only *simulation-determined*
 //! metrics are gated — anything wall-clock- or host-dependent (`sim.*`
-//! throughput gauges, `sweep.*` host parallelism, `crypto.*` work-model
-//! counters that depend on env knobs) is skipped, so the gate is stable
+//! throughput gauges, `sweep.*` host parallelism) is skipped, so the gate is stable
 //! across machines and CI runners as long as the scale knobs
 //! (`SYNERGY_BENCH_INSTS` etc.) match the ones the baselines were blessed
 //! with.
@@ -56,7 +55,6 @@ pub struct GateRule {
 pub const DEFAULT_RULES: &[GateRule] = &[
     GateRule { prefix: "sim.", tolerance: Tolerance::Skip },
     GateRule { prefix: "sweep.", tolerance: Tolerance::Skip },
-    GateRule { prefix: "crypto.", tolerance: Tolerance::Skip },
     GateRule { prefix: "attrib.share.", tolerance: Tolerance::Absolute(0.05) },
     GateRule { prefix: "attrib.", tolerance: Tolerance::Relative(0.08) },
     GateRule { prefix: "ipc.", tolerance: Tolerance::Relative(0.05) },

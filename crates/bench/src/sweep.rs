@@ -10,17 +10,18 @@
 //! into [`crate::MetricsSnapshot`] is order-sensitive, and that stays on
 //! the calling thread in deterministic cell order.
 //!
-//! Built on `std::thread::scope` (no rayon — the build is offline). The
-//! worker count comes from `SYNERGY_BENCH_THREADS`, defaulting to the
-//! machine's available parallelism; `SYNERGY_BENCH_THREADS=1` reproduces
-//! the sequential run exactly, which `tests/sweep_determinism.rs` pins.
+//! Cells run on [`synergy_obs::shard::run_in_order`], the workspace's one
+//! shard runner. The worker count comes from `SYNERGY_BENCH_THREADS`,
+//! defaulting to the machine's available parallelism;
+//! `SYNERGY_BENCH_THREADS=1` reproduces the sequential run exactly, which
+//! `tests/sweep_determinism.rs` pins.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 use std::thread;
 
 use synergy_core::system::SimResult;
 use synergy_faultsim::FaultSchedule;
-use synergy_obs::{MetricRegistry, Stopwatch};
+use synergy_obs::{shard, MetricRegistry, Stopwatch};
 use synergy_secure::DesignConfig;
 use synergy_trace::presets::MixSpec;
 use synergy_trace::WorkloadSpec;
@@ -30,11 +31,8 @@ use crate::{run_mix_with_faults, run_workload_with_faults};
 /// Worker threads for [`run_sweep`]: `SYNERGY_BENCH_THREADS`, defaulting
 /// to the machine's available parallelism.
 pub fn sweep_threads() -> usize {
-    std::env::var("SYNERGY_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+    let knob = std::env::var("SYNERGY_BENCH_THREADS").ok().and_then(|v| v.parse().ok());
+    shard::resolve_threads(knob.unwrap_or(0))
 }
 
 /// The workload half of a sweep cell: a single benchmark in rate mode or
@@ -175,8 +173,9 @@ pub fn run_sweep(cells: &[SweepCell]) -> SweepReport {
 }
 
 /// Deterministic parallel map: applies `f` to every item on up to
-/// `threads` scoped workers (work-stealing via a shared atomic cursor) and
-/// returns the outputs in item order, independent of scheduling.
+/// `threads` workers (0 = available parallelism) and returns the outputs in
+/// item order, independent of scheduling. A thin caller of
+/// [`shard::run_in_order`], so one worker runs inline on the caller.
 ///
 /// `f` must be a pure function of its arguments for the determinism
 /// guarantee to mean anything; the simulation entry points qualify because
@@ -184,88 +183,25 @@ pub fn run_sweep(cells: &[SweepCell]) -> SweepReport {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker (the first one joined).
+/// Propagates a panic from any worker.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, r) in handle.join().expect("sweep worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
+    let mut out = Vec::with_capacity(items.len());
+    let work = |i: u64| f(i as usize, &items[i as usize]);
+    let Ok(()) = shard::run_in_order(0..items.len() as u64, threads, work, |_, r| {
+        out.push(r);
+        Ok::<(), Infallible>(())
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was claimed exactly once"))
-        .collect()
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order_and_coverage() {
-        let items: Vec<u64> = (0..257).collect();
-        for threads in [1, 2, 8, 64] {
-            let out = parallel_map(&items, threads, |i, &x| {
-                assert_eq!(i as u64, x);
-                x * 3 + 1
-            });
-            assert_eq!(out.len(), items.len());
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, items[i] * 3 + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 8, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(&[7u32], 8, |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn parallel_map_single_thread_runs_inline_on_caller() {
-        // threads == 1 must take the spawn-free fast path: every call runs
-        // on the calling thread (cheap single-thread sweeps, and panics
-        // surface directly instead of through a worker join).
-        let caller = std::thread::current().id();
-        let ids = parallel_map(&[0u8; 17], 1, |_, _| std::thread::current().id());
-        assert!(ids.iter().all(|id| *id == caller));
-        // Degenerate worker counts collapse to the same inline path.
-        let ids = parallel_map(&[1u8], 64, |_, _| std::thread::current().id());
-        assert_eq!(ids, vec![caller]);
-        assert!(parallel_map(&Vec::<u8>::new(), 0, |_, _| std::thread::current().id()).is_empty());
-    }
 
     #[test]
     fn report_registry_records_host_cpus() {

@@ -8,15 +8,18 @@
 //! 1. **Thread-count invariance.** Work splits into fixed-size shards;
 //!    shard `i` covers items `[i·S, (i+1)·S)` and its result must be a
 //!    pure function of `(job, i)` — never of the worker that ran it.
-//!    Workers claim shards from a shared atomic queue and results merge
-//!    **in shard order**, so the final aggregate is bit-identical for any
-//!    worker count (including floating-point sums, which see one fixed
-//!    merge order).
-//! 2. **Bounded memory at any fleet size.** Completed shards stream into
-//!    a single running aggregate the moment they become the next in-order
-//!    shard; only out-of-order stragglers are buffered, and with `W`
-//!    workers at most `W` shard aggregates are ever alive. A billion-item
-//!    run costs the same memory as a thousand-item run.
+//!    Shards run on [`synergy_obs::shard::run_in_order`], which merges
+//!    results **in shard order**, so the final aggregate is bit-identical
+//!    for any worker count (including floating-point sums, which see one
+//!    fixed merge order).
+//! 2. **Streaming merge.** Completed shards fold into a single running
+//!    aggregate the moment they become the next in-order shard; only
+//!    shards that finish ahead of an unfinished predecessor are buffered.
+//!    With shards of similar cost that is about one aggregate per worker,
+//!    but one slow shard lets the other workers buffer any number of
+//!    shards behind it (at most the rest of the run). Memory therefore
+//!    scales with the aggregate size and the spread of shard run times,
+//!    not with the item count.
 //! 3. **Snapshot/resume.** The in-order merge maintains a *frontier*:
 //!    `(watermark, aggregate)` where `aggregate` is exactly the merge of
 //!    shards `[0, watermark)`. That pair — serialized as JSON via
@@ -32,12 +35,9 @@
 //! framework ("A Scalable Framework for Resilient Memory Design") is the
 //! design template for this streaming/checkpointing shape.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use synergy_obs::{export, Json};
+use synergy_obs::{export, shard, Json};
 
 /// A mergeable, JSON-serializable shard result.
 ///
@@ -144,11 +144,18 @@ impl<A: Aggregate> Checkpoint<A> {
             Some(CHECKPOINT_FORMAT) => {}
             other => return Err(format!("checkpoint format {other:?} != {CHECKPOINT_FORMAT:?}")),
         }
+        // JSON numbers are f64: only integers up to 2^53 are exact.
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
         let num = |k: &str| -> Result<u64, String> {
-            doc.get(k)
+            let v = doc
+                .get(k)
                 .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("checkpoint: missing numeric '{k}'"))
+                .ok_or_else(|| format!("checkpoint: missing numeric '{k}'"))?;
+            if v.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&v) {
+                Ok(v as u64)
+            } else {
+                Err(format!("checkpoint: '{k}' = {v} is not an integer in [0, 2^53]"))
+            }
         };
         Ok(Self {
             fingerprint: doc
@@ -167,11 +174,11 @@ impl<A: Aggregate> Checkpoint<A> {
         export::write_file(path, &self.to_json())
     }
 
-    /// Reads a checkpoint back from `path`.
+    /// Reads a checkpoint back from `path`; errors name the file.
     pub fn read(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_json(&text)
+        Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -193,13 +200,6 @@ impl<A> FabricRun<A> {
     pub fn completed(&self) -> bool {
         self.shards_done == self.total_shards
     }
-}
-
-struct MergeState<A> {
-    watermark: u64,
-    merged: A,
-    pending: BTreeMap<u64, A>,
-    checkpoints_written: u64,
 }
 
 /// A job bound to a fabric configuration. See the [module docs](self).
@@ -225,8 +225,14 @@ impl<J: Job> JobFabric<J> {
     }
 
     /// Runs from scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a checkpoint cannot be written, the only way a fresh run
+    /// can fail; call [`resume_from`](Self::resume_from)`(None)` to get
+    /// that as an error instead.
     pub fn run(&self) -> FabricRun<J::Agg> {
-        self.resume_from(None).expect("fresh runs cannot have checkpoint mismatches")
+        self.resume_from(None).unwrap_or_else(|e| panic!("fabric run failed: {e}"))
     }
 
     /// Resumes from the configured checkpoint path when a checkpoint file
@@ -242,9 +248,10 @@ impl<J: Job> JobFabric<J> {
 
     /// Runs the job, optionally continuing from `resume`.
     ///
-    /// Errors only on a checkpoint/job mismatch (wrong fingerprint,
+    /// Errors on a checkpoint/job mismatch (wrong fingerprint,
     /// inconsistent shard counts) — never silently recomputes or
-    /// continues under changed parameters.
+    /// continues under changed parameters — and when a checkpoint cannot
+    /// be written, which stops the run.
     pub fn resume_from(
         &self,
         resume: Option<Checkpoint<J::Agg>>,
@@ -276,81 +283,42 @@ impl<J: Job> JobFabric<J> {
             None => total_shards,
         };
 
-        let threads = if self.cfg.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.cfg.threads
+        let mut merged = initial;
+        let mut watermark = base;
+        let mut checkpoints_written = 0;
+        let mut checkpoint = |watermark: u64, merged: &J::Agg| -> Result<(), String> {
+            let Some(path) = &self.cfg.checkpoint_path else { return Ok(()) };
+            let cp = Checkpoint {
+                fingerprint: self.job.fingerprint(),
+                total_shards,
+                watermark,
+                aggregate: merged.clone(),
+            };
+            cp.write(path).map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
+            checkpoints_written += 1;
+            Ok(())
         };
-        let workers = threads.min((limit - base).max(1) as usize).max(1);
-
-        let state = Mutex::new(MergeState {
-            watermark: base,
-            merged: initial,
-            pending: BTreeMap::new(),
-            checkpoints_written: 0,
-        });
-        let next = AtomicU64::new(base);
-
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= limit {
-                        break;
-                    }
-                    let start = i * shard_items;
-                    let count = shard_items.min(items - start);
-                    let agg = self.job.run_shard(start, count);
-                    let mut st = state.lock().expect("fabric merge state poisoned");
-                    st.pending.insert(i, agg);
-                    // Stream every newly in-order shard into the frontier.
-                    while let Some(a) = {
-                        let w = st.watermark;
-                        st.pending.remove(&w)
-                    } {
-                        st.merged.merge(&a);
-                        st.watermark += 1;
-                        if let (Some(every), Some(_)) =
-                            (self.cfg.checkpoint_every, &self.cfg.checkpoint_path)
-                        {
-                            if every > 0 && st.watermark % every == 0 && st.watermark < limit {
-                                self.write_checkpoint(&mut st, total_shards);
-                            }
-                        }
-                    }
-                });
+        let work = |i: u64| {
+            let start = i * shard_items;
+            self.job.run_shard(start, shard_items.min(items - start))
+        };
+        shard::run_in_order(base..limit, self.cfg.threads, work, |i, agg| {
+            merged.merge(&agg);
+            watermark = i + 1;
+            match self.cfg.checkpoint_every {
+                Some(every) if every > 0 && watermark % every == 0 && watermark < limit => {
+                    checkpoint(watermark, &merged)
+                }
+                _ => Ok(()),
             }
-        })
-        .expect("fabric thread scope");
-
-        let mut st = state.into_inner().expect("fabric merge state poisoned");
-        debug_assert!(st.pending.is_empty(), "all claimed shards must have merged");
-        debug_assert_eq!(st.watermark, limit);
+        })?;
+        debug_assert_eq!(watermark, limit);
         // The run always leaves its final frontier behind when
         // checkpointing is on: an interrupted run becomes resumable even
         // when the kill boundary is not a checkpoint_every multiple, and a
         // completed run makes any later `resume()` an instant no-op.
-        if self.cfg.checkpoint_path.is_some() {
-            self.write_checkpoint(&mut st, total_shards);
-        }
-        Ok(FabricRun {
-            aggregate: st.merged,
-            shards_done: st.watermark,
-            total_shards,
-            checkpoints_written: st.checkpoints_written,
-        })
-    }
-
-    fn write_checkpoint(&self, st: &mut MergeState<J::Agg>, total_shards: u64) {
-        let path = self.cfg.checkpoint_path.as_ref().expect("caller checked path");
-        let cp = Checkpoint {
-            fingerprint: self.job.fingerprint(),
-            total_shards,
-            watermark: st.watermark,
-            aggregate: st.merged.clone(),
-        };
-        cp.write(path).unwrap_or_else(|e| panic!("write checkpoint {}: {e}", path.display()));
-        st.checkpoints_written += 1;
+        checkpoint(watermark, &merged)?;
+        Ok(FabricRun { aggregate: merged, shards_done: watermark, total_shards, checkpoints_written })
     }
 }
 
@@ -503,6 +471,58 @@ mod tests {
         };
         let back = Checkpoint::<HashAgg>::from_json(&cp.to_json()).unwrap();
         assert_eq!(back, cp);
+    }
+
+    #[test]
+    fn truncated_checkpoint_is_an_error_at_every_offset() {
+        let text = Checkpoint {
+            fingerprint: "hash-job".to_string(),
+            total_shards: 16,
+            watermark: 9,
+            aggregate: HashAgg { sum: 12345, n: 576, fsum: 88.125 },
+        }
+        .to_json();
+        for cut in 0..text.len() {
+            let r = Checkpoint::<HashAgg>::from_json(&text[..cut]);
+            assert!(r.is_err(), "prefix of {cut} bytes parsed: {r:?}");
+        }
+        assert!(Checkpoint::<HashAgg>::from_json(&text).is_ok());
+    }
+
+    #[test]
+    fn malformed_watermark_is_rejected() {
+        let text = Checkpoint {
+            fingerprint: "hash-job".to_string(),
+            total_shards: 16,
+            watermark: 9,
+            aggregate: HashAgg::empty(),
+        }
+        .to_json();
+        for bad in ["-1", "3.7", "1e300", "9007199254740994"] {
+            let mutated = text.replace("\"watermark\":9", &format!("\"watermark\":{bad}"));
+            let err = Checkpoint::<HashAgg>::from_json(&mutated).unwrap_err();
+            assert!(err.contains("'watermark'"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_write_failure_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("fabric-badpath-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, "x").unwrap();
+        let path = file.join("hash.ckpt.json");
+        for threads in [1, 2] {
+            let cfg = FabricConfig {
+                threads,
+                checkpoint_every: Some(2),
+                checkpoint_path: Some(path.clone()),
+                stop_after_shards: None,
+            };
+            let err = JobFabric::new(job(1000), cfg).resume().unwrap_err();
+            assert!(err.contains("write checkpoint") && err.contains("not-a-dir"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

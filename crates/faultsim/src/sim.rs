@@ -8,12 +8,12 @@
 //!   devices with zero faults are dispatched with a single random draw.
 //! * **Parallelism** — devices are independent; they are decomposed into
 //!   fixed-size shards whose seeds derive from the shard's first device
-//!   index (never from the worker count), worker threads pull shards from a
-//!   shared queue, and partial results merge in shard order. Results are
-//!   therefore **bit-identical** for any thread count at a fixed seed.
+//!   index (never from the worker count), and
+//!   [`synergy_obs::shard::run_in_order`] runs them on worker threads and
+//!   merges their partial results in shard order. Results are therefore
+//!   **bit-identical** for any thread count at a fixed seed.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::convert::Infallible;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,40 +112,20 @@ pub const SHARD_DEVICES: u64 = 16_384;
 
 /// Runs the Monte Carlo for one ECC policy.
 pub fn simulate(policy: EccPolicy, model: &FaultModel, params: &SimParams) -> ReliabilityResult {
-    let threads = if params.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        params.threads
+    let shards = params.devices.div_ceil(SHARD_DEVICES);
+    let work = |i: u64| {
+        let start = i * SHARD_DEVICES;
+        run_batch(policy, model, params, start, SHARD_DEVICES.min(params.devices - start))
     };
-    let shards = params.devices.div_ceil(SHARD_DEVICES) as usize;
-    let workers = threads.min(shards).max(1);
-
-    // Shard slots are filled by whichever worker claims the shard; the
-    // merge below walks them in shard order, so even the floating-point
+    // Shard results arrive in shard order, so even the floating-point
     // time-to-failure sum is order-deterministic.
-    let slots: Mutex<Vec<(u64, u64, f64)>> = Mutex::new(vec![(0, 0, 0.0); shards]);
-    let next = AtomicUsize::new(0);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards {
-                    break;
-                }
-                let start = i as u64 * SHARD_DEVICES;
-                let count = SHARD_DEVICES.min(params.devices - start);
-                let r = run_batch(policy, model, params, start, count);
-                slots.lock().expect("shard slots poisoned")[i] = r;
-            });
-        }
-    })
-    .expect("thread scope");
-
-    let results = slots.into_inner().expect("shard slots poisoned");
-    let failures: u64 = results.iter().map(|r| r.0).sum();
-    let with_faults: u64 = results.iter().map(|r| r.1).sum();
-    let ttf_sum: f64 = results.iter().map(|r| r.2).sum();
+    let (mut failures, mut with_faults, mut ttf_sum) = (0u64, 0u64, 0.0f64);
+    let Ok(()) = synergy_obs::shard::run_in_order(0..shards, params.threads, work, |_, (f, w, t)| {
+        failures += f;
+        with_faults += w;
+        ttf_sum += t;
+        Ok::<(), Infallible>(())
+    });
 
     let p = failures as f64 / params.devices as f64;
     let hours = params.years * HOURS_PER_YEAR;
@@ -249,18 +229,31 @@ mod tests {
     fn deterministic_across_thread_counts() {
         // The shard decomposition is fixed (SHARD_DEVICES-sized shards seeded
         // by their first device index) and shards are merged in shard order,
-        // so results are bit-identical regardless of worker count.
+        // so results are bit-identical regardless of worker count. Every
+        // field of the Secded, Chipkill and Synergy results (f64s by bit
+        // pattern) folds into one FNV-1a-style hash, pinned so a change to
+        // sampling, sharding or merge order cannot pass unnoticed.
+        const GOLDEN: u64 = 0x0a4f_4cca_29a3_5a7e;
         let m = FaultModel::sridharan();
         // Spans multiple shards so the work queue actually interleaves.
         let devices = 3 * SHARD_DEVICES + 1_000;
-        let baseline = {
-            let p = SimParams { devices, threads: 1, ..Default::default() };
-            simulate(EccPolicy::Secded, &m, &p)
-        };
-        for threads in [2usize, 8] {
+        for threads in [1usize, 2, 8] {
             let p = SimParams { devices, threads, ..Default::default() };
-            let r = simulate(EccPolicy::Secded, &m, &p);
-            assert_eq!(baseline, r, "threads={threads} diverged from threads=1");
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for policy in [EccPolicy::Secded, EccPolicy::Chipkill, EccPolicy::Synergy] {
+                let r = simulate(policy, &m, &p);
+                for v in [
+                    r.devices,
+                    r.failures,
+                    r.devices_with_faults,
+                    r.failure_probability.to_bits(),
+                    r.fit.to_bits(),
+                    r.mean_time_to_failure_hours.to_bits(),
+                ] {
+                    h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, GOLDEN, "threads={threads}: {h:#018x}");
         }
     }
 

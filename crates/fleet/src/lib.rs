@@ -29,7 +29,7 @@
 //!
 //! DIMMs shard onto the [`JobFabric`](synergy_campaign::JobFabric):
 //! fixed-size shards seeded by their first DIMM index, shard-ordered
-//! streaming merge (bounded memory at any fleet size), and frontier
+//! streaming merge (memory independent of the fleet size), and frontier
 //! checkpoints so a killed million-DIMM run resumes **bit-identically**.
 //!
 //! # Example

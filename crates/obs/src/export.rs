@@ -4,9 +4,12 @@
 //! with a small composable surface: each telemetry type renders to a JSON
 //! fragment, and callers stitch fragments into experiment-level documents.
 //! [`write_file`] creates parent directories, so bench targets can write
-//! straight to `target/experiments/metrics/<name>.json`.
+//! straight to `target/experiments/metrics/<name>.json`, and replaces the
+//! target atomically, so a killed writer never leaves a truncated file.
 
+use std::ffi::OsString;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 
 use crate::hist::LogHistogram;
@@ -238,14 +241,38 @@ pub fn epochs_to_csv(reg: &MetricRegistry) -> String {
 
 /// Writes `content` to `path`, creating parent directories as needed.
 ///
+/// The content goes to a sibling temp file that is synced and then
+/// renamed over `path`, and on Unix the directory is synced too, so
+/// readers (and a resume after a kill) see either the old file or the new
+/// one whole, never a prefix.
+///
 /// # Errors
 ///
-/// Propagates directory-creation and write failures.
+/// Propagates directory-creation, write, sync and rename failures; the
+/// temp file is removed on failure.
 pub fn write_file(path: &Path, content: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    std::fs::create_dir_all(dir)?;
+    let name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let mut tmp_name = OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        f.write_all(content.as_bytes())?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::write(path, content)
+    written?;
+    // The rename survives a crash only once the directory entry does.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -379,6 +406,22 @@ mod tests {
         let path = dir.join("nested/out.json");
         write_file(&path, "{}").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_file_replaces_whole_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("synergy_obs_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("ckpt.json");
+        write_file(&path, &"x".repeat(4096)).unwrap();
+        write_file(&path, "short").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "short");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, vec!["ckpt.json"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

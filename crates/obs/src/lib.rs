@@ -27,6 +27,8 @@
 //!   under `target/experiments/metrics/`.
 //! * [`Json`] — a matching minimal JSON reader, enough to re-read the
 //!   crate's own exports (round-trip tests, the `perf_gate` bin).
+//! * [`shard`] — the in-order shard runner behind the parallel sweeps,
+//!   the fault-simulation Monte Carlo and the checkpointable job fabric.
 //! * [`Stopwatch`] — wall-clock timing for simulator-throughput gauges
 //!   (`sim.cycles_per_sec`); never feeds back into simulated behaviour.
 
@@ -39,6 +41,7 @@ pub mod hist;
 pub mod inline_vec;
 pub mod json;
 pub mod registry;
+pub mod shard;
 pub mod span;
 pub mod stopwatch;
 pub mod trace_export;

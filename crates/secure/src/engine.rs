@@ -267,34 +267,17 @@ impl SecureEngine {
     }
 
     /// Drains the dedicated metadata cache's dirty lines (clearing their
-    /// dirty bits) and returns their addresses — the writebacks an
-    /// end-of-run flush would issue. Together with the LLC's
-    /// `drain_dirty`, this accounts for every increment that has not yet
-    /// reached DRAM, which is what the counter-conservation property test
-    /// audits.
-    pub fn drain_dirty_metadata(&mut self) -> Vec<u64> {
-        self.metadata_cache.drain_dirty()
-    }
-
-    /// [`Self::drain_dirty_metadata`] into a caller-owned buffer (not
-    /// cleared first).
+    /// dirty bits) and appends their addresses to `dirty` (not cleared
+    /// first) — the writebacks an end-of-run flush would issue. Together
+    /// with the LLC's `drain_dirty`, this accounts for every increment that
+    /// has not yet reached DRAM, which is what the counter-conservation
+    /// property test audits.
     pub fn drain_dirty_metadata_into(&mut self, dirty: &mut Vec<u64>) {
         self.metadata_cache.drain_dirty_into(dirty);
     }
 
-    /// Expands an off-chip data *read* (LLC miss) into DRAM accesses.
-    ///
-    /// Convenience wrapper around [`Self::expand_read_into`] that returns
-    /// a fresh [`Expansion`]; hot loops should own a reusable buffer and
-    /// call the `_into` form directly.
-    pub fn expand_read(&mut self, data_addr: u64, llc: &mut SetAssocCache) -> Expansion {
-        let mut out = Expansion::default();
-        self.expand_read_into(data_addr, llc, &mut out);
-        out
-    }
-
-    /// Expands an off-chip data *read* (LLC miss) into `out`, which is
-    /// cleared first. With a warmed `out` this is allocation-free.
+    /// Expands an off-chip data *read* (LLC miss) into DRAM accesses in
+    /// `out`, which is cleared first. With a warmed `out` this is allocation-free.
     pub fn expand_read_into(
         &mut self,
         data_addr: u64,
@@ -354,17 +337,6 @@ impl SecureEngine {
                 }
             }
         }
-    }
-
-    /// Expands an off-chip data *writeback* (dirty LLC eviction).
-    ///
-    /// Convenience wrapper around [`Self::expand_writeback_into`] that
-    /// returns a fresh [`Expansion`]; hot loops should own a reusable
-    /// buffer and call the `_into` form directly.
-    pub fn expand_writeback(&mut self, data_addr: u64, llc: &mut SetAssocCache) -> Expansion {
-        let mut out = Expansion::default();
-        self.expand_writeback_into(data_addr, llc, &mut out);
-        out
     }
 
     /// Expands an off-chip data *writeback* (dirty LLC eviction) into
@@ -664,10 +636,24 @@ mod tests {
         out.accesses.iter().filter(|a| a.class == class && a.kind == kind).count()
     }
 
+    /// Expands a read into a fresh buffer.
+    fn read(e: &mut SecureEngine, addr: u64, llc: &mut SetAssocCache) -> Expansion {
+        let mut out = Expansion::default();
+        e.expand_read_into(addr, llc, &mut out);
+        out
+    }
+
+    /// Expands a writeback into a fresh buffer.
+    fn writeback(e: &mut SecureEngine, addr: u64, llc: &mut SetAssocCache) -> Expansion {
+        let mut out = Expansion::default();
+        e.expand_writeback_into(addr, llc, &mut out);
+        out
+    }
+
     #[test]
     fn non_secure_read_is_one_access() {
         let mut e = SecureEngine::new(DesignConfig::non_secure(), DATA);
-        let out = e.expand_read(0x4000, &mut llc());
+        let out = read(&mut e, 0x4000, &mut llc());
         assert_eq!(out.accesses.len(), 1);
         assert_eq!(out.accesses[0].class, RequestClass::Data);
     }
@@ -676,7 +662,7 @@ mod tests {
     fn sgx_o_cold_read_fetches_mac_counter_and_tree() {
         let mut e = SecureEngine::new(DesignConfig::sgx_o(), DATA);
         let mut llc = llc();
-        let out = e.expand_read(0x4000, &mut llc);
+        let out = read(&mut e, 0x4000, &mut llc);
         assert_eq!(count(&out, RequestClass::Data, AccessKind::Read), 1);
         assert_eq!(count(&out, RequestClass::Mac, AccessKind::Read), 1);
         assert_eq!(count(&out, RequestClass::Counter, AccessKind::Read), 1);
@@ -689,8 +675,8 @@ mod tests {
     fn warm_read_skips_counter_and_tree_but_not_mac() {
         let mut e = SecureEngine::new(DesignConfig::sgx_o(), DATA);
         let mut llc = llc();
-        let _ = e.expand_read(0x4000, &mut llc);
-        let out = e.expand_read(0x4040, &mut llc); // same counter line
+        let _ = read(&mut e, 0x4000, &mut llc);
+        let out = read(&mut e, 0x4040, &mut llc); // same counter line
         assert_eq!(out.accesses.len(), 2, "{:?}", out.accesses);
         assert_eq!(count(&out, RequestClass::Mac, AccessKind::Read), 1);
     }
@@ -699,9 +685,9 @@ mod tests {
     fn synergy_read_has_no_mac_access() {
         let mut e = SecureEngine::new(DesignConfig::synergy(), DATA);
         let mut llc = llc();
-        let cold = e.expand_read(0x4000, &mut llc);
+        let cold = read(&mut e, 0x4000, &mut llc);
         assert_eq!(count(&cold, RequestClass::Mac, AccessKind::Read), 0);
-        let warm = e.expand_read(0x4040, &mut llc);
+        let warm = read(&mut e, 0x4040, &mut llc);
         assert_eq!(warm.accesses.len(), 1, "warm Synergy read = data only");
     }
 
@@ -709,8 +695,8 @@ mod tests {
     fn synergy_writeback_pays_parity_not_mac() {
         let mut e = SecureEngine::new(DesignConfig::synergy(), DATA);
         let mut llc = llc();
-        let _ = e.expand_read(0x4000, &mut llc); // warm the counter path
-        let out = e.expand_writeback(0x4000, &mut llc);
+        let _ = read(&mut e, 0x4000, &mut llc); // warm the counter path
+        let out = writeback(&mut e, 0x4000, &mut llc);
         assert_eq!(count(&out, RequestClass::Data, AccessKind::Write), 1);
         assert_eq!(count(&out, RequestClass::Parity, AccessKind::Write), 1);
         assert_eq!(count(&out, RequestClass::Mac, AccessKind::Write), 0);
@@ -720,8 +706,8 @@ mod tests {
     fn sgx_o_writeback_pays_mac_not_parity() {
         let mut e = SecureEngine::new(DesignConfig::sgx_o(), DATA);
         let mut llc = llc();
-        let _ = e.expand_read(0x4000, &mut llc);
-        let out = e.expand_writeback(0x4000, &mut llc);
+        let _ = read(&mut e, 0x4000, &mut llc);
+        let out = writeback(&mut e, 0x4000, &mut llc);
         assert_eq!(count(&out, RequestClass::Mac, AccessKind::Write), 1);
         assert_eq!(count(&out, RequestClass::Parity, AccessKind::Write), 0);
     }
@@ -737,9 +723,9 @@ mod tests {
         for i in 0..100u64 {
             let addr = i * 64;
             parity_full +=
-                count(&full.expand_writeback(addr, &mut llc_a), RequestClass::Parity, AccessKind::Write);
+                count(&writeback(&mut full, addr, &mut llc_a), RequestClass::Parity, AccessKind::Write);
             parity_half +=
-                count(&half.expand_writeback(addr, &mut llc_b), RequestClass::Parity, AccessKind::Write);
+                count(&writeback(&mut half, addr, &mut llc_b), RequestClass::Parity, AccessKind::Write);
         }
         assert_eq!(parity_full, 100);
         assert_eq!(parity_half, 50);
@@ -750,7 +736,7 @@ mod tests {
         let mut e = SecureEngine::new(DesignConfig::sgx(), DATA);
         let mut llc = llc();
         for i in 0..1000u64 {
-            let _ = e.expand_read(i * 64 * 8, &mut llc); // distinct counter lines
+            let _ = read(&mut e, i * 64 * 8, &mut llc); // distinct counter lines
         }
         assert_eq!(llc.resident_lines(), 0, "SGX must not pollute the LLC");
         assert!(e.stats().counter_llc_hits == 0);
@@ -762,13 +748,13 @@ mod tests {
         let mut llc = llc();
         // Touch more counter lines than the 2048-line metadata cache holds.
         for i in 0..4096u64 {
-            let _ = e.expand_read(i * 64 * 8, &mut llc);
+            let _ = read(&mut e, i * 64 * 8, &mut llc);
         }
         assert!(llc.resident_lines() > 0, "counters must fill the LLC");
         // Re-touching early lines: many now hit in LLC.
         let before = e.stats().counter_llc_hits;
         for i in 0..1024u64 {
-            let _ = e.expand_read(i * 64 * 8, &mut llc);
+            let _ = read(&mut e, i * 64 * 8, &mut llc);
         }
         assert!(e.stats().counter_llc_hits > before);
     }
@@ -784,7 +770,7 @@ mod tests {
         }
         let mut evicted = 0;
         for i in 0..64u64 {
-            let out = e.expand_read(i * 64 * 512, &mut llc);
+            let out = read(&mut e, i * 64 * 512, &mut llc);
             evicted += out.evicted_dirty_data.len();
         }
         assert!(evicted > 0, "metadata must displace dirty data lines");
@@ -794,12 +780,12 @@ mod tests {
     fn ivec_mac_misses_walk_the_mac_tree() {
         let mut e = SecureEngine::new(DesignConfig::ivec(), DATA);
         let mut llc = llc();
-        let out = e.expand_read(0x4000, &mut llc);
+        let out = read(&mut e, 0x4000, &mut llc);
         // IVEC: data + MAC + counter + MAC-tree walk.
         assert_eq!(count(&out, RequestClass::Mac, AccessKind::Read), 1);
         assert!(count(&out, RequestClass::TreeNode, AccessKind::Read) > 0);
         // Second access to a line sharing the MAC line: MAC now in LLC.
-        let out2 = e.expand_read(0x4040, &mut llc);
+        let out2 = read(&mut e, 0x4040, &mut llc);
         assert_eq!(count(&out2, RequestClass::Mac, AccessKind::Read), 0);
     }
 
@@ -815,8 +801,8 @@ mod tests {
         // per counter line, so they miss less.
         for i in 0..20_000u64 {
             let addr = (i * 64 * 8) % DATA;
-            let _ = e_mono.expand_read(addr, &mut llc_a);
-            let _ = e_split.expand_read(addr, &mut llc_b);
+            let _ = read(&mut e_mono, addr, &mut llc_a);
+            let _ = read(&mut e_split, addr, &mut llc_b);
         }
         assert!(
             e_split.stats().counter_misses < e_mono.stats().counter_misses / 2,
@@ -839,10 +825,10 @@ mod tests {
         let mut e = SecureEngine::with_metadata_cache(DesignConfig::sgx_o(), DATA, tiny);
         let mut llc = llc();
         let addr = 0x4000;
-        let _ = e.expand_read(addr, &mut llc); // path now in dedicated + LLC
+        let _ = read(&mut e, addr, &mut llc); // path now in dedicated + LLC
         // Thrash the dedicated cache with distant counter lines.
         for i in 0..64u64 {
-            let _ = e.expand_read((1 << 20) + i * 64 * 8, &mut llc);
+            let _ = read(&mut e, (1 << 20) + i * 64 * 8, &mut llc);
         }
         let ctr = e.layout().counter_line_addr(addr);
         let l0 = e.layout().tree_path(ctr)[0];
@@ -850,7 +836,7 @@ mod tests {
         assert!(llc.contains(l0), "setup: node still LLC-resident");
 
         let misses_before = e.metadata_cache.stats().write_misses;
-        let _ = e.expand_writeback(addr, &mut llc);
+        let _ = writeback(&mut e, addr, &mut llc);
         let tree_dirty = llc
             .drain_dirty()
             .into_iter()
@@ -869,15 +855,15 @@ mod tests {
     fn degraded_synergy_read_pays_parity_then_tracks() {
         let mut e = SecureEngine::new(DesignConfig::synergy(), DATA);
         let mut llc = llc();
-        let healthy = e.expand_read(0x4000, &mut llc);
+        let healthy = read(&mut e, 0x4000, &mut llc);
         assert_eq!(count(&healthy, RequestClass::Parity, AccessKind::Read), 0);
 
         e.fail_chip(3);
         assert_eq!(e.failed_chip(), Some(3));
-        let first = e.expand_read(0x8000, &mut llc);
+        let first = read(&mut e, 0x8000, &mut llc);
         assert_eq!(count(&first, RequestClass::Parity, AccessKind::Read), 1);
         assert!(first.diagnosis, "first corrected read runs the diagnosis burst");
-        let again = e.expand_read(0x8000, &mut llc);
+        let again = read(&mut e, 0x8000, &mut llc);
         assert_eq!(
             count(&again, RequestClass::Parity, AccessKind::Read),
             0,
@@ -897,7 +883,7 @@ mod tests {
         let mut e = SecureEngine::new(DesignConfig::sgx_o(), DATA);
         let mut llc = llc();
         e.fail_chip(0);
-        let out = e.expand_read(0x4000, &mut llc);
+        let out = read(&mut e, 0x4000, &mut llc);
         assert_eq!(count(&out, RequestClass::Parity, AccessKind::Read), 0);
         assert!(!out.diagnosis);
         assert_eq!(e.degraded_stats().due_events, 1);
@@ -912,8 +898,8 @@ mod tests {
             let mut llc_a = llc();
             let mut llc_b = llc();
             failed.fail_chip(8);
-            let a = healthy.expand_read(0x4000, &mut llc_a);
-            let b = failed.expand_read(0x4000, &mut llc_b);
+            let a = read(&mut healthy, 0x4000, &mut llc_a);
+            let b = read(&mut failed, 0x4000, &mut llc_b);
             assert_eq!(a.accesses, b.accesses, "in-line correction is traffic-free");
             assert_eq!(failed.degraded_stats().corrections, 1);
             assert_eq!(failed.degraded_stats().parity_reads, 0);
@@ -934,7 +920,7 @@ mod tests {
         // metadata cache: dirty victims must emerge as Counter writes.
         let mut counter_writes = 0;
         for i in 0..4096u64 {
-            let out = e.expand_writeback(i * 64 * 8, &mut llc);
+            let out = writeback(&mut e, i * 64 * 8, &mut llc);
             counter_writes += count(&out, RequestClass::Counter, AccessKind::Write);
         }
         assert!(counter_writes > 0, "dirty counter lines must write back");

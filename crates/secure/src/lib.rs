@@ -19,9 +19,6 @@
 //! * [`counters`] — functional monolithic and split counters.
 //! * [`engine`] — the access-expansion engine used by the performance
 //!   simulator in `synergy-core`.
-//! * [`crypto_engine`] — the optional crypto *work model*: real MAC and
-//!   pad computations (via `synergy-crypto`) mirroring the modeled
-//!   traffic, drained per-line or batched.
 //!
 //! The byte-accurate functional implementation (real MACs, real parity,
 //! real correction) lives in `synergy-core`; this crate supplies the shared
@@ -31,12 +28,10 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod crypto_engine;
 pub mod design;
 pub mod engine;
 pub mod layout;
 
-pub use crypto_engine::{CryptoEngine, CryptoStats, CryptoWorkMode};
 pub use design::{ChipFailureResponse, DesignConfig, MacPlacement, ReliabilityScheme};
 pub use engine::{
     default_metadata_cache_config, AccessSpec, DegradedStats, EngineStats, Expansion, SecureEngine,

@@ -5,7 +5,21 @@ use proptest::prelude::*;
 use synergy_cache::{CacheConfig, SetAssocCache};
 use synergy_dram::{AccessKind, RequestClass};
 use synergy_secure::layout::{CounterOrg, MetadataLayout, Region, TreeLeaves, LINE};
-use synergy_secure::{DesignConfig, SecureEngine};
+use synergy_secure::{DesignConfig, Expansion, SecureEngine};
+
+/// Expands a read into a fresh buffer.
+fn read(e: &mut SecureEngine, addr: u64, llc: &mut SetAssocCache) -> Expansion {
+    let mut out = Expansion::default();
+    e.expand_read_into(addr, llc, &mut out);
+    out
+}
+
+/// Expands a writeback into a fresh buffer.
+fn writeback(e: &mut SecureEngine, addr: u64, llc: &mut SetAssocCache) -> Expansion {
+    let mut out = Expansion::default();
+    e.expand_writeback_into(addr, llc, &mut out);
+    out
+}
 
 fn layout_strategy() -> impl Strategy<Value = MetadataLayout> {
     (12u32..26, prop_oneof![Just(CounterOrg::Monolithic), Just(CounterOrg::Split)]).prop_map(
@@ -83,7 +97,7 @@ proptest! {
         let mut llc2 = SetAssocCache::new(CacheConfig::new(1 << 20, 8, 64).unwrap());
         for addr in addrs {
             let addr = addr & !63;
-            let e = syn.expand_read(addr, &mut llc);
+            let e = read(&mut syn, addr, &mut llc);
             let data_reads = e
                 .accesses
                 .iter()
@@ -92,10 +106,10 @@ proptest! {
             prop_assert_eq!(data_reads, 1);
             prop_assert!(e.accesses.iter().all(|a| a.class != RequestClass::Mac));
 
-            let e = ns.expand_read(addr, &mut llc2);
+            let e = read(&mut ns, addr, &mut llc2);
             prop_assert_eq!(e.accesses.len(), 1);
 
-            let w = syn.expand_writeback(addr, &mut llc);
+            let w = writeback(&mut syn, addr, &mut llc);
             let parity_writes = w
                 .accesses
                 .iter()
@@ -174,11 +188,11 @@ proptest! {
                 let addr = addr & !63;
                 let exp = if is_write {
                     let ctr = engine.layout().counter_line_addr(addr);
-                    let exp = engine.expand_writeback(addr, &mut llc);
+                    let exp = writeback(&mut engine, addr, &mut llc);
                     dirty.insert(ctr);
                     exp
                 } else {
-                    engine.expand_read(addr, &mut llc)
+                    read(&mut engine, addr, &mut llc)
                 };
                 for a in &exp.accesses {
                     if a.class == RequestClass::Counter && a.kind == AccessKind::Write {
@@ -194,7 +208,8 @@ proptest! {
             }
             // Flush: whatever is still dirty in either cache must be
             // exactly the remaining logically-dirty set.
-            let mut resident = engine.drain_dirty_metadata();
+            let mut resident = Vec::new();
+            engine.drain_dirty_metadata_into(&mut resident);
             resident.extend(llc.drain_dirty());
             for addr in resident {
                 if engine.layout().classify(addr) == Region::Counter {
@@ -224,8 +239,8 @@ proptest! {
         let addr = addr & !63;
         let mut llc = SetAssocCache::new(CacheConfig::new(1 << 20, 8, 64).unwrap());
         let mut e = SecureEngine::new(DesignConfig::synergy(), 1 << 26);
-        let _ = e.expand_read(addr, &mut llc);
-        let again = e.expand_read(addr, &mut llc);
+        let _ = read(&mut e, addr, &mut llc);
+        let again = read(&mut e, addr, &mut llc);
         prop_assert_eq!(again.accesses.len(), 1);
         prop_assert_eq!(again.accesses[0].class, RequestClass::Data);
     }
