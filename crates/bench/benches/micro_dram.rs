@@ -10,6 +10,10 @@
 //! * `dram_idle_window` — traversing 100k idle cycles (refresh is the
 //!   only activity): `next_event_cycle`/`skip_to` hops vs per-cycle
 //!   ticks.
+//! * `dram_saturated_queues` — host ns per memory tick with every read
+//!   queue held at capacity and every write queue between its drain
+//!   watermarks, requests spread over all banks with row conflicts: the
+//!   FR-FCFS scheduler's busiest case, with queues that never drain.
 //! * `system_run` — an end-to-end `run`-driven workload (the same shape
 //!   as `synergy_bench::run_workload`, scaled down for criterion) with
 //!   `SystemConfig::fast_forward` on vs off; the measured quantity the
@@ -95,6 +99,47 @@ fn bench_idle_window(c: &mut Criterion) {
     g.finish();
 }
 
+/// Refills every channel's read queue to capacity and its write queue to
+/// midway between the drain watermarks, with random lines spread over all
+/// banks and four rows per bank (frequent row conflicts).
+fn refill(mem: &mut MemorySystem, rng: &mut u64, next_id: &mut u64) {
+    let cfg = mem.config().clone();
+    let rows = 4;
+    let lines = cfg.lines_per_row * cfg.banks_per_rank as u64 * cfg.ranks_per_channel as u64 * rows;
+    let write_target = cfg.channels * (cfg.write_lo_watermark + cfg.write_hi_watermark) / 2;
+    for ch in 0..cfg.channels as u64 {
+        let mut enqueue = |mem: &mut MemorySystem, kind| {
+            *rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let line = ((*rng >> 24) % lines) * cfg.channels as u64 + ch;
+            *next_id += 1;
+            let addr = line * cfg.line_bytes;
+            let req = Request { id: *next_id, addr, kind, class: RequestClass::Data, core: 0 };
+            mem.enqueue(req)
+        };
+        while enqueue(mem, AccessKind::Read) {}
+        while mem.write_queue_occupancy() < write_target && enqueue(mem, AccessKind::Write) {}
+    }
+}
+
+fn bench_saturated_queues(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dram_saturated_queues");
+    g.throughput(Throughput::Elements(1));
+    // One long-lived system stays saturated across batches; each
+    // iteration refills the queues and ticks once.
+    let mut mem = MemorySystem::new(DramConfig::default()).unwrap();
+    let (mut rng, mut next_id) = (0x9E37_79B9_7F4A_7C15u64, 0);
+    let mut done = Vec::new();
+    g.bench_function("ns_per_tick", |b| {
+        b.iter(|| {
+            refill(&mut mem, &mut rng, &mut next_id);
+            mem.tick_into(&mut done);
+            done.clear();
+        })
+    });
+    g.finish();
+    black_box(mem.stats().bursts);
+}
+
 fn run_workload_scaled(fast_forward: bool) -> u64 {
     let w = presets::by_name("mcf").unwrap();
     let mut cfg = SystemConfig::new(DesignConfig::synergy());
@@ -118,5 +163,11 @@ fn bench_system_run(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_busy_burst, bench_idle_window, bench_system_run);
+criterion_group!(
+    benches,
+    bench_busy_burst,
+    bench_idle_window,
+    bench_saturated_queues,
+    bench_system_run
+);
 criterion_main!(benches);

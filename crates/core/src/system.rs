@@ -872,6 +872,8 @@ pub fn run(
     registry.set_gauge("sim.wall_seconds", wall.elapsed_secs());
     registry.set_counter("sim.ff_jumps", ff_jumps);
     registry.set_counter("sim.ff_skipped_cycles", ff_skipped_cycles);
+    // FR-FCFS scans the DRAM event horizons made unnecessary, per channel
+    // and ticked cycle (see `MemorySystem::scan_skips`).
     registry.set_counter("sim.issue_scan_skips", mem.dram.scan_skips());
     mem.tracer.observe("span", &mut registry);
     debug_assert!(

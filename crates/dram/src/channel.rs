@@ -10,13 +10,22 @@
 //! * One command per channel per cycle; all DDR3 bank/rank/bus timing
 //!   constraints (tRCD/tRP/tRAS/tRC/tCCD/tRRD/tFAW/tWR/tWTR/tRTP/refresh and
 //!   data-bus occupancy with direction-switch penalties) are enforced.
+//!
+//! Every bank counts the queued requests that target it and, of those, the
+//! row hits, per queue. Whether a bank can issue anything is then a
+//! bank-level question, so a scan first asks it of every bank and only
+//! walks the queue (once, oldest first) when some bank can; the issue
+//! horizon is a minimum over banks rather than over queued requests.
 
 use std::collections::VecDeque;
 
 use crate::config::{DramConfig, TimingParams};
 use crate::mapping::DramLocation;
-use crate::request::{AccessKind, Completion, Request};
+use crate::request::{AccessKind, Completion, Request, RequestClass};
 use crate::stats::DramStats;
+
+#[cfg(test)]
+mod reference;
 
 #[derive(Debug, Clone, Copy)]
 struct Bank {
@@ -24,11 +33,51 @@ struct Bank {
     ready_act: u64,
     ready_col: u64,
     ready_pre: u64,
+    /// Queued requests that target this bank, per queue (indexed by
+    /// [`qi`]).
+    queued: [u32; 2],
+    /// Of `queued`, those that target `open_row`; zero while the bank is
+    /// closed.
+    hits: [u32; 2],
 }
 
 impl Bank {
     fn new() -> Self {
-        Self { open_row: None, ready_act: 0, ready_col: 0, ready_pre: 0 }
+        Self {
+            open_row: None,
+            ready_act: 0,
+            ready_col: 0,
+            ready_pre: 0,
+            queued: [0; 2],
+            hits: [0; 2],
+        }
+    }
+
+    /// True while a request in either queue targets the open row, which
+    /// blocks the bank's precharge (row-hit friendliness).
+    fn has_hit(&self) -> bool {
+        self.hits[0] + self.hits[1] > 0
+    }
+
+    /// True when some queued request needs a row command (PRE or ACT).
+    fn has_miss(&self) -> bool {
+        self.queued[0] + self.queued[1] > self.hits[0] + self.hits[1]
+    }
+}
+
+/// Index of `kind`'s queue in the per-bank count arrays.
+fn qi(kind: AccessKind) -> usize {
+    match kind {
+        AccessKind::Read => 0,
+        AccessKind::Write => 1,
+    }
+}
+
+/// Cycles from a column command to its data burst.
+fn lead(t: &TimingParams, kind: AccessKind) -> u64 {
+    match kind {
+        AccessKind::Read => t.t_cas,
+        AccessKind::Write => t.t_cwd,
     }
 }
 
@@ -40,10 +89,17 @@ struct Rank {
     next_refresh: u64,
 }
 
+/// A queued request: the scheduler reads `bank` and `row` (kept first and
+/// small so a queue walk touches one cache line per entry); the rest is
+/// echoed in the completion.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
-    req: Request,
-    loc: DramLocation,
+    /// Flat index of the target bank in [`Channel::banks`].
+    bank: usize,
+    row: u64,
+    id: u64,
+    addr: u64,
+    class: RequestClass,
     enqueue_cycle: u64,
     /// When the row serving this request became usable: stamped at
     /// enqueue if the row was already open, at ACT completion otherwise;
@@ -58,7 +114,7 @@ struct PendingCompletion {
     at: u64,
     id: u64,
     addr: u64,
-    class: crate::request::RequestClass,
+    class: RequestClass,
     latency: u64,
     issue_cycle: u64,
     enqueue_cycle: u64,
@@ -70,16 +126,18 @@ struct PendingCompletion {
 enum Candidate {
     /// Column command for queue `kind`, request index `idx`.
     Col(AccessKind, usize),
-    /// Row activation for the bank at `loc`.
-    Act(DramLocation),
-    /// Precharge for the bank at `loc`.
-    Pre(DramLocation),
+    /// Activation of `row` in flat bank `bank`.
+    Act { bank: usize, row: u64 },
+    /// Precharge of flat bank `bank`.
+    Pre(usize),
 }
 
 /// One DRAM channel with its queues and device state.
 #[derive(Debug, Clone)]
 pub(crate) struct Channel {
-    banks: Vec<Vec<Bank>>,
+    /// Every bank of the channel, rank-major: `rank * banks_per_rank + bank`.
+    banks: Vec<Bank>,
+    banks_per_rank: usize,
     ranks: Vec<Rank>,
     read_q: VecDeque<Queued>,
     write_q: VecDeque<Queued>,
@@ -87,22 +145,19 @@ pub(crate) struct Channel {
     draining: bool,
     bus_free_at: u64,
     last_bus_op: Option<AccessKind>,
-    /// Earliest cycle at which any queued command could legally issue,
-    /// given the bank/rank/bus state as of the last failed scan. `0` means
-    /// "unknown — rescan": the cache is invalidated whenever channel state
-    /// changes through a path other than pure time passing (an enqueue, a
-    /// command issue, or a refresh firing). While `cycle <
-    /// issue_horizon`, the FR-FCFS scan is provably fruitless and skipped.
+    /// A lower bound on the next cycle at which any queued command could
+    /// legally issue, `u64::MAX` with both queues empty. Recomputed after
+    /// every scan (whether or not it issued), lowered by each enqueue to
+    /// cover the new request's bank, and zeroed by a refresh to force a
+    /// scan in the same tick. While `cycle < issue_horizon`, the FR-FCFS
+    /// scan is provably fruitless and skipped.
     issue_horizon: u64,
-    /// FR-FCFS scans skipped thanks to `issue_horizon` (observability).
+    /// Ticks whose FR-FCFS scan `issue_horizon` skipped (observability).
     scan_skips: u64,
 }
 
 impl Channel {
     pub(crate) fn new(cfg: &DramConfig) -> Self {
-        let banks = (0..cfg.ranks_per_channel)
-            .map(|_| (0..cfg.banks_per_rank).map(|_| Bank::new()).collect())
-            .collect();
         let ranks = (0..cfg.ranks_per_channel)
             .map(|_| Rank {
                 act_window: VecDeque::new(),
@@ -111,7 +166,8 @@ impl Channel {
             })
             .collect();
         Self {
-            banks,
+            banks: vec![Bank::new(); cfg.ranks_per_channel * cfg.banks_per_rank],
+            banks_per_rank: cfg.banks_per_rank,
             ranks,
             read_q: VecDeque::new(),
             write_q: VecDeque::new(),
@@ -119,7 +175,7 @@ impl Channel {
             draining: false,
             bus_free_at: 0,
             last_bus_op: None,
-            issue_horizon: 0,
+            issue_horizon: u64::MAX,
             scan_skips: 0,
         }
     }
@@ -136,34 +192,75 @@ impl Channel {
         self.read_q.len() + self.write_q.len() + self.pending.len()
     }
 
-    pub(crate) fn enqueue(&mut self, req: Request, loc: DramLocation, cycle: u64) {
+    /// Queues `req` at `cycle` (the next cycle to be ticked) and returns
+    /// the earliest cycle at which this channel's next tick may now have
+    /// work: the caller's cached event horizon must drop to it.
+    pub(crate) fn enqueue(
+        &mut self,
+        req: Request,
+        loc: DramLocation,
+        cycle: u64,
+        cfg: &DramConfig,
+    ) -> u64 {
+        let b = loc.rank * self.banks_per_rank + loc.bank;
+        let bank = &mut self.banks[b];
+        let hit = bank.open_row == Some(loc.row);
+        bank.queued[qi(req.kind)] += 1;
+        if hit {
+            bank.hits[qi(req.kind)] += 1;
+        }
         // Attribution bookkeeping: a request arriving to an already-open
         // row never waits on the bank at all.
-        let bank = &self.banks[loc.rank][loc.bank];
-        let bank_ready = (bank.open_row == Some(loc.row)).then_some(cycle);
-        let q = Queued { req, loc, enqueue_cycle: cycle, bank_ready };
+        let q = Queued {
+            bank: b,
+            row: loc.row,
+            id: req.id,
+            addr: req.addr,
+            class: req.class,
+            enqueue_cycle: cycle,
+            bank_ready: hit.then_some(cycle),
+        };
         match req.kind {
             AccessKind::Read => self.read_q.push_back(q),
             AccessKind::Write => self.write_q.push_back(q),
         }
-        // A new request may be issueable before the cached horizon.
-        self.issue_horizon = 0;
+        self.debug_check_counts(b);
+        // The horizon already bounds every other request; the new one adds
+        // the bound of its own next command. (As a row hit it may also
+        // block its bank's precharge, which only makes the old horizon
+        // conservative, never optimistic.)
+        let t = &cfg.timing;
+        let bank = &self.banks[b];
+        let bound = match bank.open_row {
+            _ if hit => bank.ready_col.max(self.col_floor(t, req.kind)),
+            Some(_) if bank.has_hit() => u64::MAX,
+            Some(_) => bank.ready_pre,
+            None => bank.ready_act.max(self.act_floor(t, loc.rank, cycle)),
+        };
+        self.issue_horizon = self.issue_horizon.min(bound.max(cycle));
+        if self.drain_flip_pending(cfg) {
+            cycle
+        } else {
+            self.issue_horizon
+        }
     }
 
     pub(crate) fn scan_skips(&self) -> u64 {
         self.scan_skips
     }
 
-    /// The earliest future cycle at which this channel's externally visible
-    /// state can change on its own: a pending read completing, a refresh
-    /// deadline, or a queued command becoming issueable (which also covers
-    /// write-drain watermark crossings — queue occupancy only moves when a
-    /// command issues or the caller enqueues). Returns `0` when the issue
-    /// horizon is unknown (a command just issued or state just changed):
-    /// the caller must keep ticking per cycle until the horizon is
-    /// re-established. Returns `u64::MAX` when nothing is pending at all.
-    pub(crate) fn next_event_cycle(&self, cfg: &DramConfig) -> u64 {
-        let mut event = u64::MAX;
+    /// The earliest cycle, at or after `now` (the next cycle to be
+    /// ticked), at which this channel's next tick can do anything: a
+    /// pending read completing, a refresh deadline, a write-drain
+    /// watermark crossing not yet acted on, or a queued command becoming
+    /// issueable. Queue occupancy only moves when a command issues or the
+    /// caller enqueues, and both update the horizon. Returns `u64::MAX`
+    /// when nothing is pending at all.
+    pub(crate) fn next_event_cycle(&self, cfg: &DramConfig, now: u64) -> u64 {
+        if self.drain_flip_pending(cfg) {
+            return now;
+        }
+        let mut event = self.issue_horizon;
         for p in &self.pending {
             event = event.min(p.at);
         }
@@ -171,9 +268,6 @@ impl Channel {
             for r in &self.ranks {
                 event = event.min(r.next_refresh);
             }
-        }
-        if !self.read_q.is_empty() || !self.write_q.is_empty() {
-            event = event.min(self.issue_horizon);
         }
         event
     }
@@ -187,7 +281,27 @@ impl Channel {
         completions: &mut Vec<Completion>,
         stats: &mut DramStats,
     ) {
-        // Retire data arriving this cycle.
+        self.retire(cycle, completions);
+        self.handle_refresh(cycle, &cfg.timing, stats);
+        self.update_drain_mode(cfg);
+        if cycle < self.issue_horizon {
+            // The horizon proves no command can issue before it, and
+            // nothing has lowered it since.
+            debug_assert!(
+                self.find_candidate(cycle, &cfg.timing).is_none(),
+                "issue horizon skipped over a ready command at cycle {cycle}"
+            );
+            self.scan_skips += 1;
+            return;
+        }
+        if let Some(c) = self.find_candidate(cycle, &cfg.timing) {
+            self.issue(cycle, &cfg.timing, stats, c);
+        }
+        self.issue_horizon = self.next_issue_cycle(cycle + 1, &cfg.timing);
+    }
+
+    /// Moves reads whose data has arrived by `cycle` to `completions`.
+    fn retire(&mut self, cycle: u64, completions: &mut Vec<Completion>) {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].at <= cycle {
@@ -205,25 +319,23 @@ impl Channel {
                 i += 1;
             }
         }
+    }
 
-        self.handle_refresh(cycle, &cfg.timing, stats);
-        self.update_drain_mode(cfg);
-        if cycle < self.issue_horizon {
-            // The last scan proved no command can issue before
-            // `issue_horizon`, and nothing invalidated that proof since.
-            debug_assert!(
-                self.find_candidate(cycle, &cfg.timing).is_none(),
-                "issue horizon skipped over a ready command at cycle {cycle}"
-            );
-            self.scan_skips += 1;
-            return;
+    fn issue(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, c: Candidate) {
+        match c {
+            Candidate::Col(kind, idx) => self.issue_col_command(cycle, t, stats, kind, idx),
+            Candidate::Act { bank, row } => self.issue_act(cycle, t, stats, bank, row),
+            Candidate::Pre(bank) => self.issue_pre(cycle, t, stats, bank),
         }
-        if self.issue_one_command(cycle, &cfg.timing, stats) {
-            // Bank/bus/queue state changed; next cycle must rescan.
-            self.issue_horizon = 0;
-        } else {
-            self.issue_horizon = self.next_issue_cycle(cycle, &cfg.timing);
-        }
+    }
+
+    /// True when nothing can happen in this channel's tick at `cycle`
+    /// (debug check of a tick the memory system skipped).
+    pub(crate) fn is_quiet_at(&self, cycle: u64, cfg: &DramConfig) -> bool {
+        self.pending.iter().all(|p| p.at > cycle)
+            && (cfg.timing.t_refi == 0 || self.ranks.iter().all(|r| r.next_refresh > cycle))
+            && !self.drain_flip_pending(cfg)
+            && self.find_candidate(cycle, &cfg.timing).is_none()
     }
 
     fn handle_refresh(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats) {
@@ -233,18 +345,21 @@ impl Channel {
         for (r, rank) in self.ranks.iter_mut().enumerate() {
             if cycle >= rank.next_refresh {
                 // Close all rows and lock the rank for tRFC.
-                for bank in &mut self.banks[r] {
+                let banks = r * self.banks_per_rank..(r + 1) * self.banks_per_rank;
+                for bank in &mut self.banks[banks.clone()] {
                     bank.open_row = None;
+                    bank.hits = [0; 2];
                     bank.ready_act = bank.ready_act.max(cycle + t.t_rfc);
                 }
                 // Attribution: every waiter in the rank must reacquire its
                 // row after the refresh window.
-                for q in self.read_q.iter_mut().filter(|q| q.loc.rank == r) {
+                for q in self.read_q.iter_mut().filter(|q| banks.contains(&q.bank)) {
                     q.bank_ready = None;
                 }
                 rank.next_refresh += t.t_refi;
                 stats.refreshes += 1;
-                // Closed rows flip column candidates into ACT candidates.
+                // Closed rows flip column candidates into ACT candidates:
+                // rescan this tick.
                 self.issue_horizon = 0;
             }
         }
@@ -258,22 +373,13 @@ impl Channel {
         }
     }
 
-    /// Issues at most one command. Returns true when one issued.
-    fn issue_one_command(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats) -> bool {
-        match self.find_candidate(cycle, t) {
-            Some(Candidate::Col(kind, idx)) => {
-                self.issue_col_command(cycle, t, stats, kind, idx);
-                true
-            }
-            Some(Candidate::Act(loc)) => {
-                self.issue_act(cycle, t, stats, loc);
-                true
-            }
-            Some(Candidate::Pre(loc)) => {
-                self.issue_pre(cycle, t, stats, loc);
-                true
-            }
-            None => false,
+    /// True when the next tick's [`Self::update_drain_mode`] would flip
+    /// the drain mode.
+    fn drain_flip_pending(&self, cfg: &DramConfig) -> bool {
+        if self.draining {
+            self.write_q.len() <= cfg.write_lo_watermark
+        } else {
+            self.write_q.len() >= cfg.write_hi_watermark
         }
     }
 
@@ -306,167 +412,148 @@ impl Channel {
             .or_else(|| self.find_candidate_for_queue(cycle, t, secondary))
     }
 
-    /// FR-FCFS scan over `kind`'s queue (read-only).
+    /// FR-FCFS over `kind`'s queue: the oldest request whose column
+    /// command is ready, else the oldest request whose bank accepts its
+    /// row command.
+    ///
+    /// Both readiness tests are bank-level: a column command needs a row
+    /// hit on a bank past `ready_col` (plus a bus free for `kind`), a row
+    /// command a miss on a bank whose PRE or ACT is allowed. A pre-check
+    /// over the banks' counts settles which of the two the queue holds,
+    /// so the queue is walked at most once and not at all when no bank
+    /// can issue.
     fn find_candidate_for_queue(
         &self,
         cycle: u64,
         t: &TimingParams,
         kind: AccessKind,
     ) -> Option<Candidate> {
-        // Pass 1 — FR: oldest request whose column command is ready now.
-        // Bus readiness depends only on the queue kind, not the request;
-        // compute it once for the whole scan.
-        let bus_ready = self.bus_ready(t, kind);
-        if let Some((idx, _)) = self
-            .queue(kind)
-            .iter()
-            .enumerate()
-            .find(|(_, q)| self.col_command_ready(cycle, t, q, kind, bus_ready))
-        {
-            return Some(Candidate::Col(kind, idx));
+        let k = qi(kind);
+        let bus_ok = cycle + lead(t, kind) >= self.bus_ready(t, kind);
+        let col_ready = |bank: &Bank| cycle >= bank.ready_col;
+        let mut any_col = false;
+        let mut any_row = false;
+        for (b, bank) in self.banks.iter().enumerate() {
+            if bus_ok && bank.hits[k] > 0 && col_ready(bank) {
+                any_col = true;
+                break;
+            }
+            any_row = any_row
+                || (bank.queued[k] > bank.hits[k] && self.row_command_ready(cycle, t, b));
         }
-
-        // Pass 2 — FCFS: oldest requests' row commands (ACT or PRE).
-        // Whether a bank can accept its row command is independent of the
-        // requesting row (`ready_pre`, `act_allowed` and the row-hit guard
-        // are all bank/rank-level), so once the oldest request for a bank
-        // proves blocked, every younger same-bank request is too — skip
-        // them via a per-bank bitmap instead of re-running the O(queue)
-        // row-hit scan. The first *unblocked* request still returns
-        // immediately, so the chosen candidate is unchanged.
-        let mut blocked_banks = 0u64;
-        self.queue(kind).iter().find_map(|q| {
-            let bank = &self.banks[q.loc.rank][q.loc.bank];
-            let bit = self.bank_bit(q.loc);
-            if blocked_banks & bit != 0 {
-                return None;
-            }
-            match bank.open_row {
-                Some(row) if row == q.loc.row => None, // waiting on tCCD/bus only
-                Some(_) => {
-                    // Precharge, but not while an older request in either
-                    // queue still hits the open row (row-hit friendliness).
-                    if cycle >= bank.ready_pre && !self.row_has_waiting_hit(q.loc) {
-                        Some(Candidate::Pre(q.loc))
-                    } else {
-                        blocked_banks |= bit;
-                        None
-                    }
+        if any_col {
+            self.queue(kind).iter().position(|q| {
+                let bank = &self.banks[q.bank];
+                bank.open_row == Some(q.row) && col_ready(bank)
+            })
+            .map(|idx| Candidate::Col(kind, idx))
+        } else if any_row {
+            self.queue(kind).iter().find_map(|q| {
+                let bank = &self.banks[q.bank];
+                if bank.open_row == Some(q.row) || !self.row_command_ready(cycle, t, q.bank) {
+                    None
+                } else if bank.open_row.is_some() {
+                    Some(Candidate::Pre(q.bank))
+                } else {
+                    Some(Candidate::Act { bank: q.bank, row: q.row })
                 }
-                None => {
-                    if self.act_allowed(cycle, t, q.loc) {
-                        Some(Candidate::Act(q.loc))
-                    } else {
-                        blocked_banks |= bit;
-                        None
-                    }
-                }
-            }
-        })
-    }
-
-    /// One bit per (rank, bank) for small dedup bitmaps. Banks beyond the
-    /// first 64 of a channel get no bit (0): they are simply never
-    /// deduplicated, which is slower but identical in behaviour.
-    fn bank_bit(&self, loc: DramLocation) -> u64 {
-        let id = loc.rank * self.banks[0].len() + loc.bank;
-        if id < 64 {
-            1u64 << id
+            })
         } else {
-            0
+            None
         }
     }
 
-    /// A conservative lower bound (> `cycle`) on the next cycle at which
-    /// any queued command could issue, assuming no external state change
-    /// (enqueues, issues and refreshes all reset [`Self::issue_horizon`]).
-    ///
-    /// For each queued request the earliest legal issue cycle of its next
-    /// command is computed from the bank/rank/bus timestamps; the horizon
-    /// is the minimum over both queues. A precharge blocked by row-hit
-    /// friendliness contributes no bound of its own: it can only unblock
-    /// when the hitting request issues, which resets the horizon.
-    fn next_issue_cycle(&self, cycle: u64, t: &TimingParams) -> u64 {
-        let mut earliest = u64::MAX;
-        for kind in [AccessKind::Read, AccessKind::Write] {
-            // Every bound below is a bank/rank-level quantity (the
-            // requesting row only selects the match arm, and a bank's
-            // open/closed state is fixed within this read-only scan), so
-            // each (bank, arm) pair contributes one distinct value: skip
-            // repeats with per-arm bitmaps. A bank is either open or
-            // closed for the whole scan, so col and ACT can share one.
-            let bus_ready = self.bus_ready(t, kind);
-            let lead = match kind {
-                AccessKind::Read => t.t_cas,
-                AccessKind::Write => t.t_cwd,
-            };
-            let mut seen_row_match = 0u64; // col (open) / ACT (closed)
-            let mut seen_pre = 0u64;
-            for q in self.queue(kind) {
-                let bank = &self.banks[q.loc.rank][q.loc.bank];
-                let bit = self.bank_bit(q.loc);
-                let candidate = match bank.open_row {
-                    Some(row) if row == q.loc.row => {
-                        if seen_row_match & bit != 0 {
-                            continue;
-                        }
-                        seen_row_match |= bit;
-                        // Column command: bank CAS readiness and the data
-                        // bus (data_start = issue + CAS/CWD lead must not
-                        // precede the bus becoming free).
-                        bank.ready_col.max(bus_ready.saturating_sub(lead))
-                    }
-                    Some(_) => {
-                        if seen_pre & bit != 0 {
-                            continue;
-                        }
-                        seen_pre |= bit;
-                        if self.row_has_waiting_hit(q.loc) {
-                            continue;
-                        }
-                        bank.ready_pre
-                    }
-                    None => {
-                        if seen_row_match & bit != 0 {
-                            continue;
-                        }
-                        seen_row_match |= bit;
-                        let rank = &self.ranks[q.loc.rank];
-                        let mut c = bank.ready_act;
-                        if rank.last_act != 0 {
-                            c = c.max(rank.last_act + t.t_rrd);
-                        }
-                        let mut in_window = 0usize;
-                        let mut oldest = u64::MAX;
-                        for &at in &rank.act_window {
-                            if at + t.t_faw > cycle {
-                                in_window += 1;
-                                oldest = oldest.min(at);
-                            }
-                        }
-                        if in_window >= 4 {
-                            // The oldest in-window ACT expiring frees a
-                            // tFAW slot.
-                            c = c.max(oldest + t.t_faw);
-                        }
-                        c
-                    }
-                };
-                earliest = earliest.min(candidate);
+    /// Whether bank `b` accepts its row command for a missing request this
+    /// cycle: a precharge once `ready_pre` passed and no queued request
+    /// still hits the open row, an activate once the bank and rank allow.
+    fn row_command_ready(&self, cycle: u64, t: &TimingParams, b: usize) -> bool {
+        let bank = &self.banks[b];
+        match bank.open_row {
+            Some(_) => cycle >= bank.ready_pre && !bank.has_hit(),
+            None => {
+                let r = b / self.banks_per_rank;
+                cycle >= bank.ready_act && self.act_floor(t, r, cycle) <= cycle
             }
         }
-        earliest.max(cycle + 1)
     }
 
-    fn row_has_waiting_hit(&self, loc: DramLocation) -> bool {
-        let open = match self.banks[loc.rank][loc.bank].open_row {
-            Some(r) => r,
-            None => return false,
-        };
-        self.read_q
-            .iter()
-            .chain(self.write_q.iter())
-            .any(|q| q.loc.rank == loc.rank && q.loc.bank == loc.bank && q.loc.row == open)
+    /// A conservative lower bound (≥ `from`) on the next cycle at which
+    /// any queued command could issue, assuming no external state change
+    /// (issues and refreshes recompute [`Self::issue_horizon`], enqueues
+    /// lower it). `u64::MAX` when both queues are empty.
+    fn next_issue_cycle(&self, from: u64, t: &TimingParams) -> u64 {
+        if self.read_q.is_empty() && self.write_q.is_empty() {
+            return u64::MAX;
+        }
+        let col_floor = [AccessKind::Read, AccessKind::Write].map(|kind| self.col_floor(t, kind));
+        let mut earliest = u64::MAX;
+        for r in 0..self.ranks.len() {
+            let mut act_floor = None;
+            for b in r * self.banks_per_rank..(r + 1) * self.banks_per_rank {
+                let bound = self.bank_bound(b, col_floor, || {
+                    *act_floor.get_or_insert_with(|| self.act_floor(t, r, from))
+                });
+                earliest = earliest.min(bound);
+            }
+        }
+        earliest.max(from)
+    }
+
+    /// The earliest cycle bank `b` could issue a command for a request it
+    /// holds: a column command per queue with row hits (`col_floor` is
+    /// that queue's data-bus floor), a precharge when a miss waits on an
+    /// open row nobody hits, or an activate (`act_floor` supplies the
+    /// rank's tRRD/tFAW floor) when a miss waits on a closed bank. A
+    /// precharge blocked by row-hit friendliness contributes no bound of
+    /// its own: it can only unblock when the hitting request issues, and
+    /// the horizon is recomputed then.
+    fn bank_bound(&self, b: usize, col_floor: [u64; 2], act_floor: impl FnOnce() -> u64) -> u64 {
+        let bank = &self.banks[b];
+        let mut bound = u64::MAX;
+        for (hits, floor) in bank.hits.into_iter().zip(col_floor) {
+            if hits > 0 {
+                bound = bound.min(bank.ready_col.max(floor));
+            }
+        }
+        if bank.has_miss() {
+            match bank.open_row {
+                Some(_) if bank.has_hit() => {}
+                Some(_) => bound = bound.min(bank.ready_pre),
+                None => bound = bound.min(bank.ready_act.max(act_floor())),
+            }
+        }
+        bound
+    }
+
+    /// The earliest cycle a column command of `kind` may issue given the
+    /// data bus (its burst must not start before the bus is ready).
+    fn col_floor(&self, t: &TimingParams, kind: AccessKind) -> u64 {
+        self.bus_ready(t, kind).saturating_sub(lead(t, kind))
+    }
+
+    /// A lower bound on the first cycle at or after `from` at which rank
+    /// `r`'s tRRD spacing and tFAW window allow an activate (0 when they
+    /// impose nothing); the rank allows one at `from` itself exactly when
+    /// the bound is at most `from`.
+    fn act_floor(&self, t: &TimingParams, r: usize, from: u64) -> u64 {
+        let rank = &self.ranks[r];
+        let mut c = 0;
+        if rank.last_act != 0 {
+            c = rank.last_act + t.t_rrd;
+        }
+        let mut in_window = 0usize;
+        let mut oldest = u64::MAX;
+        for &at in &rank.act_window {
+            if at + t.t_faw > from {
+                in_window += 1;
+                oldest = oldest.min(at);
+            }
+        }
+        if in_window >= 4 {
+            // The oldest in-window ACT expiring frees a tFAW slot.
+            c = c.max(oldest + t.t_faw);
+        }
+        c
     }
 
     /// Earliest cycle the data bus can start a burst of `kind`, including
@@ -484,78 +571,77 @@ impl Channel {
         bus_ready
     }
 
-    fn col_command_ready(
-        &self,
+    /// Debug check: bank `b`'s counts equal a recount of both queues.
+    fn debug_check_counts(&self, b: usize) {
+        debug_assert_eq!(
+            (self.banks[b].queued, self.banks[b].hits),
+            self.recount(b),
+            "bank {b} counts drifted from its queued requests"
+        );
+    }
+
+    /// `(queued, hits)` of bank `b`, counted from the queues.
+    fn recount(&self, b: usize) -> ([u32; 2], [u32; 2]) {
+        let open = self.banks[b].open_row;
+        let mut queued = [0; 2];
+        let mut hits = [0; 2];
+        for (k, q) in [&self.read_q, &self.write_q].into_iter().enumerate() {
+            for q in q.iter().filter(|q| q.bank == b) {
+                queued[k] += 1;
+                hits[k] += u32::from(open == Some(q.row));
+            }
+        }
+        (queued, hits)
+    }
+
+    fn issue_act(
+        &mut self,
         cycle: u64,
         t: &TimingParams,
-        q: &Queued,
-        kind: AccessKind,
-        bus_ready: u64,
-    ) -> bool {
-        let bank = &self.banks[q.loc.rank][q.loc.bank];
-        if bank.open_row != Some(q.loc.row) || cycle < bank.ready_col {
-            return false;
-        }
-        let data_start = match kind {
-            AccessKind::Read => cycle + t.t_cas,
-            AccessKind::Write => cycle + t.t_cwd,
-        };
-        data_start >= bus_ready
-    }
-
-    fn act_allowed(&self, cycle: u64, t: &TimingParams, loc: DramLocation) -> bool {
-        let bank = &self.banks[loc.rank][loc.bank];
-        if cycle < bank.ready_act {
-            return false;
-        }
-        let rank = &self.ranks[loc.rank];
-        if rank.last_act != 0 && cycle < rank.last_act + t.t_rrd {
-            return false;
-        }
-        let in_window = rank
-            .act_window
-            .iter()
-            .filter(|&&at| at + t.t_faw > cycle)
-            .count();
-        in_window < 4
-    }
-
-    fn issue_act(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, loc: DramLocation) {
-        let bank = &mut self.banks[loc.rank][loc.bank];
-        bank.open_row = Some(loc.row);
+        stats: &mut DramStats,
+        b: usize,
+        row: u64,
+    ) {
+        let bank = &mut self.banks[b];
+        bank.open_row = Some(row);
         bank.ready_col = cycle + t.t_rcd;
         bank.ready_pre = bank.ready_pre.max(cycle + t.t_ras);
         bank.ready_act = cycle + t.t_rc;
-        let rank = &mut self.ranks[loc.rank];
+        let rank = &mut self.ranks[b / self.banks_per_rank];
         rank.last_act = cycle;
         rank.act_window.push_back(cycle);
         while rank.act_window.len() > 4 {
             rank.act_window.pop_front();
         }
         stats.activates += 1;
-        // Attribution: every unstamped waiter on this row gets its row at
+        // Recount the bank's row hits against the new open row, and
+        // (attribution) give every unstamped read waiting on it its row at
         // tRCD after the activate.
         let ready = cycle + t.t_rcd;
-        for q in self.read_q.iter_mut().filter(|q| {
-            q.loc.rank == loc.rank && q.loc.bank == loc.bank && q.loc.row == loc.row
-        }) {
+        let mut hits = [0; 2];
+        for q in self.read_q.iter_mut().filter(|q| q.bank == b && q.row == row) {
             q.bank_ready.get_or_insert(ready);
+            hits[0] += 1;
         }
+        hits[1] = self.write_q.iter().filter(|q| q.bank == b && q.row == row).count() as u32;
+        self.banks[b].hits = hits;
+        self.debug_check_counts(b);
     }
 
-    fn issue_pre(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, loc: DramLocation) {
-        let bank = &mut self.banks[loc.rank][loc.bank];
+    fn issue_pre(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, b: usize) {
+        let bank = &mut self.banks[b];
         // PRE issues now; `cycle >= ready_pre` was checked by the caller.
         bank.open_row = None;
+        bank.hits = [0; 2];
         bank.ready_act = bank.ready_act.max(cycle + t.t_rp);
         stats.precharges += 1;
         // Attribution: waiters on this bank lose their open row (a stamped
         // waiter on the *closed* row goes back to waiting on the bank; a
         // waiter on another row never had a stamp).
-        for q in self.read_q.iter_mut().filter(|q| q.loc.rank == loc.rank && q.loc.bank == loc.bank)
-        {
+        for q in self.read_q.iter_mut().filter(|q| q.bank == b) {
             q.bank_ready = None;
         }
+        self.debug_check_counts(b);
     }
 
     fn issue_col_command(
@@ -571,7 +657,9 @@ impl Channel {
             AccessKind::Write => self.write_q.remove(idx),
         }
         .expect("candidate index valid");
-        let bank = &mut self.banks[q.loc.rank][q.loc.bank];
+        let bank = &mut self.banks[q.bank];
+        bank.queued[qi(kind)] -= 1;
+        bank.hits[qi(kind)] -= 1;
         bank.ready_col = cycle + t.t_ccd;
 
         match kind {
@@ -587,25 +675,26 @@ impl Channel {
                     q.bank_ready.unwrap_or(cycle).clamp(q.enqueue_cycle, cycle);
                 self.pending.push(PendingCompletion {
                     at: done,
-                    id: q.req.id,
-                    addr: q.req.addr,
-                    class: q.req.class,
+                    id: q.id,
+                    addr: q.addr,
+                    class: q.class,
                     latency: done - q.enqueue_cycle,
                     issue_cycle: cycle,
                     enqueue_cycle: q.enqueue_cycle,
                     bank_ready_cycle: bank_ready,
                 });
-                stats.record_read(q.req.class, done - q.enqueue_cycle);
+                stats.record_read(q.class, done - q.enqueue_cycle);
             }
             AccessKind::Write => {
                 let data_end = cycle + t.t_cwd + t.t_burst;
                 bank.ready_pre = bank.ready_pre.max(data_end + t.t_wr);
                 self.bus_free_at = data_end;
-                stats.record_write(q.req.class, data_end - q.enqueue_cycle);
+                stats.record_write(q.class, data_end - q.enqueue_cycle);
             }
         }
         stats.bursts += 1;
         stats.busy_cycles += t.t_burst;
         self.last_bus_op = Some(kind);
+        self.debug_check_counts(q.bank);
     }
 }

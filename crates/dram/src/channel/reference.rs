@@ -1,0 +1,505 @@
+//! The two-pass FR-FCFS scheduler and per-request issue horizon the
+//! bank-indexed scheduler replaced, kept as a test oracle, and the
+//! differential tests that hold the two to the same command on every
+//! cycle.
+//!
+//! The reference scans the queues directly: pass 1 looks for the oldest
+//! ready column command, pass 2 for the oldest request whose bank accepts
+//! its row command, with row-hit friendliness decided by rescanning both
+//! queues. Its horizon takes the minimum over every queued request.
+
+use super::{Candidate, Channel, Queued};
+use crate::config::{DramConfig, TimingParams};
+use crate::request::{AccessKind, Completion};
+use crate::stats::DramStats;
+
+impl Channel {
+    /// One memory cycle under the reference scheduler: the same retire,
+    /// refresh, drain-mode and issue steps as [`Channel::tick`], with the
+    /// reference scan run every cycle and no horizon. Returns the command
+    /// it issued.
+    pub(super) fn tick_reference(
+        &mut self,
+        cycle: u64,
+        cfg: &DramConfig,
+        completions: &mut Vec<Completion>,
+        stats: &mut DramStats,
+    ) -> Option<Candidate> {
+        self.retire(cycle, completions);
+        self.handle_refresh(cycle, &cfg.timing, stats);
+        self.update_drain_mode(cfg);
+        let c = self.find_candidate_reference(cycle, &cfg.timing);
+        if let Some(c) = c {
+            self.issue(cycle, &cfg.timing, stats, c);
+        }
+        c
+    }
+
+    /// The reference scheduler's pick: drained queue first, then the other.
+    pub(super) fn find_candidate_reference(
+        &self,
+        cycle: u64,
+        t: &TimingParams,
+    ) -> Option<Candidate> {
+        let primary = if self.draining || self.read_q.is_empty() {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let secondary = match primary {
+            AccessKind::Read => AccessKind::Write,
+            AccessKind::Write => AccessKind::Read,
+        };
+        self.find_candidate_for_queue_reference(cycle, t, primary)
+            .or_else(|| self.find_candidate_for_queue_reference(cycle, t, secondary))
+    }
+
+    fn find_candidate_for_queue_reference(
+        &self,
+        cycle: u64,
+        t: &TimingParams,
+        kind: AccessKind,
+    ) -> Option<Candidate> {
+        // Pass 1 — FR: oldest request whose column command is ready now.
+        let bus_ready = self.bus_ready(t, kind);
+        if let Some((idx, _)) = self
+            .queue(kind)
+            .iter()
+            .enumerate()
+            .find(|(_, q)| self.col_command_ready(cycle, t, q, kind, bus_ready))
+        {
+            return Some(Candidate::Col(kind, idx));
+        }
+
+        // Pass 2 — FCFS: oldest requests' row commands (ACT or PRE), with
+        // a bitmap skipping banks already proved blocked.
+        let mut blocked_banks = 0u64;
+        self.queue(kind).iter().find_map(|q| {
+            let bank = &self.banks[q.bank];
+            let bit = Self::bank_bit(q.bank);
+            if blocked_banks & bit != 0 {
+                return None;
+            }
+            match bank.open_row {
+                Some(row) if row == q.row => None, // waiting on tCCD/bus only
+                Some(_) => {
+                    if cycle >= bank.ready_pre && !self.row_has_waiting_hit(q.bank) {
+                        Some(Candidate::Pre(q.bank))
+                    } else {
+                        blocked_banks |= bit;
+                        None
+                    }
+                }
+                None => {
+                    if self.act_allowed(cycle, t, q.bank) {
+                        Some(Candidate::Act {
+                            bank: q.bank,
+                            row: q.row,
+                        })
+                    } else {
+                        blocked_banks |= bit;
+                        None
+                    }
+                }
+            }
+        })
+    }
+
+    /// One bit per bank for the dedup bitmaps; banks beyond the first 64
+    /// get none and are simply never deduplicated.
+    fn bank_bit(b: usize) -> u64 {
+        if b < 64 {
+            1u64 << b
+        } else {
+            0
+        }
+    }
+
+    /// The reference horizon: a lower bound (> `cycle`) on the next cycle
+    /// any queued command could issue, as a minimum over every queued
+    /// request's next command.
+    pub(super) fn next_issue_cycle_reference(&self, cycle: u64, t: &TimingParams) -> u64 {
+        let mut earliest = u64::MAX;
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            let bus_ready = self.bus_ready(t, kind);
+            let lead = super::lead(t, kind);
+            let mut seen_row_match = 0u64; // col (open) / ACT (closed)
+            let mut seen_pre = 0u64;
+            for q in self.queue(kind) {
+                let bank = &self.banks[q.bank];
+                let bit = Self::bank_bit(q.bank);
+                let candidate = match bank.open_row {
+                    Some(row) if row == q.row => {
+                        if seen_row_match & bit != 0 {
+                            continue;
+                        }
+                        seen_row_match |= bit;
+                        bank.ready_col.max(bus_ready.saturating_sub(lead))
+                    }
+                    Some(_) => {
+                        if seen_pre & bit != 0 {
+                            continue;
+                        }
+                        seen_pre |= bit;
+                        if self.row_has_waiting_hit(q.bank) {
+                            continue;
+                        }
+                        bank.ready_pre
+                    }
+                    None => {
+                        if seen_row_match & bit != 0 {
+                            continue;
+                        }
+                        seen_row_match |= bit;
+                        let rank = &self.ranks[q.bank / self.banks_per_rank];
+                        let mut c = bank.ready_act;
+                        if rank.last_act != 0 {
+                            c = c.max(rank.last_act + t.t_rrd);
+                        }
+                        let mut in_window = 0usize;
+                        let mut oldest = u64::MAX;
+                        for &at in &rank.act_window {
+                            if at + t.t_faw > cycle {
+                                in_window += 1;
+                                oldest = oldest.min(at);
+                            }
+                        }
+                        if in_window >= 4 {
+                            c = c.max(oldest + t.t_faw);
+                        }
+                        c
+                    }
+                };
+                earliest = earliest.min(candidate);
+            }
+        }
+        earliest.max(cycle + 1)
+    }
+
+    fn row_has_waiting_hit(&self, b: usize) -> bool {
+        let open = match self.banks[b].open_row {
+            Some(r) => r,
+            None => return false,
+        };
+        self.read_q
+            .iter()
+            .chain(self.write_q.iter())
+            .any(|q| q.bank == b && q.row == open)
+    }
+
+    fn col_command_ready(
+        &self,
+        cycle: u64,
+        t: &TimingParams,
+        q: &Queued,
+        kind: AccessKind,
+        bus_ready: u64,
+    ) -> bool {
+        let bank = &self.banks[q.bank];
+        if bank.open_row != Some(q.row) || cycle < bank.ready_col {
+            return false;
+        }
+        cycle + super::lead(t, kind) >= bus_ready
+    }
+
+    fn act_allowed(&self, cycle: u64, t: &TimingParams, b: usize) -> bool {
+        let bank = &self.banks[b];
+        if cycle < bank.ready_act {
+            return false;
+        }
+        let rank = &self.ranks[b / self.banks_per_rank];
+        if rank.last_act != 0 && cycle < rank.last_act + t.t_rrd {
+            return false;
+        }
+        let in_window = rank
+            .act_window
+            .iter()
+            .filter(|&&at| at + t.t_faw > cycle)
+            .count();
+        in_window < 4
+    }
+
+    /// Everything the scheduler's decisions depend on or change, minus the
+    /// horizon bookkeeping the two models keep differently.
+    fn decision_state(&self) -> String {
+        format!(
+            "{:?}",
+            (
+                &self.banks,
+                &self.ranks,
+                &self.read_q,
+                &self.write_q,
+                &self.pending,
+                self.draining,
+                self.bus_free_at,
+                self.last_bus_op,
+            )
+        )
+    }
+}
+
+mod tests {
+    use super::*;
+    use crate::request::{Request, RequestClass};
+    use crate::MemorySystem;
+    use proptest::prelude::*;
+
+    /// One request of a generated stream: issued `gap` cycles after the
+    /// previous one, to (flat bank, row, column) of a one-channel system.
+    type Op = (u64, bool, usize, u64, u64);
+
+    /// A one-channel configuration with few rows (so requests conflict),
+    /// small queues with watermarks the stream crosses, and refresh every
+    /// 700 cycles.
+    fn small_config(ranks: usize, banks: usize) -> DramConfig {
+        let mut cfg = DramConfig {
+            channels: 1,
+            ranks_per_channel: ranks,
+            banks_per_rank: banks,
+            rows_per_bank: 4,
+            lines_per_row: 4,
+            read_queue_capacity: 8,
+            write_queue_capacity: 12,
+            write_hi_watermark: 8,
+            write_lo_watermark: 3,
+            ..DramConfig::default()
+        };
+        cfg.timing.t_refi = 700;
+        cfg
+    }
+
+    /// The byte address of (flat bank, row, column) on channel 0, the
+    /// inverse of [`crate::map_address`] for a one-channel system.
+    fn addr(cfg: &DramConfig, bank: usize, row: u64, col: u64) -> u64 {
+        let b = (bank % (cfg.ranks_per_channel * cfg.banks_per_rank)) as u64;
+        let (rank, bank) = (b / cfg.banks_per_rank as u64, b % cfg.banks_per_rank as u64);
+        let line = ((row * cfg.ranks_per_channel as u64 + rank) * cfg.banks_per_rank as u64 + bank)
+            * cfg.lines_per_row
+            + col;
+        line * cfg.line_bytes
+    }
+
+    fn request(cfg: &DramConfig, id: u64, op: Op) -> Request {
+        let (_, write, bank, row, col) = op;
+        Request {
+            id,
+            addr: addr(cfg, bank, row % cfg.rows_per_bank, col % cfg.lines_per_row),
+            kind: if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+            class: RequestClass::ALL[(id % 5) as usize],
+            core: 0,
+        }
+    }
+
+    /// Cycles that cover every gap of `ops`, a bus-bound service time per
+    /// request, and `tail`.
+    fn run_length(ops: &[Op], tail: u64) -> u64 {
+        ops.iter().map(|op| op.0 + 8).sum::<u64>() + tail
+    }
+
+    /// Replays a stream of [`Op`]s into a memory system.
+    struct Feed<'a> {
+        cfg: &'a DramConfig,
+        ops: &'a [Op],
+        next: usize,
+        /// Cycle at which `ops[next]` is due.
+        due: u64,
+    }
+
+    impl<'a> Feed<'a> {
+        fn new(cfg: &'a DramConfig, ops: &'a [Op]) -> Self {
+            Self { cfg, ops, next: 0, due: ops.first().map_or(0, |op| op.0) }
+        }
+
+        /// Enqueues every request due by `cycle` (the next cycle `mem`
+        /// ticks), passing each accepted one to `accepted`; a full queue
+        /// stalls the stream until a later cycle.
+        fn feed(&mut self, mem: &mut MemorySystem, cycle: u64, mut accepted: impl FnMut(Request)) {
+            while self.next < self.ops.len() && self.due <= cycle {
+                let req = request(self.cfg, self.next as u64, self.ops[self.next]);
+                if !mem.enqueue(req) {
+                    break;
+                }
+                accepted(req);
+                self.next += 1;
+                self.due = cycle + self.ops.get(self.next).map_or(0, |op| op.0);
+            }
+        }
+
+        /// The next cycle the stream has a request due, if any remain.
+        fn next_due(&self) -> Option<u64> {
+            (self.next < self.ops.len()).then_some(self.due)
+        }
+    }
+
+    /// Feeds `ops` to a one-channel [`MemorySystem`] ticked every cycle and
+    /// to a mirror channel under the reference scheduler, then ticks both
+    /// for `tail` more cycles. On every cycle: the same command issues
+    /// (whole decision state, completions and stats equal), the reference
+    /// never issues where the new model skipped its scan, a completed
+    /// scan's horizon equals the reference horizon, and every bank's
+    /// counts equal a recount.
+    fn assert_matches_reference(cfg: &DramConfig, ops: &[Op], tail: u64) -> MemorySystem {
+        let mut mem = MemorySystem::new(cfg.clone()).unwrap();
+        let mut reference = mem.channels[0].clone();
+        let mut ref_stats = DramStats::default();
+        let (mut done, mut ref_done) = (Vec::new(), Vec::new());
+        let mut feed = Feed::new(cfg, ops);
+        let mut issued = 0;
+        for cycle in 0..run_length(ops, tail) {
+            feed.feed(&mut mem, cycle, |req| {
+                reference.enqueue(req, crate::map_address(cfg, req.addr), cycle, cfg);
+            });
+
+            let system_event = mem.next_event_cycle().unwrap_or(u64::MAX);
+            let horizon = mem.channels[0].issue_horizon;
+            let (skips, refreshes) = (mem.scan_skips(), mem.stats().refreshes);
+            mem.tick_into(&mut done);
+            let c = reference.tick_reference(cycle, cfg, &mut ref_done, &mut ref_stats);
+            let refreshed = mem.stats().refreshes > refreshes;
+
+            let ch = &mem.channels[0];
+            assert_eq!(
+                ch.decision_state(),
+                reference.decision_state(),
+                "cycle {cycle}: {c:?}"
+            );
+            assert_eq!(done, ref_done, "cycle {cycle}: completions");
+            assert_eq!(mem.stats(), &ref_stats, "cycle {cycle}: stats");
+            if c.is_some() {
+                issued += 1;
+                assert!(
+                    cycle >= system_event,
+                    "cycle {cycle}: skipped tick hid {c:?}"
+                );
+                assert!(
+                    cycle >= horizon || refreshed,
+                    "cycle {cycle}: horizon {horizon} hid {c:?}"
+                );
+            }
+            if mem.scan_skips() == skips {
+                assert_eq!(
+                    ch.issue_horizon,
+                    ch.next_issue_cycle_reference(cycle, &cfg.timing),
+                    "cycle {cycle}: horizon after a scan"
+                );
+            }
+            for b in 0..ch.banks.len() {
+                assert_eq!(
+                    (ch.banks[b].queued, ch.banks[b].hits),
+                    ch.recount(b),
+                    "cycle {cycle}: bank {b}"
+                );
+            }
+        }
+        assert_eq!(feed.next_due(), None, "stream not fully enqueued");
+        assert!(issued > 0 && ref_stats.refreshes > 0, "vacuous run");
+        mem
+    }
+
+    /// Runs `ops` with the event-horizon fast path (`next_event_cycle` +
+    /// `skip_to` between enqueues) and returns completions and stats.
+    fn run_fast_forward(cfg: &DramConfig, ops: &[Op], end: u64) -> (Vec<Completion>, DramStats) {
+        let mut mem = MemorySystem::new(cfg.clone()).unwrap();
+        let mut done = Vec::new();
+        let mut feed = Feed::new(cfg, ops);
+        while mem.cycle() < end {
+            let cycle = mem.cycle();
+            feed.feed(&mut mem, cycle, |_| {});
+            mem.tick_into(&mut done);
+            let mut target = mem.next_event_cycle().unwrap_or(end).min(end);
+            if let Some(due) = feed.next_due() {
+                target = target.min(due.max(mem.cycle()));
+            }
+            if target > mem.cycle() {
+                mem.skip_to(target);
+            }
+        }
+        (done, mem.stats().clone())
+    }
+
+    /// Per-cycle ticking (through `assert_matches_reference`) and
+    /// fast-forwarding observe the same completions and statistics.
+    fn assert_fast_forward_matches(cfg: &DramConfig, ops: &[Op], tail: u64) {
+        let end = run_length(ops, tail);
+        let mut per_cycle = MemorySystem::new(cfg.clone()).unwrap();
+        let mut done = Vec::new();
+        let mut feed = Feed::new(cfg, ops);
+        for cycle in 0..end {
+            feed.feed(&mut per_cycle, cycle, |_| {});
+            per_cycle.tick_into(&mut done);
+        }
+        let (fast_done, fast_stats) = run_fast_forward(cfg, ops, end);
+        assert_eq!(done, fast_done, "completions");
+        assert_eq!(per_cycle.stats(), &fast_stats, "stats");
+    }
+
+    fn ops(banks: usize) -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (
+                prop_oneof![Just(0u64), Just(1u64), 0u64..6, 10u64..60],
+                prop_oneof![Just(false), Just(true)],
+                0..banks,
+                0u64..4,
+                0u64..4,
+            ),
+            1..300,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random streams over few banks and rows, crossing the drain
+        /// watermarks with refresh on: the bank-indexed scheduler issues
+        /// the reference's command on every cycle.
+        #[test]
+        fn scheduler_matches_two_pass_reference(
+            geometry in 0usize..4,
+            stream in ops(8),
+        ) {
+            // (ranks, banks per rank)
+            let (ranks, banks) = [(1, 2), (1, 4), (2, 2), (2, 4)][geometry];
+            let cfg = small_config(ranks, banks);
+            assert_matches_reference(&cfg, &stream, 1500);
+            assert_fast_forward_matches(&cfg, &stream, 1500);
+        }
+    }
+
+    #[test]
+    fn channel_with_128_banks_matches_reference_and_fast_forward() {
+        // 8 ranks × 16 banks: 128 banks in one channel, past any 64-bit
+        // per-bank bitmap. Requests spread over every bank with row
+        // conflicts and bursts that fill the queues.
+        let mut cfg = small_config(8, 16);
+        cfg.read_queue_capacity = 32;
+        cfg.write_queue_capacity = 48;
+        cfg.write_hi_watermark = 32;
+        cfg.write_lo_watermark = 16;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let ops: Vec<Op> = (0..3000)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let gap = if i % 200 < 150 { 0 } else { (x >> 60) % 6 };
+                (
+                    gap,
+                    (x >> 33).is_multiple_of(3),
+                    ((x >> 40) % 128) as usize,
+                    (x >> 20) % 4,
+                    (x >> 10) % 4,
+                )
+            })
+            .collect();
+        let mem = assert_matches_reference(&cfg, &ops, 2000);
+        assert!(
+            mem.channels[0].banks[64..].iter().any(|b| b.ready_act > 0),
+            "banks past 64 never activated"
+        );
+        assert_fast_forward_matches(&cfg, &ops, 2000);
+    }
+}

@@ -60,6 +60,12 @@ pub struct MemorySystem {
     channels: Vec<Channel>,
     cycle: u64,
     stats: DramStats,
+    /// The minimum of the channels' next event cycles (`u64::MAX` when
+    /// idle): recomputed after every tick that runs, lowered by enqueues.
+    /// Ticks before it are no-ops and return at once.
+    next_event: u64,
+    /// Ticks skipped as no-ops because of `next_event`.
+    idle_ticks: u64,
 }
 
 impl MemorySystem {
@@ -70,8 +76,10 @@ impl MemorySystem {
     /// Returns [`ConfigError`] if the configuration is inconsistent.
     pub fn new(cfg: DramConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
-        Ok(Self { cfg, channels, cycle: 0, stats: DramStats::default() })
+        let channels: Vec<Channel> = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
+        let next_event =
+            channels.iter().map(|ch| ch.next_event_cycle(&cfg, 0)).min().unwrap_or(u64::MAX);
+        Ok(Self { cfg, channels, cycle: 0, stats: DramStats::default(), next_event, idle_ticks: 0 })
     }
 
     /// The configuration in use.
@@ -91,9 +99,12 @@ impl MemorySystem {
 
     /// True when the target channel queue has room for `req`.
     pub fn can_accept(&self, req: &Request) -> bool {
-        let loc = map_address(&self.cfg, req.addr);
-        let ch = &self.channels[loc.channel];
-        match req.kind {
+        self.has_room(map_address(&self.cfg, req.addr).channel, req.kind)
+    }
+
+    fn has_room(&self, channel: usize, kind: AccessKind) -> bool {
+        let ch = &self.channels[channel];
+        match kind {
             AccessKind::Read => ch.read_queue_len() < self.cfg.read_queue_capacity,
             AccessKind::Write => ch.write_queue_len() < self.cfg.write_queue_capacity,
         }
@@ -103,11 +114,12 @@ impl MemorySystem {
     /// target queue is full — the caller must retry later, modeling
     /// back-pressure into the core.
     pub fn enqueue(&mut self, req: Request) -> bool {
-        if !self.can_accept(&req) {
+        let loc = map_address(&self.cfg, req.addr);
+        if !self.has_room(loc.channel, req.kind) {
             return false;
         }
-        let loc = map_address(&self.cfg, req.addr);
-        self.channels[loc.channel].enqueue(req, loc, self.cycle);
+        let event = self.channels[loc.channel].enqueue(req, loc, self.cycle, &self.cfg);
+        self.next_event = self.next_event.min(event);
         true
     }
 
@@ -124,36 +136,42 @@ impl MemorySystem {
 
     /// Advances one memory-bus cycle, appending reads completed this cycle
     /// to the caller-owned `completions` buffer (not cleared first).
+    ///
+    /// A tick before [`Self::next_event_cycle`] is a no-op for every
+    /// channel and only advances the clock.
     pub fn tick_into(&mut self, completions: &mut Vec<Completion>) {
+        if self.cycle < self.next_event {
+            debug_assert!(
+                self.channels.iter().all(|ch| ch.is_quiet_at(self.cycle, &self.cfg)),
+                "skipped a tick with work at cycle {}",
+                self.cycle
+            );
+            self.idle_ticks += 1;
+            self.cycle += 1;
+            return;
+        }
+        let mut next_event = u64::MAX;
         for ch in &mut self.channels {
             ch.tick(self.cycle, &self.cfg, completions, &mut self.stats);
+            next_event = next_event.min(ch.next_event_cycle(&self.cfg, self.cycle + 1));
         }
         self.cycle += 1;
+        self.next_event = next_event;
     }
 
-    /// The earliest future cycle at which any channel's state can change
-    /// on its own: a pending completion, a refresh deadline, or a queued
+    /// The earliest cycle, never before [`Self::cycle`], at which any
+    /// channel's state can change on its own: a pending completion, a
+    /// refresh deadline, a write-drain watermark crossing, or a queued
     /// command becoming issueable. Returns `None` when the system is
     /// completely idle (no queued work, no pending data, refresh
-    /// disabled). A return value of `Some(c)` with `c < self.cycle()`
-    /// means a channel's issue horizon is currently unknown (a command
-    /// just issued): the caller must keep ticking per cycle.
+    /// disabled). `Some(self.cycle())` means the next tick has work.
     ///
     /// Ticking every cycle strictly before the returned event is a no-op
     /// for the whole memory system, so a driver may [`Self::skip_to`] the
     /// event directly and observe bit-identical behaviour.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        let event = self
-            .channels
-            .iter()
-            .map(|ch| ch.next_event_cycle(&self.cfg))
-            .min()
-            .unwrap_or(u64::MAX);
-        if event == u64::MAX {
-            None
-        } else {
-            Some(event)
-        }
+        debug_assert!(self.next_event >= self.cycle, "event horizon fell behind the clock");
+        (self.next_event != u64::MAX).then_some(self.next_event)
     }
 
     /// Fast-forwards the clock to `cycle` without ticking the skipped
@@ -168,10 +186,14 @@ impl MemorySystem {
         self.cycle = self.cycle.max(cycle);
     }
 
-    /// FR-FCFS scans skipped across channels thanks to the cached
-    /// per-channel issue horizon (observability; see `sim.*` metrics).
+    /// FR-FCFS scans skipped thanks to the event horizons, counted per
+    /// channel and ticked cycle (observability; see `sim.*` metrics): a
+    /// channel tick below the channel's issue horizon, plus every channel
+    /// of a whole tick skipped as a no-op. Cycles jumped by
+    /// [`Self::skip_to`] are not ticks and do not count.
     pub fn scan_skips(&self) -> u64 {
-        self.channels.iter().map(Channel::scan_skips).sum()
+        let idle = self.idle_ticks * self.channels.len() as u64;
+        idle + self.channels.iter().map(Channel::scan_skips).sum::<u64>()
     }
 
     /// Requests still queued or in flight.
