@@ -27,6 +27,10 @@
 //!   degraded).
 //! * `SYNERGY_CRYPTO_BACKEND` — crypto implementation: `auto` (default),
 //!   `simd` or `table` (read by `synergy-crypto`, see its `Backend`).
+//!
+//! An unset numeric knob takes its default; a set one that is not an
+//! unsigned integer (`SYNERGY_BENCH_INSTS=20k`) exits with a message
+//! naming the variable and its value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,8 +71,26 @@ pub fn full_sweep() -> bool {
     std::env::var("SYNERGY_BENCH_WORKLOADS").map(|v| v == "all").unwrap_or(false)
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// A numeric knob: `default` when `name` is unset; a set value that is not
+/// an unsigned integer exits the process with a message naming both.
+pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
+    match parse_knob(name, std::env::var(name).ok().as_deref(), default) {
+        Ok(v) => v,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parses the value of knob `name` (`None` when unset).
+fn parse_knob(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not an unsigned integer")),
+    }
 }
 
 /// The workload list for performance figures: all 29 when `full_sweep()`,
@@ -437,6 +459,17 @@ pub fn banner(title: &str, paper_ref: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knobs_parse_or_name_the_bad_value() {
+        assert_eq!(parse_knob("SYNERGY_BENCH_INSTS", None, 7), Ok(7));
+        assert_eq!(parse_knob("SYNERGY_BENCH_INSTS", Some("20000"), 7), Ok(20_000));
+        for bad in ["20k", "", "-1", "1e6", " 5"] {
+            let err = parse_knob("SYNERGY_BENCH_INSTS", Some(bad), 7).unwrap_err();
+            assert!(err.contains("SYNERGY_BENCH_INSTS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
 
     #[test]
     fn gmean_basics() {

@@ -31,8 +31,7 @@ use crate::{run_mix_with_faults, run_workload_with_faults};
 /// Worker threads for [`run_sweep`]: `SYNERGY_BENCH_THREADS`, defaulting
 /// to the machine's available parallelism.
 pub fn sweep_threads() -> usize {
-    let knob = std::env::var("SYNERGY_BENCH_THREADS").ok().and_then(|v| v.parse().ok());
-    shard::resolve_threads(knob.unwrap_or(0))
+    shard::resolve_threads(crate::env_u64("SYNERGY_BENCH_THREADS", 0) as usize)
 }
 
 /// The workload half of a sweep cell: a single benchmark in rate mode or

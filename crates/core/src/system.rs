@@ -118,12 +118,16 @@ pub struct SystemConfig {
     pub warmup_records_per_core: u64,
     /// Telemetry collection (spans, epoch time-series).
     pub telemetry: TelemetryConfig,
-    /// Event-horizon fast path: when every core is provably stalled on
-    /// memory, jump the clock to the next event (DRAM completion, refresh,
-    /// command-issue horizon, LLC-hit delivery or epoch boundary) instead
-    /// of ticking idle cycles one by one. Results are bit-identical to
-    /// per-cycle ticking (`tests/sweep_determinism.rs` pins this); disable
-    /// only to produce the reference run for that comparison.
+    /// Event-driven fast path. Each core takes a real step only at its own
+    /// wake cycle (its next trace read or memory issue, or its finishing
+    /// cycle) and is advanced in closed form over the cycles in between;
+    /// the clock jumps straight to the earliest of the DRAM event horizon,
+    /// an LLC-hit delivery, a core wake, a fault injection or an epoch
+    /// boundary. Results are bit-identical to the eager reference this
+    /// flag selects when off — every unfinished core stepped every CPU
+    /// cycle, DRAM ticked every memory cycle — as
+    /// `tests/sweep_determinism.rs` pins; disable only to produce that
+    /// reference.
     pub fast_forward: bool,
     /// Runtime fault schedule: permanent chip failures injected at exact
     /// memory-bus cycles (empty = healthy run). Injection points also cap
@@ -303,7 +307,16 @@ struct OutstandingLoad {
     remaining: u32,
 }
 
-#[derive(Debug)]
+/// The ROB geometry every core shares.
+#[derive(Debug, Clone, Copy)]
+struct Pipeline {
+    /// Reorder-buffer entries.
+    rob: u64,
+    /// Instructions retired and fetched per CPU cycle.
+    width: u64,
+}
+
+#[derive(Debug, Clone)]
 struct Core {
     fetch_pos: u64,
     retire_pos: u64,
@@ -313,10 +326,24 @@ struct Core {
     pending: Option<TraceRecord>,
     loads: VecDeque<OutstandingLoad>,
     llc_hits: Vec<(u64, u64)>, // (mem_cycle_complete, pos)
+    /// The shared ROB geometry, kept here so events can sync the core.
+    pipe: Pipeline,
+    /// First CPU cycle not yet applied to this state.
+    synced: u64,
+    /// First CPU cycle at which the core needs a real `step_core`: its
+    /// next trace read or memory issue, its finishing cycle, or
+    /// `u64::MAX` once nothing but a memory-side event can move it.
+    /// Every cycle before it is a stretch of [`advance`].
+    wake: u64,
+    /// Whether the pending record could not issue (back-pressure, or a
+    /// dependent load behind an incomplete one) when `wake` was planned:
+    /// the stretch then parks fetch at the end of the gap instead of
+    /// waking the core there.
+    issue_blocked: bool,
 }
 
 impl Core {
-    fn new(target: u64) -> Self {
+    fn new(target: u64, pipe: Pipeline) -> Self {
         Self {
             fetch_pos: 0,
             retire_pos: 0,
@@ -326,6 +353,10 @@ impl Core {
             pending: None,
             loads: VecDeque::new(),
             llc_hits: Vec::new(),
+            pipe,
+            synced: 0,
+            wake: 0,
+            issue_blocked: false,
         }
     }
 
@@ -355,13 +386,196 @@ impl Core {
         let limit = self.first_incomplete_load().unwrap_or(self.fetch_pos);
         let new_pos = (self.retire_pos + width).min(limit).min(self.fetch_pos);
         self.retire_pos = new_pos;
-        while self.loads.front().is_some_and(|l| l.remaining == 0 && l.pos < self.retire_pos) {
-            self.loads.pop_front();
-        }
+        self.pop_retired_loads();
         if self.retire_pos >= self.target && self.finished_at.is_none() {
             self.finished_at = Some(cpu_cycle + 1);
         }
     }
+
+    fn pop_retired_loads(&mut self) {
+        while self
+            .loads
+            .front()
+            .is_some_and(|l| l.remaining == 0 && l.pos < self.retire_pos)
+        {
+            self.loads.pop_front();
+        }
+    }
+
+    fn lane(&self) -> Lane {
+        Lane {
+            cycle: self.synced,
+            retire: self.retire_pos,
+            fetch: self.fetch_pos,
+            gap: u64::from(self.gap_left),
+        }
+    }
+
+    fn bounds(&self) -> Bounds {
+        Bounds {
+            head: self.first_incomplete_load(),
+            target: self.target,
+            issue_blocked: self.issue_blocked,
+            pipe: self.pipe,
+        }
+    }
+
+    /// Applies every CPU cycle before `to` in closed form. Those cycles
+    /// lie before `wake`, so none of them reads the trace, issues or
+    /// finishes the core.
+    fn sync(&mut self, to: u64) {
+        debug_assert!(
+            self.synced <= to && to <= self.wake,
+            "sync to {to} past wake {}",
+            self.wake
+        );
+        if self.synced == to {
+            return;
+        }
+        let lane = advance(self.lane(), &self.bounds(), to);
+        debug_assert_eq!(lane.cycle, to, "a stretch ended before its wake");
+        self.synced = to;
+        self.retire_pos = lane.retire;
+        self.fetch_pos = lane.fetch;
+        self.gap_left = lane.gap as u32;
+        self.pop_retired_loads();
+    }
+
+    /// A memory-side event reached the core at CPU cycle `now`: brings it
+    /// up to date and wakes it for a real step at `now`, which replans.
+    fn touch(&mut self, now: u64) {
+        if !self.finished() {
+            self.sync(now);
+            self.wake = now;
+        }
+    }
+
+    /// Load `pos` got one of its fetches back at CPU cycle `now`.
+    fn deliver(&mut self, pos: u64, now: u64) {
+        self.touch(now);
+        self.mark_progress(pos);
+    }
+
+    /// Plans the next wake from `synced`, after a real step. An eager
+    /// core (the per-cycle reference) wakes every cycle; otherwise the
+    /// wake is the end of the core's current stretch under today's
+    /// back-pressure.
+    fn plan(&mut self, backpressure: bool, eager: bool) {
+        self.wake = if self.finished() {
+            u64::MAX
+        } else if eager {
+            self.synced
+        } else {
+            self.issue_blocked = self
+                .pending
+                .is_some_and(|rec| backpressure || (rec.dependent && self.any_load_incomplete()));
+            advance(self.lane(), &self.bounds(), u64::MAX).cycle
+        };
+    }
+}
+
+/// The part of a core's state that moves on its own between events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Lane {
+    /// Next CPU cycle to apply.
+    cycle: u64,
+    retire: u64,
+    fetch: u64,
+    /// Non-memory instructions left before the pending record.
+    gap: u64,
+}
+
+/// What a lane runs against: fixed until the next event.
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    /// The first incomplete load; retirement stops there.
+    head: Option<u64>,
+    target: u64,
+    /// See [`Core::issue_blocked`].
+    issue_blocked: bool,
+    pipe: Pipeline,
+}
+
+/// One cycle of the retire/fetch recurrence: the instructions it retires
+/// and fetches, or `None` when the cycle needs a real step (it finishes
+/// the core, or fetch reaches a record to read or issue with width and
+/// ROB space left).
+fn lane_step(l: &Lane, b: &Bounds) -> Option<(u64, u64)> {
+    let Pipeline { rob, width } = b.pipe;
+    let retired = width.min(b.head.unwrap_or(l.fetch) - l.retire);
+    if l.retire + retired >= b.target {
+        return None;
+    }
+    let cap = width.min(rob - (l.fetch - l.retire - retired));
+    if l.gap < cap && !b.issue_blocked {
+        return None;
+    }
+    Some((retired, l.gap.min(cap)))
+}
+
+/// How many cycles from `l` on retire `r` and fetch `f` each with no
+/// event, given that the first one does. Every condition that keeps the
+/// step the same is linear in the cycle index and holds at index 0, so
+/// each bounds a prefix and the run is the shortest prefix; a condition
+/// that could change after one cycle bounds it at 1.
+fn run_length(l: &Lane, b: &Bounds, r: u64, f: u64) -> u64 {
+    let Pipeline { rob, width } = b.pipe;
+    let mut k = u64::MAX;
+    // Finishing: retire + (j + 1)·r < target.
+    if let Some(left) = (b.target - 1 - l.retire).checked_div(r) {
+        k = k.min(left);
+    }
+    // Retirement: full width while the limit stays `width` ahead; a
+    // partial retire repeats only if its limit does not move.
+    let occupancy = l.fetch - l.retire;
+    match b.head {
+        Some(head) if r == width => k = k.min((head - l.retire) / width),
+        Some(_) if r > 0 => k = 1,
+        Some(_) => {}
+        None if r == width && f < r => k = k.min((occupancy - width) / (r - f) + 1),
+        None if r < width && f != r => k = 1,
+        None => {}
+    }
+    // Fetch: capped by width and the ROB space left after retirement.
+    // With nothing fetched the gap is spent against a blocked record (a
+    // full ROB would leave nothing to retire either: a fixed point), and
+    // fetch stays parked.
+    let space = rob - occupancy + r;
+    if f > 0 && f == width.min(space) {
+        k = k.min(l.gap / f);
+        if f == width && f > r {
+            k = k.min((space - width) / (f - r) + 1);
+        } else if f < width && f != r {
+            k = 1;
+        }
+    } else if f > 0 {
+        // The last of the gap against a blocked record.
+        k = 1;
+    }
+    k
+}
+
+/// Advances `l` in closed form through the cycles before `to`, stopping
+/// early at the first cycle that needs a real step (the returned lane's
+/// `cycle`). A lane at a fixed point — nothing retires or fetches —
+/// jumps straight to `to`.
+fn advance(mut l: Lane, b: &Bounds, to: u64) -> Lane {
+    while l.cycle < to {
+        let Some((r, f)) = lane_step(&l, b) else {
+            break;
+        };
+        if r == 0 && f == 0 {
+            l.cycle = to;
+            break;
+        }
+        let k = run_length(&l, b, r, f).min(to - l.cycle);
+        debug_assert!(k > 0, "empty stretch at cycle {}", l.cycle);
+        l.cycle += k;
+        l.retire += k * r;
+        l.fetch += k * f;
+        l.gap -= k * f;
+    }
+    l
 }
 
 /// Reusable buffers for the per-access issue path, created once per run
@@ -485,7 +699,9 @@ impl MemSide {
 
     /// Advances DRAM one cycle: delivers completions (closing spans and
     /// unblocking loads) and replays deferred requests into freed queues.
-    fn tick(&mut self, cores: &mut [Core], cycle: u64) {
+    /// Every core a completion reaches, and every core once back-pressure
+    /// is released, is brought up to CPU cycle `now` and woken there.
+    fn tick(&mut self, cores: &mut [Core], cycle: u64, now: u64) {
         let mut buf = std::mem::take(&mut self.completions);
         buf.clear();
         self.dram.tick_into(&mut buf);
@@ -514,16 +730,25 @@ impl MemSide {
                 self.attrib.close_request(class, cycle - push);
             }
             if let Some((core, pos)) = self.load_map.remove(&completion.id) {
-                cores[core].mark_progress(pos);
+                cores[core].deliver(pos, now);
             }
         }
         self.completions = buf;
+        let backpressure = self.has_backpressure();
         while let Some(req) = self.deferred.front().copied() {
             if self.dram.enqueue(req) {
                 self.tracer.event(req.id, SpanPhase::DramEnqueue, cycle);
                 self.deferred.pop_front();
             } else {
                 break;
+            }
+        }
+        // A release can unblock any core's pending issue. A rise needs no
+        // such pass: a core only looks at back-pressure when it issues,
+        // and an issue is always a real step.
+        if backpressure && !self.has_backpressure() {
+            for core in cores.iter_mut() {
+                core.touch(now);
             }
         }
     }
@@ -557,75 +782,6 @@ impl MemSide {
 
     fn has_backpressure(&self) -> bool {
         !self.deferred.is_empty()
-    }
-}
-
-/// Fast-path economics: a jump shorter than this many cycles does not pay
-/// for the stall scan that proved it safe, so the run loop treats it as a
-/// miss and backs off before re-checking. Tuning either constant trades
-/// wall-clock only — skips are bit-invisible by construction.
-const FF_MIN_PROFITABLE_SKIP: u64 = 4;
-/// Cycles to wait before re-attempting a fast-forward after a miss; doubles
-/// on consecutive misses up to [`FF_BACKOFF_MAX`] so a saturated memory
-/// phase (events every cycle or two) pays for the stall scan at most once
-/// per 64 cycles, and resets on the first profitable jump.
-const FF_BACKOFF_CYCLES: u64 = 8;
-/// Upper bound for the exponential backoff; also the most idle cycles a
-/// late re-check can leave on the table, which per-cycle ticking absorbs.
-const FF_BACKOFF_MAX: u64 = 64;
-
-/// True when `core` can make no progress this cycle *and* its state
-/// cannot change until a memory-side event (a DRAM completion, a DRAM
-/// command issuing — which is what frees queue space and clears
-/// back-pressure — or a scheduled LLC-hit delivery).
-///
-/// The conditions are stable over time: between events, a stalled core's
-/// state is only touched by its own (no-op) stepping, so a window in which
-/// every core is stalled and no memory event falls may be skipped outright.
-/// The check is conservative — any doubt (e.g. the next trace record has
-/// not been fetched yet) counts as "not stalled" and falls back to
-/// per-cycle stepping.
-fn core_stalled(core: &Core, cfg: &SystemConfig, backpressure: bool) -> bool {
-    if core.finished() {
-        return true;
-    }
-    // Retirement must be blocked: either the ROB head is an incomplete
-    // load, or the ROB is empty (fetch decides below).
-    let retire_blocked = core.first_incomplete_load() == Some(core.retire_pos)
-        || core.fetch_pos == core.retire_pos;
-    if !retire_blocked {
-        return false;
-    }
-    // Fetch must be blocked too.
-    if !core.rob_free(cfg.rob_size) {
-        return true; // ROB full; only a completion can free it.
-    }
-    if core.gap_left > 0 {
-        return false; // Gap instructions still fetch.
-    }
-    match core.pending {
-        Some(rec) => backpressure || (rec.dependent && core.any_load_incomplete()),
-        None => false, // Next record unknown — must fetch to find out.
-    }
-}
-
-/// The earliest cycle at which any stalled core can wake: the DRAM event
-/// horizon or a scheduled LLC-hit delivery. `None` means no event is ever
-/// coming (a genuine deadlock — left to the per-cycle guard to report).
-fn next_wake_cycle(cores: &[Core], mem: &MemSide) -> Option<u64> {
-    let mut wake = u64::MAX;
-    if let Some(e) = mem.dram.next_event_cycle() {
-        wake = wake.min(e);
-    }
-    for core in cores {
-        for &(at, _) in &core.llc_hits {
-            wake = wake.min(at);
-        }
-    }
-    if wake == u64::MAX {
-        None
-    } else {
-        Some(wake)
     }
 }
 
@@ -676,6 +832,11 @@ pub fn run(
     if instructions_per_core == 0 {
         return Err(SystemError::InvalidConfig { reason: "zero instructions".into() });
     }
+    if cfg.rob_size == 0 || cfg.retire_width == 0 || cfg.cpu_cycles_per_mem_cycle == 0 {
+        return Err(SystemError::InvalidConfig {
+            reason: "ROB size, retire width and CPU cycles per memory cycle must be nonzero".into(),
+        });
+    }
 
     // Chipkill lock-steps two channels: model as half the independent
     // channels (each logical access occupies what were two channels).
@@ -691,7 +852,13 @@ pub fn run(
 
     warmup(cfg, trace, &mut llc, &mut engine, &mut scratch);
 
-    let mut cores: Vec<Core> = (0..cfg.cores).map(|_| Core::new(instructions_per_core)).collect();
+    let pipe = Pipeline {
+        rob: cfg.rob_size,
+        width: cfg.retire_width,
+    };
+    let mut cores: Vec<Core> = (0..cfg.cores)
+        .map(|_| Core::new(instructions_per_core, pipe))
+        .collect();
     let tracer = if cfg.telemetry.trace_spans {
         SpanTracer::new(4096, cfg.telemetry.top_k)
     } else {
@@ -702,8 +869,8 @@ pub fn run(
     let wall = synergy_obs::Stopwatch::start();
     let mut ff_jumps: u64 = 0;
     let mut ff_skipped_cycles: u64 = 0;
-    let mut ff_retry_at: u64 = 0;
-    let mut ff_backoff: u64 = FF_BACKOFF_CYCLES;
+    let mut core_steps: u64 = 0;
+    let cpm = cfg.cpu_cycles_per_mem_cycle;
 
     let mut mem_cycle: u64 = 0;
     // Generous deadlock guard: a core retiring one instruction per 1000
@@ -718,8 +885,8 @@ pub fn run(
 
     while cores.iter().any(|c| !c.finished()) {
         // 0. Scheduled faults manifest. A fast-forward jump never lands
-        // past an injection point (the wake computation caps on it), so
-        // this applies at the exact scheduled cycle either way.
+        // past an injection point (the jump target caps on it), so this
+        // applies at the exact scheduled cycle either way.
         while let Some(fault) = cfg.fault_schedule.faults().get(next_fault) {
             if fault.at_mem_cycle > mem_cycle {
                 break;
@@ -729,40 +896,49 @@ pub fn run(
         }
 
         // 1–2. DRAM advances; reads complete; deferred requests replay.
-        mem.tick(&mut cores, mem_cycle);
+        let now = mem_cycle * cpm;
+        mem.tick(&mut cores, mem_cycle, now);
 
         // 3. LLC-hit loads complete. In-place swap_remove scan instead of
-        // a collected `due` list: each entry's `mark_progress` decrements
-        // its own load's counter, so delivery order within a cycle is
+        // a collected `due` list: each entry's `deliver` decrements its
+        // own load's counter, so delivery order within a cycle is
         // immaterial and the scan allocates nothing.
         for core in cores.iter_mut() {
             let mut i = 0;
             while i < core.llc_hits.len() {
                 if core.llc_hits[i].0 <= mem_cycle {
                     let (_, pos) = core.llc_hits.swap_remove(i);
-                    core.mark_progress(pos);
+                    core.deliver(pos, now);
                 } else {
                     i += 1;
                 }
             }
         }
 
-        // 4. CPU cycles.
-        for sub in 0..cfg.cpu_cycles_per_mem_cycle {
-            let cpu_cycle = mem_cycle * cfg.cpu_cycles_per_mem_cycle + sub;
-            for core_idx in 0..cfg.cores {
+        // 4. CPU cycles: each core takes a real step at its wake cycle and
+        // plans the next one; the cycles in between are applied in
+        // closed form when something next needs the core's state.
+        for cpu_cycle in now..now + cpm {
+            for (core_idx, core) in cores.iter_mut().enumerate() {
+                if cpu_cycle < core.wake {
+                    continue;
+                }
+                core.sync(cpu_cycle);
                 step_core(
                     core_idx,
                     cpu_cycle,
                     mem_cycle,
                     cfg,
-                    &mut cores[core_idx],
+                    core,
                     trace,
                     &mut llc,
                     &mut engine,
                     &mut mem,
                     &mut scratch,
                 );
+                core.synced = cpu_cycle + 1;
+                core.plan(mem.has_backpressure(), !cfg.fast_forward);
+                core_steps += 1;
             }
         }
 
@@ -788,54 +964,42 @@ pub fn run(
             );
         }
 
-        // 6. Event-horizon fast path: if every core is provably stalled on
-        // memory, nothing can happen until the next event — jump straight
-        // to it instead of ticking empty cycles. Epoch boundaries cap the
-        // jump one cycle short so the increment above still performs the
-        // scheduled sample; span timestamps are unaffected because no
-        // traced event falls inside the skipped window.
-        //
-        // A failed or tiny jump backs off for a few cycles: when events
-        // are dense (heavily loaded channels) the stall scan and wake
-        // computation cost more than the one or two skipped cycles buy
-        // back, so re-checking every cycle would make the fast path a net
-        // loss. Backing off only forgoes skips — it cannot change results.
-        //
-        // Once every core is finished the loop exits; jumping further
-        // would only inflate the final cycle count past the sequential
-        // reference.
-        if cfg.fast_forward && mem_cycle >= ff_retry_at {
-            let mut skipped = 0;
-            if cores.iter().any(|c| !c.finished())
-                && cores
-                    .iter()
-                    .all(|c| core_stalled(c, cfg, mem.has_backpressure()))
-            {
-                if let Some(mut target) = next_wake_cycle(&cores, &mem) {
-                    if let Some(epochs_done) = mem_cycle.checked_div(epoch) {
-                        let next_boundary = (epochs_done + 1) * epoch;
-                        target = target.min(next_boundary - 1);
-                    }
-                    // Never jump over a scheduled fault-injection point:
-                    // the failure must manifest at its exact cycle for
-                    // fast-forwarded runs to stay bit-identical.
-                    if let Some(at) = cfg.fault_schedule.next_after(mem_cycle) {
-                        target = target.min(at);
-                    }
-                    if target > mem_cycle {
-                        skipped = target - mem_cycle;
-                        ff_jumps += 1;
-                        ff_skipped_cycles += skipped;
-                        mem.dram.skip_to(target);
-                        mem_cycle = target;
-                    }
+        // 6. Event-horizon fast path: nothing can happen before the
+        // earliest of the DRAM event horizon, a scheduled LLC-hit
+        // delivery, the memory cycle holding the earliest core wake and
+        // the next fault injection, so the clock jumps straight there.
+        // Epoch boundaries cap the jump one cycle short so the increment
+        // above still performs the scheduled sample; span timestamps are
+        // unaffected because no traced event falls inside the skipped
+        // window. Once every core is finished the loop exits; jumping
+        // further would only inflate the final cycle count past the
+        // per-cycle reference.
+        if cfg.fast_forward && cores.iter().any(|c| !c.finished()) {
+            let mut target = cores.iter().map(|c| c.wake).min().unwrap_or(u64::MAX);
+            if target != u64::MAX {
+                target /= cpm;
+            }
+            if let Some(e) = mem.dram.next_event_cycle() {
+                target = target.min(e);
+            }
+            for core in &cores {
+                for &(at, _) in &core.llc_hits {
+                    target = target.min(at);
                 }
             }
-            if skipped < FF_MIN_PROFITABLE_SKIP {
-                ff_retry_at = mem_cycle + ff_backoff;
-                ff_backoff = (ff_backoff * 2).min(FF_BACKOFF_MAX);
-            } else {
-                ff_backoff = FF_BACKOFF_CYCLES;
+            if let Some(fault) = cfg.fault_schedule.faults().get(next_fault) {
+                target = target.min(fault.at_mem_cycle);
+            }
+            if let Some(epochs_done) = mem_cycle.checked_div(epoch) {
+                target = target.min((epochs_done + 1) * epoch - 1);
+            }
+            // `u64::MAX` with nothing pending at all: a genuine deadlock,
+            // left to the guard above to report.
+            if target > mem_cycle && target != u64::MAX {
+                ff_jumps += 1;
+                ff_skipped_cycles += target - mem_cycle;
+                mem.dram.skip_to(target);
+                mem_cycle = target;
             }
         }
     }
@@ -872,8 +1036,12 @@ pub fn run(
     registry.set_gauge("sim.wall_seconds", wall.elapsed_secs());
     registry.set_counter("sim.ff_jumps", ff_jumps);
     registry.set_counter("sim.ff_skipped_cycles", ff_skipped_cycles);
+    // Real `step_core` calls; cycles a core spends in closed-form
+    // stretches are not steps.
+    registry.set_counter("sim.core_steps", core_steps);
     // FR-FCFS scans the DRAM event horizons made unnecessary, per channel
-    // and ticked cycle (see `MemorySystem::scan_skips`).
+    // and ticked cycle (see `MemorySystem::scan_skips`); cycles the fast
+    // path jumps are not ticked and do not count.
     registry.set_counter("sim.issue_scan_skips", mem.dram.scan_skips());
     mem.tracer.observe("span", &mut registry);
     debug_assert!(
@@ -1472,6 +1640,35 @@ mod tests {
     }
 
     #[test]
+    fn fast_forward_matches_reference_under_backpressure() {
+        // Stores only, through a tiny LLC into tiny write queues:
+        // writebacks are deferred again and again, and a core held back
+        // by them has no load outstanding, so nothing but the
+        // back-pressure release can wake it.
+        let mk = |fast_forward| {
+            let mut cfg = SystemConfig::new(DesignConfig::synergy());
+            cfg.fast_forward = fast_forward;
+            cfg.llc = CacheConfig::new(64 << 10, 8, 64).unwrap();
+            cfg.dram.write_queue_capacity = 4;
+            cfg.dram.write_hi_watermark = 3;
+            cfg.dram.write_lo_watermark = 1;
+            let mut s = spec(20.0, AccessPattern::Streaming { stride: 64 });
+            s.read_fraction = 0.0;
+            let mut trace = MultiCoreTrace::rate_mode(&s, cfg.cores, 3);
+            run(&cfg, &mut trace, 20_000).unwrap()
+        };
+        let (reference, fast) = (mk(false), mk(true));
+        assert!(
+            reference.dram.writes(RequestClass::Parity) > 0,
+            "no writebacks"
+        );
+        assert_eq!(reference.core_cycles, fast.core_cycles);
+        assert_eq!(reference.mem_cycles, fast.mem_cycles);
+        assert_eq!(reference.dram, fast.dram);
+        assert!(fast.telemetry.registry.counter("sim.ff_jumps").unwrap() > 0);
+    }
+
+    #[test]
     fn config_validation() {
         let cfg = SystemConfig::new(DesignConfig::non_secure());
         let s = spec(10.0, AccessPattern::Random { cluster: 4, hot_fraction: 0.6, hot_bytes: 2 << 20 });
@@ -1479,6 +1676,9 @@ mod tests {
         assert!(run(&cfg, &mut wrong_cores, 1000).is_err());
         let mut ok = MultiCoreTrace::rate_mode(&s, 4, 1);
         assert!(run(&cfg, &mut ok, 0).is_err());
+        let mut narrow = cfg.clone();
+        narrow.retire_width = 0;
+        assert!(run(&narrow, &mut ok, 1000).is_err());
     }
 
     #[test]
@@ -1505,5 +1705,133 @@ mod tests {
             gaps[1] < gaps[0],
             "speedup must shrink as channels remove the bandwidth bound: {gaps:?}"
         );
+    }
+
+    /// One CPU cycle of the per-cycle retire/fetch recurrence `step_core`
+    /// runs, on `core` alone. Returns `true`, with `core` part-way through
+    /// the cycle, when the cycle needs the rest of the system: it finishes
+    /// the core, reads a trace record, or issues the pending one.
+    fn reference_cycle(core: &mut Core, cycle: u64, backpressure: bool) -> bool {
+        let Pipeline { rob, width } = core.pipe;
+        core.retire(width, cycle);
+        if core.finished() {
+            return true;
+        }
+        let mut budget = width;
+        while budget > 0 && core.rob_free(rob) {
+            if core.gap_left == 0 {
+                match core.pending {
+                    Some(rec) if backpressure || (rec.dependent && core.any_load_incomplete()) => {
+                        break
+                    }
+                    _ => return true,
+                }
+            }
+            let n = u64::from(core.gap_left)
+                .min(budget)
+                .min(rob - (core.fetch_pos - core.retire_pos));
+            core.fetch_pos += n;
+            core.gap_left -= n as u32;
+            budget -= n;
+        }
+        false
+    }
+
+    /// Steps `core` cycle by cycle from `synced` up to `to`, stopping
+    /// before the first cycle that needs a real step; returns that cycle
+    /// (or `to`).
+    fn reference_run(core: &mut Core, backpressure: bool, to: u64) -> u64 {
+        while core.synced < to {
+            let mut next = core.clone();
+            if reference_cycle(&mut next, core.synced, backpressure) {
+                if next.finished() {
+                    assert_eq!(next.finished_at, Some(core.synced + 1));
+                }
+                return core.synced;
+            }
+            next.synced += 1;
+            *core = next;
+        }
+        to
+    }
+
+    /// A random core state: ROB geometry, positions, gap, pending record,
+    /// outstanding loads and target, all within the invariants `run`
+    /// keeps (loads sorted inside the ROB, no gap without a pending
+    /// record, at least one instruction left to retire).
+    #[allow(clippy::type_complexity)]
+    fn random_core(
+        (rob, width, retire, occupancy): (u64, u64, u64, u64),
+        (gap, pending, target_ahead, synced): (u64, u64, u64, u64),
+        loads: &[(u64, bool)],
+    ) -> Core {
+        let mut core = Core::new(retire + target_ahead, Pipeline { rob, width });
+        core.synced = synced;
+        core.retire_pos = retire;
+        core.fetch_pos = retire + occupancy % (rob + 1);
+        core.pending = (pending > 0).then_some(TraceRecord {
+            gap: 0,
+            is_write: false,
+            addr: 0,
+            dependent: pending == 2,
+        });
+        core.gap_left = if pending > 0 { gap as u32 } else { 0 };
+        let in_rob = core.fetch_pos - core.retire_pos;
+        if in_rob > 0 {
+            let mut positions: Vec<(u64, bool)> = loads
+                .iter()
+                .map(|&(off, done)| (retire + off % in_rob, done))
+                .collect();
+            positions.sort_unstable();
+            positions.dedup_by_key(|l| l.0);
+            core.loads = positions
+                .into_iter()
+                .map(|(pos, done)| OutstandingLoad {
+                    pos,
+                    remaining: u32::from(!done),
+                })
+                .collect();
+        }
+        core
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The closed-form advance stops at the cycle per-cycle stepping
+        /// first needs a real step (the finishing cycle included), and
+        /// syncing to any cycle before it leaves the same positions, gap
+        /// and outstanding loads.
+        #[test]
+        fn closed_form_advance_matches_per_cycle_stepping(
+            geometry in (
+                proptest::prop_oneof![1u64..12, 1u64..40, proptest::Just(192u64)],
+                1u64..6,
+                0u64..50,
+                0u64..200,
+            ),
+            flow in (0u64..40, 0u64..3, 1u64..300, 0u64..100),
+            loads in proptest::collection::vec((0u64..200, proptest::any::<bool>()), 0..6),
+            backpressure in proptest::any::<bool>(),
+            sync_at in 0u64..400,
+        ) {
+            let mut core = random_core(geometry, flow, &loads);
+            core.plan(backpressure, false);
+            let horizon = core.synced + 2_000;
+            let mut reference = core.clone();
+            let stop = reference_run(&mut reference, backpressure, horizon);
+            proptest::prop_assert_eq!(core.wake.min(horizon), stop, "wake of {:?}", core);
+
+            let to = core.synced + sync_at % (stop - core.synced + 1);
+            let mut reference = core.clone();
+            reference_run(&mut reference, backpressure, to);
+            core.sync(to);
+            reference.pop_retired_loads();
+            proptest::prop_assert_eq!(
+                (core.retire_pos, core.fetch_pos, core.gap_left, core.synced),
+                (reference.retire_pos, reference.fetch_pos, reference.gap_left, reference.synced)
+            );
+            proptest::prop_assert_eq!(&core.loads, &reference.loads);
+        }
     }
 }

@@ -60,12 +60,15 @@ pub struct MemorySystem {
     channels: Vec<Channel>,
     cycle: u64,
     stats: DramStats,
-    /// The minimum of the channels' next event cycles (`u64::MAX` when
-    /// idle): recomputed after every tick that runs, lowered by enqueues.
-    /// Ticks before it are no-ops and return at once.
+    /// Each channel's next event cycle (`u64::MAX` when idle): recomputed
+    /// after every tick of that channel, lowered by enqueues into it. A
+    /// channel is ticked only from its event on.
+    channel_events: Vec<u64>,
+    /// The minimum of `channel_events`. Ticks before it are no-ops for
+    /// every channel and return at once.
     next_event: u64,
-    /// Ticks skipped as no-ops because of `next_event`.
-    idle_ticks: u64,
+    /// Channel ticks skipped as no-ops because of `channel_events`.
+    idle_channel_ticks: u64,
 }
 
 impl MemorySystem {
@@ -77,9 +80,18 @@ impl MemorySystem {
     pub fn new(cfg: DramConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let channels: Vec<Channel> = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
-        let next_event =
-            channels.iter().map(|ch| ch.next_event_cycle(&cfg, 0)).min().unwrap_or(u64::MAX);
-        Ok(Self { cfg, channels, cycle: 0, stats: DramStats::default(), next_event, idle_ticks: 0 })
+        let channel_events: Vec<u64> =
+            channels.iter().map(|ch| ch.next_event_cycle(&cfg, 0)).collect();
+        let next_event = channel_events.iter().copied().min().unwrap_or(u64::MAX);
+        Ok(Self {
+            cfg,
+            channels,
+            cycle: 0,
+            stats: DramStats::default(),
+            channel_events,
+            next_event,
+            idle_channel_ticks: 0,
+        })
     }
 
     /// The configuration in use.
@@ -119,6 +131,8 @@ impl MemorySystem {
             return false;
         }
         let event = self.channels[loc.channel].enqueue(req, loc, self.cycle, &self.cfg);
+        let channel_event = &mut self.channel_events[loc.channel];
+        *channel_event = (*channel_event).min(event);
         self.next_event = self.next_event.min(event);
         true
     }
@@ -137,8 +151,9 @@ impl MemorySystem {
     /// Advances one memory-bus cycle, appending reads completed this cycle
     /// to the caller-owned `completions` buffer (not cleared first).
     ///
-    /// A tick before [`Self::next_event_cycle`] is a no-op for every
-    /// channel and only advances the clock.
+    /// Only the channels whose own next event is due are ticked; a tick
+    /// before [`Self::next_event_cycle`] is a no-op for every channel and
+    /// only advances the clock.
     pub fn tick_into(&mut self, completions: &mut Vec<Completion>) {
         if self.cycle < self.next_event {
             debug_assert!(
@@ -146,14 +161,24 @@ impl MemorySystem {
                 "skipped a tick with work at cycle {}",
                 self.cycle
             );
-            self.idle_ticks += 1;
+            self.idle_channel_ticks += self.channels.len() as u64;
             self.cycle += 1;
             return;
         }
         let mut next_event = u64::MAX;
-        for ch in &mut self.channels {
-            ch.tick(self.cycle, &self.cfg, completions, &mut self.stats);
-            next_event = next_event.min(ch.next_event_cycle(&self.cfg, self.cycle + 1));
+        for (ch, event) in self.channels.iter_mut().zip(&mut self.channel_events) {
+            if self.cycle < *event {
+                debug_assert!(
+                    ch.is_quiet_at(self.cycle, &self.cfg),
+                    "skipped a channel tick with work at cycle {}",
+                    self.cycle
+                );
+                self.idle_channel_ticks += 1;
+            } else {
+                ch.tick(self.cycle, &self.cfg, completions, &mut self.stats);
+                *event = ch.next_event_cycle(&self.cfg, self.cycle + 1);
+            }
+            next_event = next_event.min(*event);
         }
         self.cycle += 1;
         self.next_event = next_event;
@@ -189,11 +214,10 @@ impl MemorySystem {
     /// FR-FCFS scans skipped thanks to the event horizons, counted per
     /// channel and ticked cycle (observability; see `sim.*` metrics): a
     /// channel tick below the channel's issue horizon, plus every channel
-    /// of a whole tick skipped as a no-op. Cycles jumped by
-    /// [`Self::skip_to`] are not ticks and do not count.
+    /// tick skipped as a no-op because the channel's event was not due.
+    /// Cycles jumped by [`Self::skip_to`] are not ticks and do not count.
     pub fn scan_skips(&self) -> u64 {
-        let idle = self.idle_ticks * self.channels.len() as u64;
-        idle + self.channels.iter().map(Channel::scan_skips).sum::<u64>()
+        self.idle_channel_ticks + self.channels.iter().map(Channel::scan_skips).sum::<u64>()
     }
 
     /// Requests still queued or in flight.

@@ -70,14 +70,6 @@ impl FaultSchedule {
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
-
-    /// The first injection cycle strictly after `cycle`, if any — the
-    /// event-horizon fast path uses this to cap clock jumps so no
-    /// injection point is skipped over.
-    pub fn next_after(&self, cycle: u64) -> Option<u64> {
-        // The list is sorted, so the first qualifying entry is the minimum.
-        self.faults.iter().map(|f| f.at_mem_cycle).find(|&at| at > cycle)
-    }
 }
 
 #[cfg(test)]
@@ -93,10 +85,6 @@ mod tests {
         ]);
         let cycles: Vec<u64> = s.faults().iter().map(|f| f.at_mem_cycle).collect();
         assert_eq!(cycles, vec![100, 300, 500]);
-        assert_eq!(s.next_after(0), Some(100));
-        assert_eq!(s.next_after(100), Some(300), "strictly after");
-        assert_eq!(s.next_after(499), Some(500));
-        assert_eq!(s.next_after(500), None);
         assert!(!s.is_empty());
     }
 
@@ -104,7 +92,6 @@ mod tests {
     fn default_schedule_is_healthy() {
         let s = FaultSchedule::default();
         assert!(s.is_empty());
-        assert_eq!(s.next_after(0), None);
         assert_eq!(s, FaultSchedule::new(Vec::new()));
     }
 

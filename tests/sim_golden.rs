@@ -1,16 +1,19 @@
 //! Golden pin of the timing simulator's results.
 //!
-//! One FNV-1a digest over every deterministic field of [`SimResult`] for
-//! three cells — mcf on SGX_O, mcf on Synergy, and Synergy/mcf with chip 3
-//! failing at memory cycle 200 — at 20k instructions per core on 2
-//! channels, run once with `fast_forward` on and once with it off.
+//! Two FNV-1a digests over every deterministic field of [`SimResult`], each
+//! over a set of cells on 2 channels run once with `fast_forward` on and
+//! once with it off:
 //!
-//! The expected digest was recorded on the simulator before the DRAM
-//! scheduler was rewritten around per-bank row-hit counts (the two-pass
-//! FR-FCFS scan with a per-request issue horizon). Any change that moves
-//! it changes simulated behaviour, not just host speed: a pure performance
-//! change must leave it alone, and a deliberate model change must say why
-//! it re-records the value.
+//! * the memory-bound pin: mcf on SGX_O, mcf on Synergy, and Synergy/mcf
+//!   with chip 3 failing at memory cycle 200, at 20k instructions per
+//!   core — cores spend most cycles stalled on DRAM;
+//! * the light pin: gobmk and h264ref on SGX_O and Synergy, and
+//!   Synergy/gobmk with chip 3 failing — cache-resident cells whose cores
+//!   mostly run through the non-memory gaps between records.
+//!
+//! Any change that moves a digest changes simulated behaviour, not just
+//! host speed: a pure performance change must leave both alone, and a
+//! deliberate model change must say why it re-records a value.
 
 use synergy_bench::trace_seed;
 use synergy_core::system::{run, SimResult, SystemConfig};
@@ -23,18 +26,34 @@ const INSTS: u64 = 20_000;
 const WARMUP: u64 = 4_000;
 const CHANNELS: usize = 2;
 
-/// Recorded on the pre-rewrite scheduler; see the module docs.
+/// Recorded on the simulator before the DRAM scheduler was rewritten
+/// around per-bank row-hit counts (the two-pass FR-FCFS scan with a
+/// per-request issue horizon).
 const GOLDEN_DIGEST: u64 = 0xe34a_9e6f_4c35_e67b;
 
-fn run_cell(design: DesignConfig, fast_forward: bool, faults: FaultSchedule) -> SimResult {
-    let w = presets::by_name("mcf").expect("workload preset exists");
+/// Instructions per core of the light cells: low-APKI cores retire several
+/// instructions per cycle, so this is still a short run.
+const LIGHT_INSTS: u64 = 60_000;
+/// Recorded on the simulator that stepped every core every CPU cycle and
+/// fast-forwarded only when all cores were stalled, before cores were
+/// given their own wake cycles and closed-form gap runs.
+const LIGHT_GOLDEN_DIGEST: u64 = 0x0eb5_68ab_273f_690f;
+
+fn run_cell(
+    workload: &str,
+    insts: u64,
+    design: DesignConfig,
+    fast_forward: bool,
+    faults: FaultSchedule,
+) -> SimResult {
+    let w = presets::by_name(workload).expect("workload preset exists");
     let mut cfg = SystemConfig::new(design);
     cfg.dram = DramConfig::with_channels(CHANNELS);
     cfg.warmup_records_per_core = WARMUP;
     cfg.fast_forward = fast_forward;
     cfg.fault_schedule = faults;
     let mut trace = MultiCoreTrace::rate_mode(&w, cfg.cores, trace_seed(CHANNELS));
-    run(&cfg, &mut trace, INSTS).expect("simulation config is valid")
+    run(&cfg, &mut trace, insts).expect("simulation config is valid")
 }
 
 /// Folds every simulated (not wall-clock) field of `r` into `h`.
@@ -68,30 +87,68 @@ fn fold(h: &mut u64, r: &SimResult) {
     }
 }
 
-#[test]
-fn simulator_results_match_golden_digest() {
+/// Digests `cells` (workload, design, faults) at `insts` per core, fast
+/// path on then off, checking that every failing cell's fault took effect.
+fn digest(cells: &[(&str, DesignConfig, FaultSchedule)], insts: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for fast_forward in [true, false] {
-        let cells = [
-            (DesignConfig::sgx_o(), FaultSchedule::default()),
-            (DesignConfig::synergy(), FaultSchedule::default()),
-            (
-                DesignConfig::synergy(),
-                FaultSchedule::chip_failure_at(200, 3),
-            ),
-        ];
-        for (design, faults) in cells {
-            let failing = !faults.is_empty();
-            let r = run_cell(design, fast_forward, faults);
-            if failing {
+        for (workload, design, faults) in cells {
+            let r = run_cell(
+                workload,
+                insts,
+                design.clone(),
+                fast_forward,
+                faults.clone(),
+            );
+            if !faults.is_empty() {
                 // Not vacuous: the chip failure must take effect.
                 assert!(
                     r.degraded.detections + r.degraded.due_events > 0,
-                    "fault never hit"
+                    "{workload}/{}: fault never hit",
+                    r.design
                 );
             }
             fold(&mut h, &r);
         }
     }
+    h
+}
+
+#[test]
+fn simulator_results_match_golden_digest() {
+    let h = digest(
+        &[
+            ("mcf", DesignConfig::sgx_o(), FaultSchedule::default()),
+            ("mcf", DesignConfig::synergy(), FaultSchedule::default()),
+            (
+                "mcf",
+                DesignConfig::synergy(),
+                FaultSchedule::chip_failure_at(200, 3),
+            ),
+        ],
+        INSTS,
+    );
     assert_eq!(h, GOLDEN_DIGEST, "simulated results moved: digest {h:#x}");
+}
+
+#[test]
+fn light_cells_match_golden_digest() {
+    let h = digest(
+        &[
+            ("gobmk", DesignConfig::sgx_o(), FaultSchedule::default()),
+            ("gobmk", DesignConfig::synergy(), FaultSchedule::default()),
+            ("h264ref", DesignConfig::sgx_o(), FaultSchedule::default()),
+            ("h264ref", DesignConfig::synergy(), FaultSchedule::default()),
+            (
+                "gobmk",
+                DesignConfig::synergy(),
+                FaultSchedule::chip_failure_at(200, 3),
+            ),
+        ],
+        LIGHT_INSTS,
+    );
+    assert_eq!(
+        h, LIGHT_GOLDEN_DIGEST,
+        "simulated results moved: digest {h:#x}"
+    );
 }

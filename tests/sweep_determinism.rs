@@ -5,13 +5,14 @@
 //!    execute the cells or in what order the work-stealing cursor hands
 //!    them out.
 //! 2. The event-horizon fast path (`SystemConfig::fast_forward`) must be
-//!    an invisible optimization: fast-forwarded runs match a per-cycle
+//!    an invisible optimization: fast-forwarded runs, with cores advanced
+//!    in closed form between their wake cycles, match a per-cycle
 //!    reference run bit for bit.
 //!
 //! Comparison deliberately covers every deterministic field of
 //! [`SimResult`] — IPC is compared via `f64::to_bits`, not a tolerance.
 //! Only wall-clock telemetry (`sim.cycles_per_sec`, `sim.wall_seconds`,
-//! and the fast-path skip counters inside the metric registry) is
+//! and the fast-path skip and step counters inside the metric registry) is
 //! excluded, since it measures the host machine rather than the simulated
 //! one.
 
@@ -27,6 +28,9 @@ use synergy_trace::{presets, MultiCoreTrace};
 /// integration test.
 const INSTS: u64 = 20_000;
 const WARMUP: u64 = 4_000;
+/// Instructions per core of the cache-resident (light) cells, whose cores
+/// retire several instructions per cycle.
+const LIGHT_INSTS: u64 = 60_000;
 
 fn run_cell(design: DesignConfig, workload: &str, channels: usize, fast_forward: bool) -> SimResult {
     run_cell_with_faults(design, workload, channels, fast_forward, FaultSchedule::default())
@@ -39,16 +43,29 @@ fn run_cell_with_faults(
     fast_forward: bool,
     faults: FaultSchedule,
 ) -> SimResult {
+    run_configured(design, workload, channels, INSTS, |cfg| {
+        cfg.fast_forward = fast_forward;
+        cfg.fault_schedule = faults;
+    })
+}
+
+/// Runs one cell with `tweak` applied to its configuration.
+fn run_configured(
+    design: DesignConfig,
+    workload: &str,
+    channels: usize,
+    insts: u64,
+    tweak: impl FnOnce(&mut SystemConfig),
+) -> SimResult {
     let w = presets::by_name(workload).expect("workload preset exists");
     let mut cfg = SystemConfig::new(design);
     cfg.dram = DramConfig::with_channels(channels);
     cfg.warmup_records_per_core = WARMUP;
-    cfg.fast_forward = fast_forward;
-    cfg.fault_schedule = faults;
+    tweak(&mut cfg);
     // The same seed derivation the bench harness uses: cell parameters
     // only, never the design (see `synergy_bench::trace_seed`).
     let mut trace = MultiCoreTrace::rate_mode(&w, cfg.cores, trace_seed(channels));
-    run(&cfg, &mut trace, INSTS).expect("simulation config is valid")
+    run(&cfg, &mut trace, insts).expect("simulation config is valid")
 }
 
 /// Asserts bit-identity on every deterministic field of two results.
@@ -103,20 +120,59 @@ fn parallel_sweep_matches_sequential() {
 fn fast_forward_matches_per_cycle_reference() {
     // One design per memory-system shape: the MAC-heavy baseline and the
     // parity-cached Synergy design stress different fast-path events
-    // (write drains vs metadata fills).
-    for (design, workload) in
-        [(DesignConfig::sgx(), "mcf"), (DesignConfig::synergy(), "pr-web")]
-    {
-        let reference = run_cell(design.clone(), workload, 2, false);
-        let fast = run_cell(design.clone(), workload, 2, true);
-        let what = format!("{} on {workload}", design.name);
+    // (write drains vs metadata fills). The cache-resident gobmk and
+    // h264ref cells keep cores running through non-memory gaps, which the
+    // fast path covers in closed form with per-core wake cycles; the
+    // last cell also samples epochs, so jumps are capped at boundaries.
+    let cells = [
+        (DesignConfig::sgx(), "mcf", INSTS, 0),
+        (DesignConfig::synergy(), "pr-web", INSTS, 0),
+        (DesignConfig::synergy(), "gobmk", LIGHT_INSTS, 0),
+        (DesignConfig::sgx_o(), "h264ref", LIGHT_INSTS, 0),
+        (DesignConfig::sgx_o(), "gobmk", LIGHT_INSTS, 1_000),
+    ];
+    for (design, workload, insts, epoch) in cells {
+        let run_with = |fast_forward| {
+            run_configured(design.clone(), workload, 2, insts, |cfg| {
+                cfg.fast_forward = fast_forward;
+                cfg.telemetry.epoch_mem_cycles = epoch;
+            })
+        };
+        let reference = run_with(false);
+        let fast = run_with(true);
+        let what = format!("{} on {workload} (epoch {epoch})", design.name);
         assert_identical(&reference, &fast, &what);
+        let (registry, ref_registry) = (&fast.telemetry.registry, &reference.telemetry.registry);
+        assert_eq!(
+            registry.epochs(),
+            ref_registry.epochs(),
+            "{what}: epoch samples"
+        );
+        if epoch > 0 {
+            assert!(
+                fast.mem_cycles > 2 * epoch && registry.epochs().len() >= 2,
+                "{what}: run must cross epoch boundaries"
+            );
+        }
         // The fast path must actually engage on these runs — otherwise
         // this test would pass vacuously with the horizon logic broken.
-        let jumps = fast.telemetry.registry.counter("sim.ff_jumps").unwrap_or(0);
+        let jumps = registry.counter("sim.ff_jumps").unwrap_or(0);
         assert!(jumps > 0, "{what}: fast path never engaged");
-        let ref_jumps = reference.telemetry.registry.counter("sim.ff_jumps").unwrap_or(0);
+        let ref_jumps = ref_registry.counter("sim.ff_jumps").unwrap_or(0);
         assert_eq!(ref_jumps, 0, "{what}: reference run must not fast-forward");
+        if insts == LIGHT_INSTS {
+            // Cores in gap runs are not stepped cycle by cycle.
+            let cpu_cycles =
+                fast.mem_cycles * SystemConfig::new(design.clone()).cpu_cycles_per_mem_cycle;
+            let steps = registry
+                .counter("sim.core_steps")
+                .expect("core steps are counted");
+            let cores = fast.core_cycles.len() as u64;
+            assert!(
+                steps < cores * cpu_cycles,
+                "{what}: {steps} core steps over {cpu_cycles} CPU cycles"
+            );
+        }
     }
 }
 
