@@ -11,14 +11,19 @@
 //!   Synergy/gobmk with chip 3 failing — cache-resident cells whose cores
 //!   mostly run through the non-memory gaps between records.
 //!
+//! A third digest pins the span telemetry of both cell sets (fast path
+//! on): the slowest-request exemplars and every `span.*` histogram and
+//! counter in the run's registry.
+//!
 //! Any change that moves a digest changes simulated behaviour, not just
-//! host speed: a pure performance change must leave both alone, and a
+//! host speed: a pure performance change must leave all three alone, and a
 //! deliberate model change must say why it re-records a value.
 
 use synergy_bench::trace_seed;
 use synergy_core::system::{run, SimResult, SystemConfig};
 use synergy_dram::DramConfig;
 use synergy_faultsim::FaultSchedule;
+use synergy_obs::Metric;
 use synergy_secure::DesignConfig;
 use synergy_trace::{presets, MultiCoreTrace};
 
@@ -38,6 +43,11 @@ const LIGHT_INSTS: u64 = 60_000;
 /// fast-forwarded only when all cores were stalled, before cores were
 /// given their own wake cycles and closed-form gap runs.
 const LIGHT_GOLDEN_DIGEST: u64 = 0x0eb5_68ab_273f_690f;
+
+/// Recorded on the simulator that traced spans through a `SpanTracer`
+/// (an id-keyed open-span map holding a `Vec` of events per read), before
+/// spans, load delivery and cycle attribution shared one in-flight table.
+const TELEMETRY_GOLDEN_DIGEST: u64 = 0xc686_7122_6076_c1c8;
 
 fn run_cell(
     workload: &str,
@@ -83,6 +93,25 @@ fn fold(h: &mut u64, r: &SimResult) {
         )
     );
     for b in fields.bytes() {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Folds `r`'s span telemetry into `h`: the slowest-request exemplars,
+/// then every `span.*` histogram (exact snapshot) and counter, in
+/// registry order.
+fn fold_telemetry(h: &mut u64, r: &SimResult) {
+    let mut text = format!("{:?}", r.telemetry.slowest);
+    for (name, metric) in r.telemetry.registry.iter() {
+        if !name.starts_with("span.") {
+            continue;
+        }
+        match metric {
+            Metric::Histogram(hist) => text.push_str(&format!("{name}={}", hist.snapshot_json())),
+            other => text.push_str(&format!("{name}={other:?}")),
+        }
+    }
+    for b in text.bytes() {
         *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
 }
@@ -150,5 +179,35 @@ fn light_cells_match_golden_digest() {
     assert_eq!(
         h, LIGHT_GOLDEN_DIGEST,
         "simulated results moved: digest {h:#x}"
+    );
+}
+
+#[test]
+fn telemetry_matches_golden_digest() {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let memory_bound = [
+        ("mcf", DesignConfig::sgx_o(), FaultSchedule::default()),
+        ("mcf", DesignConfig::synergy(), FaultSchedule::default()),
+        ("mcf", DesignConfig::synergy(), FaultSchedule::chip_failure_at(200, 3)),
+    ];
+    let light = [
+        ("gobmk", DesignConfig::sgx_o(), FaultSchedule::default()),
+        ("gobmk", DesignConfig::synergy(), FaultSchedule::default()),
+        ("h264ref", DesignConfig::sgx_o(), FaultSchedule::default()),
+        ("h264ref", DesignConfig::synergy(), FaultSchedule::default()),
+        ("gobmk", DesignConfig::synergy(), FaultSchedule::chip_failure_at(200, 3)),
+    ];
+    for (cells, insts) in [(&memory_bound[..], INSTS), (&light[..], LIGHT_INSTS)] {
+        for (workload, design, faults) in cells {
+            let r = run_cell(workload, insts, design.clone(), true, faults.clone());
+            // Not vacuous: every cell completes traced reads.
+            assert!(r.telemetry.spans_completed > 0, "{workload}/{}: no spans", r.design);
+            assert!(!r.telemetry.slowest.is_empty(), "{workload}/{}: no exemplars", r.design);
+            fold_telemetry(&mut h, &r);
+        }
+    }
+    assert_eq!(
+        h, TELEMETRY_GOLDEN_DIGEST,
+        "span telemetry moved: digest {h:#x}"
     );
 }
