@@ -13,20 +13,9 @@
 //! minimized reproducers if any functional outcome disagrees with the
 //! analytic verdict.
 
-use synergy_bench::{banner, print_table, write_csv, write_metrics_registry};
+use synergy_bench::{banner, print_table, scaled_arg, write_csv, write_metrics_registry};
 use synergy_campaign::{run, CampaignParams, Design, Outcome};
 use synergy_obs::MetricRegistry;
-
-fn parse_scaled(s: &str) -> Option<u64> {
-    let t = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match t.strip_suffix(['k', 'm', 'b']) {
-        Some(d) if t.ends_with('k') => (d, 1_000),
-        Some(d) if t.ends_with('m') => (d, 1_000_000),
-        Some(d) => (d, 1_000_000_000),
-        None => (t.as_str(), 1),
-    };
-    digits.parse::<u64>().ok().map(|n| n * mult)
-}
 
 fn parse_args() -> CampaignParams {
     let mut params = CampaignParams { injections: 100_000, ..Default::default() };
@@ -38,12 +27,11 @@ fn parse_args() -> CampaignParams {
         match flag.as_str() {
             "--devices" | "--injections" => {
                 let v = value(&flag);
-                params.injections =
-                    parse_scaled(&v).unwrap_or_else(|| panic!("bad count: {v}"));
+                params.injections = scaled_arg(&flag, &v);
             }
             "--seed" => {
                 let v = value(&flag);
-                params.seed = parse_scaled(&v).unwrap_or_else(|| panic!("bad seed: {v}"));
+                params.seed = scaled_arg(&flag, &v);
             }
             "--threads" => {
                 let v = value(&flag);

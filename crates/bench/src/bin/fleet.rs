@@ -22,21 +22,10 @@
 
 use std::path::PathBuf;
 
-use synergy_bench::{banner, print_table, write_csv, write_metrics_registry};
+use synergy_bench::{banner, print_table, scaled_arg, write_csv, write_metrics_registry};
 use synergy_campaign::FabricConfig;
 use synergy_fleet::{run_with_fabric, FleetParams, SHARD_DIMMS};
 use synergy_obs::MetricRegistry;
-
-fn parse_scaled(s: &str) -> Option<u64> {
-    let t = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match t.strip_suffix(['k', 'm', 'b']) {
-        Some(d) if t.ends_with('k') => (d, 1_000),
-        Some(d) if t.ends_with('m') => (d, 1_000_000),
-        Some(d) => (d, 1_000_000_000),
-        None => (t.as_str(), 1),
-    };
-    digits.parse::<u64>().ok().map(|n| n * mult)
-}
 
 fn parse_args() -> (FleetParams, FabricConfig) {
     let mut params = FleetParams { dimms: 1_000_000, ..Default::default() };
@@ -50,7 +39,7 @@ fn parse_args() -> (FleetParams, FabricConfig) {
         match flag.as_str() {
             "--dimms" | "--devices" => {
                 let v = value(&flag);
-                params.dimms = parse_scaled(&v).unwrap_or_else(|| panic!("bad count: {v}"));
+                params.dimms = scaled_arg(&flag, &v);
             }
             "--years" => {
                 let v = value(&flag);
@@ -58,7 +47,7 @@ fn parse_args() -> (FleetParams, FabricConfig) {
             }
             "--seed" => {
                 let v = value(&flag);
-                params.seed = parse_scaled(&v).unwrap_or_else(|| panic!("bad seed: {v}"));
+                params.seed = scaled_arg(&flag, &v);
             }
             "--threads" => {
                 let v = value(&flag);

@@ -74,13 +74,14 @@ pub fn full_sweep() -> bool {
 /// A numeric knob: `default` when `name` is unset; a set value that is not
 /// an unsigned integer exits the process with a message naming both.
 pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    match parse_knob(name, std::env::var(name).ok().as_deref(), default) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
+    parse_knob(name, std::env::var(name).ok().as_deref(), default).unwrap_or_else(|msg| fail(&msg))
+}
+
+/// Prints `error: <msg>` and exits with code 2: how the knobs and the
+/// command-line tools reject malformed input.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// Parses the value of knob `name` (`None` when unset).
@@ -91,6 +92,27 @@ fn parse_knob(name: &str, value: Option<&str>, default: u64) -> Result<u64, Stri
             .parse()
             .map_err(|_| format!("{name}={v:?} is not an unsigned integer")),
     }
+}
+
+/// Parses a count with an optional case-insensitive `k`, `m` or `b`
+/// suffix (×10³, ×10⁶, ×10⁹): `10k`, `2m`, `1b`. An empty or malformed
+/// value, or one past `u64::MAX`, is an error naming the value.
+pub fn parse_scaled(s: &str) -> Result<u64, String> {
+    let t = s.trim().to_ascii_lowercase();
+    let (digits, mult) = match t.strip_suffix(['k', 'm', 'b']) {
+        Some(d) if t.ends_with('k') => (d, 1_000),
+        Some(d) if t.ends_with('m') => (d, 1_000_000),
+        Some(d) => (d, 1_000_000_000),
+        None => (t.as_str(), 1),
+    };
+    let n: u64 = digits.parse().map_err(|_| format!("{s:?} is not a count like 10k, 2m or 1b"))?;
+    n.checked_mul(mult).ok_or_else(|| format!("{s:?} exceeds {}", u64::MAX))
+}
+
+/// The value of command-line flag `flag` as a [`parse_scaled`] count; a
+/// bad value exits with code 2 and a message naming the flag.
+pub fn scaled_arg(flag: &str, value: &str) -> u64 {
+    parse_scaled(value).unwrap_or_else(|msg| fail(&format!("{flag}: {msg}")))
 }
 
 /// The workload list for performance figures: all 29 when `full_sweep()`,
@@ -485,6 +507,22 @@ mod tests {
     }
 
     #[test]
+    fn scaled_counts_parse_with_checked_suffixes() {
+        assert_eq!(parse_scaled("10k"), Ok(10_000));
+        assert_eq!(parse_scaled("2m"), Ok(2_000_000));
+        assert_eq!(parse_scaled("1b"), Ok(1_000_000_000));
+        assert_eq!(parse_scaled(" 7K "), Ok(7_000));
+        assert_eq!(parse_scaled("99999b"), Ok(99_999_000_000_000));
+        // 2·10¹⁹ wraps u64 silently without the checked multiply.
+        let err = parse_scaled("20000000000b").unwrap_err();
+        assert!(err.contains("20000000000b") && err.contains("exceeds"), "{err}");
+        for bad in ["", "k", "-1", "1.5m", "10x"] {
+            let err = parse_scaled(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
     fn env_defaults() {
         assert!(bench_insts() > 0);
         assert!(bench_devices() > 0);
@@ -492,16 +530,18 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_aggregates_and_renders() {
-        use synergy_obs::{SpanPhase, SpanTracer};
-        let mut t = SpanTracer::for_system();
-        t.start(1, 0x40, "data", SpanPhase::LlcMiss, 0);
-        t.complete(1, 50);
-        t.start(2, 0x80, "counter", SpanPhase::LlcMiss, 10);
-        t.complete(2, 100);
+        use synergy_obs::{Span, SpanPhase};
+        let span = |id, addr, label, start, end| Span {
+            id,
+            addr,
+            label,
+            events: vec![(SpanPhase::LlcMiss, start), (SpanPhase::Complete, end)],
+        };
+        let spans = [span(2, 0x80, "counter", 10, 100), span(1, 0x40, "data", 0, 50)];
         let mut reg = MetricRegistry::new();
         reg.set_counter("x", 3);
         let mut snap = MetricsSnapshot::with_top_k(1);
-        snap.add_registry("probe", &reg, &t.slowest(8));
+        snap.add_registry("probe", &reg, &spans);
         let j = snap.to_json();
         assert!(j.contains("\"probe\""), "{j}");
         assert!(j.contains("\"x\":{\"kind\":\"counter\",\"value\":3}"), "{j}");

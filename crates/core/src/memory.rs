@@ -314,6 +314,7 @@ impl SynergyMemory {
         let ctr_addr = self.layout.counter_line_addr(addr);
         // Verify (and correct) the whole counter chain before mutating.
         self.verified_counters(ctr_addr)?;
+        self.repair_parity_group(addr);
 
         // Bump every counter on the path root-down, recomputing MACs with
         // the parent's fresh value (Bonsai update). The chain is collected
@@ -370,7 +371,18 @@ impl SynergyMemory {
         self.check_data_addr(addr)?;
         self.stats.reads += 1;
         let macs_before = self.stats.mac_computations;
+        let (stored, counter, corrected) = self.verified_data(addr)?;
+        let (ciphertext, _) = stored.data_parts();
+        Ok(ReadOutput {
+            data: self.cipher.decrypt(addr, counter, &ciphertext),
+            corrected,
+            mac_computations: (self.stats.mac_computations - macs_before) as u32,
+        })
+    }
 
+    /// Verifies (correcting if need be) the stored data line at `addr`;
+    /// returns it with its counter and whether it was corrected.
+    fn verified_data(&mut self, addr: u64) -> Result<(StoredLine, u64, bool), MemoryError> {
         let ctr_addr = self.layout.counter_line_addr(addr);
         let counters = self.verified_counters(ctr_addr)?;
         let counter = counters[self.layout.counter_slot(addr)];
@@ -391,32 +403,40 @@ impl SynergyMemory {
                     self.lines[i] = candidate;
                     self.stats.preemptive_corrections += 1;
                 }
-                return Ok(ReadOutput {
-                    data: self.cipher.decrypt(addr, counter, &cl),
-                    corrected: fixed,
-                    mac_computations: (self.stats.mac_computations - macs_before) as u32,
-                });
+                return Ok((candidate, counter, fixed));
             }
         }
 
         let (ciphertext, mac) = stored.data_parts();
         self.stats.mac_computations += 1;
         if self.gmac.line_tag(addr, counter, &ciphertext) == mac {
-            return Ok(ReadOutput {
-                data: self.cipher.decrypt(addr, counter, &ciphertext),
-                corrected: false,
-                mac_computations: (self.stats.mac_computations - macs_before) as u32,
-            });
+            return Ok((stored, counter, false));
         }
 
         // §III-B: correction instead of immediate attack declaration.
-        let fixed = self.correct_data_line(addr, counter)?;
-        let (ciphertext, _) = fixed.data_parts();
-        Ok(ReadOutput {
-            data: self.cipher.decrypt(addr, counter, &ciphertext),
-            corrected: true,
-            mac_computations: (self.stats.mac_computations - macs_before) as u32,
-        })
+        Ok((self.correct_data_line(addr, counter)?, counter, true))
+    }
+
+    /// Before `addr`'s slot is rewritten, brings its group's parity line
+    /// back into agreement with the data. A healthy line holds `ParityP =
+    /// XOR of its slots` (one fold to check). Otherwise a slot or ParityP
+    /// is corrupt, and rebuilding ParityP from it would lose Scenario D's
+    /// only copy of the truth: so each other line of the group is verified
+    /// (and corrected) and its slot reset from it. A line that fails
+    /// verification keeps its slot; its own next read reports the attack.
+    fn repair_parity_group(&mut self, addr: u64) {
+        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        let (slots, parity_p) = self.lines[pi].parity_parts();
+        if xor_slices(&slots) == parity_p {
+            return;
+        }
+        let p_slot = self.layout.parity_slot(addr);
+        let first = addr - p_slot as u64 * LINE;
+        for k in (0..8).filter(|&k| k != p_slot) {
+            if let Ok((line, _, _)) = self.verified_data(first + k as u64 * LINE) {
+                self.lines[pi].chips[k] = line.xor_of_nine();
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -26,7 +26,7 @@
 //!   lifecycle: detect → diagnose → track), and the one-time diagnosis
 //!   burst is charged as MAC latency on the detecting load.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use synergy_cache::{CacheConfig, SetAssocCache};
 use synergy_dram::{
@@ -34,7 +34,8 @@ use synergy_dram::{
 };
 use synergy_faultsim::FaultSchedule;
 use synergy_obs::{
-    AttribBucket, CycleAttribution, MetricRegistry, Observe, Span, SpanPhase, SpanTracer,
+    AttribBucket, CycleAttribution, MetricRegistry, Observe, ReadTimes, RequestLedger, Span,
+    SpanPhase,
 };
 use synergy_secure::layout::Region;
 use synergy_secure::{DesignConfig, Expansion, SecureEngine};
@@ -151,8 +152,8 @@ pub struct TelemetryConfig {
     /// Memory cycles between epoch samples of the metric registry into the
     /// time-series exported with the run (0 disables sampling).
     pub epoch_mem_cycles: u64,
-    /// Whether to trace individual request lifecycles (bounded cost:
-    /// fixed-capacity open table + ring + top-K).
+    /// Whether to trace read lifecycles (bounded: at most 4096 traced reads
+    /// open at once, phase histograms over all, the `top_k` slowest kept).
     pub trace_spans: bool,
     /// How many slowest requests to retain with per-phase breakdowns.
     pub top_k: usize,
@@ -271,9 +272,9 @@ pub struct Telemetry {
     /// The slowest traced requests, descending by latency, with
     /// per-phase cycle breakdowns.
     pub slowest: Vec<Span>,
-    /// Spans completed by the tracer.
+    /// Traced reads completed.
     pub spans_completed: u64,
-    /// Spans dropped because the tracer's open table was full.
+    /// Reads left untraced: 4096 were already open, or tracing is off.
     pub spans_dropped: u64,
 }
 
@@ -596,140 +597,63 @@ struct Scratch {
     cascade_exp: Expansion,
     /// Worklist of dirty data lines awaiting writeback expansion.
     pending: Vec<u64>,
-    /// Request ids the load being issued blocks on.
-    blocking: Vec<u64>,
 }
 
-/// Hasher for request-id keyed maps. Ids are sequential `u64`s handed out
-/// by [`MemSide::push_request`], so Fibonacci multiplicative hashing
-/// scatters them perfectly well and costs one multiply instead of
-/// SipHash's full pass. The maps are only ever probed by key — iteration
-/// order is never observed — so this cannot affect determinism.
-#[derive(Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Request-id maps only ever hash u64 keys; route any other use
-        // through a simple byte fold for correctness.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdHashMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<IdHasher>>;
-
-/// The memory side of the system — DRAM, its back-pressure queue, the
-/// outstanding-load map, request-id allocation and the request tracer —
-/// bundled so the issue path threads one mutable handle instead of five
-/// parallel loose references.
+/// The memory side of the system — DRAM, its back-pressure queue,
+/// request-id allocation and the ledger of in-flight reads — bundled so
+/// the issue path threads one mutable handle instead of loose references.
 struct MemSide {
     dram: MemorySystem,
     /// Requests the DRAM queues rejected, replayed in order.
     deferred: VecDeque<Request>,
-    /// Request id → (core, rob position) for loads blocking retirement.
-    load_map: IdHashMap<(usize, u64)>,
     next_id: u64,
-    tracer: SpanTracer,
+    /// Every outstanding read (its waiting load and phase stamps), folded
+    /// at completion into spans and cycle attribution.
+    ledger: RequestLedger,
     /// Reused DRAM drain buffer (avoids a `Vec` allocation per cycle).
     completions: Vec<synergy_dram::Completion>,
-    /// Cycle attribution ledger (one row per [`RequestClass`]).
-    attrib: CycleAttribution,
-    /// Whether attribution hooks record anything.
-    attrib_on: bool,
-    /// Request id → cycle `push_request` accepted it; the completion hook
-    /// telescopes push→enqueue→bank-ready→issue→complete into buckets.
-    push_cycle: IdHashMap<u64>,
-    /// DDR timing (copied out of the DRAM config so the completion loop
-    /// can consult refresh geometry without re-borrowing the system).
-    timing: synergy_dram::TimingParams,
 }
 
 impl MemSide {
-    fn new(dram: MemorySystem, tracer: SpanTracer, attrib_on: bool) -> Self {
-        let timing = dram.config().timing;
+    fn new(dram: MemorySystem, t: &TelemetryConfig) -> Self {
+        // With tracing off no read is traced: every one counts as dropped.
+        let (spans, top_k) = if t.trace_spans { (4096, t.top_k) } else { (0, 0) };
+        let classes = RequestClass::ALL.map(|c| c.name());
         Self {
             dram,
             deferred: VecDeque::new(),
-            load_map: IdHashMap::default(),
             next_id: 1,
-            tracer,
+            ledger: RequestLedger::new(&classes, spans, top_k, t.attribution),
             completions: Vec::with_capacity(64),
-            attrib: CycleAttribution::new(&RequestClass::ALL.map(|c| c.name())),
-            attrib_on,
-            push_cycle: IdHashMap::default(),
-            timing,
         }
     }
 
-    /// The attribution ledger, if enabled (for publication).
-    fn attribution(&self) -> Option<&CycleAttribution> {
-        self.attrib_on.then_some(&self.attrib)
+    /// Charges a data access that never reached DRAM (an LLC hit, the
+    /// §III-B ≤9-MAC diagnosis burst) to one attribution bucket.
+    fn charge(&mut self, bucket: AttribBucket, cycles: u64) {
+        self.ledger.charge(RequestClass::Data.index(), bucket, cycles);
     }
 
-    /// Charges an LLC hit's fixed latency to the `LlcHit` bucket.
-    fn note_llc_hit(&mut self, latency: u64) {
-        if self.attrib_on {
-            let class = RequestClass::Data.index();
-            self.attrib.record(class, AttribBucket::LlcHit, latency);
-            self.attrib.close_request(class, latency);
-        }
-    }
-
-    /// Charges an on-controller crypto stall (e.g. the §III-B ≤9-MAC
-    /// diagnosis burst) to the `CryptoWork` bucket.
-    fn note_crypto_stall(&mut self, cycles: u64) {
-        if self.attrib_on {
-            let class = RequestClass::Data.index();
-            self.attrib.record(class, AttribBucket::CryptoWork, cycles);
-            self.attrib.close_request(class, cycles);
-        }
-    }
-
-    /// Advances DRAM one cycle: delivers completions (closing spans and
-    /// unblocking loads) and replays deferred requests into freed queues.
-    /// Every core a completion reaches, and every core once back-pressure
-    /// is released, is brought up to CPU cycle `now` and woken there.
+    /// Advances DRAM one cycle: closes completed reads in the ledger
+    /// (unblocking their loads) and replays deferred requests into freed
+    /// queues. Every core a completion reaches, and every core once
+    /// back-pressure is released, is brought up to CPU cycle `now` and
+    /// woken there.
     fn tick(&mut self, cores: &mut [Core], cycle: u64, now: u64) {
         let mut buf = std::mem::take(&mut self.completions);
         buf.clear();
         self.dram.tick_into(&mut buf);
-        for completion in buf.drain(..) {
-            self.tracer
-                .event(completion.id, SpanPhase::DramIssue, completion.issue_cycle);
-            self.tracer.complete(completion.id, cycle);
-            if let Some(push) = self.push_cycle.remove(&completion.id) {
-                // Telescoping decomposition push → enqueue → bank-ready →
-                // issue → complete: every cycle lands in exactly one
-                // bucket, so the ledger conserves end-to-end latency by
-                // construction (zero tolerance — see tests/attribution.rs).
-                let class = completion.class.index();
-                let enq = completion.enqueue_cycle.max(push);
-                let ready = completion.bank_ready_cycle.clamp(enq, completion.issue_cycle);
-                let issue = completion.issue_cycle.max(ready).min(cycle);
-                let refresh = self.timing.refresh_overlap(enq, ready);
-                self.attrib.record(
-                    class,
-                    AttribBucket::QueueWait,
-                    (enq - push) + (issue - ready),
-                );
-                self.attrib.record(class, AttribBucket::RefreshStall, refresh);
-                self.attrib.record(class, AttribBucket::BankBusy, (ready - enq) - refresh);
-                self.attrib.record(class, AttribBucket::BusTransfer, cycle - issue);
-                self.attrib.close_request(class, cycle - push);
-            }
-            if let Some((core, pos)) = self.load_map.remove(&completion.id) {
+        let timing = &self.dram.config().timing;
+        for c in buf.drain(..) {
+            let times = ReadTimes {
+                enqueue: c.enqueue_cycle,
+                bank_ready: c.bank_ready_cycle,
+                issue: c.issue_cycle,
+                complete: cycle,
+            };
+            if let Some((core, pos)) =
+                self.ledger.close(c.id, times, |from, to| timing.refresh_overlap(from, to))
+            {
                 cores[core].deliver(pos, now);
             }
         }
@@ -737,7 +661,7 @@ impl MemSide {
         let backpressure = self.has_backpressure();
         while let Some(req) = self.deferred.front().copied() {
             if self.dram.enqueue(req) {
-                self.tracer.event(req.id, SpanPhase::DramEnqueue, cycle);
+                self.ledger.stamp(req.id, SpanPhase::DramEnqueue, cycle);
                 self.deferred.pop_front();
             } else {
                 break;
@@ -753,31 +677,31 @@ impl MemSide {
         }
     }
 
-    /// Enqueues an access (deferring on full queues) and traces reads
-    /// through their lifecycle phases.
-    fn push_request(&mut self, spec: synergy_secure::AccessSpec, cycle: u64) -> u64 {
+    /// Enqueues an access (deferring on full queues) and opens a read in
+    /// the ledger, with the `(core, ROB position)` of the load it blocks,
+    /// if any. Writes are posted (they never complete), so only reads are
+    /// tracked.
+    fn push_request(
+        &mut self,
+        spec: synergy_secure::AccessSpec,
+        cycle: u64,
+        load: Option<(usize, u64)>,
+    ) {
         let id = self.next_id;
         self.next_id += 1;
         if spec.kind == AccessKind::Read {
-            // Writes are posted (no completion event to close the span),
-            // so only reads are traced and attributed.
-            if self.attrib_on {
-                self.push_cycle.insert(id, cycle);
-            }
-            self.tracer
-                .start(id, spec.addr, spec.class.name(), SpanPhase::LlcMiss, cycle);
-            self.tracer.event(id, SpanPhase::EngineExpand, cycle);
+            self.ledger.open(id, spec.class.index(), spec.addr, cycle, load);
+            self.ledger.stamp(id, SpanPhase::EngineExpand, cycle);
             if spec.class != RequestClass::Data {
-                self.tracer.event(id, SpanPhase::MetaCacheProbe, cycle);
+                self.ledger.stamp(id, SpanPhase::MetaCacheProbe, cycle);
             }
         }
         let req = Request { id, addr: spec.addr, kind: spec.kind, class: spec.class, core: 0 };
         if !self.deferred.is_empty() || !self.dram.enqueue(req) {
             self.deferred.push_back(req);
         } else {
-            self.tracer.event(id, SpanPhase::DramEnqueue, cycle);
+            self.ledger.stamp(id, SpanPhase::DramEnqueue, cycle);
         }
-        id
     }
 
     fn has_backpressure(&self) -> bool {
@@ -859,12 +783,7 @@ pub fn run(
     let mut cores: Vec<Core> = (0..cfg.cores)
         .map(|_| Core::new(instructions_per_core, pipe))
         .collect();
-    let tracer = if cfg.telemetry.trace_spans {
-        SpanTracer::new(4096, cfg.telemetry.top_k)
-    } else {
-        SpanTracer::disabled()
-    };
-    let mut mem = MemSide::new(dram, tracer, cfg.telemetry.attribution);
+    let mut mem = MemSide::new(dram, &cfg.telemetry);
     let mut registry = MetricRegistry::new();
     let wall = synergy_obs::Stopwatch::start();
     let mut ff_jumps: u64 = 0;
@@ -953,7 +872,7 @@ pub fn run(
                 mem.dram.stats(),
                 llc.stats(),
                 &engine,
-                mem.attribution(),
+                mem.ledger.attribution(),
             );
             registry.sample_epoch(mem_cycle);
         }
@@ -1021,13 +940,13 @@ pub fn run(
 
     // Final metric publication, plus the system-level metrics only this
     // layer knows.
-    publish_components(&mut registry, &stats, llc.stats(), &engine, mem.attribution());
+    publish_components(&mut registry, &stats, llc.stats(), &engine, mem.ledger.attribution());
     registry.set_counter("core.system.instructions", total_insts);
     registry.set_counter("core.system.mem_cycles", mem_cycle);
     registry.set_gauge("core.system.ipc", ipc);
     registry.set_gauge("core.system.seconds", seconds);
-    registry.set_counter("core.system.spans_completed", mem.tracer.completed());
-    registry.set_counter("core.system.spans_dropped", mem.tracer.dropped());
+    registry.set_counter("core.system.spans_completed", mem.ledger.completed());
+    registry.set_counter("core.system.spans_dropped", mem.ledger.dropped());
     // Simulator-throughput metrics: wall-clock speed and how much work the
     // event-horizon fast path saved. These describe the simulator itself,
     // not the simulated system, and are the only wall-clock-dependent
@@ -1043,16 +962,13 @@ pub fn run(
     // and ticked cycle (see `MemorySystem::scan_skips`); cycles the fast
     // path jumps are not ticked and do not count.
     registry.set_counter("sim.issue_scan_skips", mem.dram.scan_skips());
-    mem.tracer.observe("span", &mut registry);
-    debug_assert!(
-        mem.attrib.verify().is_ok(),
-        "cycle-attribution conservation violated: {}",
-        mem.attrib.verify().unwrap_err()
-    );
+    mem.ledger.observe("span", &mut registry);
+    let attrib = mem.ledger.attribution().cloned().unwrap_or_default();
+    debug_assert_eq!(attrib.verify(), Ok(()), "cycle attribution must conserve latency");
     let telemetry = Telemetry {
-        slowest: mem.tracer.slowest(cfg.telemetry.top_k),
-        spans_completed: mem.tracer.completed(),
-        spans_dropped: mem.tracer.dropped(),
+        slowest: mem.ledger.slowest(cfg.telemetry.top_k),
+        spans_completed: mem.ledger.completed(),
+        spans_dropped: mem.ledger.dropped(),
         registry,
     };
 
@@ -1072,7 +988,7 @@ pub fn run(
         metadata_cache: *engine.metadata_cache_stats(),
         llc: *llc.stats(),
         telemetry,
-        attrib: if mem.attrib_on { mem.attrib } else { CycleAttribution::default() },
+        attrib,
     })
 }
 
@@ -1160,10 +1076,10 @@ fn step_core(
             if llc.read(addr) {
                 core.loads.push_back(OutstandingLoad { pos, remaining: 1 });
                 core.llc_hits.push((mem_cycle + cfg.llc_hit_latency, pos));
-                mem.note_llc_hit(cfg.llc_hit_latency);
+                mem.charge(AttribBucket::LlcHit, cfg.llc_hit_latency);
             } else {
-                let diagnosis = issue_load_miss(addr, engine, llc, mem, mem_cycle, scratch);
-                let mut remaining = scratch.blocking.len() as u32;
+                let (mut remaining, diagnosis) =
+                    issue_load_miss(addr, (core_idx, pos), engine, llc, mem, mem_cycle, scratch);
                 if diagnosis {
                     // First detection of the failed chip: the trial-
                     // reconstruction burst recomputes MACs serially before
@@ -1175,13 +1091,10 @@ fn step_core(
                     if delay > 0 {
                         remaining += 1;
                         core.llc_hits.push((mem_cycle + delay, pos));
-                        mem.note_crypto_stall(delay);
+                        mem.charge(AttribBucket::CryptoWork, delay);
                     }
                 }
                 core.loads.push_back(OutstandingLoad { pos, remaining });
-                for &id in &scratch.blocking {
-                    mem.load_map.insert(id, (core_idx, pos));
-                }
             }
         }
         core.pending = None;
@@ -1190,23 +1103,24 @@ fn step_core(
     }
 }
 
-/// Expands and issues a load miss; leaves the request ids the load blocks
-/// on in `scratch.blocking` — the data read plus the counter-chain reads
-/// (the counter is needed for decryption, tree nodes for its verification
-/// — all fetched in parallel) — and returns whether this read performed
-/// the one-time failed-chip diagnosis burst (the caller charges its MAC
-/// latency). MAC reads verify off the critical path (the paper's
-/// speculative-use assumption); parity/writeback traffic is posted, and
-/// the degraded parity-line fetch follows the same rule (reconstruction
-/// pipelines with verification).
+/// Expands and issues a load miss for `load` (core, ROB position). Returns
+/// how many reads the load blocks on — the data read plus the
+/// counter-chain reads (the counter is needed for decryption, tree nodes
+/// for its verification — all fetched in parallel) — and whether this
+/// read performed the one-time failed-chip diagnosis burst (the caller
+/// charges its MAC latency). MAC reads verify off the critical path (the
+/// paper's speculative-use assumption); parity/writeback traffic is
+/// posted, and the degraded parity-line fetch follows the same rule
+/// (reconstruction pipelines with verification).
 fn issue_load_miss(
     addr: u64,
+    load: (usize, u64),
     engine: &mut SecureEngine,
     llc: &mut SetAssocCache,
     mem: &mut MemSide,
     cycle: u64,
     scratch: &mut Scratch,
-) -> bool {
+) -> (u32, bool) {
     engine.expand_read_into(addr, llc, &mut scratch.exp);
     // In a MAC-tree (non-Bonsai) design like IVEC, the MAC chain *is* the
     // integrity mechanism: its fetches gate data use. Bonsai designs
@@ -1217,9 +1131,8 @@ fn issue_load_miss(
     // PoisonIvy-style speculation (§VII-B): unverified data is consumed
     // immediately; metadata fetches cost bandwidth only.
     let speculative = engine.design().speculative_verification;
-    scratch.blocking.clear();
+    let mut blocking = 0;
     for spec in &scratch.exp.accesses {
-        let id = mem.push_request(*spec, cycle);
         let blocks = spec.kind == AccessKind::Read
             && match spec.class {
                 RequestClass::Data => true,
@@ -1227,16 +1140,15 @@ fn issue_load_miss(
                 RequestClass::Mac => mac_blocks && !speculative,
                 RequestClass::Parity => false,
             };
-        if blocks {
-            scratch.blocking.push(id);
-        }
+        blocking += u32::from(blocks);
+        mem.push_request(*spec, cycle, blocks.then_some(load));
     }
     // Fill the data line; handle displaced lines.
     fill_data_line(addr, false, engine, llc, mem, cycle, scratch);
     scratch.pending.clear();
     scratch.pending.extend_from_slice(&scratch.exp.evicted_dirty_data);
     cascade_writebacks(engine, llc, mem, cycle, scratch);
-    scratch.exp.diagnosis
+    (blocking, scratch.exp.diagnosis)
 }
 
 /// A store: write-allocate into the LLC; dirty evictions become
@@ -1257,7 +1169,7 @@ fn issue_store(
         if cfg.store_miss == StoreMissPolicy::FetchAndVerify {
             engine.expand_read_into(addr, llc, &mut scratch.exp);
             for spec in &scratch.exp.accesses {
-                mem.push_request(*spec, cycle);
+                mem.push_request(*spec, cycle, None);
             }
             fill_data_line(addr, true, engine, llc, mem, cycle, scratch);
             scratch.pending.clear();
@@ -1292,7 +1204,7 @@ fn fill_data_line(
                         kind: AccessKind::Write,
                         class: engine.class_of(ev.addr),
                     };
-                    mem.push_request(spec, cycle);
+                    mem.push_request(spec, cycle, None);
                 }
             }
         }
@@ -1313,7 +1225,7 @@ fn cascade_writebacks(
     while let Some(addr) = scratch.pending.pop() {
         engine.expand_writeback_into(addr, llc, &mut scratch.cascade_exp);
         for spec in &scratch.cascade_exp.accesses {
-            mem.push_request(*spec, cycle);
+            mem.push_request(*spec, cycle, None);
         }
         scratch.pending.extend_from_slice(&scratch.cascade_exp.evicted_dirty_data);
     }

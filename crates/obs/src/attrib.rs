@@ -4,7 +4,7 @@
 //! [`AttribBucket`], accumulated per request class (data / counter / tree /
 //! mac / parity). The invariant that makes the numbers trustworthy is
 //! *conservation*: for every closed request, the sum of the bucket
-//! increments recorded for it equals its end-to-end latency, so
+//! increments closed with it equals its end-to-end latency, so
 //! [`CycleAttribution::total_cycles`] always equals
 //! [`CycleAttribution::check_cycles`]. [`CycleAttribution::verify`] checks
 //! this independently of how callers decomposed each request.
@@ -85,10 +85,10 @@ impl AttribBucket {
 
 /// Per-class × per-bucket cycle accumulator with a conservation check.
 ///
-/// `record` deposits cycles into cells; `close_request` declares a
-/// request's end-to-end latency. When every request's deposits sum to its
-/// declared latency, `total_cycles() == check_cycles()` and
-/// [`CycleAttribution::verify`] passes.
+/// [`CycleAttribution::close_request`] deposits one request's cycles into
+/// cells and declares its end-to-end latency. When every request's
+/// deposits sum to its declared latency, `total_cycles() ==
+/// check_cycles()` and [`CycleAttribution::verify`] passes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CycleAttribution {
     classes: Vec<&'static str>,
@@ -118,15 +118,14 @@ impl CycleAttribution {
         &self.classes
     }
 
-    /// Deposit `cycles` into the (`class`, `bucket`) cell.
-    pub fn record(&mut self, class: usize, bucket: AttribBucket, cycles: u64) {
-        self.cells[class][bucket.index()] += cycles;
-    }
-
-    /// Declare a finished request of `class` with the given end-to-end
-    /// latency. The deposits previously recorded for it must sum to
-    /// exactly `end_to_end` for the conservation check to hold.
-    pub fn close_request(&mut self, class: usize, end_to_end: u64) {
+    /// Close a finished request of `class`: deposit each `(bucket,
+    /// cycles)` into its cell and declare the end-to-end latency. The
+    /// deposits must sum to exactly `end_to_end` for the conservation
+    /// check to hold.
+    pub fn close_request(&mut self, class: usize, cycles: &[(AttribBucket, u64)], end_to_end: u64) {
+        for &(bucket, c) in cycles {
+            self.cells[class][bucket.index()] += c;
+        }
         self.requests[class] += 1;
         self.check_cycles += end_to_end;
     }
@@ -277,13 +276,10 @@ mod tests {
     use super::*;
 
     fn sample() -> CycleAttribution {
+        use AttribBucket::*;
         let mut a = CycleAttribution::new(&["data", "counter"]);
-        a.record(0, AttribBucket::QueueWait, 10);
-        a.record(0, AttribBucket::BusTransfer, 15);
-        a.close_request(0, 25);
-        a.record(1, AttribBucket::BankBusy, 7);
-        a.record(1, AttribBucket::RefreshStall, 3);
-        a.close_request(1, 10);
+        a.close_request(0, &[(QueueWait, 10), (BusTransfer, 15)], 25);
+        a.close_request(1, &[(BankBusy, 7), (RefreshStall, 3)], 10);
         a
     }
 
@@ -299,7 +295,7 @@ mod tests {
     #[test]
     fn conservation_catches_lost_cycles() {
         let mut a = sample();
-        a.close_request(0, 1); // declared latency with no matching deposit
+        a.close_request(0, &[], 1); // declared latency with no matching deposit
         let err = a.verify().unwrap_err();
         assert!(err.contains("diff 1"), "{err}");
     }

@@ -278,7 +278,7 @@ pub fn write_file(path: &Path, content: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{SpanPhase, SpanTracer};
+    use crate::span::SpanPhase;
 
     #[test]
     fn escaping_controls_and_quotes() {
@@ -314,13 +314,18 @@ mod tests {
 
     #[test]
     fn span_json_has_phase_breakdown() {
-        let mut t = SpanTracer::for_system();
-        t.start(9, 0x40, "data", SpanPhase::LlcMiss, 100);
-        t.event(9, SpanPhase::DramEnqueue, 101);
-        t.event(9, SpanPhase::DramIssue, 130);
-        t.complete(9, 140);
-        let spans = t.slowest(1);
-        let j = spans_to_json(&spans);
+        let span = Span {
+            id: 9,
+            addr: 0x40,
+            label: "data",
+            events: vec![
+                (SpanPhase::LlcMiss, 100),
+                (SpanPhase::DramEnqueue, 101),
+                (SpanPhase::DramIssue, 130),
+                (SpanPhase::Complete, 140),
+            ],
+        };
+        let j = spans_to_json(&[span]);
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains("\"latency\":40"));
         assert!(j.contains("\"phase\":\"dram_issue\""));

@@ -12,11 +12,12 @@
 //!   histograms. Components publish into it via [`Observe`]; periodic
 //!   [`MetricRegistry::sample_epoch`] calls build a time-series of every
 //!   scalar metric.
-//! * [`SpanTracer`] — bounded request-lifecycle tracing (LLC miss →
-//!   engine expansion → metadata-cache probe → DRAM enqueue → issue →
-//!   complete) that retains the K slowest requests with per-phase
-//!   breakdowns, folding every completed span into per-phase duration
-//!   histograms.
+//! * [`RequestLedger`] — the one table of in-flight DRAM reads, indexed
+//!   by request id. Each record carries the read's waiting load and a
+//!   cycle stamp per [`SpanPhase`] (LLC miss → engine expansion →
+//!   metadata-cache probe → DRAM enqueue → issue → complete) and is folded
+//!   once at completion into the attribution matrix, per-phase duration
+//!   histograms and the K slowest requests, kept as [`Span`]s.
 //! * [`CycleAttribution`] — per-request-class × per-bucket cycle
 //!   accounting ("where did my cycles go") with a zero-tolerance
 //!   conservation invariant: buckets sum to end-to-end latency.
@@ -40,6 +41,7 @@ pub mod export;
 pub mod hist;
 pub mod inline_vec;
 pub mod json;
+pub mod ledger;
 pub mod registry;
 pub mod shard;
 pub mod span;
@@ -50,7 +52,8 @@ pub use attrib::{AttribBucket, CycleAttribution};
 pub use hist::{HistogramSummary, LogHistogram};
 pub use inline_vec::InlineVec;
 pub use json::Json;
+pub use ledger::{ReadTimes, RequestLedger};
 pub use registry::{metric_name, EpochSample, Metric, MetricRegistry, Observe};
-pub use span::{Span, SpanPhase, SpanTracer};
+pub use span::{Span, SpanPhase};
 pub use stopwatch::Stopwatch;
 pub use trace_export::ChromeTrace;

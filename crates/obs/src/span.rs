@@ -1,23 +1,11 @@
-//! Request-lifecycle tracing.
+//! Request-lifecycle spans.
 //!
-//! A [`SpanTracer`] follows individual memory requests through the
-//! simulation pipeline — LLC miss, secure-engine expansion, metadata-cache
-//! probe, DRAM enqueue, DRAM issue, completion — with a cycle timestamp per
-//! phase. Storage is strictly bounded: a fixed-capacity table of open
-//! spans plus a top-K set of the slowest requests seen so far. When the
-//! open table is full, new requests are counted as dropped rather than
-//! tracked, so tracing cost stays O(1) per event regardless of run length.
-//!
-//! Individual spans that don't rank among the slowest are not retained,
-//! but their shape survives: at [`SpanTracer::complete`] time every span's
-//! per-phase durations and end-to-end latency are folded into
-//! [`LogHistogram`]s, so phase latency *distributions* cover the whole
-//! run even though only K exemplar spans are kept.
-
-use std::collections::HashMap;
-
-use crate::hist::LogHistogram;
-use crate::registry::{metric_name, MetricRegistry, Observe};
+//! A [`Span`] is one memory request's journey through the simulation
+//! pipeline — LLC miss, secure-engine expansion, metadata-cache probe,
+//! DRAM enqueue, DRAM issue, completion — with a cycle timestamp per
+//! [`SpanPhase`]. The [`crate::RequestLedger`] builds spans only for the
+//! slowest requests it keeps as exemplars; the exporters
+//! ([`crate::export::spans_to_json`], [`crate::ChromeTrace`]) render them.
 
 /// Lifecycle phases of a traced request, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,7 +80,7 @@ pub struct Span {
 }
 
 impl Span {
-    /// Cycle of the first event (0 if none — not constructible via the tracer).
+    /// Cycle of the first event (0 if none).
     pub fn start_cycle(&self) -> u64 {
         self.events.first().map_or(0, |&(_, c)| c)
     }
@@ -123,255 +111,5 @@ impl Span {
                 (p, next.saturating_sub(c))
             })
             .collect()
-    }
-}
-
-/// Bounded tracer: open-span table + top-K slowest + phase histograms.
-#[derive(Debug, Clone, Default)]
-pub struct SpanTracer {
-    open: HashMap<u64, Span>,
-    open_capacity: usize,
-    /// Slowest completed spans, ascending by latency, len ≤ `top_k`.
-    slowest: Vec<Span>,
-    top_k: usize,
-    /// Duration-in-phase distribution per [`SpanPhase`], folded at
-    /// `complete()` time over *every* completed span.
-    phase_cycles: [LogHistogram; SpanPhase::ALL.len()],
-    /// End-to-end latency distribution over every completed span.
-    latency: LogHistogram,
-    started: u64,
-    completed: u64,
-    dropped: u64,
-}
-
-impl SpanTracer {
-    /// A tracer with the given open-table and top-K capacities.
-    pub fn new(open_capacity: usize, top_k: usize) -> Self {
-        Self {
-            open: HashMap::with_capacity(open_capacity.min(4096)),
-            open_capacity,
-            slowest: Vec::with_capacity(top_k.min(256)),
-            top_k,
-            phase_cycles: core::array::from_fn(|_| LogHistogram::new()),
-            latency: LogHistogram::new(),
-            started: 0,
-            completed: 0,
-            dropped: 0,
-        }
-    }
-
-    /// A tracer sized for system-simulation use: 4096 concurrent requests,
-    /// top-16 slowest.
-    pub fn for_system() -> Self {
-        Self::new(4096, 16)
-    }
-
-    /// A disabled tracer: drops every request at `start`.
-    pub fn disabled() -> Self {
-        Self::new(0, 0)
-    }
-
-    /// Opens a span for request `id`, recording its first phase event.
-    /// Counted as dropped (and ignored) when the open table is full.
-    pub fn start(&mut self, id: u64, addr: u64, label: &'static str, phase: SpanPhase, cycle: u64) {
-        self.started += 1;
-        if self.open.len() >= self.open_capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.open
-            .insert(id, Span { id, addr, label, events: vec![(phase, cycle)] });
-    }
-
-    /// Appends a phase event to request `id`'s span, if it is tracked.
-    pub fn event(&mut self, id: u64, phase: SpanPhase, cycle: u64) {
-        if let Some(span) = self.open.get_mut(&id) {
-            span.events.push((phase, cycle));
-        }
-    }
-
-    /// Completes request `id`'s span: records the final event, folds the
-    /// span's phase durations and latency into the histograms, and keeps
-    /// the span itself if it ranks among the slowest.
-    pub fn complete(&mut self, id: u64, cycle: u64) {
-        let Some(mut span) = self.open.remove(&id) else { return };
-        span.events.push((SpanPhase::Complete, cycle));
-        self.completed += 1;
-
-        let lat = span.total_latency();
-        self.latency.record(lat);
-        let durations = span.phase_durations();
-        // The terminal event's duration is 0 by construction; skip it so
-        // the `complete` histogram doesn't fill with tautological zeros.
-        for &(phase, d) in durations.iter().take(durations.len().saturating_sub(1)) {
-            self.phase_cycles[phase.index()].record(d);
-        }
-
-        if self.top_k > 0 {
-            if self.slowest.len() < self.top_k {
-                self.slowest.push(span);
-                self.slowest.sort_by_key(Span::total_latency);
-            } else if lat > self.slowest[0].total_latency() {
-                self.slowest[0] = span;
-                self.slowest.sort_by_key(Span::total_latency);
-            }
-        }
-    }
-
-    /// The slowest completed spans, descending by latency, at most `k`.
-    pub fn slowest(&self, k: usize) -> Vec<Span> {
-        let mut out: Vec<Span> = self.slowest.iter().rev().take(k).cloned().collect();
-        out.sort_by_key(|s| core::cmp::Reverse(s.total_latency()));
-        out
-    }
-
-    /// Duration-in-phase distribution for one phase, over every span
-    /// completed so far (not just the retained top-K).
-    pub fn phase_histogram(&self, phase: SpanPhase) -> &LogHistogram {
-        &self.phase_cycles[phase.index()]
-    }
-
-    /// End-to-end latency distribution over every completed span.
-    pub fn latency_histogram(&self) -> &LogHistogram {
-        &self.latency
-    }
-
-    /// Spans opened (including ones dropped for capacity).
-    pub fn started(&self) -> u64 {
-        self.started
-    }
-
-    /// Spans completed.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Spans dropped because the open table was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Currently open (started, not yet completed) spans.
-    pub fn open_len(&self) -> usize {
-        self.open.len()
-    }
-}
-
-impl Observe for SpanTracer {
-    /// Publishes `<prefix>.phase_cycles.<phase>` and `<prefix>.latency`
-    /// histograms plus the started/completed/dropped counters.
-    fn observe(&self, prefix: &str, registry: &mut MetricRegistry) {
-        for phase in SpanPhase::ALL {
-            let h = self.phase_histogram(phase);
-            if h.count() > 0 {
-                registry.set_histogram(&metric_name(prefix, &format!("phase_cycles.{phase}")), h);
-            }
-        }
-        if self.latency.count() > 0 {
-            registry.set_histogram(&metric_name(prefix, "latency"), &self.latency);
-        }
-        registry.set_counter(&metric_name(prefix, "started"), self.started);
-        registry.set_counter(&metric_name(prefix, "completed"), self.completed);
-        registry.set_counter(&metric_name(prefix, "dropped"), self.dropped);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn trace_one(t: &mut SpanTracer, id: u64, start: u64, issue: u64, end: u64) {
-        t.start(id, 0x1000 + id, "data", SpanPhase::LlcMiss, start);
-        t.event(id, SpanPhase::EngineExpand, start);
-        t.event(id, SpanPhase::DramEnqueue, start + 1);
-        t.event(id, SpanPhase::DramIssue, issue);
-        t.complete(id, end);
-    }
-
-    #[test]
-    fn lifecycle_records_all_phases() {
-        let mut t = SpanTracer::for_system();
-        trace_one(&mut t, 1, 100, 140, 150);
-        assert_eq!(t.completed(), 1);
-        assert_eq!(t.open_len(), 0);
-        let spans = t.slowest(10);
-        assert_eq!(spans.len(), 1);
-        let s = &spans[0];
-        assert_eq!(s.total_latency(), 50);
-        assert_eq!(s.cycle_of(SpanPhase::DramIssue), Some(140));
-        let durs = s.phase_durations();
-        assert_eq!(durs.len(), 5);
-        assert_eq!(durs.last().unwrap().1, 0);
-        // Durations sum to total latency.
-        assert_eq!(durs.iter().map(|&(_, d)| d).sum::<u64>(), 50);
-    }
-
-    #[test]
-    fn top_k_keeps_slowest_descending() {
-        let mut t = SpanTracer::new(64, 3);
-        for (id, lat) in [(1, 10), (2, 50), (3, 20), (4, 40), (5, 30)] {
-            trace_one(&mut t, id, 0, lat - 5, lat);
-        }
-        let s = t.slowest(10);
-        let lats: Vec<u64> = s.iter().map(Span::total_latency).collect();
-        assert_eq!(lats, [50, 40, 30]);
-        assert_eq!(t.slowest(2).len(), 2);
-    }
-
-    #[test]
-    fn capacity_limits_open_spans() {
-        let mut t = SpanTracer::new(2, 4);
-        t.start(1, 0, "a", SpanPhase::LlcMiss, 0);
-        t.start(2, 0, "b", SpanPhase::LlcMiss, 0);
-        t.start(3, 0, "c", SpanPhase::LlcMiss, 0);
-        assert_eq!(t.open_len(), 2);
-        assert_eq!(t.dropped(), 1);
-        // Events and completion for the dropped span are no-ops.
-        t.event(3, SpanPhase::DramIssue, 5);
-        t.complete(3, 9);
-        assert_eq!(t.completed(), 0);
-    }
-
-    #[test]
-    fn phase_histograms_cover_spans_evicted_from_top_k() {
-        // top_k = 1: only the slowest span survives as an exemplar, yet
-        // the histograms see all three completions.
-        let mut t = SpanTracer::new(64, 1);
-        for (id, lat) in [(1, 10), (2, 50), (3, 20)] {
-            trace_one(&mut t, id, 0, lat - 5, lat);
-        }
-        assert_eq!(t.slowest(10).len(), 1);
-        assert_eq!(t.latency_histogram().count(), 3);
-        assert_eq!(t.latency_histogram().max(), 50);
-        // Each completed span records one duration per non-terminal event.
-        assert_eq!(t.phase_histogram(SpanPhase::LlcMiss).count(), 3);
-        assert_eq!(t.phase_histogram(SpanPhase::DramIssue).count(), 3);
-        // DramIssue → Complete is 5 cycles in every exemplar above.
-        assert_eq!(t.phase_histogram(SpanPhase::DramIssue).max(), 5);
-        // The terminal Complete event contributes no duration sample.
-        assert_eq!(t.phase_histogram(SpanPhase::Complete).count(), 0);
-    }
-
-    #[test]
-    fn observe_publishes_histograms_and_counters() {
-        let mut t = SpanTracer::new(64, 2);
-        trace_one(&mut t, 1, 0, 5, 10);
-        let mut reg = MetricRegistry::new();
-        t.observe("span", &mut reg);
-        assert_eq!(reg.counter("span.completed"), Some(1));
-        assert_eq!(reg.get_histogram("span.latency").unwrap().count(), 1);
-        assert_eq!(reg.get_histogram("span.phase_cycles.dram_enqueue").unwrap().count(), 1);
-        // Phases with no samples stay unpublished.
-        assert!(reg.get_histogram("span.phase_cycles.complete").is_none());
-    }
-
-    #[test]
-    fn disabled_tracer_tracks_nothing() {
-        let mut t = SpanTracer::disabled();
-        trace_one(&mut t, 1, 0, 5, 10);
-        assert_eq!(t.completed(), 0);
-        assert_eq!(t.dropped(), 1);
-        assert!(t.slowest(10).is_empty());
-        assert_eq!(t.latency_histogram().count(), 0);
     }
 }

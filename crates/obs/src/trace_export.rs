@@ -18,18 +18,14 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
 //! ```
-//! use synergy_obs::{ChromeTrace, SpanPhase, SpanTracer};
+//! use synergy_obs::{ChromeTrace, Span, SpanPhase::*};
 //!
-//! let mut t = SpanTracer::for_system();
-//! t.start(1, 0x40, "data", SpanPhase::LlcMiss, 100);
-//! t.event(1, SpanPhase::DramIssue, 130);
-//! t.complete(1, 140);
+//! let events = vec![(LlcMiss, 100), (DramIssue, 130), (Complete, 140)];
+//! let span = Span { id: 1, addr: 0x40, label: "data", events };
 //!
 //! let mut trace = ChromeTrace::new();
 //! trace.process_name(0, "synergy-sim");
-//! for (i, span) in t.slowest(16).iter().enumerate() {
-//!     trace.add_span(span, 0, i as u64 + 1);
-//! }
+//! trace.add_span(&span, 0, 1);
 //! let json = trace.finish();
 //! assert!(json.starts_with("{\"traceEvents\":["));
 //! ```
@@ -194,16 +190,21 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use crate::registry::MetricRegistry;
-    use crate::span::{SpanPhase, SpanTracer};
+    use crate::span::SpanPhase;
 
     fn traced_span() -> Span {
-        let mut t = SpanTracer::for_system();
-        t.start(7, 0x1240, "counter", SpanPhase::LlcMiss, 100);
-        t.event(7, SpanPhase::EngineExpand, 100);
-        t.event(7, SpanPhase::DramEnqueue, 101);
-        t.event(7, SpanPhase::DramIssue, 130);
-        t.complete(7, 145);
-        t.slowest(1).pop().unwrap()
+        Span {
+            id: 7,
+            addr: 0x1240,
+            label: "counter",
+            events: vec![
+                (SpanPhase::LlcMiss, 100),
+                (SpanPhase::EngineExpand, 100),
+                (SpanPhase::DramEnqueue, 101),
+                (SpanPhase::DramIssue, 130),
+                (SpanPhase::Complete, 145),
+            ],
+        }
     }
 
     #[test]

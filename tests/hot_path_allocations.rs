@@ -5,10 +5,12 @@
 //! iterators) is designed to touch the heap only while warming up —
 //! inline expansion buffers, retained spill capacity, and cache arrays
 //! are all allocated once. The functional [`SynergyMemory`] allocates its
-//! line store at construction and nothing per operation, and the SECDED
-//! and Chipkill line codecs work on stack arrays only. These tests
-//! install a counting global allocator and assert the warm paths perform
-//! literally zero allocations.
+//! line store at construction and nothing per operation, the SECDED
+//! and Chipkill line codecs work on stack arrays only, and the simulator's
+//! in-flight [`RequestLedger`] reuses its table slots and builds a span
+//! only for a read that enters the top-K. These tests install a counting
+//! global allocator and assert the warm paths perform literally zero
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +20,7 @@ use synergy::core::{SynergyMemory, SynergyMemoryConfig};
 use synergy::crypto::CacheLine;
 use synergy::ecc::reed_solomon::Chipkill;
 use synergy::ecc::{secded, DecodeOutcome};
+use synergy::obs::{ReadTimes, RequestLedger, SpanPhase};
 use synergy::secure::{DesignConfig, Expansion, SecureEngine};
 
 struct CountingAllocator;
@@ -210,6 +213,65 @@ fn warm_ecc_line_codecs_perform_zero_allocations() {
         after - before,
         0,
         "ECC line codecs allocated {} times in steady state",
+        after - before
+    );
+}
+
+/// The first request id the ledger audit opens.
+const FIRST_ID: u64 = 1_000;
+
+/// Opens, stamps and closes `n` reads the way the simulator's memory side
+/// does, starting at request id `*id`: every read is followed by a write
+/// id (an empty slot in the table), eight reads are in flight at a time,
+/// and each read takes `latency` cycles from open to close. Returns the
+/// number of loads handed back.
+fn drive_ledger(ledger: &mut RequestLedger, id: &mut u64, n: u64, latency: u64) -> u64 {
+    let mut delivered = 0;
+    for i in 0..n {
+        // The cycle a read opens is its id, so latencies are exact.
+        let cycle = *id;
+        ledger.open(*id, (i % 5) as usize, cycle * 64, cycle, Some((0, i)));
+        ledger.stamp(*id, SpanPhase::EngineExpand, cycle);
+        ledger.stamp(*id, SpanPhase::MetaCacheProbe, cycle);
+        ledger.stamp(*id, SpanPhase::DramEnqueue, cycle + 1);
+        ledger.stamp(*id + 1, SpanPhase::DramEnqueue, cycle + 1);
+        if *id >= FIRST_ID + 16 {
+            let old = *id - 16;
+            let t = ReadTimes {
+                enqueue: old + 1,
+                bank_ready: old + 2,
+                issue: old + latency - 4,
+                complete: old + latency,
+            };
+            delivered += u64::from(ledger.close(old, t, |_, _| 0).is_some());
+        }
+        *id += 2;
+    }
+    delivered
+}
+
+#[test]
+fn warm_request_ledger_performs_zero_allocations() {
+    let classes = ["data", "counter", "tree", "mac", "parity"];
+    let mut ledger = RequestLedger::new(&classes, 4096, 16, true);
+    let mut id = FIRST_ID;
+    // Warm-up: slow reads fill the top-K and grow the table and the
+    // histograms to their working size.
+    assert_eq!(drive_ledger(&mut ledger, &mut id, 4096, 1_000), 4096 - 8);
+
+    // Steady state: faster reads never enter the top-K, so opening,
+    // stamping and closing them must not allocate.
+    let before = allocation_count();
+    let delivered = drive_ledger(&mut ledger, &mut id, 8192, 100);
+    let after = allocation_count();
+    assert_eq!(delivered, 8192);
+    assert_eq!(ledger.completed(), 4096 - 8 + 8192);
+    assert!(ledger.slowest(16).iter().all(|s| s.total_latency() == 1_000));
+    ledger.attribution().unwrap().verify().unwrap();
+    assert_eq!(
+        after - before,
+        0,
+        "request ledger allocated {} times in steady state",
         after - before
     );
 }
