@@ -11,41 +11,34 @@
 //! injections, named for symmetry with the Figure 11 Monte-Carlo knob;
 //! `--injections` is accepted as an alias). Exits nonzero and prints the
 //! minimized reproducers if any functional outcome disagrees with the
-//! analytic verdict.
+//! analytic verdict. A missing or malformed value, or an unknown flag,
+//! exits with code 2 and an `error: …` line.
 
-use synergy_bench::{banner, print_table, scaled_arg, write_csv, write_metrics_registry};
+use synergy_bench::{
+    banner, fail, flag_value, parsed_arg, print_table, scaled_arg, write_csv,
+    write_metrics_registry,
+};
 use synergy_campaign::{run, CampaignParams, Design, Outcome};
 use synergy_obs::MetricRegistry;
 
-fn parse_args() -> CampaignParams {
+/// Parses the command line (without the program name).
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CampaignParams, String> {
     let mut params = CampaignParams { injections: 100_000, ..Default::default() };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} requires a value"))
-        };
+        let mut value = || flag_value(&flag, &mut args);
         match flag.as_str() {
-            "--devices" | "--injections" => {
-                let v = value(&flag);
-                params.injections = scaled_arg(&flag, &v);
-            }
-            "--seed" => {
-                let v = value(&flag);
-                params.seed = scaled_arg(&flag, &v);
-            }
-            "--threads" => {
-                let v = value(&flag);
-                params.threads =
-                    v.parse().unwrap_or_else(|_| panic!("bad thread count: {v}"));
-            }
-            other => panic!("unknown flag: {other} (try --devices/--seed/--threads)"),
+            "--devices" | "--injections" => params.injections = scaled_arg(&flag, &value()?)?,
+            "--seed" => params.seed = scaled_arg(&flag, &value()?)?,
+            "--threads" => params.threads = parsed_arg(&flag, &value()?, "a thread count")?,
+            other => return Err(format!("unknown flag {other} (try --devices/--seed/--threads)")),
         }
     }
-    params
+    Ok(params)
 }
 
 fn main() {
-    let params = parse_args();
+    let params = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| fail(&msg));
     banner("Differential fault-injection campaign", "the Figure 11 failure taxonomy");
     println!(
         "campaign: {} injections, seed {:#x}, {} threads\n",
@@ -101,4 +94,37 @@ fn main() {
         "\nPASS: all {} functional outcomes agree with the analytic model",
         result.injections
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<CampaignParams, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn accepts_every_flag() {
+        let p = parse(&["--devices", "20k", "--seed", "7", "--threads", "3"]).unwrap();
+        assert_eq!((p.injections, p.seed, p.threads), (20_000, 7, 3));
+        assert_eq!(parse(&["--injections", "5"]).unwrap().injections, 5);
+        assert_eq!(parse(&[]).unwrap().injections, 100_000);
+    }
+
+    #[test]
+    fn rejects_bad_input_with_a_message_naming_the_flag() {
+        for (args, needle) in [
+            (&["--threads"][..], "--threads requires a value"),
+            (&["--devices"][..], "--devices requires a value"),
+            (&["--threads", "two"][..], "--threads: \"two\" is not a thread count"),
+            (&["--threads", "-1"][..], "--threads"),
+            (&["--devices", "1x"][..], "--devices"),
+            (&["--seed", ""][..], "--seed"),
+            (&["--bogus"][..], "unknown flag --bogus"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
 }

@@ -18,78 +18,71 @@
 //! run (or one cut short by `--stop-after-shards`, the deterministic
 //! stand-in for `kill -9`) continues bit-identically. An interrupted run
 //! exits with code 3 so scripts can distinguish "checkpointed, rerun to
-//! finish" from success.
+//! finish" from success. A missing or malformed value, or an unknown
+//! flag, exits with code 2 and an `error: …` line.
 
 use std::path::PathBuf;
 
-use synergy_bench::{banner, print_table, scaled_arg, write_csv, write_metrics_registry};
+use synergy_bench::{
+    banner, fail, flag_value, parsed_arg, print_table, scaled_arg, write_csv,
+    write_metrics_registry,
+};
 use synergy_campaign::FabricConfig;
 use synergy_fleet::{run_with_fabric, FleetParams, SHARD_DIMMS};
 use synergy_obs::MetricRegistry;
 
-fn parse_args() -> (FleetParams, FabricConfig) {
+/// The value of `flag` as a finite number of years or hours, above zero
+/// (or at least zero when `zero_ok`).
+fn duration_arg(flag: &str, value: &str, zero_ok: bool) -> Result<f64, String> {
+    let what = if zero_ok { "a finite number >= 0" } else { "a finite number > 0" };
+    let x: f64 = parsed_arg(flag, value, what)?;
+    if x.is_finite() && (x > 0.0 || (zero_ok && x == 0.0)) {
+        Ok(x)
+    } else {
+        Err(format!("{flag}: {value:?} is not {what}"))
+    }
+}
+
+/// Parses the command line (without the program name).
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(FleetParams, FabricConfig), String> {
     let mut params = FleetParams { dimms: 1_000_000, ..Default::default() };
     let mut cfg = FabricConfig::default();
     let mut every: u64 = 8;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(flag) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} requires a value"))
-        };
+        let mut value = || flag_value(&flag, &mut args);
         match flag.as_str() {
-            "--dimms" | "--devices" => {
-                let v = value(&flag);
-                params.dimms = scaled_arg(&flag, &v);
-            }
-            "--years" => {
-                let v = value(&flag);
-                params.years = v.parse().unwrap_or_else(|_| panic!("bad years: {v}"));
-            }
-            "--seed" => {
-                let v = value(&flag);
-                params.seed = scaled_arg(&flag, &v);
-            }
-            "--threads" => {
-                let v = value(&flag);
-                params.threads =
-                    v.parse().unwrap_or_else(|_| panic!("bad thread count: {v}"));
-            }
+            "--dimms" | "--devices" => params.dimms = scaled_arg(&flag, &value()?)?,
+            "--years" => params.years = duration_arg(&flag, &value()?, false)?,
+            "--seed" => params.seed = scaled_arg(&flag, &value()?)?,
+            "--threads" => params.threads = parsed_arg(&flag, &value()?, "a thread count")?,
             "--scrub" => {
-                let v = value(&flag);
-                params.scrub_interval_hours =
-                    Some(v.parse().unwrap_or_else(|_| panic!("bad scrub interval: {v}")));
+                params.scrub_interval_hours = Some(duration_arg(&flag, &value()?, false)?);
             }
-            "--repair" => {
-                let v = value(&flag);
-                params.repair_hours =
-                    v.parse().unwrap_or_else(|_| panic!("bad repair hours: {v}"));
-            }
-            "--checkpoint" => {
-                cfg.checkpoint_path = Some(PathBuf::from(value(&flag)));
-            }
-            "--checkpoint-every" => {
-                let v = value(&flag);
-                every = v.parse().unwrap_or_else(|_| panic!("bad shard count: {v}"));
-            }
+            "--repair" => params.repair_hours = duration_arg(&flag, &value()?, true)?,
+            "--checkpoint" => cfg.checkpoint_path = Some(PathBuf::from(value()?)),
+            "--checkpoint-every" => every = parsed_arg(&flag, &value()?, "a shard count")?,
             "--stop-after-shards" => {
-                let v = value(&flag);
-                cfg.stop_after_shards =
-                    Some(v.parse().unwrap_or_else(|_| panic!("bad shard count: {v}")));
+                cfg.stop_after_shards = Some(parsed_arg(&flag, &value()?, "a shard count")?);
             }
-            other => panic!(
-                "unknown flag: {other} (try --dimms/--years/--seed/--threads/--scrub/--repair/--checkpoint/--checkpoint-every/--stop-after-shards)"
-            ),
+            other => {
+                return Err(format!(
+                    "unknown flag {other} (try --dimms/--years/--seed/--threads/--scrub/--repair/--checkpoint/--checkpoint-every/--stop-after-shards)"
+                ))
+            }
         }
     }
     cfg.threads = params.threads;
     if cfg.checkpoint_path.is_some() {
         cfg.checkpoint_every = Some(every);
     }
-    (params, cfg)
+    Ok((params, cfg))
 }
 
 fn main() {
-    let (params, cfg) = parse_args();
+    let (params, cfg) = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| fail(&msg));
     banner(
         "Fleet-scale lifetime reliability",
         "N DIMM-lifetimes per Table II design on the checkpointable job fabric",
@@ -162,4 +155,53 @@ fn main() {
         &result.curve_csv_rows(),
     );
     println!("\nPASS: {} DIMM-lifetimes evaluated per design", params.dimms);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(FleetParams, FabricConfig), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn accepts_every_flag() {
+        let (p, cfg) = parse(&[
+            "--dimms", "2k", "--years", "6.5", "--seed", "9", "--threads", "2", "--scrub", "24",
+            "--repair", "0", "--checkpoint", "f.json", "--checkpoint-every", "3",
+            "--stop-after-shards", "5",
+        ])
+        .unwrap();
+        assert_eq!((p.dimms, p.years, p.seed, p.threads), (2_000, 6.5, 9, 2));
+        assert_eq!((p.scrub_interval_hours, p.repair_hours), (Some(24.0), 0.0));
+        assert_eq!(cfg.checkpoint_path, Some(PathBuf::from("f.json")));
+        assert_eq!((cfg.threads, cfg.checkpoint_every, cfg.stop_after_shards), (2, Some(3), Some(5)));
+        let (p, cfg) = parse(&[]).unwrap();
+        assert_eq!((p.dimms, cfg.checkpoint_every), (1_000_000, None));
+    }
+
+    #[test]
+    fn rejects_bad_input_with_a_message_naming_the_flag() {
+        for (args, needle) in [
+            (&["--years"][..], "--years requires a value"),
+            (&["--checkpoint"][..], "--checkpoint requires a value"),
+            (&["--threads", "x"][..], "--threads: \"x\" is not a thread count"),
+            (&["--years", "seven"][..], "--years"),
+            (&["--years", "0"][..], "--years"),
+            (&["--years", "NaN"][..], "--years"),
+            (&["--scrub", "-4"][..], "--scrub"),
+            (&["--scrub", "inf"][..], "--scrub"),
+            (&["--repair", "-1"][..], "--repair"),
+            (&["--repair", "soon"][..], "--repair"),
+            (&["--checkpoint-every", "2.5"][..], "--checkpoint-every"),
+            (&["--stop-after-shards", "-3"][..], "--stop-after-shards"),
+            (&["--dimms", "1q"][..], "--dimms"),
+            (&["--bogus", "1"][..], "unknown flag --bogus"),
+            (&["200k"][..], "unknown flag 200k"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
 }

@@ -79,7 +79,7 @@ pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
 
 /// Prints `error: <msg>` and exits with code 2: how the knobs and the
 /// command-line tools reject malformed input.
-fn fail(msg: &str) -> ! {
+pub fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
@@ -109,10 +109,22 @@ pub fn parse_scaled(s: &str) -> Result<u64, String> {
     n.checked_mul(mult).ok_or_else(|| format!("{s:?} exceeds {}", u64::MAX))
 }
 
+/// The value that follows command-line flag `flag`; its absence is an
+/// error naming the flag.
+pub fn flag_value(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} requires a value"))
+}
+
 /// The value of command-line flag `flag` as a [`parse_scaled`] count; a
-/// bad value exits with code 2 and a message naming the flag.
-pub fn scaled_arg(flag: &str, value: &str) -> u64 {
-    parse_scaled(value).unwrap_or_else(|msg| fail(&format!("{flag}: {msg}")))
+/// bad value is an error naming the flag.
+pub fn scaled_arg(flag: &str, value: &str) -> Result<u64, String> {
+    parse_scaled(value).map_err(|msg| format!("{flag}: {msg}"))
+}
+
+/// The value of command-line flag `flag` parsed as a `T`; a bad value is
+/// an error naming the flag, the value and `what` was expected.
+pub fn parsed_arg<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag}: {value:?} is not {what}"))
 }
 
 /// The workload list for performance figures: all 29 when `full_sweep()`,

@@ -131,20 +131,24 @@ fn chipkill() -> &'static Chipkill {
     CHIPKILL.get_or_init(|| Chipkill::new().expect("fixed geometry"))
 }
 
-/// A pristine SYNERGY memory of [`MEMORY_CAPACITY`] bytes, keyed once per
-/// process. Every injection runs on a clone and the template is never
-/// written, so each scenario stays a self-contained `(seed, index)`
-/// reproducer.
+/// A pristine SYNERGY memory of [`MEMORY_CAPACITY`] bytes, keyed and
+/// fully materialized once per process, so no clone rebuilds the zero
+/// state of the lines it touches. Every injection runs on a clone and the
+/// template is never written, so each scenario stays a self-contained
+/// `(seed, index)` reproducer. (Scenarios corrupt single lines, never a
+/// whole chip, so materializing every line up front changes no outcome.)
 fn pristine_synergy() -> &'static SynergyMemory {
     static TEMPLATE: OnceLock<SynergyMemory> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
-        SynergyMemory::new(SynergyMemoryConfig {
+        let mut m = SynergyMemory::new(SynergyMemoryConfig {
             // Cross-read fault tracking would make outcomes depend on
             // scenario order.
             fault_tracking_threshold: None,
             ..SynergyMemoryConfig::with_capacity(MEMORY_CAPACITY)
         })
-        .expect("valid capacity")
+        .expect("valid capacity");
+        m.materialize_all();
+        m
     })
 }
 

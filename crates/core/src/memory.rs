@@ -36,9 +36,9 @@ use crate::stored::{xor_slices, ChipSlice, StoredLine, CHIPS};
 /// 56-bit counter mask.
 const MASK56: u64 = (1 << 56) - 1;
 
-/// Bound on the write-update chain: the counter line plus every in-memory
-/// tree level. A 2^64-byte memory has 2^55 counter lines, so at most 18
-/// tree levels.
+/// Bound on a counter chain: the counter line plus every in-memory tree
+/// level. A 2^64-byte memory has 2^55 counter lines, so at most 18 tree
+/// levels.
 const MAX_CHAIN: usize = 24;
 
 /// Errors returned by the functional memory.
@@ -178,13 +178,29 @@ impl synergy_obs::Observe for MemoryStats {
     }
 }
 
-/// Which line a parent-counter lookup refers to.
-#[derive(Debug, Clone, Copy)]
-enum Parent {
-    /// On-chip root counter with this index.
-    Root(usize),
-    /// Slot `slot` of the counter/tree line at `addr`.
-    Node { addr: u64, slot: usize },
+/// One counter or tree line of a counter chain.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// Line address.
+    addr: u64,
+    /// Index in `SynergyMemory::lines`.
+    index: usize,
+    /// Slot of this line's counter in its parent line; for the top line of
+    /// the chain, the index of its on-chip root counter.
+    slot: usize,
+}
+
+/// A counter line's path to the on-chip root: the counter line first, then
+/// one tree node per in-memory level.
+struct Chain {
+    links: [Link; MAX_CHAIN],
+    len: usize,
+}
+
+impl Chain {
+    fn links(&self) -> &[Link] {
+        &self.links[..self.len]
+    }
 }
 
 /// The functional SYNERGY-protected memory.
@@ -301,6 +317,29 @@ impl SynergyMemory {
         self.tracked_faulty_chip
     }
 
+    /// Materializes every line of the layout in its zero state, which a
+    /// line otherwise reaches on first touch, so that clones of this
+    /// memory start with all of them built. Reads, writes, corrections and
+    /// [`MemoryStats`] are unchanged: a line's zero state is the same
+    /// whenever it is built, and building it is not counted. The one
+    /// difference is [`Self::inject_chip_failure`], which corrupts every
+    /// materialized line: after this call, that is every line of the
+    /// layout, not only the lines touched so far.
+    pub fn materialize_all(&mut self) {
+        let parity_lines = self.layout.data_bytes() / (8 * LINE);
+        let parity_base = self.layout.parity_base();
+        let counter_base = self.layout.counter_base();
+        let mut addrs: Vec<u64> = (0..parity_lines).map(|g| parity_base + g * LINE).collect();
+        addrs.extend((0..self.layout.counter_lines()).map(|c| counter_base + c * LINE));
+        for level in 0..self.layout.tree_depth() {
+            let nodes = self.layout.tree_level_nodes(level);
+            addrs.extend((0..nodes).map(|n| self.layout.tree_node_addr(level, n)));
+        }
+        for addr in addrs {
+            self.ensure_line(addr);
+        }
+    }
+
     /// Writes a plaintext line: encrypt, MAC, parity update, tree update.
     ///
     /// # Errors
@@ -311,34 +350,32 @@ impl SynergyMemory {
         self.check_data_addr(addr)?;
         self.stats.writes += 1;
 
-        let ctr_addr = self.layout.counter_line_addr(addr);
+        let chain = self.chain(addr);
+        let p_addr = self.layout.parity_line_addr(addr);
+        let pi = self.index(p_addr);
+        // Loaded with the chain, before the first MAC; the chain walk does
+        // not touch parity lines, so the copy is still current after it.
+        let parity = self.lines[pi];
         // Verify (and correct) the whole counter chain before mutating.
-        self.verified_counters(ctr_addr)?;
-        self.repair_parity_group(addr);
+        self.verify_chain(&chain)?;
+        let parity = self.loaded_line(p_addr, pi, parity);
+        self.repair_parity_group(addr, parity);
 
         // Bump every counter on the path root-down, recomputing MACs with
-        // the parent's fresh value (Bonsai update). The chain is collected
-        // bottom-up and walked in reverse.
-        let mut chain = [(0u64, 0usize); MAX_CHAIN];
-        let mut len = 0;
-        let mut link = (ctr_addr, self.layout.counter_slot(addr));
-        let root_idx = loop {
-            chain[len] = link;
-            len += 1;
-            match self.parent_of(link.0) {
-                Parent::Root(i) => break i,
-                Parent::Node { addr: parent, slot } => link = (parent, slot),
-            }
-        };
-        self.root_counters[root_idx] = (self.root_counters[root_idx] + 1) & MASK56;
-        let mut parent_ctr = self.root_counters[root_idx];
-        for &(node_addr, child_slot) in chain[..len].iter().rev() {
-            let i = self.ensure_line(node_addr);
-            let (mut counters, _, _) = self.lines[i].counter_parts();
+        // the parent's fresh value (Bonsai update). The verified walk left
+        // every chain line materialized and current in `lines`.
+        let links = chain.links();
+        let top = links[links.len() - 1];
+        self.root_counters[top.slot] = (self.root_counters[top.slot] + 1) & MASK56;
+        let mut parent_ctr = self.root_counters[top.slot];
+        for (k, link) in links.iter().enumerate().rev() {
+            let child_slot =
+                if k == 0 { self.layout.counter_slot(addr) } else { links[k - 1].slot };
+            let (mut counters, _) = node_words(&self.lines[link.index]);
             counters[child_slot] = (counters[child_slot] + 1) & MASK56;
-            let mac = self.gmac.node_tag(node_addr, parent_ctr, &pack_counters(&counters));
+            let mac = self.gmac.node_tag(link.addr, parent_ctr, &node_payload(&counters));
             self.stats.mac_computations += 1;
-            self.lines[i] = StoredLine::from_counters(&counters, mac);
+            self.lines[link.index] = StoredLine::from_counters(&counters, mac);
             parent_ctr = counters[child_slot];
         }
         let new_counter = parent_ctr;
@@ -349,9 +386,9 @@ impl SynergyMemory {
         self.stats.mac_computations += 1;
         let new_stored = StoredLine::from_data(&ciphertext, mac);
 
-        // Parity slot update (P = XOR of all nine chips).
+        // Parity slot update (P = XOR of all nine chips). The repair above
+        // may have rewritten the parity line, so it is read afresh.
         let p_slot = self.layout.parity_slot(addr);
-        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
         let (mut slots, _) = self.lines[pi].parity_parts();
         slots[p_slot] = new_stored.xor_of_nine();
         self.lines[pi] = StoredLine::from_parities(&slots);
@@ -383,17 +420,32 @@ impl SynergyMemory {
     /// Verifies (correcting if need be) the stored data line at `addr`;
     /// returns it with its counter and whether it was corrected.
     fn verified_data(&mut self, addr: u64) -> Result<(StoredLine, u64, bool), MemoryError> {
-        let ctr_addr = self.layout.counter_line_addr(addr);
-        let counters = self.verified_counters(ctr_addr)?;
+        let chain = self.chain(addr);
+        let i = self.index(addr);
+        let p_addr = self.layout.parity_line_addr(addr);
+        let pi = self.index(p_addr);
+        // The data line, and the parity line when the tracked-chip path
+        // needs it, are loaded with the chain, before the first MAC. The
+        // chain walk touches neither, so the copies are still current
+        // after it unless the lines were still in their zero state (a data
+        // line and its parity line are materialized together).
+        let stored = self.lines[i];
+        let parity = self.tracked_faulty_chip.map(|_| self.lines[pi]);
+        let counters = self.verify_chain(&chain)?;
         let counter = counters[self.layout.counter_slot(addr)];
-        let i = self.ensure_line(addr);
+        let fresh = !self.is_materialized(i);
+        let stored = self.loaded_line(addr, i, stored);
 
         // Fast path for a tracked permanent chip failure: reconstruct that
         // chip first; the MAC verification that follows is the same single
-        // computation the error-free path performs (§IV-A).
-        let stored = self.lines[i];
+        // computation the error-free path performs (§IV-A). A correction
+        // on the chain walk may have just started the tracking.
         if let Some(chip) = self.tracked_faulty_chip {
-            let parity = self.parity_slot_value(addr);
+            let parity = match parity {
+                Some(parity) if !fresh => parity,
+                _ => self.lines[pi],
+            };
+            let parity = parity.chips[self.layout.parity_slot(addr)];
             let candidate = stored.with_chip_reconstructed(chip, &parity);
             let (cl, cmac) = candidate.data_parts();
             self.stats.mac_computations += 1;
@@ -424,12 +476,14 @@ impl SynergyMemory {
     /// only copy of the truth: so each other line of the group is verified
     /// (and corrected) and its slot reset from it. A line that fails
     /// verification keeps its slot; its own next read reports the attack.
-    fn repair_parity_group(&mut self, addr: u64) {
-        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
-        let (slots, parity_p) = self.lines[pi].parity_parts();
+    ///
+    /// `parity` is the group's parity line as it stands in `lines`.
+    fn repair_parity_group(&mut self, addr: u64, parity: StoredLine) {
+        let (slots, parity_p) = parity.parity_parts();
         if xor_slices(&slots) == parity_p {
             return;
         }
+        let pi = self.index(self.layout.parity_line_addr(addr));
         let p_slot = self.layout.parity_slot(addr);
         let first = addr - p_slot as u64 * LINE;
         for k in (0..8).filter(|&k| k != p_slot) {
@@ -474,7 +528,10 @@ impl SynergyMemory {
     }
 
     /// Fails an entire chip: corrupts its slice in every materialized line
-    /// (all regions) — the full Chipkill scenario.
+    /// (all regions) — the full Chipkill scenario. A line still in its
+    /// implicit zero state is built clean when first touched, so only the
+    /// lines touched so far are corrupted, or every line after
+    /// [`Self::materialize_all`].
     ///
     /// # Panics
     ///
@@ -539,17 +596,56 @@ impl SynergyMemory {
         Ok(())
     }
 
-    /// Verified read of a counter/tree line, correcting via `ParityC`.
-    fn verified_counters(&mut self, line_addr: u64) -> Result<[u64; 8], MemoryError> {
-        let parent_ctr = match self.parent_of(line_addr) {
-            Parent::Root(i) => self.root_counters[i],
-            Parent::Node { addr, slot } => self.verified_counters(addr)?[slot],
-        };
-        let i = self.ensure_line(line_addr);
-        let stored = self.lines[i];
-        let (counters, mac, _) = stored.counter_parts();
+    /// The counter chain of data line `addr`: each line's address, its
+    /// index in `lines` and its slot in its parent, resolved once by
+    /// layout arithmetic.
+    fn chain(&self, addr: u64) -> Chain {
+        let mut links = [Link::default(); MAX_CHAIN];
+        let depth = self.layout.tree_depth();
+        let mut line = self.layout.counter_line_addr(addr);
+        // Index of `line` within its level.
+        let mut idx = (line - self.layout.counter_base()) >> LINE_SHIFT;
+        for (level, link) in links[..depth].iter_mut().enumerate() {
+            *link = Link { addr: line, index: self.index(line), slot: (idx & 7) as usize };
+            idx >>= 3;
+            line = self.layout.tree_level_base(level) + (idx << LINE_SHIFT);
+        }
+        links[depth] = Link { addr: line, index: self.index(line), slot: idx as usize };
+        Chain { links, len: depth + 1 }
+    }
+
+    /// Verifies (correcting via `ParityC`) every line of `chain` top-down,
+    /// each against its parent's counter, and returns the counter line's
+    /// counters. Every chain line is loaded before the first MAC, so their
+    /// cache misses overlap instead of each waiting behind the MAC of the
+    /// level above.
+    fn verify_chain(&mut self, chain: &Chain) -> Result<[u64; 8], MemoryError> {
+        let links = chain.links();
+        let mut loaded = [StoredLine { chips: [[0; 8]; CHIPS] }; MAX_CHAIN];
+        for (line, link) in loaded.iter_mut().zip(links) {
+            *line = self.lines[link.index];
+        }
+        let mut parent_ctr = self.root_counters[links[links.len() - 1].slot];
+        for k in (1..links.len()).rev() {
+            let counters = self.verified_node(links[k], loaded[k], parent_ctr)?;
+            parent_ctr = counters[links[k - 1].slot];
+        }
+        self.verified_node(links[0], loaded[0], parent_ctr)
+    }
+
+    /// Verifies one counter or tree line against its parent's counter,
+    /// correcting it via `ParityC`. `loaded` is the line as loaded before
+    /// the walk; a line still in its zero state is materialized here.
+    fn verified_node(
+        &mut self,
+        link: Link,
+        loaded: StoredLine,
+        parent_ctr: u64,
+    ) -> Result<[u64; 8], MemoryError> {
+        let stored = self.loaded_line(link.addr, link.index, loaded);
+        let (counters, mac) = node_words(&stored);
         self.stats.mac_computations += 1;
-        if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&counters)) == mac {
+        if self.gmac.node_tag(link.addr, parent_ctr, &node_payload(&counters)) == mac {
             return Ok(counters);
         }
         // Correction: up to 8 reconstruction attempts (Scenario B/C). The
@@ -559,16 +655,30 @@ impl SynergyMemory {
         for chip in 0..8 {
             let candidate =
                 stored.with_chip_replaced(chip, xor_slices(&[base, stored.chips[chip]]));
-            let (c2, m2, _) = candidate.counter_parts();
+            let (c2, m2) = node_words(&candidate);
             self.stats.mac_computations += 1;
-            if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&c2)) == m2 {
-                self.lines[i] = candidate;
+            if self.gmac.node_tag(link.addr, parent_ctr, &node_payload(&c2)) == m2 {
+                self.lines[link.index] = candidate;
                 self.record_correction(chip);
                 return Ok(c2);
             }
         }
         self.stats.attacks_declared += 1;
-        Err(MemoryError::AttackDetected { addr: line_addr })
+        Err(MemoryError::AttackDetected { addr: link.addr })
+    }
+
+    /// The current value of line `i` (at `line_addr`), given `loaded`, a
+    /// copy read earlier with nothing written to the line since: the copy
+    /// itself when the line was already materialized, else the line
+    /// materialized now.
+    #[inline]
+    fn loaded_line(&mut self, line_addr: u64, i: usize, loaded: StoredLine) -> StoredLine {
+        if self.is_materialized(i) {
+            loaded
+        } else {
+            self.ensure_line(line_addr);
+            self.lines[i]
+        }
     }
 
     /// The §III-B data-line reconstruction engine (Scenario D included).
@@ -639,40 +749,6 @@ impl SynergyMemory {
         }
     }
 
-    /// Current parity value protecting the data line at `addr`.
-    fn parity_slot_value(&mut self, addr: u64) -> ChipSlice {
-        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
-        self.lines[pi].chips[self.layout.parity_slot(addr)]
-    }
-
-    fn parent_of(&self, line_addr: u64) -> Parent {
-        match self.layout.classify(line_addr) {
-            Region::Counter => {
-                let idx = (line_addr - self.layout.counter_base()) / LINE;
-                if self.layout.tree_depth() == 0 {
-                    Parent::Root(idx as usize)
-                } else {
-                    Parent::Node {
-                        addr: self.layout.tree_node_addr(0, idx / 8),
-                        slot: (idx % 8) as usize,
-                    }
-                }
-            }
-            Region::Tree(level) => {
-                let idx = (line_addr - self.layout.tree_level_base(level)) / LINE;
-                if level + 1 == self.layout.tree_depth() {
-                    Parent::Root(idx as usize)
-                } else {
-                    Parent::Node {
-                        addr: self.layout.tree_node_addr(level + 1, idx / 8),
-                        slot: (idx % 8) as usize,
-                    }
-                }
-            }
-            other => unreachable!("parent_of called on {other:?} line {line_addr:#x}"),
-        }
-    }
-
     /// Index of a line in `lines`: its line number, with the MAC region
     /// cut out. Only meaningful for data, counter, parity and tree lines.
     #[inline]
@@ -710,7 +786,7 @@ impl SynergyMemory {
                 Region::Counter | Region::Tree(_) => {
                     // All-zero counters, MAC keyed by the (necessarily zero)
                     // parent counter.
-                    let mac = self.gmac.node_tag(line_addr, 0, &pack_counters(&[0; 8]));
+                    let mac = self.gmac.node_tag(line_addr, 0, &[0; 64]);
                     self.store(i, StoredLine::from_counters(&[0; 8], mac));
                 }
                 Region::Mac | Region::OutOfRange => {
@@ -743,13 +819,26 @@ impl SynergyMemory {
     }
 }
 
-/// Packs eight counters into the 64-byte MAC payload.
-fn pack_counters(counters: &[u64; 8]) -> [u8; 64] {
-    let mut out = [0u8; 64];
-    for (i, c) in counters.iter().enumerate() {
-        out[i * 8..(i + 1) * 8].copy_from_slice(&(c & MASK56).to_le_bytes());
+/// A counter or tree line's eight counters and its distributed MAC, read
+/// straight off the chips: chip `i` holds counter `i` in its low 56 bits
+/// and byte `i` of the MAC in its top byte.
+#[inline]
+fn node_words(stored: &StoredLine) -> ([u64; 8], u64) {
+    let mut counters = [0u64; 8];
+    let mut mac = 0u64;
+    for (i, chip) in stored.chips[..8].iter().enumerate() {
+        let word = u64::from_le_bytes(*chip);
+        counters[i] = word & MASK56;
+        mac |= (word >> 56) << (8 * i);
     }
-    out
+    (counters, mac)
+}
+
+/// The 64-byte MAC payload of a counter line: its eight 56-bit counters
+/// as little-endian words.
+#[inline]
+fn node_payload(counters: &[u64; 8]) -> [u8; 64] {
+    *CacheLine::from_words(*counters).as_bytes()
 }
 
 #[cfg(test)]
@@ -826,6 +915,24 @@ mod tests {
         let out = m.read_line(0x1000).unwrap();
         assert_eq!(out.data, CacheLine::zeroed());
         assert!(out.corrected);
+    }
+
+    #[test]
+    fn chip_failure_after_materialize_all_corrupts_untouched_lines() {
+        let mut eager = mem();
+        eager.materialize_all();
+        eager.inject_chip_failure(2);
+        let mut lazy = mem();
+        lazy.inject_chip_failure(2);
+        let ctr = lazy.layout().counter_line_addr(0x2000);
+        for addr in [0x2000, ctr, lazy.layout().parity_line_addr(0x2000)] {
+            let (clean, failed) = (lazy.snapshot_raw(addr), eager.snapshot_raw(addr));
+            assert_ne!(clean.chips[2], failed.chips[2], "line {addr:#x}");
+            assert_eq!(clean.chips[..2], failed.chips[..2], "line {addr:#x}");
+        }
+        // Both still read the zero line back; the eager one corrects it.
+        assert!(!lazy.read_line(0x2000).unwrap().corrected);
+        assert!(eager.read_line(0x2000).unwrap().corrected);
     }
 
     #[test]
@@ -969,6 +1076,26 @@ mod tests {
         assert!(m.stats().preemptive_corrections >= 1);
         let chain_macs = 1 + m.layout().tree_depth() as u32;
         assert_eq!(out.mac_computations, chain_macs + 1, "fast path is 1 data MAC");
+    }
+
+    #[test]
+    fn tracking_set_by_a_chain_correction_applies_to_the_same_read() {
+        // The counter line's correction makes chip 3 the tracked chip in
+        // the middle of the read, so the data line's chip 3 is then
+        // rebuilt on the tracked-chip fast path.
+        let mut m = SynergyMemory::new(SynergyMemoryConfig {
+            fault_tracking_threshold: Some(1),
+            ..SynergyMemoryConfig::with_capacity(CAP)
+        })
+        .unwrap();
+        m.write_line(0x400, &line(0x42)).unwrap();
+        m.inject_chip_error(m.layout().counter_line_addr(0x400), 3);
+        m.inject_chip_error(0x400, 3);
+        let out = m.read_line(0x400).unwrap();
+        assert_eq!(out.data, line(0x42));
+        assert_eq!(m.tracked_faulty_chip(), Some(3));
+        assert_eq!(m.stats().preemptive_corrections, 1);
+        assert_eq!(m.stats().corrections, 1, "only the counter line needed the slow path");
     }
 
     #[test]

@@ -171,4 +171,54 @@ proptest! {
         stored.corrupt_chip(chip, pattern);
         prop_assert_eq!(stored, clean);
     }
+
+    /// A clone of a fully materialized memory behaves exactly like a
+    /// lazily materialized one: the same read and write results, the same
+    /// statistics after every operation, and the same raw bytes in every
+    /// line touched, over random writes, reads and one-chip corruptions of
+    /// data, counter, parity and tree lines.
+    #[test]
+    fn materialize_all_is_invisible(
+        ops in proptest::collection::vec(
+            (0u8..4, 0u64..CAP / 64, 0usize..9, any::<[u8; 8]>()),
+            1..60,
+        ),
+    ) {
+        let mut lazy = mem();
+        let mut eager = {
+            let mut template = mem();
+            template.materialize_all();
+            prop_assert_eq!(*template.stats(), *lazy.stats());
+            template.clone()
+        };
+        let mut touched = Vec::new();
+        for (kind, line, chip, bytes) in ops {
+            let addr = line * 64;
+            match kind {
+                0 => {
+                    let data = CacheLine::from_bytes([bytes[0]; 64]);
+                    prop_assert_eq!(lazy.write_line(addr, &data), eager.write_line(addr, &data));
+                }
+                1 => prop_assert_eq!(lazy.read_line(addr), eager.read_line(addr)),
+                _ => {
+                    let l = lazy.layout();
+                    let ctr = l.counter_line_addr(addr);
+                    let target = match bytes[1] % 4 {
+                        0 => addr,
+                        1 => ctr,
+                        2 => l.parity_line_addr(addr),
+                        _ => l.tree_path(ctr)[0],
+                    };
+                    lazy.inject_chip_pattern(target, chip, bytes);
+                    eager.inject_chip_pattern(target, chip, bytes);
+                    touched.push(target);
+                }
+            }
+            touched.push(addr);
+            prop_assert_eq!(*lazy.stats(), *eager.stats());
+        }
+        for addr in touched {
+            prop_assert_eq!(lazy.snapshot_raw(addr), eager.snapshot_raw(addr));
+        }
+    }
 }

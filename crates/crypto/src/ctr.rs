@@ -11,13 +11,15 @@
 //! uniqueness; counters are in turn protected from replay by the integrity
 //! tree (see `synergy-secure`).
 //!
-//! Pad derivation batches all four blocks through
-//! [`Aes128::encrypt_blocks4`] (which dispatches to AES-NI on the SIMD
-//! backend), so a full 64-byte pad is one call; [`LineCipher::pads_batch`]
-//! goes further and pipelines the pads of several independent lines
-//! through one [`Aes128::encrypt_blocks`] call. [`pad_with_cipher_reference`]
-//! keeps the scalar per-byte AES path for equivalence testing and
-//! benchmarking.
+//! On the SIMD backend [`LineCipher::encrypt`] and [`LineCipher::decrypt`]
+//! are one fixed-shape AES-NI kernel: it builds the four counter blocks in
+//! registers, runs them through the rounds as four straight-line lanes and
+//! XORs the pad into the line. Elsewhere pad derivation batches all four
+//! blocks through [`Aes128::encrypt_blocks4`], so a full 64-byte pad is
+//! one call; [`LineCipher::pads_batch`] pipelines the pads of several
+//! independent lines through one [`Aes128::encrypt_blocks`] call.
+//! [`pad_with_cipher_reference`] keeps the scalar per-byte AES path for
+//! equivalence testing and benchmarking.
 
 use crate::backend::Backend;
 use crate::{Aes128, CacheLine, EncryptionKey, LINE_BYTES};
@@ -135,8 +137,19 @@ impl LineCipher {
             .collect()
     }
 
-    /// Encrypts a plaintext line under `(addr, counter)`.
+    /// Encrypts a plaintext line under `(addr, counter)`: the fused
+    /// single-call kernel on the SIMD backend, the pad XOR elsewhere.
     pub fn encrypt(&self, addr: u64, counter: u64, plaintext: &CacheLine) -> CacheLine {
+        #[cfg(target_arch = "x86_64")]
+        if self.aes.backend() == Backend::Simd {
+            let keys = self.aes.round_keys();
+            return CacheLine::from_bytes(crate::simd::ctr_line(
+                keys,
+                addr,
+                counter,
+                plaintext.as_bytes(),
+            ));
+        }
         plaintext.xor(&pad_with_cipher(&self.aes, addr, counter))
     }
 

@@ -9,7 +9,8 @@
 //!   `_mm_aeskeygenassist_si128`; [`encrypt_blocks`] pipelines a slice of
 //!   independent blocks through the rounds together so the 4-cycle
 //!   `aesenc` latency overlaps across lanes (the hardware unit is fully
-//!   pipelined).
+//!   pipelined); [`ctr_line`] is the fixed four-lane form that encrypts a
+//!   whole 64-byte line in counter mode.
 //! * **GHASH / GF(2^128)** — the repo represents GCM field elements as
 //!   `u128::from_be_bytes(block)`, which is exactly the *bit-reflected*
 //!   operand form of Intel's GCM white-paper `gfmul`: on a little-endian
@@ -163,6 +164,59 @@ unsafe fn encrypt_block_inner(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> 
 pub(crate) fn encrypt_block(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
     debug_assert_supported();
     unsafe { encrypt_block_inner(round_keys, block) }
+}
+
+#[target_feature(enable = "aes")]
+unsafe fn ctr_line_inner(
+    round_keys: &[[u8; 16]; 11],
+    addr: u64,
+    counter: u64,
+    line: &[u8; 64],
+) -> [u8; 64] {
+    // Counter block i is `addr (8 bytes BE) || counter (low 7 bytes BE) ||
+    // i`. As a little-endian register the high half is the byte-swapped
+    // `counter << 8`, so the four blocks differ only in its top byte.
+    let base = _mm_set_epi64x((counter << 8).swap_bytes() as i64, addr.swap_bytes() as i64);
+    let k0 = _mm_loadu_si128(round_keys[0].as_ptr().cast());
+    let mut b = [
+        _mm_xor_si128(base, k0),
+        _mm_xor_si128(_mm_xor_si128(base, _mm_set_epi64x(1 << 56, 0)), k0),
+        _mm_xor_si128(_mm_xor_si128(base, _mm_set_epi64x(2 << 56, 0)), k0),
+        _mm_xor_si128(_mm_xor_si128(base, _mm_set_epi64x(3 << 56, 0)), k0),
+    ];
+    for rk in &round_keys[1..10] {
+        let k = _mm_loadu_si128(rk.as_ptr().cast());
+        b = [
+            _mm_aesenc_si128(b[0], k),
+            _mm_aesenc_si128(b[1], k),
+            _mm_aesenc_si128(b[2], k),
+            _mm_aesenc_si128(b[3], k),
+        ];
+    }
+    let k10 = _mm_loadu_si128(round_keys[10].as_ptr().cast());
+    let mut out = [0u8; 64];
+    for (i, lane) in b.iter().enumerate() {
+        let pad = _mm_aesenclast_si128(*lane, k10);
+        let x = _mm_loadu_si128(line[16 * i..].as_ptr().cast());
+        _mm_storeu_si128(out[16 * i..].as_mut_ptr().cast(), _mm_xor_si128(x, pad));
+    }
+    out
+}
+
+/// Counter-mode encryption of one 64-byte line under `(addr, counter)`:
+/// builds the four counter blocks in registers, runs them through the
+/// AES rounds as four straight-line lanes, and XORs the pad into the line
+/// without leaving the registers. Byte-identical to
+/// [`crate::ctr::pad_with_cipher`] XOR the line (pinned by the
+/// backend-equivalence suite).
+pub(crate) fn ctr_line(
+    round_keys: &[[u8; 16]; 11],
+    addr: u64,
+    counter: u64,
+    line: &[u8; 64],
+) -> [u8; 64] {
+    debug_assert_supported();
+    unsafe { ctr_line_inner(round_keys, addr, counter, line) }
 }
 
 // ---------------------------------------------------------------------
