@@ -167,16 +167,16 @@ mod tests {
 
     #[test]
     fn accepts_every_flag() {
-        let (p, cfg) = parse(&[
-            "--dimms", "2k", "--years", "6.5", "--seed", "9", "--threads", "2", "--scrub", "24",
-            "--repair", "0", "--checkpoint", "f.json", "--checkpoint-every", "3",
-            "--stop-after-shards", "5",
-        ])
-        .unwrap();
+        let args = "--dimms 2k --years 6.5 --seed 9 --threads 2 --scrub 24 --repair 0 \
+                    --checkpoint f.json --checkpoint-every 3 --stop-after-shards 5";
+        let (p, cfg) = parse(&args.split_whitespace().collect::<Vec<_>>()).unwrap();
         assert_eq!((p.dimms, p.years, p.seed, p.threads), (2_000, 6.5, 9, 2));
         assert_eq!((p.scrub_interval_hours, p.repair_hours), (Some(24.0), 0.0));
         assert_eq!(cfg.checkpoint_path, Some(PathBuf::from("f.json")));
-        assert_eq!((cfg.threads, cfg.checkpoint_every, cfg.stop_after_shards), (2, Some(3), Some(5)));
+        assert_eq!(
+            (cfg.threads, cfg.checkpoint_every, cfg.stop_after_shards),
+            (2, Some(3), Some(5))
+        );
         let (p, cfg) = parse(&[]).unwrap();
         assert_eq!((p.dimms, cfg.checkpoint_every), (1_000_000, None));
     }

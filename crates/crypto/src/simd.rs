@@ -166,6 +166,9 @@ pub(crate) fn encrypt_block(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u
     unsafe { encrypt_block_inner(round_keys, block) }
 }
 
+/// # Safety
+///
+/// The CPU must support AES-NI.
 #[target_feature(enable = "aes")]
 unsafe fn ctr_line_inner(
     round_keys: &[[u8; 16]; 11],
@@ -216,6 +219,9 @@ pub(crate) fn ctr_line(
     line: &[u8; 64],
 ) -> [u8; 64] {
     debug_assert_supported();
+    // SAFETY: this module is reached only through a `Backend::Simd`
+    // instance, which is built only after AES-NI was detected; the loads
+    // and stores stay within the 64-byte arrays.
     unsafe { ctr_line_inner(round_keys, addr, counter, line) }
 }
 
