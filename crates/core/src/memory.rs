@@ -326,17 +326,16 @@ impl SynergyMemory {
     /// materialized line: after this call, that is every line of the
     /// layout, not only the lines touched so far.
     pub fn materialize_all(&mut self) {
-        let parity_lines = self.layout.data_bytes() / (8 * LINE);
-        let parity_base = self.layout.parity_base();
-        let counter_base = self.layout.counter_base();
-        let mut addrs: Vec<u64> = (0..parity_lines).map(|g| parity_base + g * LINE).collect();
-        addrs.extend((0..self.layout.counter_lines()).map(|c| counter_base + c * LINE));
-        for level in 0..self.layout.tree_depth() {
-            let nodes = self.layout.tree_level_nodes(level);
-            addrs.extend((0..nodes).map(|n| self.layout.tree_node_addr(level, n)));
+        for group in 0..self.layout.data_bytes() / (8 * LINE) {
+            self.ensure_line(self.layout.parity_base() + group * LINE);
         }
-        for addr in addrs {
-            self.ensure_line(addr);
+        for c in 0..self.layout.counter_lines() {
+            self.ensure_line(self.layout.counter_base() + c * LINE);
+        }
+        for level in 0..self.layout.tree_depth() {
+            for n in 0..self.layout.tree_level_nodes(level) {
+                self.ensure_line(self.layout.tree_node_addr(level, n));
+            }
         }
     }
 

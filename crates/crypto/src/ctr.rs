@@ -143,12 +143,8 @@ impl LineCipher {
         #[cfg(target_arch = "x86_64")]
         if self.aes.backend() == Backend::Simd {
             let keys = self.aes.round_keys();
-            return CacheLine::from_bytes(crate::simd::ctr_line(
-                keys,
-                addr,
-                counter,
-                plaintext.as_bytes(),
-            ));
+            let ciphertext = crate::simd::ctr_line(keys, addr, counter, plaintext.as_bytes());
+            return CacheLine::from_bytes(ciphertext);
         }
         plaintext.xor(&pad_with_cipher(&self.aes, addr, counter))
     }
