@@ -183,8 +183,6 @@ impl synergy_obs::Observe for MemoryStats {
 struct Link {
     /// Line address.
     addr: u64,
-    /// Index in `SynergyMemory::lines`.
-    index: usize,
     /// Slot of this line's counter in its parent line; for the top line of
     /// the chain, the index of its on-chip root counter.
     slot: usize,
@@ -350,19 +348,14 @@ impl SynergyMemory {
         self.stats.writes += 1;
 
         let chain = self.chain(addr);
-        let p_addr = self.layout.parity_line_addr(addr);
-        let pi = self.index(p_addr);
-        // Loaded with the chain, before the first MAC; the chain walk does
-        // not touch parity lines, so the copy is still current after it.
-        let parity = self.lines[pi];
+        self.touch(addr, &chain);
         // Verify (and correct) the whole counter chain before mutating.
         self.verify_chain(&chain)?;
-        let parity = self.loaded_line(p_addr, pi, parity);
-        self.repair_parity_group(addr, parity);
+        self.repair_parity_group(addr);
 
         // Bump every counter on the path root-down, recomputing MACs with
         // the parent's fresh value (Bonsai update). The verified walk left
-        // every chain line materialized and current in `lines`.
+        // every chain line materialized.
         let links = chain.links();
         let top = links[links.len() - 1];
         self.root_counters[top.slot] = (self.root_counters[top.slot] + 1) & MASK56;
@@ -370,11 +363,12 @@ impl SynergyMemory {
         for (k, link) in links.iter().enumerate().rev() {
             let child_slot =
                 if k == 0 { self.layout.counter_slot(addr) } else { links[k - 1].slot };
-            let (mut counters, _) = node_words(&self.lines[link.index]);
+            let i = self.index(link.addr);
+            let (mut counters, _, _) = self.lines[i].counter_parts();
             counters[child_slot] = (counters[child_slot] + 1) & MASK56;
-            let mac = self.gmac.node_tag(link.addr, parent_ctr, &node_payload(&counters));
+            let mac = self.gmac.node_tag(link.addr, parent_ctr, &pack_counters(&counters));
             self.stats.mac_computations += 1;
-            self.lines[link.index] = StoredLine::from_counters(&counters, mac);
+            self.lines[i] = StoredLine::from_counters(&counters, mac);
             parent_ctr = counters[child_slot];
         }
         let new_counter = parent_ctr;
@@ -385,9 +379,9 @@ impl SynergyMemory {
         self.stats.mac_computations += 1;
         let new_stored = StoredLine::from_data(&ciphertext, mac);
 
-        // Parity slot update (P = XOR of all nine chips). The repair above
-        // may have rewritten the parity line, so it is read afresh.
+        // Parity slot update (P = XOR of all nine chips).
         let p_slot = self.layout.parity_slot(addr);
+        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
         let (mut slots, _) = self.lines[pi].parity_parts();
         slots[p_slot] = new_stored.xor_of_nine();
         self.lines[pi] = StoredLine::from_parities(&slots);
@@ -420,31 +414,17 @@ impl SynergyMemory {
     /// returns it with its counter and whether it was corrected.
     fn verified_data(&mut self, addr: u64) -> Result<(StoredLine, u64, bool), MemoryError> {
         let chain = self.chain(addr);
-        let i = self.index(addr);
-        let p_addr = self.layout.parity_line_addr(addr);
-        let pi = self.index(p_addr);
-        // The data line, and the parity line when the tracked-chip path
-        // needs it, are loaded with the chain, before the first MAC. The
-        // chain walk touches neither, so the copies are still current
-        // after it unless the lines were still in their zero state (a data
-        // line and its parity line are materialized together).
-        let stored = self.lines[i];
-        let parity = self.tracked_faulty_chip.map(|_| self.lines[pi]);
+        self.touch(addr, &chain);
         let counters = self.verify_chain(&chain)?;
         let counter = counters[self.layout.counter_slot(addr)];
-        let fresh = !self.is_materialized(i);
-        let stored = self.loaded_line(addr, i, stored);
+        let i = self.ensure_line(addr);
 
         // Fast path for a tracked permanent chip failure: reconstruct that
         // chip first; the MAC verification that follows is the same single
-        // computation the error-free path performs (§IV-A). A correction
-        // on the chain walk may have just started the tracking.
+        // computation the error-free path performs (§IV-A).
+        let stored = self.lines[i];
         if let Some(chip) = self.tracked_faulty_chip {
-            let parity = match parity {
-                Some(parity) if !fresh => parity,
-                _ => self.lines[pi],
-            };
-            let parity = parity.chips[self.layout.parity_slot(addr)];
+            let parity = self.parity_slot_value(addr);
             let candidate = stored.with_chip_reconstructed(chip, &parity);
             let (cl, cmac) = candidate.data_parts();
             self.stats.mac_computations += 1;
@@ -475,14 +455,12 @@ impl SynergyMemory {
     /// only copy of the truth: so each other line of the group is verified
     /// (and corrected) and its slot reset from it. A line that fails
     /// verification keeps its slot; its own next read reports the attack.
-    ///
-    /// `parity` is the group's parity line as it stands in `lines`.
-    fn repair_parity_group(&mut self, addr: u64, parity: StoredLine) {
-        let (slots, parity_p) = parity.parity_parts();
+    fn repair_parity_group(&mut self, addr: u64) {
+        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        let (slots, parity_p) = self.lines[pi].parity_parts();
         if xor_slices(&slots) == parity_p {
             return;
         }
-        let pi = self.index(self.layout.parity_line_addr(addr));
         let p_slot = self.layout.parity_slot(addr);
         let first = addr - p_slot as u64 * LINE;
         for k in (0..8).filter(|&k| k != p_slot) {
@@ -595,56 +573,61 @@ impl SynergyMemory {
         Ok(())
     }
 
-    /// The counter chain of data line `addr`: each line's address, its
-    /// index in `lines` and its slot in its parent, resolved once by
-    /// layout arithmetic.
+    /// The counter chain of data line `addr`: each line's address and its
+    /// slot in its parent, from the counter line up along
+    /// [`MetadataLayout::tree_path_iter`].
     fn chain(&self, addr: u64) -> Chain {
-        let mut links = [Link::default(); MAX_CHAIN];
-        let depth = self.layout.tree_depth();
+        let mut chain = Chain { links: [Link::default(); MAX_CHAIN], len: 0 };
         let mut line = self.layout.counter_line_addr(addr);
-        // Index of `line` within its level.
+        // Index of `line` within its level: its low three bits are its
+        // slot in its parent; the top line's whole index is its root slot.
         let mut idx = (line - self.layout.counter_base()) >> LINE_SHIFT;
-        for (level, link) in links[..depth].iter_mut().enumerate() {
-            *link = Link { addr: line, index: self.index(line), slot: (idx & 7) as usize };
+        for parent in self.layout.tree_path_iter(line) {
+            chain.links[chain.len] = Link { addr: line, slot: (idx & 7) as usize };
+            chain.len += 1;
             idx >>= 3;
-            line = self.layout.tree_level_base(level) + (idx << LINE_SHIFT);
+            line = parent;
         }
-        links[depth] = Link { addr: line, index: self.index(line), slot: idx as usize };
-        Chain { links, len: depth + 1 }
+        chain.links[chain.len] = Link { addr: line, slot: idx as usize };
+        chain.len += 1;
+        chain
+    }
+
+    /// Loads the first and last byte of every line an operation on data
+    /// line `addr` reads (its counter chain, the line and its parity line)
+    /// and discards them, so their cache misses start together instead of
+    /// each chain level's load waiting behind the MAC of the level above.
+    /// A 72-byte stored line spans two cache lines, hence both ends.
+    fn touch(&self, addr: u64, chain: &Chain) {
+        let parity = self.layout.parity_line_addr(addr);
+        let mut sink = 0;
+        for line in chain.links().iter().map(|l| l.addr).chain([addr, parity]) {
+            let stored = &self.lines[self.index(line)];
+            sink ^= stored.chips[0][0] ^ stored.chips[8][7];
+        }
+        std::hint::black_box(sink);
     }
 
     /// Verifies (correcting via `ParityC`) every line of `chain` top-down,
     /// each against its parent's counter, and returns the counter line's
-    /// counters. Every chain line is loaded before the first MAC, so their
-    /// cache misses overlap instead of each waiting behind the MAC of the
-    /// level above.
+    /// counters.
     fn verify_chain(&mut self, chain: &Chain) -> Result<[u64; 8], MemoryError> {
         let links = chain.links();
-        let mut loaded = [StoredLine { chips: [[0; 8]; CHIPS] }; MAX_CHAIN];
-        for (line, link) in loaded.iter_mut().zip(links) {
-            *line = self.lines[link.index];
-        }
         let mut parent_ctr = self.root_counters[links[links.len() - 1].slot];
         for k in (1..links.len()).rev() {
-            let counters = self.verified_node(links[k], loaded[k], parent_ctr)?;
-            parent_ctr = counters[links[k - 1].slot];
+            parent_ctr = self.verified_node(links[k].addr, parent_ctr)?[links[k - 1].slot];
         }
-        self.verified_node(links[0], loaded[0], parent_ctr)
+        self.verified_node(links[0].addr, parent_ctr)
     }
 
-    /// Verifies one counter or tree line against its parent's counter,
-    /// correcting it via `ParityC`. `loaded` is the line as loaded before
-    /// the walk; a line still in its zero state is materialized here.
-    fn verified_node(
-        &mut self,
-        link: Link,
-        loaded: StoredLine,
-        parent_ctr: u64,
-    ) -> Result<[u64; 8], MemoryError> {
-        let stored = self.loaded_line(link.addr, link.index, loaded);
-        let (counters, mac) = node_words(&stored);
+    /// Verified read of one counter/tree line against its parent's
+    /// counter, correcting via `ParityC`.
+    fn verified_node(&mut self, line_addr: u64, parent_ctr: u64) -> Result<[u64; 8], MemoryError> {
+        let i = self.ensure_line(line_addr);
+        let stored = self.lines[i];
+        let (counters, mac, _) = stored.counter_parts();
         self.stats.mac_computations += 1;
-        if self.gmac.node_tag(link.addr, parent_ctr, &node_payload(&counters)) == mac {
+        if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&counters)) == mac {
             return Ok(counters);
         }
         // Correction: up to 8 reconstruction attempts (Scenario B/C). The
@@ -654,30 +637,16 @@ impl SynergyMemory {
         for chip in 0..8 {
             let candidate =
                 stored.with_chip_replaced(chip, xor_slices(&[base, stored.chips[chip]]));
-            let (c2, m2) = node_words(&candidate);
+            let (c2, m2, _) = candidate.counter_parts();
             self.stats.mac_computations += 1;
-            if self.gmac.node_tag(link.addr, parent_ctr, &node_payload(&c2)) == m2 {
-                self.lines[link.index] = candidate;
+            if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&c2)) == m2 {
+                self.lines[i] = candidate;
                 self.record_correction(chip);
                 return Ok(c2);
             }
         }
         self.stats.attacks_declared += 1;
-        Err(MemoryError::AttackDetected { addr: link.addr })
-    }
-
-    /// The current value of line `i` (at `line_addr`), given `loaded`, a
-    /// copy read earlier with nothing written to the line since: the copy
-    /// itself when the line was already materialized, else the line
-    /// materialized now.
-    #[inline]
-    fn loaded_line(&mut self, line_addr: u64, i: usize, loaded: StoredLine) -> StoredLine {
-        if self.is_materialized(i) {
-            loaded
-        } else {
-            self.ensure_line(line_addr);
-            self.lines[i]
-        }
+        Err(MemoryError::AttackDetected { addr: line_addr })
     }
 
     /// The §III-B data-line reconstruction engine (Scenario D included).
@@ -748,6 +717,12 @@ impl SynergyMemory {
         }
     }
 
+    /// Current parity value protecting the data line at `addr`.
+    fn parity_slot_value(&mut self, addr: u64) -> ChipSlice {
+        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        self.lines[pi].chips[self.layout.parity_slot(addr)]
+    }
+
     /// Index of a line in `lines`: its line number, with the MAC region
     /// cut out. Only meaningful for data, counter, parity and tree lines.
     #[inline]
@@ -785,7 +760,7 @@ impl SynergyMemory {
                 Region::Counter | Region::Tree(_) => {
                     // All-zero counters, MAC keyed by the (necessarily zero)
                     // parent counter.
-                    let mac = self.gmac.node_tag(line_addr, 0, &[0; 64]);
+                    let mac = self.gmac.node_tag(line_addr, 0, &pack_counters(&[0; 8]));
                     self.store(i, StoredLine::from_counters(&[0; 8], mac));
                 }
                 Region::Mac | Region::OutOfRange => {
@@ -818,25 +793,10 @@ impl SynergyMemory {
     }
 }
 
-/// A counter or tree line's eight counters and its distributed MAC, read
-/// straight off the chips: chip `i` holds counter `i` in its low 56 bits
-/// and byte `i` of the MAC in its top byte.
+/// Packs eight 56-bit counters into the 64-byte MAC payload, one
+/// little-endian word each.
 #[inline]
-fn node_words(stored: &StoredLine) -> ([u64; 8], u64) {
-    let mut counters = [0u64; 8];
-    let mut mac = 0u64;
-    for (i, chip) in stored.chips[..8].iter().enumerate() {
-        let word = u64::from_le_bytes(*chip);
-        counters[i] = word & MASK56;
-        mac |= (word >> 56) << (8 * i);
-    }
-    (counters, mac)
-}
-
-/// The 64-byte MAC payload of a counter line: its eight 56-bit counters
-/// as little-endian words.
-#[inline]
-fn node_payload(counters: &[u64; 8]) -> [u8; 64] {
+fn pack_counters(counters: &[u64; 8]) -> [u8; 64] {
     *CacheLine::from_words(*counters).as_bytes()
 }
 

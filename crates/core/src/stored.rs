@@ -65,17 +65,19 @@ impl StoredLine {
         Self { chips }
     }
 
-    /// Splits a counter-region line into `(counters, mac, parity_c)`.
+    /// Splits a counter-region line into `(counters, mac, parity_c)`,
+    /// reading each data chip as one little-endian word: counter *i* in its
+    /// low 56 bits, MAC byte *i* in its top byte.
+    #[inline]
     pub fn counter_parts(&self) -> ([u64; 8], u64, ChipSlice) {
         let mut counters = [0u64; 8];
-        let mut mac_bytes = [0u8; 8];
-        for i in 0..8 {
-            let mut bytes = [0u8; 8];
-            bytes[..7].copy_from_slice(&self.chips[i][..7]);
-            counters[i] = u64::from_le_bytes(bytes);
-            mac_bytes[i] = self.chips[i][7];
+        let mut mac = 0u64;
+        for (i, chip) in self.chips[..8].iter().enumerate() {
+            let word = u64::from_le_bytes(*chip);
+            counters[i] = word & ((1 << 56) - 1);
+            mac |= (word >> 56) << (8 * i);
         }
-        (counters, u64::from_le_bytes(mac_bytes), self.chips[8])
+        (counters, mac, self.chips[8])
     }
 
     /// Builds a parity-region line: eight parity slots plus `ParityP`.

@@ -11,13 +11,13 @@
 //! uniqueness; counters are in turn protected from replay by the integrity
 //! tree (see `synergy-secure`).
 //!
-//! On the SIMD backend [`LineCipher::encrypt`] and [`LineCipher::decrypt`]
-//! are one fixed-shape AES-NI kernel: it builds the four counter blocks in
-//! registers, runs them through the rounds as four straight-line lanes and
-//! XORs the pad into the line. Elsewhere pad derivation batches all four
-//! blocks through [`Aes128::encrypt_blocks4`], so a full 64-byte pad is
-//! one call; [`LineCipher::pads_batch`] pipelines the pads of several
-//! independent lines through one [`Aes128::encrypt_blocks`] call.
+//! [`pad_with_cipher`], behind every pad and every [`LineCipher`]
+//! encryption, derives a 64-byte pad in one call: on the SIMD backend a
+//! fixed-shape AES-NI kernel builds the four counter blocks in registers
+//! and runs them through the rounds as four straight-line lanes; the table
+//! backend batches the four blocks through [`Aes128::encrypt_blocks4`].
+//! [`LineCipher::pads_batch`] pipelines the pads of several independent
+//! lines through one [`Aes128::encrypt_blocks`] call.
 //! [`pad_with_cipher_reference`] keeps the scalar per-byte AES path for
 //! equivalence testing and benchmarking.
 
@@ -49,8 +49,13 @@ fn pad_blocks(addr: u64, counter: u64) -> [[u8; 16]; 4] {
 
 /// Pad derivation when the caller already holds an expanded [`Aes128`]
 /// (avoids re-running the key schedule per line). The whole 64-byte pad is
-/// produced with one batched [`Aes128::encrypt_blocks4`] call.
+/// one fixed-shape kernel call on the SIMD backend and one batched
+/// [`Aes128::encrypt_blocks4`] call on the table backend.
 pub fn pad_with_cipher(aes: &Aes128, addr: u64, counter: u64) -> CacheLine {
+    #[cfg(target_arch = "x86_64")]
+    if aes.backend() == Backend::Simd {
+        return CacheLine::from_bytes(crate::simd::ctr_pad(aes.round_keys(), addr, counter));
+    }
     let cts = aes.encrypt_blocks4(&pad_blocks(addr, counter));
     let mut pad = [0u8; LINE_BYTES];
     for (i, ct) in cts.iter().enumerate() {
@@ -137,15 +142,8 @@ impl LineCipher {
             .collect()
     }
 
-    /// Encrypts a plaintext line under `(addr, counter)`: the fused
-    /// single-call kernel on the SIMD backend, the pad XOR elsewhere.
+    /// Encrypts a plaintext line under `(addr, counter)`.
     pub fn encrypt(&self, addr: u64, counter: u64, plaintext: &CacheLine) -> CacheLine {
-        #[cfg(target_arch = "x86_64")]
-        if self.aes.backend() == Backend::Simd {
-            let keys = self.aes.round_keys();
-            let ciphertext = crate::simd::ctr_line(keys, addr, counter, plaintext.as_bytes());
-            return CacheLine::from_bytes(ciphertext);
-        }
         plaintext.xor(&pad_with_cipher(&self.aes, addr, counter))
     }
 

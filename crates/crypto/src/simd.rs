@@ -9,8 +9,8 @@
 //!   `_mm_aeskeygenassist_si128`; [`encrypt_blocks`] pipelines a slice of
 //!   independent blocks through the rounds together so the 4-cycle
 //!   `aesenc` latency overlaps across lanes (the hardware unit is fully
-//!   pipelined); [`ctr_line`] is the fixed four-lane form that encrypts a
-//!   whole 64-byte line in counter mode.
+//!   pipelined); [`ctr_pad`] is the fixed four-lane form that derives a
+//!   whole 64-byte counter-mode pad.
 //! * **GHASH / GF(2^128)** — the repo represents GCM field elements as
 //!   `u128::from_be_bytes(block)`, which is exactly the *bit-reflected*
 //!   operand form of Intel's GCM white-paper `gfmul`: on a little-endian
@@ -170,12 +170,7 @@ pub(crate) fn encrypt_block(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u
 ///
 /// The CPU must support AES-NI.
 #[target_feature(enable = "aes")]
-unsafe fn ctr_line_inner(
-    round_keys: &[[u8; 16]; 11],
-    addr: u64,
-    counter: u64,
-    line: &[u8; 64],
-) -> [u8; 64] {
+unsafe fn ctr_pad_inner(round_keys: &[[u8; 16]; 11], addr: u64, counter: u64) -> [u8; 64] {
     // Counter block i is `addr (8 bytes BE) || counter (low 7 bytes BE) ||
     // i`. As a little-endian register the high half is the byte-swapped
     // `counter << 8`, so the four blocks differ only in its top byte.
@@ -197,32 +192,24 @@ unsafe fn ctr_line_inner(
         ];
     }
     let k10 = _mm_loadu_si128(round_keys[10].as_ptr().cast());
-    let mut out = [0u8; 64];
+    let mut pad = [0u8; 64];
     for (i, lane) in b.iter().enumerate() {
-        let pad = _mm_aesenclast_si128(*lane, k10);
-        let x = _mm_loadu_si128(line[16 * i..].as_ptr().cast());
-        _mm_storeu_si128(out[16 * i..].as_mut_ptr().cast(), _mm_xor_si128(x, pad));
+        _mm_storeu_si128(pad[16 * i..].as_mut_ptr().cast(), _mm_aesenclast_si128(*lane, k10));
     }
-    out
+    pad
 }
 
-/// Counter-mode encryption of one 64-byte line under `(addr, counter)`:
-/// builds the four counter blocks in registers, runs them through the
-/// AES rounds as four straight-line lanes, and XORs the pad into the line
-/// without leaving the registers. Byte-identical to
-/// [`crate::ctr::pad_with_cipher`] XOR the line (pinned by the
+/// The 64-byte counter-mode pad of `(addr, counter)`: builds the four
+/// counter blocks in registers and runs them through the AES rounds as
+/// four straight-line lanes. Byte-identical to the four blocks of
+/// [`crate::ctr::pad_with_cipher_reference`] (pinned by the
 /// backend-equivalence suite).
-pub(crate) fn ctr_line(
-    round_keys: &[[u8; 16]; 11],
-    addr: u64,
-    counter: u64,
-    line: &[u8; 64],
-) -> [u8; 64] {
+pub(crate) fn ctr_pad(round_keys: &[[u8; 16]; 11], addr: u64, counter: u64) -> [u8; 64] {
     debug_assert_supported();
     // SAFETY: this module is reached only through a `Backend::Simd`
-    // instance, which is built only after AES-NI was detected; the loads
-    // and stores stay within the 64-byte arrays.
-    unsafe { ctr_line_inner(round_keys, addr, counter, line) }
+    // instance, which is built only after AES-NI was detected; the stores
+    // stay within the 64-byte array.
+    unsafe { ctr_pad_inner(round_keys, addr, counter) }
 }
 
 // ---------------------------------------------------------------------
