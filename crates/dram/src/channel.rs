@@ -11,13 +11,16 @@
 //!   constraints (tRCD/tRP/tRAS/tRC/tCCD/tRRD/tFAW/tWR/tWTR/tRTP/refresh and
 //!   data-bus occupancy with direction-switch penalties) are enforced.
 //!
-//! Every bank counts the queued requests that target it and, of those, the
-//! row hits, per queue. Whether a bank can issue anything is then a
-//! bank-level question, so a scan first asks it of every bank and only
-//! walks the queue (once, oldest first) when some bank can; the issue
-//! horizon is a minimum over banks rather than over queued requests.
-
-use std::collections::VecDeque;
+//! Both queues live in one fixed slab per channel, sized once to the two
+//! queue capacities. Each request carries a channel sequence number (its
+//! age) and sits on its bank's list for its queue, oldest first. Each
+//! bank keeps, per queue, the sequence numbers of its oldest request and
+//! of its oldest request that hits the open row. Whether a bank can issue
+//! is a bank-level question, and the request it would issue is one of
+//! those two, so a scan is one pass over the banks taking the smallest
+//! sequence number among the ready ones, and the issue horizon is a
+//! minimum over banks rather than over queued requests. Only an ACT (new
+//! open row) and a column command (next hit) walk one bank's list.
 
 use crate::config::{DramConfig, TimingParams};
 use crate::mapping::DramLocation;
@@ -27,45 +30,85 @@ use crate::stats::DramStats;
 #[cfg(test)]
 mod reference;
 
+/// End of a list (and of the free list): no slab slot.
+const NIL: u32 = u32::MAX;
+
+/// [`Bank::open_row`] of a precharged bank (no row is this large).
+const CLOSED: u64 = u64::MAX;
+
+/// The sequence number of a request that does not exist.
+const NONE: u64 = u64::MAX;
+
+/// A bank's device state plus, per queue (indexed by [`qi`]), its oldest
+/// queued request and its oldest row hit. The scheduler's scans read only
+/// the first eight words.
 #[derive(Debug, Clone, Copy)]
 struct Bank {
-    open_row: Option<u64>,
+    /// The open row, [`CLOSED`] when precharged.
+    open_row: u64,
     ready_act: u64,
     ready_col: u64,
     ready_pre: u64,
-    /// Queued requests that target this bank, per queue (indexed by
-    /// [`qi`]).
-    queued: [u32; 2],
-    /// Of `queued`, those that target `open_row`; zero while the bank is
-    /// closed.
-    hits: [u32; 2],
+    /// Sequence number of the bank's oldest queued request, [`NONE`]
+    /// when it has none.
+    oldest: [u64; 2],
+    /// Sequence number of the bank's oldest queued request that targets
+    /// `open_row`, [`NONE`] when none does (always, while closed).
+    oldest_hit: [u64; 2],
+    /// Slab slots of the oldest and youngest queued request and of the
+    /// oldest row hit, [`NIL`] when there is none.
+    head: [u32; 2],
+    tail: [u32; 2],
+    hit: [u32; 2],
 }
 
 impl Bank {
     fn new() -> Self {
         Self {
-            open_row: None,
+            open_row: CLOSED,
             ready_act: 0,
             ready_col: 0,
             ready_pre: 0,
-            queued: [0; 2],
-            hits: [0; 2],
+            oldest: [NONE; 2],
+            oldest_hit: [NONE; 2],
+            head: [NIL; 2],
+            tail: [NIL; 2],
+            hit: [NIL; 2],
         }
+    }
+
+    fn is_open(&self) -> bool {
+        self.open_row != CLOSED
     }
 
     /// True while a request in either queue targets the open row, which
     /// blocks the bank's precharge (row-hit friendliness).
     fn has_hit(&self) -> bool {
-        self.hits[0] + self.hits[1] > 0
+        self.oldest_hit[0] & self.oldest_hit[1] != NONE
     }
 
-    /// True when some queued request needs a row command (PRE or ACT).
-    fn has_miss(&self) -> bool {
-        self.queued[0] + self.queued[1] > self.hits[0] + self.hits[1]
+    /// True when the bank's next command is a row command (PRE or ACT):
+    /// requests are queued and none hits an open row.
+    fn wants_row_command(&self) -> bool {
+        !self.has_hit() & (self.oldest[0] & self.oldest[1] != NONE)
+    }
+
+    /// Closes the open row (precharge or refresh): nothing hits any more.
+    fn close(&mut self) {
+        self.open_row = CLOSED;
+        self.oldest_hit = [NONE; 2];
+        self.hit = [NIL; 2];
     }
 }
 
-/// Index of `kind`'s queue in the per-bank count arrays.
+/// `x` when `cond` holds, else [`NONE`] (`u64::MAX`), as a conditional
+/// move: the scans' readiness tests are data-dependent coin flips that a
+/// branch would mispredict.
+fn if_ready(cond: bool, x: u64) -> u64 {
+    std::hint::select_unpredictable(cond, x, NONE)
+}
+
+/// Index of `kind`'s queue in the per-bank arrays.
 fn qi(kind: AccessKind) -> usize {
     match kind {
         AccessKind::Read => 0,
@@ -81,25 +124,40 @@ fn lead(t: &TimingParams, kind: AccessKind) -> u64 {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Rank {
-    /// ACT timestamps inside the rolling tFAW window.
-    act_window: VecDeque<u64>,
+    /// The rank's last four ACTs, newest first (the tFAW window); `None`
+    /// until the rank has activated four times.
+    act_window: [Option<u64>; 4],
     last_act: u64,
+    /// The rank's activate floor, set at each ACT: `last_act + tRRD`
+    /// (nothing after an ACT at cycle 0) and, with four ACTs on record,
+    /// the oldest one's `+ tFAW`. An activate may issue at `cycle` iff
+    /// `act_floor <= cycle`; once the oldest ACT leaves the window its
+    /// term lies at or before any cycle it is compared or clamped at.
+    act_floor: u64,
     next_refresh: u64,
 }
 
-/// A queued request: the scheduler reads `bank` and `row` (kept first and
-/// small so a queue walk touches one cache line per entry); the rest is
-/// echoed in the completion.
+/// A queued request in the channel's slab. The scheduler reads `seq`,
+/// `row` and the links (kept first so a list walk touches one cache line
+/// per entry); the rest is echoed in the completion.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
-    /// Flat index of the target bank in [`Channel::banks`].
-    bank: usize,
+    /// Channel-wide arrival order: smaller is older.
+    seq: u64,
     row: u64,
+    /// Younger and older neighbours on the bank's list for `kind`
+    /// ([`NIL`] at the ends); `next` chains the free list in a free slot.
+    next: u32,
+    prev: u32,
+    /// Flat index of the target bank in [`Channel::banks`].
+    bank: u32,
+    /// The queue holding the request; `None` for a free slot.
+    kind: Option<AccessKind>,
+    class: RequestClass,
     id: u64,
     addr: u64,
-    class: RequestClass,
     enqueue_cycle: u64,
     /// When the row serving this request became usable: stamped at
     /// enqueue if the row was already open, at ACT completion otherwise;
@@ -107,6 +165,25 @@ struct Queued {
     /// bookkeeping for cycle attribution — never consulted by the
     /// scheduler.
     bank_ready: Option<u64>,
+}
+
+impl Queued {
+    /// A free slot whose free-list successor is `next`.
+    fn free(next: u32) -> Self {
+        Self {
+            seq: 0,
+            row: 0,
+            next,
+            prev: NIL,
+            bank: 0,
+            kind: None,
+            class: RequestClass::Data,
+            id: 0,
+            addr: 0,
+            enqueue_cycle: 0,
+            bank_ready: None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -124,8 +201,8 @@ struct PendingCompletion {
 /// A command the FR-FCFS scan found issueable this cycle.
 #[derive(Debug, Clone, Copy)]
 enum Candidate {
-    /// Column command for queue `kind`, request index `idx`.
-    Col(AccessKind, usize),
+    /// Column command for queue `kind`, request in slab slot `slot`.
+    Col(AccessKind, u32),
     /// Activation of `row` in flat bank `bank`.
     Act { bank: usize, row: u64 },
     /// Precharge of flat bank `bank`.
@@ -139,8 +216,14 @@ pub(crate) struct Channel {
     banks: Vec<Bank>,
     banks_per_rank: usize,
     ranks: Vec<Rank>,
-    read_q: VecDeque<Queued>,
-    write_q: VecDeque<Queued>,
+    /// Both queues' requests, sized once to the two capacities; free
+    /// slots are chained from `free`.
+    slab: Vec<Queued>,
+    free: u32,
+    /// Requests queued per queue.
+    len: [usize; 2],
+    /// Sequence number of the next request enqueued.
+    next_seq: u64,
     pending: Vec<PendingCompletion>,
     draining: bool,
     bus_free_at: u64,
@@ -158,20 +241,25 @@ pub(crate) struct Channel {
 
 impl Channel {
     pub(crate) fn new(cfg: &DramConfig) -> Self {
-        let ranks = (0..cfg.ranks_per_channel)
-            .map(|_| Rank {
-                act_window: VecDeque::new(),
-                last_act: 0,
-                next_refresh: cfg.timing.t_refi,
-            })
-            .collect();
+        let rank = Rank {
+            act_window: [None; 4],
+            last_act: 0,
+            act_floor: 0,
+            next_refresh: cfg.timing.t_refi,
+        };
+        let slots = cfg.read_queue_capacity + cfg.write_queue_capacity;
+        let slots32 = u32::try_from(slots).expect("queue capacities fit a u32 slab index");
         Self {
             banks: vec![Bank::new(); cfg.ranks_per_channel * cfg.banks_per_rank],
             banks_per_rank: cfg.banks_per_rank,
-            ranks,
-            read_q: VecDeque::new(),
-            write_q: VecDeque::new(),
-            pending: Vec::new(),
+            ranks: vec![rank; cfg.ranks_per_channel],
+            slab: (1..=slots32)
+                .map(|next| Queued::free(if next == slots32 { NIL } else { next }))
+                .collect(),
+            free: if slots == 0 { NIL } else { 0 },
+            len: [0; 2],
+            next_seq: 0,
+            pending: Vec::with_capacity(cfg.read_queue_capacity),
             draining: false,
             bus_free_at: 0,
             last_bus_op: None,
@@ -181,20 +269,21 @@ impl Channel {
     }
 
     pub(crate) fn read_queue_len(&self) -> usize {
-        self.read_q.len()
+        self.len[0]
     }
 
     pub(crate) fn write_queue_len(&self) -> usize {
-        self.write_q.len()
+        self.len[1]
     }
 
     pub(crate) fn in_flight(&self) -> usize {
-        self.read_q.len() + self.write_q.len() + self.pending.len()
+        self.len[0] + self.len[1] + self.pending.len()
     }
 
     /// Queues `req` at `cycle` (the next cycle to be ticked) and returns
     /// the earliest cycle at which this channel's next tick may now have
-    /// work: the caller's cached event horizon must drop to it.
+    /// work: the caller's cached event horizon must drop to it. The
+    /// caller keeps each queue within its capacity.
     pub(crate) fn enqueue(
         &mut self,
         req: Request,
@@ -203,39 +292,56 @@ impl Channel {
         cfg: &DramConfig,
     ) -> u64 {
         let b = loc.rank * self.banks_per_rank + loc.bank;
+        let k = qi(req.kind);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let s = self.free;
+        assert_ne!(s, NIL, "enqueue past the channel's queue capacity");
+        self.free = self.slab[s as usize].next;
+        self.len[k] += 1;
         let bank = &mut self.banks[b];
-        let hit = bank.open_row == Some(loc.row);
-        bank.queued[qi(req.kind)] += 1;
-        if hit {
-            bank.hits[qi(req.kind)] += 1;
+        let hit = bank.open_row == loc.row;
+        let tail = bank.tail[k];
+        if tail == NIL {
+            bank.head[k] = s;
+            bank.oldest[k] = seq;
+        } else {
+            self.slab[tail as usize].next = s;
+        }
+        bank.tail[k] = s;
+        if hit && bank.hit[k] == NIL {
+            bank.hit[k] = s;
+            bank.oldest_hit[k] = seq;
         }
         // Attribution bookkeeping: a request arriving to an already-open
         // row never waits on the bank at all.
-        let q = Queued {
-            bank: b,
+        self.slab[s as usize] = Queued {
+            seq,
             row: loc.row,
+            next: NIL,
+            prev: tail,
+            bank: b as u32,
+            kind: Some(req.kind),
+            class: req.class,
             id: req.id,
             addr: req.addr,
-            class: req.class,
             enqueue_cycle: cycle,
             bank_ready: hit.then_some(cycle),
         };
-        match req.kind {
-            AccessKind::Read => self.read_q.push_back(q),
-            AccessKind::Write => self.write_q.push_back(q),
-        }
-        self.debug_check_counts(b);
+        self.debug_check_bank(b);
         // The horizon already bounds every other request; the new one adds
         // the bound of its own next command. (As a row hit it may also
         // block its bank's precharge, which only makes the old horizon
         // conservative, never optimistic.)
-        let t = &cfg.timing;
         let bank = &self.banks[b];
-        let bound = match bank.open_row {
-            _ if hit => bank.ready_col.max(self.col_floor(t, req.kind)),
-            Some(_) if bank.has_hit() => u64::MAX,
-            Some(_) => bank.ready_pre,
-            None => bank.ready_act.max(self.act_floor(t, loc.rank, cycle)),
+        let bound = if hit {
+            bank.ready_col.max(self.col_floor(&cfg.timing, req.kind))
+        } else if bank.has_hit() {
+            u64::MAX
+        } else if bank.is_open() {
+            bank.ready_pre
+        } else {
+            bank.ready_act.max(self.ranks[loc.rank].act_floor)
         };
         self.issue_horizon = self.issue_horizon.min(bound.max(cycle));
         if self.drain_flip_pending(cfg) {
@@ -243,6 +349,46 @@ impl Channel {
         } else {
             self.issue_horizon
         }
+    }
+
+    /// Takes slot `s` off its bank's list and returns it to the free list.
+    fn unlink(&mut self, s: u32) -> Queued {
+        let q = self.slab[s as usize];
+        let k = qi(q.kind.expect("unlinking a queued request"));
+        let bank = &mut self.banks[q.bank as usize];
+        match q.prev {
+            NIL => {
+                bank.head[k] = q.next;
+                bank.oldest[k] = match q.next {
+                    NIL => NONE,
+                    next => self.slab[next as usize].seq,
+                };
+            }
+            prev => self.slab[prev as usize].next = q.next,
+        }
+        match q.next {
+            NIL => bank.tail[k] = q.prev,
+            next => self.slab[next as usize].prev = q.prev,
+        }
+        self.slab[s as usize] = Queued::free(self.free);
+        self.free = s;
+        self.len[k] -= 1;
+        q
+    }
+
+    /// Points bank `b`'s oldest hit for queue `k` at the first request on
+    /// its list, from slot `s` on, that targets the open row.
+    fn seek_hit(&mut self, b: usize, k: usize, mut s: u32) {
+        let row = self.banks[b].open_row;
+        while s != NIL && self.slab[s as usize].row != row {
+            s = self.slab[s as usize].next;
+        }
+        let bank = &mut self.banks[b];
+        bank.hit[k] = s;
+        bank.oldest_hit[k] = match s {
+            NIL => NONE,
+            s => self.slab[s as usize].seq,
+        };
     }
 
     pub(crate) fn scan_skips(&self) -> u64 {
@@ -323,7 +469,7 @@ impl Channel {
 
     fn issue(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, c: Candidate) {
         match c {
-            Candidate::Col(kind, idx) => self.issue_col_command(cycle, t, stats, kind, idx),
+            Candidate::Col(kind, s) => self.issue_col_command(cycle, t, stats, kind, s),
             Candidate::Act { bank, row } => self.issue_act(cycle, t, stats, bank, row),
             Candidate::Pre(bank) => self.issue_pre(cycle, t, stats, bank),
         }
@@ -342,33 +488,41 @@ impl Channel {
         if t.t_refi == 0 {
             return;
         }
-        for (r, rank) in self.ranks.iter_mut().enumerate() {
-            if cycle >= rank.next_refresh {
-                // Close all rows and lock the rank for tRFC.
-                let banks = r * self.banks_per_rank..(r + 1) * self.banks_per_rank;
-                for bank in &mut self.banks[banks.clone()] {
-                    bank.open_row = None;
-                    bank.hits = [0; 2];
-                    bank.ready_act = bank.ready_act.max(cycle + t.t_rfc);
-                }
+        for r in 0..self.ranks.len() {
+            if cycle < self.ranks[r].next_refresh {
+                continue;
+            }
+            // Close all rows and lock the rank for tRFC.
+            for b in r * self.banks_per_rank..(r + 1) * self.banks_per_rank {
+                let bank = &mut self.banks[b];
+                bank.close();
+                bank.ready_act = bank.ready_act.max(cycle + t.t_rfc);
                 // Attribution: every waiter in the rank must reacquire its
                 // row after the refresh window.
-                for q in self.read_q.iter_mut().filter(|q| banks.contains(&q.bank)) {
-                    q.bank_ready = None;
-                }
-                rank.next_refresh += t.t_refi;
-                stats.refreshes += 1;
-                // Closed rows flip column candidates into ACT candidates:
-                // rescan this tick.
-                self.issue_horizon = 0;
+                self.clear_bank_ready(b);
             }
+            self.ranks[r].next_refresh += t.t_refi;
+            stats.refreshes += 1;
+            // Closed rows flip column candidates into ACT candidates:
+            // rescan this tick.
+            self.issue_horizon = 0;
+        }
+    }
+
+    /// Attribution: bank `b`'s queued reads lose their open row.
+    fn clear_bank_ready(&mut self, b: usize) {
+        let mut s = self.banks[b].head[0];
+        while s != NIL {
+            let q = &mut self.slab[s as usize];
+            q.bank_ready = None;
+            s = q.next;
         }
     }
 
     fn update_drain_mode(&mut self, cfg: &DramConfig) {
-        if self.write_q.len() >= cfg.write_hi_watermark {
+        if self.len[1] >= cfg.write_hi_watermark {
             self.draining = true;
-        } else if self.write_q.len() <= cfg.write_lo_watermark {
+        } else if self.len[1] <= cfg.write_lo_watermark {
             self.draining = false;
         }
     }
@@ -377,29 +531,48 @@ impl Channel {
     /// the drain mode.
     fn drain_flip_pending(&self, cfg: &DramConfig) -> bool {
         if self.draining {
-            self.write_q.len() <= cfg.write_lo_watermark
+            self.len[1] <= cfg.write_lo_watermark
         } else {
-            self.write_q.len() >= cfg.write_hi_watermark
+            self.len[1] >= cfg.write_hi_watermark
         }
     }
 
-    fn queue(&self, kind: AccessKind) -> &VecDeque<Queued> {
-        match kind {
-            AccessKind::Read => &self.read_q,
-            AccessKind::Write => &self.write_q,
-        }
-    }
-
-    /// The command the scheduler would issue this cycle, if any.
+    /// The command the scheduler would issue this cycle, if any: FR-FCFS
+    /// over the serviced queue (the oldest request whose column command is
+    /// ready, else the oldest request whose bank accepts its row command),
+    /// then over the other queue when the first can make no progress.
     ///
-    /// Service order: the drained queue first, then the other when the
-    /// primary can make no progress this cycle. The fallback matters
-    /// beyond opportunism: a queued write that row-hits an open row
-    /// blocks the precharge a queued read needs (row-hit friendliness),
-    /// so the write must be allowed to issue or the pair deadlocks
-    /// until a refresh closes the row.
+    /// The fallback matters beyond opportunism: a queued write that
+    /// row-hits an open row blocks the precharge a queued read needs
+    /// (row-hit friendliness), so the write must be allowed to issue or
+    /// the pair deadlocks until a refresh closes the row.
+    ///
+    /// Every readiness test is bank-level: a column command needs a row
+    /// hit on a bank past `ready_col` (plus a data bus free for its
+    /// queue), a row command a bank whose PRE or ACT is allowed and which
+    /// holds no row hit, so that its oldest request misses. One pass over
+    /// the banks takes, per queue, the smallest sequence number each kind
+    /// of ready bank offers.
     fn find_candidate(&self, cycle: u64, t: &TimingParams) -> Option<Candidate> {
-        let primary = if self.draining || self.read_q.is_empty() {
+        // Per queue: the sequence number of the oldest column-ready hit and
+        // of the oldest request of a row-ready bank. Sequence numbers are
+        // unique, so each names its bank.
+        let mut col = [NONE; 2];
+        let mut row = [NONE; 2];
+        for (rank, banks) in self.ranks.iter().zip(self.banks.chunks(self.banks_per_rank)) {
+            let act_ok = rank.act_floor <= cycle;
+            for bank in banks {
+                let open = bank.is_open();
+                let row_ready = (open & (cycle >= bank.ready_pre) & !bank.has_hit())
+                    | (!open & (cycle >= bank.ready_act) & act_ok);
+                let col_ready = cycle >= bank.ready_col;
+                for k in 0..2 {
+                    col[k] = col[k].min(if_ready(col_ready, bank.oldest_hit[k]));
+                    row[k] = row[k].min(if_ready(row_ready, bank.oldest[k]));
+                }
+            }
+        }
+        let primary = if self.draining || self.len[0] == 0 {
             AccessKind::Write
         } else {
             AccessKind::Read
@@ -408,152 +581,70 @@ impl Channel {
             AccessKind::Read => AccessKind::Write,
             AccessKind::Write => AccessKind::Read,
         };
-        self.find_candidate_for_queue(cycle, t, primary)
-            .or_else(|| self.find_candidate_for_queue(cycle, t, secondary))
-    }
-
-    /// FR-FCFS over `kind`'s queue: the oldest request whose column
-    /// command is ready, else the oldest request whose bank accepts its
-    /// row command.
-    ///
-    /// Both readiness tests are bank-level: a column command needs a row
-    /// hit on a bank past `ready_col` (plus a bus free for `kind`), a row
-    /// command a miss on a bank whose PRE or ACT is allowed. A pre-check
-    /// over the banks' counts settles which of the two the queue holds,
-    /// so the queue is walked at most once and not at all when no bank
-    /// can issue.
-    fn find_candidate_for_queue(
-        &self,
-        cycle: u64,
-        t: &TimingParams,
-        kind: AccessKind,
-    ) -> Option<Candidate> {
-        let k = qi(kind);
-        let bus_ok = cycle + lead(t, kind) >= self.bus_ready(t, kind);
-        let col_ready = |bank: &Bank| cycle >= bank.ready_col;
-        let mut any_col = false;
-        let mut any_row = false;
-        for (b, bank) in self.banks.iter().enumerate() {
-            if bus_ok && bank.hits[k] > 0 && col_ready(bank) {
-                any_col = true;
-                break;
+        [primary, secondary].into_iter().find_map(|kind| {
+            let k = qi(kind);
+            if col[k] != NONE && cycle + lead(t, kind) >= self.bus_ready(t, kind) {
+                let bank = self.banks.iter().find(|bank| bank.oldest_hit[k] == col[k]);
+                return Some(Candidate::Col(kind, bank.expect("a bank holds the hit").hit[k]));
             }
-            any_row = any_row
-                || (bank.queued[k] > bank.hits[k] && self.row_command_ready(cycle, t, b));
-        }
-        if any_col {
-            self.queue(kind).iter().position(|q| {
-                let bank = &self.banks[q.bank];
-                bank.open_row == Some(q.row) && col_ready(bank)
-            })
-            .map(|idx| Candidate::Col(kind, idx))
-        } else if any_row {
-            self.queue(kind).iter().find_map(|q| {
-                let bank = &self.banks[q.bank];
-                if bank.open_row == Some(q.row) || !self.row_command_ready(cycle, t, q.bank) {
-                    None
-                } else if bank.open_row.is_some() {
-                    Some(Candidate::Pre(q.bank))
-                } else {
-                    Some(Candidate::Act { bank: q.bank, row: q.row })
-                }
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Whether bank `b` accepts its row command for a missing request this
-    /// cycle: a precharge once `ready_pre` passed and no queued request
-    /// still hits the open row, an activate once the bank and rank allow.
-    fn row_command_ready(&self, cycle: u64, t: &TimingParams, b: usize) -> bool {
-        let bank = &self.banks[b];
-        match bank.open_row {
-            Some(_) => cycle >= bank.ready_pre && !bank.has_hit(),
-            None => {
-                let r = b / self.banks_per_rank;
-                cycle >= bank.ready_act && self.act_floor(t, r, cycle) <= cycle
+            if row[k] == NONE {
+                return None;
             }
-        }
+            let b = self.banks.iter().position(|bank| bank.oldest[k] == row[k]);
+            let b = b.expect("a bank holds the request");
+            let bank = &self.banks[b];
+            Some(if bank.is_open() {
+                Candidate::Pre(b)
+            } else {
+                Candidate::Act { bank: b, row: self.slab[bank.head[k] as usize].row }
+            })
+        })
     }
 
     /// A conservative lower bound (≥ `from`) on the next cycle at which
     /// any queued command could issue, assuming no external state change
     /// (issues and refreshes recompute [`Self::issue_horizon`], enqueues
     /// lower it). `u64::MAX` when both queues are empty.
+    ///
+    /// One pass over the banks gathers each bound's minimum: per queue,
+    /// the earliest `ready_col` of a bank with row hits (clamped once to
+    /// the queue's data-bus floor); the earliest `ready_pre` of an open
+    /// bank whose queued requests all miss; per rank, the earliest
+    /// `ready_act` of a closed bank with requests (clamped once to the
+    /// rank's activate floor). A precharge blocked by row-hit
+    /// friendliness contributes no bound of its own: it can only unblock
+    /// when the hitting request issues, and the horizon is recomputed
+    /// then.
     fn next_issue_cycle(&self, from: u64, t: &TimingParams) -> u64 {
-        if self.read_q.is_empty() && self.write_q.is_empty() {
+        if self.len == [0, 0] {
             return u64::MAX;
         }
-        let col_floor = [AccessKind::Read, AccessKind::Write].map(|kind| self.col_floor(t, kind));
+        let mut col = [u64::MAX; 2];
+        let mut pre = u64::MAX;
         let mut earliest = u64::MAX;
-        for r in 0..self.ranks.len() {
-            let mut act_floor = None;
-            for b in r * self.banks_per_rank..(r + 1) * self.banks_per_rank {
-                let bound = self.bank_bound(b, col_floor, || {
-                    *act_floor.get_or_insert_with(|| self.act_floor(t, r, from))
-                });
-                earliest = earliest.min(bound);
+        for (rank, banks) in self.ranks.iter().zip(self.banks.chunks(self.banks_per_rank)) {
+            let mut act = u64::MAX;
+            for bank in banks {
+                for k in 0..2 {
+                    col[k] = col[k].min(if_ready(bank.oldest_hit[k] != NONE, bank.ready_col));
+                }
+                let row_command = bank.wants_row_command();
+                let open = bank.is_open();
+                pre = pre.min(if_ready(row_command & open, bank.ready_pre));
+                act = act.min(if_ready(row_command & !open, bank.ready_act));
             }
+            earliest = earliest.min(act.max(rank.act_floor));
         }
-        earliest.max(from)
-    }
-
-    /// The earliest cycle bank `b` could issue a command for a request it
-    /// holds: a column command per queue with row hits (`col_floor` is
-    /// that queue's data-bus floor), a precharge when a miss waits on an
-    /// open row nobody hits, or an activate (`act_floor` supplies the
-    /// rank's tRRD/tFAW floor) when a miss waits on a closed bank. A
-    /// precharge blocked by row-hit friendliness contributes no bound of
-    /// its own: it can only unblock when the hitting request issues, and
-    /// the horizon is recomputed then.
-    fn bank_bound(&self, b: usize, col_floor: [u64; 2], act_floor: impl FnOnce() -> u64) -> u64 {
-        let bank = &self.banks[b];
-        let mut bound = u64::MAX;
-        for (hits, floor) in bank.hits.into_iter().zip(col_floor) {
-            if hits > 0 {
-                bound = bound.min(bank.ready_col.max(floor));
-            }
+        for (kind, col) in [AccessKind::Read, AccessKind::Write].into_iter().zip(col) {
+            earliest = earliest.min(col.max(self.col_floor(t, kind)));
         }
-        if bank.has_miss() {
-            match bank.open_row {
-                Some(_) if bank.has_hit() => {}
-                Some(_) => bound = bound.min(bank.ready_pre),
-                None => bound = bound.min(bank.ready_act.max(act_floor())),
-            }
-        }
-        bound
+        earliest.min(pre).max(from)
     }
 
     /// The earliest cycle a column command of `kind` may issue given the
     /// data bus (its burst must not start before the bus is ready).
     fn col_floor(&self, t: &TimingParams, kind: AccessKind) -> u64 {
         self.bus_ready(t, kind).saturating_sub(lead(t, kind))
-    }
-
-    /// A lower bound on the first cycle at or after `from` at which rank
-    /// `r`'s tRRD spacing and tFAW window allow an activate (0 when they
-    /// impose nothing); the rank allows one at `from` itself exactly when
-    /// the bound is at most `from`.
-    fn act_floor(&self, t: &TimingParams, r: usize, from: u64) -> u64 {
-        let rank = &self.ranks[r];
-        let mut c = 0;
-        if rank.last_act != 0 {
-            c = rank.last_act + t.t_rrd;
-        }
-        let mut in_window = 0usize;
-        let mut oldest = u64::MAX;
-        for &at in &rank.act_window {
-            if at + t.t_faw > from {
-                in_window += 1;
-                oldest = oldest.min(at);
-            }
-        }
-        if in_window >= 4 {
-            // The oldest in-window ACT expiring frees a tFAW slot.
-            c = c.max(oldest + t.t_faw);
-        }
-        c
     }
 
     /// Earliest cycle the data bus can start a burst of `kind`, including
@@ -571,27 +662,32 @@ impl Channel {
         bus_ready
     }
 
-    /// Debug check: bank `b`'s counts equal a recount of both queues.
-    fn debug_check_counts(&self, b: usize) {
+    /// Debug check: bank `b`'s oldest request and oldest row hit per
+    /// queue equal a recount of the slab.
+    fn debug_check_bank(&self, b: usize) {
         debug_assert_eq!(
-            (self.banks[b].queued, self.banks[b].hits),
+            (self.banks[b].oldest, self.banks[b].oldest_hit),
             self.recount(b),
-            "bank {b} counts drifted from its queued requests"
+            "bank {b} drifted from its queued requests"
         );
     }
 
-    /// `(queued, hits)` of bank `b`, counted from the queues.
-    fn recount(&self, b: usize) -> ([u32; 2], [u32; 2]) {
+    /// `(oldest, oldest_hit)` of bank `b`, recounted from every queued
+    /// request in the slab (not from the bank's lists).
+    fn recount(&self, b: usize) -> ([u64; 2], [u64; 2]) {
         let open = self.banks[b].open_row;
-        let mut queued = [0; 2];
-        let mut hits = [0; 2];
-        for (k, q) in [&self.read_q, &self.write_q].into_iter().enumerate() {
-            for q in q.iter().filter(|q| q.bank == b) {
-                queued[k] += 1;
-                hits[k] += u32::from(open == Some(q.row));
+        let mut oldest = [NONE; 2];
+        let mut oldest_hit = [NONE; 2];
+        for q in self.slab.iter().filter(|q| q.bank as usize == b) {
+            if let Some(kind) = q.kind {
+                let k = qi(kind);
+                oldest[k] = oldest[k].min(q.seq);
+                if q.row == open {
+                    oldest_hit[k] = oldest_hit[k].min(q.seq);
+                }
             }
         }
-        (queued, hits)
+        (oldest, oldest_hit)
     }
 
     fn issue_act(
@@ -603,45 +699,45 @@ impl Channel {
         row: u64,
     ) {
         let bank = &mut self.banks[b];
-        bank.open_row = Some(row);
+        bank.open_row = row;
         bank.ready_col = cycle + t.t_rcd;
         bank.ready_pre = bank.ready_pre.max(cycle + t.t_ras);
         bank.ready_act = cycle + t.t_rc;
         let rank = &mut self.ranks[b / self.banks_per_rank];
         rank.last_act = cycle;
-        rank.act_window.push_back(cycle);
-        while rank.act_window.len() > 4 {
-            rank.act_window.pop_front();
-        }
+        rank.act_window.rotate_right(1);
+        rank.act_window[0] = Some(cycle);
+        let rrd = if cycle != 0 { cycle + t.t_rrd } else { 0 };
+        rank.act_floor = rrd.max(rank.act_window[3].map_or(0, |oldest| oldest + t.t_faw));
         stats.activates += 1;
-        // Recount the bank's row hits against the new open row, and
-        // (attribution) give every unstamped read waiting on it its row at
-        // tRCD after the activate.
+        // Attribution: every unstamped read waiting on the new row gets
+        // its row at tRCD after the activate.
         let ready = cycle + t.t_rcd;
-        let mut hits = [0; 2];
-        for q in self.read_q.iter_mut().filter(|q| q.bank == b && q.row == row) {
-            q.bank_ready.get_or_insert(ready);
-            hits[0] += 1;
+        let mut s = self.banks[b].head[0];
+        while s != NIL {
+            let q = &mut self.slab[s as usize];
+            if q.row == row {
+                q.bank_ready.get_or_insert(ready);
+            }
+            s = q.next;
         }
-        hits[1] = self.write_q.iter().filter(|q| q.bank == b && q.row == row).count() as u32;
-        self.banks[b].hits = hits;
-        self.debug_check_counts(b);
+        for k in 0..2 {
+            self.seek_hit(b, k, self.banks[b].head[k]);
+        }
+        self.debug_check_bank(b);
     }
 
     fn issue_pre(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, b: usize) {
         let bank = &mut self.banks[b];
         // PRE issues now; `cycle >= ready_pre` was checked by the caller.
-        bank.open_row = None;
-        bank.hits = [0; 2];
+        bank.close();
         bank.ready_act = bank.ready_act.max(cycle + t.t_rp);
         stats.precharges += 1;
         // Attribution: waiters on this bank lose their open row (a stamped
         // waiter on the *closed* row goes back to waiting on the bank; a
         // waiter on another row never had a stamp).
-        for q in self.read_q.iter_mut().filter(|q| q.bank == b) {
-            q.bank_ready = None;
-        }
-        self.debug_check_counts(b);
+        self.clear_bank_ready(b);
+        self.debug_check_bank(b);
     }
 
     fn issue_col_command(
@@ -650,16 +746,14 @@ impl Channel {
         t: &TimingParams,
         stats: &mut DramStats,
         kind: AccessKind,
-        idx: usize,
+        s: u32,
     ) {
-        let q = match kind {
-            AccessKind::Read => self.read_q.remove(idx),
-            AccessKind::Write => self.write_q.remove(idx),
-        }
-        .expect("candidate index valid");
-        let bank = &mut self.banks[q.bank];
-        bank.queued[qi(kind)] -= 1;
-        bank.hits[qi(kind)] -= 1;
+        let b = self.slab[s as usize].bank as usize;
+        let k = qi(kind);
+        debug_assert_eq!(self.banks[b].hit[k], s, "column command for a younger hit");
+        self.seek_hit(b, k, self.slab[s as usize].next);
+        let q = self.unlink(s);
+        let bank = &mut self.banks[b];
         bank.ready_col = cycle + t.t_ccd;
 
         match kind {
@@ -695,6 +789,6 @@ impl Channel {
         stats.bursts += 1;
         stats.busy_cycles += t.t_burst;
         self.last_bus_op = Some(kind);
-        self.debug_check_counts(q.bank);
+        self.debug_check_bank(b);
     }
 }

@@ -3,15 +3,25 @@
 //! differential tests that hold the two to the same command on every
 //! cycle.
 //!
-//! The reference scans the queues directly: pass 1 looks for the oldest
-//! ready column command, pass 2 for the oldest request whose bank accepts
-//! its row command, with row-hit friendliness decided by rescanning both
-//! queues. Its horizon takes the minimum over every queued request.
+//! The reference never reads the banks' request lists. It scans an
+//! age-ordered view of each queue, built from the slab's queued entries
+//! sorted by sequence number: pass 1 looks for the oldest ready column
+//! command, pass 2 for the oldest request whose bank accepts its row
+//! command, with row-hit friendliness decided by rescanning both queues
+//! and the tRRD/tFAW limits recomputed from each rank's ACT window. Its
+//! horizon takes the minimum over every queued request.
 
-use super::{Candidate, Channel, Queued};
+use super::{qi, Bank, Candidate, Channel, Queued, CLOSED, NIL};
 use crate::config::{DramConfig, TimingParams};
 use crate::request::{AccessKind, Completion};
 use crate::stats::DramStats;
+
+impl Bank {
+    /// The open row, `None` while precharged.
+    fn open(&self) -> Option<u64> {
+        (self.open_row != CLOSED).then_some(self.open_row)
+    }
+}
 
 impl Channel {
     /// One memory cycle under the reference scheduler: the same retire,
@@ -35,13 +45,24 @@ impl Channel {
         c
     }
 
+    /// `kind`'s queue, oldest first: `(slab slot, request)` for every
+    /// queued entry of that kind, sorted by sequence number.
+    fn queue_view(&self, kind: AccessKind) -> Vec<(u32, &Queued)> {
+        let mut view: Vec<(u32, &Queued)> = (0u32..)
+            .zip(&self.slab)
+            .filter(|(_, q)| q.kind == Some(kind))
+            .collect();
+        view.sort_by_key(|(_, q)| q.seq);
+        view
+    }
+
     /// The reference scheduler's pick: drained queue first, then the other.
     pub(super) fn find_candidate_reference(
         &self,
         cycle: u64,
         t: &TimingParams,
     ) -> Option<Candidate> {
-        let primary = if self.draining || self.read_q.is_empty() {
+        let primary = if self.draining || self.queue_view(AccessKind::Read).is_empty() {
             AccessKind::Write
         } else {
             AccessKind::Read
@@ -60,42 +81,39 @@ impl Channel {
         t: &TimingParams,
         kind: AccessKind,
     ) -> Option<Candidate> {
+        let queue = self.queue_view(kind);
         // Pass 1 — FR: oldest request whose column command is ready now.
         let bus_ready = self.bus_ready(t, kind);
-        if let Some((idx, _)) = self
-            .queue(kind)
+        if let Some(&(s, _)) = queue
             .iter()
-            .enumerate()
             .find(|(_, q)| self.col_command_ready(cycle, t, q, kind, bus_ready))
         {
-            return Some(Candidate::Col(kind, idx));
+            return Some(Candidate::Col(kind, s));
         }
 
         // Pass 2 — FCFS: oldest requests' row commands (ACT or PRE), with
         // a bitmap skipping banks already proved blocked.
         let mut blocked_banks = 0u64;
-        self.queue(kind).iter().find_map(|q| {
-            let bank = &self.banks[q.bank];
-            let bit = Self::bank_bit(q.bank);
+        queue.iter().find_map(|&(_, q)| {
+            let b = q.bank as usize;
+            let bank = &self.banks[b];
+            let bit = Self::bank_bit(b);
             if blocked_banks & bit != 0 {
                 return None;
             }
-            match bank.open_row {
+            match bank.open() {
                 Some(row) if row == q.row => None, // waiting on tCCD/bus only
                 Some(_) => {
-                    if cycle >= bank.ready_pre && !self.row_has_waiting_hit(q.bank) {
-                        Some(Candidate::Pre(q.bank))
+                    if cycle >= bank.ready_pre && !self.row_has_waiting_hit(b) {
+                        Some(Candidate::Pre(b))
                     } else {
                         blocked_banks |= bit;
                         None
                     }
                 }
                 None => {
-                    if self.act_allowed(cycle, t, q.bank) {
-                        Some(Candidate::Act {
-                            bank: q.bank,
-                            row: q.row,
-                        })
+                    if self.act_allowed(cycle, t, b) {
+                        Some(Candidate::Act { bank: b, row: q.row })
                     } else {
                         blocked_banks |= bit;
                         None
@@ -125,10 +143,11 @@ impl Channel {
             let lead = super::lead(t, kind);
             let mut seen_row_match = 0u64; // col (open) / ACT (closed)
             let mut seen_pre = 0u64;
-            for q in self.queue(kind) {
-                let bank = &self.banks[q.bank];
-                let bit = Self::bank_bit(q.bank);
-                let candidate = match bank.open_row {
+            for (_, q) in self.queue_view(kind) {
+                let b = q.bank as usize;
+                let bank = &self.banks[b];
+                let bit = Self::bank_bit(b);
+                let candidate = match bank.open() {
                     Some(row) if row == q.row => {
                         if seen_row_match & bit != 0 {
                             continue;
@@ -141,7 +160,7 @@ impl Channel {
                             continue;
                         }
                         seen_pre |= bit;
-                        if self.row_has_waiting_hit(q.bank) {
+                        if self.row_has_waiting_hit(b) {
                             continue;
                         }
                         bank.ready_pre
@@ -151,14 +170,14 @@ impl Channel {
                             continue;
                         }
                         seen_row_match |= bit;
-                        let rank = &self.ranks[q.bank / self.banks_per_rank];
+                        let rank = &self.ranks[b / self.banks_per_rank];
                         let mut c = bank.ready_act;
                         if rank.last_act != 0 {
                             c = c.max(rank.last_act + t.t_rrd);
                         }
                         let mut in_window = 0usize;
                         let mut oldest = u64::MAX;
-                        for &at in &rank.act_window {
+                        for &at in rank.act_window.iter().flatten() {
                             if at + t.t_faw > cycle {
                                 in_window += 1;
                                 oldest = oldest.min(at);
@@ -177,14 +196,12 @@ impl Channel {
     }
 
     fn row_has_waiting_hit(&self, b: usize) -> bool {
-        let open = match self.banks[b].open_row {
-            Some(r) => r,
-            None => return false,
+        let Some(open) = self.banks[b].open() else {
+            return false;
         };
-        self.read_q
+        self.slab
             .iter()
-            .chain(self.write_q.iter())
-            .any(|q| q.bank == b && q.row == open)
+            .any(|q| q.kind.is_some() && q.bank as usize == b && q.row == open)
     }
 
     fn col_command_ready(
@@ -195,8 +212,8 @@ impl Channel {
         kind: AccessKind,
         bus_ready: u64,
     ) -> bool {
-        let bank = &self.banks[q.bank];
-        if bank.open_row != Some(q.row) || cycle < bank.ready_col {
+        let bank = &self.banks[q.bank as usize];
+        if bank.open() != Some(q.row) || cycle < bank.ready_col {
             return false;
         }
         cycle + super::lead(t, kind) >= bus_ready
@@ -214,27 +231,85 @@ impl Channel {
         let in_window = rank
             .act_window
             .iter()
+            .flatten()
             .filter(|&&at| at + t.t_faw > cycle)
             .count();
         in_window < 4
     }
 
     /// Everything the scheduler's decisions depend on or change, minus the
-    /// horizon bookkeeping the two models keep differently.
+    /// horizon bookkeeping the two models keep differently. Queues appear
+    /// as their age-ordered views, without slot numbers or links.
     fn decision_state(&self) -> String {
+        let queue = |kind| {
+            self.queue_view(kind)
+                .into_iter()
+                .map(|(_, q)| (q.seq, q.bank, q.row, q.id, q.addr, q.class, q.enqueue_cycle, q.bank_ready))
+                .collect::<Vec<_>>()
+        };
+        let banks: Vec<_> = self
+            .banks
+            .iter()
+            .map(|b| (b.open(), b.ready_act, b.ready_col, b.ready_pre))
+            .collect();
         format!(
             "{:?}",
             (
-                &self.banks,
+                banks,
                 &self.ranks,
-                &self.read_q,
-                &self.write_q,
+                queue(AccessKind::Read),
+                queue(AccessKind::Write),
                 &self.pending,
                 self.draining,
                 self.bus_free_at,
                 self.last_bus_op,
             )
         )
+    }
+
+    /// The slots on bank `b`'s list for queue `k`, oldest first.
+    fn bank_list(&self, b: usize, k: usize) -> impl Iterator<Item = u32> + '_ {
+        let slot = |s: u32| (s != NIL).then_some(s);
+        std::iter::successors(slot(self.banks[b].head[k]), move |&s| {
+            slot(self.slab[s as usize].next)
+        })
+    }
+
+    /// Checks every bank's lists against the slab: each holds exactly the
+    /// bank's queued requests of its kind, oldest first, with consistent
+    /// back links, and the bank's hit slot is its oldest row hit; the free
+    /// list holds every other slot.
+    fn check_lists(&self) {
+        let mut listed = 0;
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            let k = qi(kind);
+            let view = self.queue_view(kind);
+            for b in 0..self.banks.len() {
+                let list: Vec<u32> = self.bank_list(b, k).collect();
+                let expected: Vec<u32> =
+                    view.iter().filter(|(_, q)| q.bank as usize == b).map(|&(s, _)| s).collect();
+                assert_eq!(list, expected, "bank {b} {kind:?} list");
+                let bank = &self.banks[b];
+                assert_eq!(bank.tail[k], *list.last().unwrap_or(&NIL));
+                let hit = list.iter().copied().find(|&s| self.slab[s as usize].row == bank.open_row);
+                assert_eq!(bank.hit[k], hit.unwrap_or(NIL), "bank {b} {kind:?} oldest hit");
+                let mut prev = NIL;
+                for &s in &list {
+                    assert_eq!(self.slab[s as usize].prev, prev, "bank {b} back link");
+                    prev = s;
+                }
+                listed += list.len();
+            }
+        }
+        let mut free = 0;
+        let mut s = self.free;
+        while s != NIL {
+            assert_eq!(self.slab[s as usize].kind, None, "queued slot on the free list");
+            free += 1;
+            s = self.slab[s as usize].next;
+        }
+        assert_eq!(listed + free, self.slab.len(), "slots lost from the lists");
+        assert_eq!(listed, self.len[0] + self.len[1]);
     }
 }
 
@@ -248,15 +323,15 @@ mod tests {
     /// previous one, to (flat bank, row, column) of a one-channel system.
     type Op = (u64, bool, usize, u64, u64);
 
-    /// A one-channel configuration with few rows (so requests conflict),
-    /// small queues with watermarks the stream crosses, and refresh every
-    /// 700 cycles.
-    fn small_config(ranks: usize, banks: usize) -> DramConfig {
+    /// A one-channel configuration with `rows` rows per bank, small
+    /// queues with watermarks the stream crosses, and refresh every 700
+    /// cycles.
+    fn config(ranks: usize, banks: usize, rows: u64) -> DramConfig {
         let mut cfg = DramConfig {
             channels: 1,
             ranks_per_channel: ranks,
             banks_per_rank: banks,
-            rows_per_bank: 4,
+            rows_per_bank: rows,
             lines_per_row: 4,
             read_queue_capacity: 8,
             write_queue_capacity: 12,
@@ -266,6 +341,11 @@ mod tests {
         };
         cfg.timing.t_refi = 700;
         cfg
+    }
+
+    /// [`config`] with four rows per bank, so requests often share a row.
+    fn small_config(ranks: usize, banks: usize) -> DramConfig {
+        config(ranks, banks, 4)
     }
 
     /// The byte address of (flat bank, row, column) on channel 0, the
@@ -340,8 +420,8 @@ mod tests {
     /// for `tail` more cycles. On every cycle: the same command issues
     /// (whole decision state, completions and stats equal), the reference
     /// never issues where the new model skipped its scan, a completed
-    /// scan's horizon equals the reference horizon, and every bank's
-    /// counts equal a recount.
+    /// scan's horizon equals the reference horizon, and every bank's lists
+    /// and oldest (hit) sequence numbers match the slab.
     fn assert_matches_reference(cfg: &DramConfig, ops: &[Op], tail: u64) -> MemorySystem {
         let mut mem = MemorySystem::new(cfg.clone()).unwrap();
         let mut reference = mem.channels[0].clone();
@@ -389,11 +469,12 @@ mod tests {
             }
             for b in 0..ch.banks.len() {
                 assert_eq!(
-                    (ch.banks[b].queued, ch.banks[b].hits),
+                    (ch.banks[b].oldest, ch.banks[b].oldest_hit),
                     ch.recount(b),
                     "cycle {cycle}: bank {b}"
                 );
             }
+            ch.check_lists();
         }
         assert_eq!(feed.next_due(), None, "stream not fully enqueued");
         assert!(issued > 0 && ref_stats.refreshes > 0, "vacuous run");
@@ -437,13 +518,13 @@ mod tests {
         assert_eq!(per_cycle.stats(), &fast_stats, "stats");
     }
 
-    fn ops(banks: usize) -> impl Strategy<Value = Vec<Op>> {
+    fn ops(banks: usize, rows: u64) -> impl Strategy<Value = Vec<Op>> {
         proptest::collection::vec(
             (
                 prop_oneof![Just(0u64), Just(1u64), 0u64..6, 10u64..60],
                 prop_oneof![Just(false), Just(true)],
                 0..banks,
-                0u64..4,
+                0u64..rows,
                 0u64..4,
             ),
             1..300,
@@ -459,13 +540,38 @@ mod tests {
         #[test]
         fn scheduler_matches_two_pass_reference(
             geometry in 0usize..4,
-            stream in ops(8),
+            stream in ops(8, 4),
         ) {
             // (ranks, banks per rank)
             let (ranks, banks) = [(1, 2), (1, 4), (2, 2), (2, 4)][geometry];
             let cfg = small_config(ranks, banks);
             assert_matches_reference(&cfg, &stream, 1500);
             assert_fast_forward_matches(&cfg, &stream, 1500);
+        }
+
+        /// The same check with 64 rows per bank, where nearly every
+        /// request is a row miss: row commands, not column commands,
+        /// decide most scans (the simulator's memory-bound regime issues
+        /// about as many ACT+PRE as column commands).
+        #[test]
+        fn scheduler_matches_reference_in_row_miss_regime(
+            geometry in 0usize..4,
+            stream in ops(8, 64),
+        ) {
+            let (ranks, banks) = [(1, 2), (1, 4), (2, 2), (2, 4)][geometry];
+            let cfg = config(ranks, banks, 64);
+            // Nearly every request pays a precharge and an activate, up to
+            // tRC per request when the stream keeps to one bank.
+            let tail = 1500 + 40 * stream.len() as u64;
+            let mem = assert_matches_reference(&cfg, &stream, tail);
+            let stats = mem.stats();
+            prop_assert!(
+                2 * stats.activates >= stats.bursts,
+                "{} activates for {} bursts: not the row-miss regime",
+                stats.activates,
+                stats.bursts
+            );
+            assert_fast_forward_matches(&cfg, &stream, tail);
         }
     }
 
