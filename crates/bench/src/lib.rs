@@ -16,7 +16,8 @@
 //! * `SYNERGY_BENCH_DEVICES` — Monte-Carlo devices for Figure 11
 //!   (default 50,000,000).
 //! * `SYNERGY_BENCH_WORKLOADS` — `all` (29 + 6 mixes) or `quick`
-//!   (a representative memory-intensive subset; the default).
+//!   (a representative memory-intensive subset; the default). Any other
+//!   value exits with a message.
 //! * `SYNERGY_BENCH_THREADS` — worker threads for the parallel sweep
 //!   runner ([`sweep`]); defaults to the machine's available parallelism.
 //!   `1` reproduces the sequential run (results are byte-identical either
@@ -66,9 +67,22 @@ pub fn bench_devices() -> u64 {
     env_u64("SYNERGY_BENCH_DEVICES", 50_000_000)
 }
 
-/// Whether to run the full 35-workload sweep or the quick subset.
+/// Whether to run the full 35-workload sweep or the quick subset; any
+/// `SYNERGY_BENCH_WORKLOADS` other than `all`, `quick` or unset exits the
+/// process with a message naming the value.
 pub fn full_sweep() -> bool {
-    std::env::var("SYNERGY_BENCH_WORKLOADS").map(|v| v == "all").unwrap_or(false)
+    let value = std::env::var("SYNERGY_BENCH_WORKLOADS").ok();
+    parse_workloads(value.as_deref()).unwrap_or_else(|msg| fail(&msg))
+}
+
+/// Parses `SYNERGY_BENCH_WORKLOADS` (`None` when unset): `all` is the
+/// full sweep, `quick` or unset the subset.
+fn parse_workloads(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("quick") => Ok(false),
+        Some("all") => Ok(true),
+        Some(v) => Err(format!("SYNERGY_BENCH_WORKLOADS={v:?} is neither \"all\" nor \"quick\"")),
+    }
 }
 
 /// A numeric knob: `default` when `name` is unset; a set value that is not
@@ -501,6 +515,18 @@ mod tests {
         for bad in ["20k", "", "-1", "1e6", " 5"] {
             let err = parse_knob("SYNERGY_BENCH_INSTS", Some(bad), 7).unwrap_err();
             assert!(err.contains("SYNERGY_BENCH_INSTS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn workloads_knob_accepts_only_all_or_quick() {
+        assert_eq!(parse_workloads(None), Ok(false));
+        assert_eq!(parse_workloads(Some("quick")), Ok(false));
+        assert_eq!(parse_workloads(Some("all")), Ok(true));
+        for bad in ["All", "al", "", "full", " all", "all "] {
+            let err = parse_workloads(Some(bad)).unwrap_err();
+            assert!(err.contains("SYNERGY_BENCH_WORKLOADS"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
     }

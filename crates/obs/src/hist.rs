@@ -238,7 +238,11 @@ impl LogHistogram {
 
     /// Rebuilds a histogram from a [`snapshot_json`](Self::snapshot_json)
     /// document parsed with [`crate::json::Json`]. Exact inverse: the
-    /// result is `==` to the snapshotted histogram.
+    /// result is `==` to the snapshotted histogram. A document no
+    /// histogram could have produced (a bucket index past the `u64`
+    /// range, bucket counts that do not add up to `count`, `min > max`)
+    /// is an error, so a corrupted checkpoint never yields a histogram
+    /// whose queries panic.
     pub fn from_snapshot(json: &crate::json::Json) -> Result<Self, String> {
         let field = |k: &str| -> Result<u64, String> {
             json.get(k)
@@ -270,6 +274,9 @@ impl LogHistogram {
                 ),
                 None => return Err("histogram snapshot: bucket is not [index,count]".into()),
             };
+            if idx > bucket_index(u64::MAX) {
+                return Err(format!("histogram snapshot: bucket index {idx} out of range"));
+            }
             if idx >= h.counts.len() {
                 h.counts.resize(idx + 1, 0);
             }
@@ -277,6 +284,13 @@ impl LogHistogram {
         }
         if h.counts.last() == Some(&0) {
             return Err("histogram snapshot: trailing empty bucket".into());
+        }
+        let total = h.counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if total != Some(count) {
+            return Err("histogram snapshot: bucket counts do not add up to 'count'".into());
+        }
+        if h.min > h.max {
+            return Err("histogram snapshot: 'min' exceeds 'max'".into());
         }
         Ok(h)
     }
@@ -381,6 +395,43 @@ mod tests {
             let doc = crate::json::Json::parse(&h.snapshot_json()).unwrap();
             let back = LogHistogram::from_snapshot(&doc).unwrap();
             prop_assert_eq!(back, h);
+        }
+
+        /// Every prefix and every single-byte mutation of a snapshot
+        /// parses and rebuilds to `Ok` or `Err`, and a rebuilt histogram
+        /// answers queries: nothing panics.
+        #[test]
+        fn truncated_or_mutated_snapshots_never_panic(
+            values in proptest::collection::vec(
+                prop_oneof![0u64..100, 0u64..100_000, 0u64..1 << 40],
+                0..24,
+            ),
+        ) {
+            let mut h = LogHistogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            let text = h.snapshot_json();
+            let rebuild = |doc: &str| {
+                if let Ok(json) = crate::json::Json::parse(doc) {
+                    if let Ok(back) = LogHistogram::from_snapshot(&json) {
+                        back.summary();
+                        back.nonzero_buckets().count();
+                    }
+                }
+            };
+            for end in 0..text.len() {
+                rebuild(&text[..end]);
+            }
+            let mut bytes = text.clone().into_bytes();
+            for i in 0..bytes.len() {
+                let original = bytes[i];
+                for &b in b"0123456789eE+-.,:[]{}\"\\ an" {
+                    bytes[i] = b;
+                    rebuild(std::str::from_utf8(&bytes).expect("ASCII"));
+                }
+                bytes[i] = original;
+            }
         }
 
         #[test]

@@ -231,6 +231,9 @@ impl Parser<'_> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(format!("invalid low surrogate {lo:#x}"));
+                                    }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     return Err("lone high surrogate".into());
@@ -319,7 +322,7 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "01x", "\"\\q\"", "{} trailing"] {
+        for bad in ["{", "[1,", "{\"a\" 1}", "01x", "\"\\q\"", "{} trailing", "\"\\ud800\\u0041\""] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
