@@ -552,13 +552,14 @@ mod tests {
         /// The same check with 64 rows per bank, where nearly every
         /// request is a row miss: row commands, not column commands,
         /// decide most scans (the simulator's memory-bound regime issues
-        /// about as many ACT+PRE as column commands).
+        /// about as many ACT+PRE as column commands). Ranks of eight banks
+        /// activate often enough for tFAW, not only tRRD, to bind.
         #[test]
         fn scheduler_matches_reference_in_row_miss_regime(
             geometry in 0usize..4,
-            stream in ops(8, 64),
+            stream in ops(16, 64),
         ) {
-            let (ranks, banks) = [(1, 2), (1, 4), (2, 2), (2, 4)][geometry];
+            let (ranks, banks) = [(1, 2), (1, 8), (2, 4), (2, 8)][geometry];
             let cfg = config(ranks, banks, 64);
             // Nearly every request pays a precharge and an activate, up to
             // tRC per request when the stream keeps to one bank.
