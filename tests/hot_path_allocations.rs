@@ -6,11 +6,12 @@
 //! inline expansion buffers, retained spill capacity, and cache arrays
 //! are all allocated once. The functional [`SynergyMemory`] allocates its
 //! line store at construction and nothing per operation, the SECDED
-//! and Chipkill line codecs work on stack arrays only, and the simulator's
+//! and Chipkill line codecs work on stack arrays only, the simulator's
 //! in-flight [`RequestLedger`] reuses its table slots and builds a span
-//! only for a read that enters the top-K. These tests install a counting
-//! global allocator and assert the warm paths perform literally zero
-//! allocations.
+//! only for a read that enters the top-K, and the DRAM model keeps both
+//! request queues of a channel in one slab sized at construction. These
+//! tests install a counting global allocator and assert the warm paths
+//! perform literally zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +19,7 @@ use std::cell::Cell;
 use synergy::cache::{CacheConfig, SetAssocCache};
 use synergy::core::{SynergyMemory, SynergyMemoryConfig};
 use synergy::crypto::CacheLine;
+use synergy::dram::{AccessKind, Completion, DramConfig, MemorySystem, Request, RequestClass};
 use synergy::ecc::reed_solomon::Chipkill;
 use synergy::ecc::{secded, DecodeOutcome};
 use synergy::obs::{ReadTimes, RequestLedger, SpanPhase};
@@ -272,6 +274,80 @@ fn warm_request_ledger_performs_zero_allocations() {
         after - before,
         0,
         "request ledger allocated {} times in steady state",
+        after - before
+    );
+}
+
+/// What a [`drive_dram`] window saw: reads completed, and whether the
+/// write queue reached the high drain watermark and later fell to the low
+/// one.
+struct DramWindow {
+    reads: u64,
+    crossed_hi: bool,
+    crossed_lo_after_hi: bool,
+}
+
+/// Ticks the one-channel `mem` for `cycles` cycles, offering every cycle
+/// a read and, one cycle in eight, a write, at random lines over 16 rows
+/// per bank (xorshift, so the stream allocates nothing). Reads arrive as
+/// fast as the read queue drains, so it stays full; writes pile up until
+/// the high watermark starts a drain down to the low one.
+fn drive_dram(
+    mem: &mut MemorySystem,
+    seed: &mut u64,
+    id: &mut u64,
+    cycles: u64,
+    done: &mut Vec<Completion>,
+) -> DramWindow {
+    let cfg = mem.config().clone();
+    let banks = (cfg.ranks_per_channel * cfg.banks_per_rank) as u64;
+    let lines = banks * cfg.lines_per_row * 16;
+    let mut window = DramWindow { reads: 0, crossed_hi: false, crossed_lo_after_hi: false };
+    for _ in 0..cycles {
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            if kind == AccessKind::Write && *seed % 8 != 0 {
+                continue;
+            }
+            let class = RequestClass::ALL[(*seed % 5) as usize];
+            let req = Request { id: *id, addr: (*seed % lines) * 64, kind, class, core: 0 };
+            *id += u64::from(mem.enqueue(req));
+        }
+        mem.tick_into(done);
+        window.reads += done.len() as u64;
+        done.clear();
+        let writes = mem.write_queue_occupancy();
+        window.crossed_hi |= writes >= cfg.write_hi_watermark;
+        window.crossed_lo_after_hi |= window.crossed_hi && writes <= cfg.write_lo_watermark;
+    }
+    window
+}
+
+#[test]
+fn warm_dram_performs_zero_allocations() {
+    let cfg = DramConfig::with_channels(1);
+    let mut mem = MemorySystem::new(cfg.clone()).unwrap();
+    let (mut seed, mut id) = (0x9E37_79B9_7F4A_7C15u64, 0);
+    let mut done = Vec::new();
+    // Warm-up: grows the completion buffer and the latency histograms to
+    // their working size.
+    let warm = drive_dram(&mut mem, &mut seed, &mut id, 40_000, &mut done);
+    assert!(warm.reads > 0);
+
+    let refreshes = mem.stats().refreshes;
+    let before = allocation_count();
+    let steady = drive_dram(&mut mem, &mut seed, &mut id, 20_000, &mut done);
+    let after = allocation_count();
+    assert!(steady.reads > 0);
+    assert!(steady.crossed_hi && steady.crossed_lo_after_hi, "no write drain in the steady window");
+    assert!(mem.stats().refreshes > refreshes, "no refresh in the steady window");
+    assert_eq!(mem.read_queue_occupancy(), cfg.read_queue_capacity, "read queue not saturated");
+    assert_eq!(
+        after - before,
+        0,
+        "DRAM model allocated {} times in steady state",
         after - before
     );
 }
