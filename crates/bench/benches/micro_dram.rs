@@ -14,6 +14,10 @@
 //!   queue held at capacity and every write queue between its drain
 //!   watermarks, requests spread over all banks with row conflicts: the
 //!   FR-FCFS scheduler's busiest case, with queues that never drain.
+//! * `dram_simulator_occupancy` — host ns per memory tick at the queue
+//!   occupancy the simulator's memory-bound cells run at (about 10 reads
+//!   and 7–34 writes per channel) with random rows: the row-miss regime
+//!   where about as many ACT+PRE as column commands issue.
 //! * `system_run` — an end-to-end `run`-driven workload (the same shape
 //!   as `synergy_bench::run_workload`, scaled down for criterion) with
 //!   `SystemConfig::fast_forward` on vs off; the measured quantity the
@@ -99,25 +103,30 @@ fn bench_idle_window(c: &mut Criterion) {
     g.finish();
 }
 
-/// Refills every channel's read queue to capacity and its write queue to
-/// midway between the drain watermarks, with random lines spread over all
-/// banks and four rows per bank (frequent row conflicts).
-fn refill(mem: &mut MemorySystem, rng: &mut u64, next_id: &mut u64) {
+/// Tops every channel's queues up to `reads` and `writes` requests (the
+/// channels' totals reach `reads` and `writes` times the channel count),
+/// at random lines over all banks and the first `rows` rows of each.
+fn refill(
+    mem: &mut MemorySystem,
+    rng: &mut u64,
+    next_id: &mut u64,
+    reads: usize,
+    writes: usize,
+    rows: u64,
+) {
     let cfg = mem.config().clone();
-    let rows = 4;
     let lines = cfg.lines_per_row * cfg.banks_per_rank as u64 * cfg.ranks_per_channel as u64 * rows;
-    let write_target = cfg.channels * (cfg.write_lo_watermark + cfg.write_hi_watermark) / 2;
-    for ch in 0..cfg.channels as u64 {
+    for ch in 0..cfg.channels {
         let mut enqueue = |mem: &mut MemorySystem, kind| {
             *rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let line = ((*rng >> 24) % lines) * cfg.channels as u64 + ch;
+            let line = ((*rng >> 24) % lines) * cfg.channels as u64 + ch as u64;
             *next_id += 1;
             let addr = line * cfg.line_bytes;
             let req = Request { id: *next_id, addr, kind, class: RequestClass::Data, core: 0 };
             mem.enqueue(req)
         };
-        while enqueue(mem, AccessKind::Read) {}
-        while mem.write_queue_occupancy() < write_target && enqueue(mem, AccessKind::Write) {}
+        while mem.read_queue_occupancy() < (ch + 1) * reads && enqueue(mem, AccessKind::Read) {}
+        while mem.write_queue_occupancy() < (ch + 1) * writes && enqueue(mem, AccessKind::Write) {}
     }
 }
 
@@ -125,13 +134,39 @@ fn bench_saturated_queues(c: &mut Criterion) {
     let mut g = c.benchmark_group("dram_saturated_queues");
     g.throughput(Throughput::Elements(1));
     // One long-lived system stays saturated across batches; each
-    // iteration refills the queues and ticks once.
-    let mut mem = MemorySystem::new(DramConfig::default()).unwrap();
+    // iteration refills the queues (reads to capacity, writes midway
+    // between the drain watermarks, four rows per bank) and ticks once.
+    let cfg = DramConfig::default();
+    let writes = (cfg.write_lo_watermark + cfg.write_hi_watermark) / 2;
+    let mut mem = MemorySystem::new(cfg.clone()).unwrap();
     let (mut rng, mut next_id) = (0x9E37_79B9_7F4A_7C15u64, 0);
     let mut done = Vec::new();
     g.bench_function("ns_per_tick", |b| {
         b.iter(|| {
-            refill(&mut mem, &mut rng, &mut next_id);
+            refill(&mut mem, &mut rng, &mut next_id, cfg.read_queue_capacity, writes, 4);
+            mem.tick_into(&mut done);
+            done.clear();
+        })
+    });
+    g.finish();
+    black_box(mem.stats().bursts);
+}
+
+fn bench_simulator_occupancy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dram_simulator_occupancy");
+    g.throughput(Throughput::Elements(1));
+    // The queues the simulator's memory-bound cells hold: about 10 reads
+    // and 7 to 34 writes per channel (the write target redrawn every
+    // tick, below the drain watermark), at random rows, so nearly every
+    // request needs a precharge and an activate.
+    let cfg = DramConfig::default();
+    let mut mem = MemorySystem::new(cfg.clone()).unwrap();
+    let (mut rng, mut next_id) = (0x2545_F491_4F6C_DD1Du64, 0);
+    let mut done = Vec::new();
+    g.bench_function("ns_per_tick", |b| {
+        b.iter(|| {
+            let writes = 7 + (rng >> 40) as usize % 28;
+            refill(&mut mem, &mut rng, &mut next_id, 10, writes, cfg.rows_per_bank);
             mem.tick_into(&mut done);
             done.clear();
         })
@@ -168,6 +203,7 @@ criterion_group!(
     bench_busy_burst,
     bench_idle_window,
     bench_saturated_queues,
+    bench_simulator_occupancy,
     bench_system_run
 );
 criterion_main!(benches);
