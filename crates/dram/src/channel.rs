@@ -15,12 +15,13 @@
 //! queue capacities. Each request carries a channel sequence number (its
 //! age) and sits on its bank's list for its queue, oldest first. Each
 //! bank keeps, per queue, the sequence numbers of its oldest request and
-//! of its oldest request that hits the open row. Whether a bank can issue
-//! is a bank-level question, and the request it would issue is one of
-//! those two, so a scan is one pass over the banks taking the smallest
-//! sequence number among the ready ones, and the issue horizon is a
-//! minimum over banks rather than over queued requests. Only an ACT (new
-//! open row) and a column command (next hit) walk one bank's list.
+//! of its oldest request that hits the open row, plus the cycles from
+//! which its column command and its row command may issue. The request a
+//! bank would serve is one of those two, so a scan is one pass over the
+//! banks taking the smallest sequence number among the ready ones, and
+//! the issue horizon is a minimum over banks rather than over queued
+//! requests. Only an ACT (new open row) and a column command (next hit)
+//! walk one bank's list.
 
 use crate::config::{DramConfig, TimingParams};
 use crate::mapping::DramLocation;
@@ -33,72 +34,47 @@ mod reference;
 /// End of a list (and of the free list): no slab slot.
 const NIL: u32 = u32::MAX;
 
-/// [`Bank::open_row`] of a precharged bank (no row is this large).
+/// [`BankDetail::open_row`] of a precharged bank (no row is this large).
 const CLOSED: u64 = u64::MAX;
 
-/// The sequence number of a request that does not exist.
+/// The sequence number of a request that does not exist, and the cycle of
+/// a command that cannot issue.
 const NONE: u64 = u64::MAX;
 
-/// A bank's device state plus, per queue (indexed by [`qi`]), its oldest
-/// queued request and its oldest row hit. The scheduler's scans read only
-/// the first eight words.
+/// What the scheduler's scans read of one bank: per queue (indexed by
+/// [`qi`]) the ages of its oldest queued request and of its oldest row
+/// hit, and the cycles from which its column command and its row command
+/// may issue.
 #[derive(Debug, Clone, Copy)]
 struct Bank {
-    /// The open row, [`CLOSED`] when precharged.
-    open_row: u64,
-    ready_act: u64,
-    ready_col: u64,
-    ready_pre: u64,
     /// Sequence number of the bank's oldest queued request, [`NONE`]
     /// when it has none.
     oldest: [u64; 2],
     /// Sequence number of the bank's oldest queued request that targets
-    /// `open_row`, [`NONE`] when none does (always, while closed).
+    /// the open row, [`NONE`] when none does (always, while closed).
     oldest_hit: [u64; 2],
-    /// Slab slots of the oldest and youngest queued request and of the
-    /// oldest row hit, [`NIL`] when there is none.
+    ready_col: u64,
+    /// First cycle the bank's row command may issue: `ready_pre` while a
+    /// row is open, the later of `ready_act` and the rank's activate floor
+    /// while closed. [`NONE`] when the bank needs no row command: nothing
+    /// is queued, or a queued row hit holds the open row (row-hit
+    /// friendliness blocks the precharge). Kept by [`Channel::settle_row`].
+    ready_row: u64,
+}
+
+/// The rest of a bank's state: its open row and row timing, and where its
+/// requests sit in the slab.
+#[derive(Debug, Clone, Copy)]
+struct BankDetail {
+    /// The open row, [`CLOSED`] when precharged.
+    open_row: u64,
+    ready_act: u64,
+    ready_pre: u64,
+    /// Per queue: slab slots of the oldest and youngest queued request
+    /// and of the oldest row hit, [`NIL`] when there is none.
     head: [u32; 2],
     tail: [u32; 2],
     hit: [u32; 2],
-}
-
-impl Bank {
-    fn new() -> Self {
-        Self {
-            open_row: CLOSED,
-            ready_act: 0,
-            ready_col: 0,
-            ready_pre: 0,
-            oldest: [NONE; 2],
-            oldest_hit: [NONE; 2],
-            head: [NIL; 2],
-            tail: [NIL; 2],
-            hit: [NIL; 2],
-        }
-    }
-
-    fn is_open(&self) -> bool {
-        self.open_row != CLOSED
-    }
-
-    /// True while a request in either queue targets the open row, which
-    /// blocks the bank's precharge (row-hit friendliness).
-    fn has_hit(&self) -> bool {
-        self.oldest_hit[0] & self.oldest_hit[1] != NONE
-    }
-
-    /// True when the bank's next command is a row command (PRE or ACT):
-    /// requests are queued and none hits an open row.
-    fn wants_row_command(&self) -> bool {
-        !self.has_hit() & (self.oldest[0] & self.oldest[1] != NONE)
-    }
-
-    /// Closes the open row (precharge or refresh): nothing hits any more.
-    fn close(&mut self) {
-        self.open_row = CLOSED;
-        self.oldest_hit = [NONE; 2];
-        self.hit = [NIL; 2];
-    }
 }
 
 /// `x` when `cond` holds, else [`NONE`] (`u64::MAX`), as a conditional
@@ -214,6 +190,8 @@ enum Candidate {
 pub(crate) struct Channel {
     /// Every bank of the channel, rank-major: `rank * banks_per_rank + bank`.
     banks: Vec<Bank>,
+    /// The rest of each bank's state, indexed like `banks`.
+    details: Vec<BankDetail>,
     banks_per_rank: usize,
     ranks: Vec<Rank>,
     /// Both queues' requests, sized once to the two capacities; free
@@ -241,22 +219,31 @@ pub(crate) struct Channel {
 
 impl Channel {
     pub(crate) fn new(cfg: &DramConfig) -> Self {
+        let banks = cfg.ranks_per_channel * cfg.banks_per_rank;
+        let bank = Bank { oldest: [NONE; 2], oldest_hit: [NONE; 2], ready_col: 0, ready_row: NONE };
+        let detail = BankDetail {
+            open_row: CLOSED,
+            ready_act: 0,
+            ready_pre: 0,
+            head: [NIL; 2],
+            tail: [NIL; 2],
+            hit: [NIL; 2],
+        };
         let rank = Rank {
             act_window: [None; 4],
             last_act: 0,
             act_floor: 0,
             next_refresh: cfg.timing.t_refi,
         };
-        let slots = cfg.read_queue_capacity + cfg.write_queue_capacity;
-        let slots32 = u32::try_from(slots).expect("queue capacities fit a u32 slab index");
+        let slots = u32::try_from(cfg.read_queue_capacity + cfg.write_queue_capacity)
+            .expect("queue capacities fit a u32 slab index");
         Self {
-            banks: vec![Bank::new(); cfg.ranks_per_channel * cfg.banks_per_rank],
+            banks: vec![bank; banks],
+            details: vec![detail; banks],
             banks_per_rank: cfg.banks_per_rank,
             ranks: vec![rank; cfg.ranks_per_channel],
-            slab: (1..=slots32)
-                .map(|next| Queued::free(if next == slots32 { NIL } else { next }))
-                .collect(),
-            free: if slots == 0 { NIL } else { 0 },
+            slab: (1..=slots).map(|next| Queued::free(if next < slots { next } else { NIL })).collect(),
+            free: if slots > 0 { 0 } else { NIL },
             len: [0; 2],
             next_seq: 0,
             pending: Vec::with_capacity(cfg.read_queue_capacity),
@@ -299,18 +286,18 @@ impl Channel {
         assert_ne!(s, NIL, "enqueue past the channel's queue capacity");
         self.free = self.slab[s as usize].next;
         self.len[k] += 1;
-        let bank = &mut self.banks[b];
-        let hit = bank.open_row == loc.row;
-        let tail = bank.tail[k];
+        let (bank, detail) = (&mut self.banks[b], &mut self.details[b]);
+        let hit = detail.open_row == loc.row;
+        let tail = detail.tail[k];
         if tail == NIL {
-            bank.head[k] = s;
+            detail.head[k] = s;
             bank.oldest[k] = seq;
         } else {
             self.slab[tail as usize].next = s;
         }
-        bank.tail[k] = s;
-        if hit && bank.hit[k] == NIL {
-            bank.hit[k] = s;
+        detail.tail[k] = s;
+        if hit && detail.hit[k] == NIL {
+            detail.hit[k] = s;
             bank.oldest_hit[k] = seq;
         }
         // Attribution bookkeeping: a request arriving to an already-open
@@ -328,20 +315,16 @@ impl Channel {
             enqueue_cycle: cycle,
             bank_ready: hit.then_some(cycle),
         };
+        self.settle_row(b);
         self.debug_check_bank(b);
         // The horizon already bounds every other request; the new one adds
         // the bound of its own next command. (As a row hit it may also
         // block its bank's precharge, which only makes the old horizon
         // conservative, never optimistic.)
-        let bank = &self.banks[b];
         let bound = if hit {
-            bank.ready_col.max(self.col_floor(&cfg.timing, req.kind))
-        } else if bank.has_hit() {
-            u64::MAX
-        } else if bank.is_open() {
-            bank.ready_pre
+            self.banks[b].ready_col.max(self.col_floor(&cfg.timing, req.kind))
         } else {
-            bank.ready_act.max(self.ranks[loc.rank].act_floor)
+            self.banks[b].ready_row
         };
         self.issue_horizon = self.issue_horizon.min(bound.max(cycle));
         if self.drain_flip_pending(cfg) {
@@ -355,11 +338,12 @@ impl Channel {
     fn unlink(&mut self, s: u32) -> Queued {
         let q = self.slab[s as usize];
         let k = qi(q.kind.expect("unlinking a queued request"));
-        let bank = &mut self.banks[q.bank as usize];
+        let b = q.bank as usize;
+        let detail = &mut self.details[b];
         match q.prev {
             NIL => {
-                bank.head[k] = q.next;
-                bank.oldest[k] = match q.next {
+                detail.head[k] = q.next;
+                self.banks[b].oldest[k] = match q.next {
                     NIL => NONE,
                     next => self.slab[next as usize].seq,
                 };
@@ -367,7 +351,7 @@ impl Channel {
             prev => self.slab[prev as usize].next = q.next,
         }
         match q.next {
-            NIL => bank.tail[k] = q.prev,
+            NIL => detail.tail[k] = q.prev,
             next => self.slab[next as usize].prev = q.prev,
         }
         self.slab[s as usize] = Queued::free(self.free);
@@ -379,15 +363,28 @@ impl Channel {
     /// Points bank `b`'s oldest hit for queue `k` at the first request on
     /// its list, from slot `s` on, that targets the open row.
     fn seek_hit(&mut self, b: usize, k: usize, mut s: u32) {
-        let row = self.banks[b].open_row;
+        let row = self.details[b].open_row;
         while s != NIL && self.slab[s as usize].row != row {
             s = self.slab[s as usize].next;
         }
-        let bank = &mut self.banks[b];
-        bank.hit[k] = s;
-        bank.oldest_hit[k] = match s {
+        self.details[b].hit[k] = s;
+        self.banks[b].oldest_hit[k] = match s {
             NIL => NONE,
             s => self.slab[s as usize].seq,
+        };
+    }
+
+    /// Recomputes bank `b`'s [`Bank::ready_row`] after a change to its
+    /// queue, its row or its rank's activate floor.
+    fn settle_row(&mut self, b: usize) {
+        let act_floor = self.ranks[b / self.banks_per_rank].act_floor;
+        let (bank, detail) = (&mut self.banks[b], &self.details[b]);
+        bank.ready_row = if bank.oldest == [NONE; 2] || bank.oldest_hit != [NONE; 2] {
+            NONE
+        } else if detail.open_row != CLOSED {
+            detail.ready_pre
+        } else {
+            detail.ready_act.max(act_floor)
         };
     }
 
@@ -492,14 +489,11 @@ impl Channel {
             if cycle < self.ranks[r].next_refresh {
                 continue;
             }
-            // Close all rows and lock the rank for tRFC.
+            // Close all rows and lock the rank for tRFC. (Attribution: every
+            // waiter in the rank must reacquire its row after the refresh
+            // window.)
             for b in r * self.banks_per_rank..(r + 1) * self.banks_per_rank {
-                let bank = &mut self.banks[b];
-                bank.close();
-                bank.ready_act = bank.ready_act.max(cycle + t.t_rfc);
-                // Attribution: every waiter in the rank must reacquire its
-                // row after the refresh window.
-                self.clear_bank_ready(b);
+                self.close_row(b, cycle + t.t_rfc);
             }
             self.ranks[r].next_refresh += t.t_refi;
             stats.refreshes += 1;
@@ -509,14 +503,22 @@ impl Channel {
         }
     }
 
-    /// Attribution: bank `b`'s queued reads lose their open row.
-    fn clear_bank_ready(&mut self, b: usize) {
-        let mut s = self.banks[b].head[0];
+    /// Closes bank `b`'s row (precharge or refresh), holding its next
+    /// activate until `ready_act` at the earliest: nothing hits any more,
+    /// and (attribution) its queued reads lose their open row.
+    fn close_row(&mut self, b: usize, ready_act: u64) {
+        let detail = &mut self.details[b];
+        detail.open_row = CLOSED;
+        detail.ready_act = detail.ready_act.max(ready_act);
+        detail.hit = [NIL; 2];
+        self.banks[b].oldest_hit = [NONE; 2];
+        let mut s = detail.head[0];
         while s != NIL {
             let q = &mut self.slab[s as usize];
             q.bank_ready = None;
             s = q.next;
         }
+        self.settle_row(b);
     }
 
     fn update_drain_mode(&mut self, cfg: &DramConfig) {
@@ -549,27 +551,22 @@ impl Channel {
     ///
     /// Every readiness test is bank-level: a column command needs a row
     /// hit on a bank past `ready_col` (plus a data bus free for its
-    /// queue), a row command a bank whose PRE or ACT is allowed and which
-    /// holds no row hit, so that its oldest request misses. One pass over
-    /// the banks takes, per queue, the smallest sequence number each kind
-    /// of ready bank offers.
+    /// queue), a row command a bank past `ready_row`, which holds no row
+    /// hit, so that its oldest request misses. One pass over the banks
+    /// takes, per queue, the smallest sequence number each kind of ready
+    /// bank offers.
     fn find_candidate(&self, cycle: u64, t: &TimingParams) -> Option<Candidate> {
         // Per queue: the sequence number of the oldest column-ready hit and
         // of the oldest request of a row-ready bank. Sequence numbers are
         // unique, so each names its bank.
         let mut col = [NONE; 2];
         let mut row = [NONE; 2];
-        for (rank, banks) in self.ranks.iter().zip(self.banks.chunks(self.banks_per_rank)) {
-            let act_ok = rank.act_floor <= cycle;
-            for bank in banks {
-                let open = bank.is_open();
-                let row_ready = (open & (cycle >= bank.ready_pre) & !bank.has_hit())
-                    | (!open & (cycle >= bank.ready_act) & act_ok);
-                let col_ready = cycle >= bank.ready_col;
-                for k in 0..2 {
-                    col[k] = col[k].min(if_ready(col_ready, bank.oldest_hit[k]));
-                    row[k] = row[k].min(if_ready(row_ready, bank.oldest[k]));
-                }
+        for bank in &self.banks {
+            let col_ready = cycle >= bank.ready_col;
+            let row_ready = cycle >= bank.ready_row;
+            for k in 0..2 {
+                col[k] = col[k].min(if_ready(col_ready, bank.oldest_hit[k]));
+                row[k] = row[k].min(if_ready(row_ready, bank.oldest[k]));
             }
         }
         let primary = if self.draining || self.len[0] == 0 {
@@ -584,19 +581,19 @@ impl Channel {
         [primary, secondary].into_iter().find_map(|kind| {
             let k = qi(kind);
             if col[k] != NONE && cycle + lead(t, kind) >= self.bus_ready(t, kind) {
-                let bank = self.banks.iter().find(|bank| bank.oldest_hit[k] == col[k]);
-                return Some(Candidate::Col(kind, bank.expect("a bank holds the hit").hit[k]));
+                let b = self.banks.iter().position(|bank| bank.oldest_hit[k] == col[k]);
+                return Some(Candidate::Col(kind, self.details[b.expect("a bank holds it")].hit[k]));
             }
             if row[k] == NONE {
                 return None;
             }
             let b = self.banks.iter().position(|bank| bank.oldest[k] == row[k]);
-            let b = b.expect("a bank holds the request");
-            let bank = &self.banks[b];
-            Some(if bank.is_open() {
+            let b = b.expect("a bank holds it");
+            let detail = &self.details[b];
+            Some(if detail.open_row != CLOSED {
                 Candidate::Pre(b)
             } else {
-                Candidate::Act { bank: b, row: self.slab[bank.head[k] as usize].row }
+                Candidate::Act { bank: b, row: self.slab[detail.head[k] as usize].row }
             })
         })
     }
@@ -606,12 +603,9 @@ impl Channel {
     /// (issues and refreshes recompute [`Self::issue_horizon`], enqueues
     /// lower it). `u64::MAX` when both queues are empty.
     ///
-    /// One pass over the banks gathers each bound's minimum: per queue,
-    /// the earliest `ready_col` of a bank with row hits (clamped once to
-    /// the queue's data-bus floor); the earliest `ready_pre` of an open
-    /// bank whose queued requests all miss; per rank, the earliest
-    /// `ready_act` of a closed bank with requests (clamped once to the
-    /// rank's activate floor). A precharge blocked by row-hit
+    /// One pass over the banks: per queue, the earliest `ready_col` of a
+    /// bank with row hits (clamped once to the queue's data-bus floor),
+    /// and the earliest `ready_row`. A precharge blocked by row-hit
     /// friendliness contributes no bound of its own: it can only unblock
     /// when the hitting request issues, and the horizon is recomputed
     /// then.
@@ -619,26 +613,18 @@ impl Channel {
         if self.len == [0, 0] {
             return u64::MAX;
         }
-        let mut col = [u64::MAX; 2];
-        let mut pre = u64::MAX;
-        let mut earliest = u64::MAX;
-        for (rank, banks) in self.ranks.iter().zip(self.banks.chunks(self.banks_per_rank)) {
-            let mut act = u64::MAX;
-            for bank in banks {
-                for k in 0..2 {
-                    col[k] = col[k].min(if_ready(bank.oldest_hit[k] != NONE, bank.ready_col));
-                }
-                let row_command = bank.wants_row_command();
-                let open = bank.is_open();
-                pre = pre.min(if_ready(row_command & open, bank.ready_pre));
-                act = act.min(if_ready(row_command & !open, bank.ready_act));
+        let mut col = [NONE; 2];
+        let mut earliest = NONE;
+        for bank in &self.banks {
+            for k in 0..2 {
+                col[k] = col[k].min(if_ready(bank.oldest_hit[k] != NONE, bank.ready_col));
             }
-            earliest = earliest.min(act.max(rank.act_floor));
+            earliest = earliest.min(bank.ready_row);
         }
         for (kind, col) in [AccessKind::Read, AccessKind::Write].into_iter().zip(col) {
             earliest = earliest.min(col.max(self.col_floor(t, kind)));
         }
-        earliest.min(pre).max(from)
+        earliest.max(from)
     }
 
     /// The earliest cycle a column command of `kind` may issue given the
@@ -675,7 +661,7 @@ impl Channel {
     /// `(oldest, oldest_hit)` of bank `b`, recounted from every queued
     /// request in the slab (not from the bank's lists).
     fn recount(&self, b: usize) -> ([u64; 2], [u64; 2]) {
-        let open = self.banks[b].open_row;
+        let open = self.details[b].open_row;
         let mut oldest = [NONE; 2];
         let mut oldest_hit = [NONE; 2];
         for q in self.slab.iter().filter(|q| q.bank as usize == b) {
@@ -698,12 +684,13 @@ impl Channel {
         b: usize,
         row: u64,
     ) {
-        let bank = &mut self.banks[b];
-        bank.open_row = row;
-        bank.ready_col = cycle + t.t_rcd;
-        bank.ready_pre = bank.ready_pre.max(cycle + t.t_ras);
-        bank.ready_act = cycle + t.t_rc;
-        let rank = &mut self.ranks[b / self.banks_per_rank];
+        let detail = &mut self.details[b];
+        detail.open_row = row;
+        detail.ready_pre = detail.ready_pre.max(cycle + t.t_ras);
+        detail.ready_act = cycle + t.t_rc;
+        self.banks[b].ready_col = cycle + t.t_rcd;
+        let r = b / self.banks_per_rank;
+        let rank = &mut self.ranks[r];
         rank.last_act = cycle;
         rank.act_window.rotate_right(1);
         rank.act_window[0] = Some(cycle);
@@ -713,7 +700,7 @@ impl Channel {
         // Attribution: every unstamped read waiting on the new row gets
         // its row at tRCD after the activate.
         let ready = cycle + t.t_rcd;
-        let mut s = self.banks[b].head[0];
+        let mut s = self.details[b].head[0];
         while s != NIL {
             let q = &mut self.slab[s as usize];
             if q.row == row {
@@ -722,21 +709,21 @@ impl Channel {
             s = q.next;
         }
         for k in 0..2 {
-            self.seek_hit(b, k, self.banks[b].head[k]);
+            self.seek_hit(b, k, self.details[b].head[k]);
+        }
+        // The new activate floor holds every closed bank of the rank.
+        for b in r * self.banks_per_rank..(r + 1) * self.banks_per_rank {
+            self.settle_row(b);
         }
         self.debug_check_bank(b);
     }
 
     fn issue_pre(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, b: usize) {
-        let bank = &mut self.banks[b];
         // PRE issues now; `cycle >= ready_pre` was checked by the caller.
-        bank.close();
-        bank.ready_act = bank.ready_act.max(cycle + t.t_rp);
+        // (Attribution: a stamped waiter on the closed row goes back to
+        // waiting on the bank; a waiter on another row never had a stamp.)
+        self.close_row(b, cycle + t.t_rp);
         stats.precharges += 1;
-        // Attribution: waiters on this bank lose their open row (a stamped
-        // waiter on the *closed* row goes back to waiting on the bank; a
-        // waiter on another row never had a stamp).
-        self.clear_bank_ready(b);
         self.debug_check_bank(b);
     }
 
@@ -750,16 +737,15 @@ impl Channel {
     ) {
         let b = self.slab[s as usize].bank as usize;
         let k = qi(kind);
-        debug_assert_eq!(self.banks[b].hit[k], s, "column command for a younger hit");
+        debug_assert_eq!(self.details[b].hit[k], s, "column command for a younger hit");
         self.seek_hit(b, k, self.slab[s as usize].next);
         let q = self.unlink(s);
-        let bank = &mut self.banks[b];
-        bank.ready_col = cycle + t.t_ccd;
-
+        self.banks[b].ready_col = cycle + t.t_ccd;
+        let detail = &mut self.details[b];
         match kind {
             AccessKind::Read => {
                 let done = cycle + t.t_cas + t.t_burst;
-                bank.ready_pre = bank.ready_pre.max(cycle + t.t_rtp);
+                detail.ready_pre = detail.ready_pre.max(cycle + t.t_rtp);
                 self.bus_free_at = done;
                 // An unstamped request here means its ACT predates the
                 // stamping bookkeeping (can't happen via `enqueue`/
@@ -781,7 +767,7 @@ impl Channel {
             }
             AccessKind::Write => {
                 let data_end = cycle + t.t_cwd + t.t_burst;
-                bank.ready_pre = bank.ready_pre.max(data_end + t.t_wr);
+                detail.ready_pre = detail.ready_pre.max(data_end + t.t_wr);
                 self.bus_free_at = data_end;
                 stats.record_write(q.class, data_end - q.enqueue_cycle);
             }
@@ -789,6 +775,7 @@ impl Channel {
         stats.bursts += 1;
         stats.busy_cycles += t.t_burst;
         self.last_bus_op = Some(kind);
+        self.settle_row(b);
         self.debug_check_bank(b);
     }
 }

@@ -11,12 +11,12 @@
 //! and the tRRD/tFAW limits recomputed from each rank's ACT window. Its
 //! horizon takes the minimum over every queued request.
 
-use super::{qi, Bank, Candidate, Channel, Queued, CLOSED, NIL};
+use super::{qi, BankDetail, Candidate, Channel, Queued, CLOSED, NIL};
 use crate::config::{DramConfig, TimingParams};
 use crate::request::{AccessKind, Completion};
 use crate::stats::DramStats;
 
-impl Bank {
+impl BankDetail {
     /// The open row, `None` while precharged.
     fn open(&self) -> Option<u64> {
         (self.open_row != CLOSED).then_some(self.open_row)
@@ -96,7 +96,7 @@ impl Channel {
         let mut blocked_banks = 0u64;
         queue.iter().find_map(|&(_, q)| {
             let b = q.bank as usize;
-            let bank = &self.banks[b];
+            let bank = &self.details[b];
             let bit = Self::bank_bit(b);
             if blocked_banks & bit != 0 {
                 return None;
@@ -145,7 +145,7 @@ impl Channel {
             let mut seen_pre = 0u64;
             for (_, q) in self.queue_view(kind) {
                 let b = q.bank as usize;
-                let bank = &self.banks[b];
+                let bank = &self.details[b];
                 let bit = Self::bank_bit(b);
                 let candidate = match bank.open() {
                     Some(row) if row == q.row => {
@@ -153,7 +153,7 @@ impl Channel {
                             continue;
                         }
                         seen_row_match |= bit;
-                        bank.ready_col.max(bus_ready.saturating_sub(lead))
+                        self.banks[b].ready_col.max(bus_ready.saturating_sub(lead))
                     }
                     Some(_) => {
                         if seen_pre & bit != 0 {
@@ -196,7 +196,7 @@ impl Channel {
     }
 
     fn row_has_waiting_hit(&self, b: usize) -> bool {
-        let Some(open) = self.banks[b].open() else {
+        let Some(open) = self.details[b].open() else {
             return false;
         };
         self.slab
@@ -212,16 +212,15 @@ impl Channel {
         kind: AccessKind,
         bus_ready: u64,
     ) -> bool {
-        let bank = &self.banks[q.bank as usize];
-        if bank.open() != Some(q.row) || cycle < bank.ready_col {
+        let b = q.bank as usize;
+        if self.details[b].open() != Some(q.row) || cycle < self.banks[b].ready_col {
             return false;
         }
         cycle + super::lead(t, kind) >= bus_ready
     }
 
     fn act_allowed(&self, cycle: u64, t: &TimingParams, b: usize) -> bool {
-        let bank = &self.banks[b];
-        if cycle < bank.ready_act {
+        if cycle < self.details[b].ready_act {
             return false;
         }
         let rank = &self.ranks[b / self.banks_per_rank];
@@ -244,13 +243,16 @@ impl Channel {
         let queue = |kind| {
             self.queue_view(kind)
                 .into_iter()
-                .map(|(_, q)| (q.seq, q.bank, q.row, q.id, q.addr, q.class, q.enqueue_cycle, q.bank_ready))
+                .map(|(_, q)| {
+                    (q.seq, q.bank, q.row, q.id, q.addr, q.class, q.enqueue_cycle, q.bank_ready)
+                })
                 .collect::<Vec<_>>()
         };
         let banks: Vec<_> = self
             .banks
             .iter()
-            .map(|b| (b.open(), b.ready_act, b.ready_col, b.ready_pre))
+            .zip(&self.details)
+            .map(|(b, d)| (d.open(), d.ready_act, b.ready_col, d.ready_pre))
             .collect();
         format!(
             "{:?}",
@@ -270,7 +272,7 @@ impl Channel {
     /// The slots on bank `b`'s list for queue `k`, oldest first.
     fn bank_list(&self, b: usize, k: usize) -> impl Iterator<Item = u32> + '_ {
         let slot = |s: u32| (s != NIL).then_some(s);
-        std::iter::successors(slot(self.banks[b].head[k]), move |&s| {
+        std::iter::successors(slot(self.details[b].head[k]), move |&s| {
             slot(self.slab[s as usize].next)
         })
     }
@@ -289,10 +291,10 @@ impl Channel {
                 let expected: Vec<u32> =
                     view.iter().filter(|(_, q)| q.bank as usize == b).map(|&(s, _)| s).collect();
                 assert_eq!(list, expected, "bank {b} {kind:?} list");
-                let bank = &self.banks[b];
-                assert_eq!(bank.tail[k], *list.last().unwrap_or(&NIL));
-                let hit = list.iter().copied().find(|&s| self.slab[s as usize].row == bank.open_row);
-                assert_eq!(bank.hit[k], hit.unwrap_or(NIL), "bank {b} {kind:?} oldest hit");
+                let detail = &self.details[b];
+                assert_eq!(detail.tail[k], *list.last().unwrap_or(&NIL));
+                let hit = list.iter().copied().find(|&s| self.slab[s as usize].row == detail.open_row);
+                assert_eq!(detail.hit[k], hit.unwrap_or(NIL), "bank {b} {kind:?} oldest hit");
                 let mut prev = NIL;
                 for &s in &list {
                     assert_eq!(self.slab[s as usize].prev, prev, "bank {b} back link");
@@ -604,7 +606,7 @@ mod tests {
             .collect();
         let mem = assert_matches_reference(&cfg, &ops, 2000);
         assert!(
-            mem.channels[0].banks[64..].iter().any(|b| b.ready_act > 0),
+            mem.channels[0].details[64..].iter().any(|b| b.ready_act > 0),
             "banks past 64 never activated"
         );
         assert_fast_forward_matches(&cfg, &ops, 2000);
