@@ -66,6 +66,8 @@ struct Bank {
 /// requests sit in the slab.
 #[derive(Debug, Clone, Copy)]
 struct BankDetail {
+    /// Index of the bank's rank in [`Channel::ranks`].
+    rank: usize,
     /// The open row, [`CLOSED`] when precharged.
     open_row: u64,
     ready_act: u64,
@@ -221,14 +223,17 @@ impl Channel {
     pub(crate) fn new(cfg: &DramConfig) -> Self {
         let banks = cfg.ranks_per_channel * cfg.banks_per_rank;
         let bank = Bank { oldest: [NONE; 2], oldest_hit: [NONE; 2], ready_col: 0, ready_row: NONE };
-        let detail = BankDetail {
-            open_row: CLOSED,
-            ready_act: 0,
-            ready_pre: 0,
-            head: [NIL; 2],
-            tail: [NIL; 2],
-            hit: [NIL; 2],
-        };
+        let details = (0..banks)
+            .map(|b| BankDetail {
+                rank: b / cfg.banks_per_rank,
+                open_row: CLOSED,
+                ready_act: 0,
+                ready_pre: 0,
+                head: [NIL; 2],
+                tail: [NIL; 2],
+                hit: [NIL; 2],
+            })
+            .collect();
         let rank = Rank {
             act_window: [None; 4],
             last_act: 0,
@@ -239,7 +244,7 @@ impl Channel {
             .expect("queue capacities fit a u32 slab index");
         Self {
             banks: vec![bank; banks],
-            details: vec![detail; banks],
+            details,
             banks_per_rank: cfg.banks_per_rank,
             ranks: vec![rank; cfg.ranks_per_channel],
             slab: (1..=slots).map(|next| Queued::free(if next < slots { next } else { NIL })).collect(),
@@ -377,14 +382,13 @@ impl Channel {
     /// Recomputes bank `b`'s [`Bank::ready_row`] after a change to its
     /// queue, its row or its rank's activate floor.
     fn settle_row(&mut self, b: usize) {
-        let act_floor = self.ranks[b / self.banks_per_rank].act_floor;
         let (bank, detail) = (&mut self.banks[b], &self.details[b]);
         bank.ready_row = if bank.oldest == [NONE; 2] || bank.oldest_hit != [NONE; 2] {
             NONE
         } else if detail.open_row != CLOSED {
             detail.ready_pre
         } else {
-            detail.ready_act.max(act_floor)
+            detail.ready_act.max(self.ranks[detail.rank].act_floor)
         };
     }
 
@@ -689,7 +693,7 @@ impl Channel {
         detail.ready_pre = detail.ready_pre.max(cycle + t.t_ras);
         detail.ready_act = cycle + t.t_rc;
         self.banks[b].ready_col = cycle + t.t_rcd;
-        let r = b / self.banks_per_rank;
+        let r = detail.rank;
         let rank = &mut self.ranks[r];
         rank.last_act = cycle;
         rank.act_window.rotate_right(1);
