@@ -241,13 +241,15 @@ impl Channel {
             next_refresh: cfg.timing.t_refi,
         };
         let slots = u32::try_from(cfg.read_queue_capacity + cfg.write_queue_capacity)
-            .expect("queue capacities fit a u32 slab index");
+            .expect("validated: queue capacities fit a u32 slab index");
         Self {
             banks: vec![bank; banks],
             details,
             banks_per_rank: cfg.banks_per_rank,
             ranks: vec![rank; cfg.ranks_per_channel],
-            slab: (1..=slots).map(|next| Queued::free(if next < slots { next } else { NIL })).collect(),
+            slab: (1..=slots)
+                .map(|next| Queued::free(if next < slots { next } else { NIL }))
+                .collect(),
             free: if slots > 0 { 0 } else { NIL },
             len: [0; 2],
             next_seq: 0,
@@ -585,14 +587,13 @@ impl Channel {
         [primary, secondary].into_iter().find_map(|kind| {
             let k = qi(kind);
             if col[k] != NONE && cycle + lead(t, kind) >= self.bus_ready(t, kind) {
-                let b = self.banks.iter().position(|bank| bank.oldest_hit[k] == col[k]);
-                return Some(Candidate::Col(kind, self.details[b.expect("a bank holds it")].hit[k]));
+                let b = self.bank_of(|bank| bank.oldest_hit[k] == col[k]);
+                return Some(Candidate::Col(kind, self.details[b].hit[k]));
             }
             if row[k] == NONE {
                 return None;
             }
-            let b = self.banks.iter().position(|bank| bank.oldest[k] == row[k]);
-            let b = b.expect("a bank holds it");
+            let b = self.bank_of(|bank| bank.oldest[k] == row[k]);
             let detail = &self.details[b];
             Some(if detail.open_row != CLOSED {
                 Candidate::Pre(b)
@@ -600,6 +601,11 @@ impl Channel {
                 Candidate::Act { bank: b, row: self.slab[detail.head[k] as usize].row }
             })
         })
+    }
+
+    /// The bank holding the sequence number a scan picked.
+    fn bank_of(&self, holds: impl Fn(&Bank) -> bool) -> usize {
+        self.banks.iter().position(holds).expect("a picked request has a bank")
     }
 
     /// A conservative lower bound (≥ `from`) on the next cycle at which
@@ -620,8 +626,8 @@ impl Channel {
         let mut col = [NONE; 2];
         let mut earliest = NONE;
         for bank in &self.banks {
-            for k in 0..2 {
-                col[k] = col[k].min(if_ready(bank.oldest_hit[k] != NONE, bank.ready_col));
+            for (col, &hit) in col.iter_mut().zip(&bank.oldest_hit) {
+                *col = (*col).min(if_ready(hit != NONE, bank.ready_col));
             }
             earliest = earliest.min(bank.ready_row);
         }

@@ -293,7 +293,8 @@ impl Channel {
                 assert_eq!(list, expected, "bank {b} {kind:?} list");
                 let detail = &self.details[b];
                 assert_eq!(detail.tail[k], *list.last().unwrap_or(&NIL));
-                let hit = list.iter().copied().find(|&s| self.slab[s as usize].row == detail.open_row);
+                let hits = |&s: &u32| self.slab[s as usize].row == detail.open_row;
+                let hit = list.iter().copied().find(hits);
                 assert_eq!(detail.hit[k], hit.unwrap_or(NIL), "bank {b} {kind:?} oldest hit");
                 let mut prev = NIL;
                 for &s in &list {

@@ -201,7 +201,8 @@ impl DramConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when any count is zero, watermarks are
-    /// inconsistent, or sizes are not powers of two.
+    /// inconsistent, sizes are not powers of two, or the queues together
+    /// hold 2^32 - 1 requests or more.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let fail = |reason: &str| Err(ConfigError { reason: reason.to_string() });
         if self.channels == 0
@@ -223,6 +224,9 @@ impl DramConfig {
         }
         if self.timing.t_burst == 0 {
             return fail("t_burst must be nonzero");
+        }
+        if self.read_queue_capacity.saturating_add(self.write_queue_capacity) >= u32::MAX as usize {
+            return fail("queue capacities must total below 2^32 - 1");
         }
         Ok(())
     }
@@ -270,6 +274,9 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         let cfg = DramConfig { line_bytes: 48, ..DramConfig::default() };
+        assert!(cfg.validate().is_err());
+
+        let cfg = DramConfig { read_queue_capacity: u32::MAX as usize, ..DramConfig::default() };
         assert!(cfg.validate().is_err());
     }
 
