@@ -105,13 +105,12 @@ fn lead(t: &TimingParams, kind: AccessKind) -> u64 {
 #[derive(Debug, Clone, Copy)]
 struct Rank {
     /// The rank's last four ACTs, newest first (the tFAW window); `None`
-    /// until the rank has activated four times.
+    /// where the rank has activated fewer times.
     act_window: [Option<u64>; 4],
-    last_act: u64,
-    /// The rank's activate floor, set at each ACT: `last_act + tRRD`
-    /// (nothing after an ACT at cycle 0) and, with four ACTs on record,
-    /// the oldest one's `+ tFAW`. An activate may issue at `cycle` iff
-    /// `act_floor <= cycle`; once the oldest ACT leaves the window its
+    /// The rank's activate floor, set at each ACT: the newest ACT
+    /// `+ tRRD` (nothing after an ACT at cycle 0) and, with four ACTs on
+    /// record, the oldest one `+ tFAW`. An activate may issue at `cycle`
+    /// iff `act_floor <= cycle`; once the oldest ACT leaves the window its
     /// term lies at or before any cycle it is compared or clamped at.
     act_floor: u64,
     next_refresh: u64,
@@ -236,7 +235,6 @@ impl Channel {
             .collect();
         let rank = Rank {
             act_window: [None; 4],
-            last_act: 0,
             act_floor: 0,
             next_refresh: cfg.timing.t_refi,
         };
@@ -701,7 +699,6 @@ impl Channel {
         self.banks[b].ready_col = cycle + t.t_rcd;
         let r = detail.rank;
         let rank = &mut self.ranks[r];
-        rank.last_act = cycle;
         rank.act_window.rotate_right(1);
         rank.act_window[0] = Some(cycle);
         let rrd = if cycle != 0 { cycle + t.t_rrd } else { 0 };

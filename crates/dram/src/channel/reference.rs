@@ -1,9 +1,9 @@
-//! The two-pass FR-FCFS scheduler and per-request issue horizon the
-//! bank-indexed scheduler replaced, kept as a test oracle, and the
-//! differential tests that hold the two to the same command on every
-//! cycle.
+//! A two-pass FR-FCFS scheduler and per-request issue horizon, kept as a
+//! test oracle for the per-bank scheduler, and the differential tests
+//! that hold the two to the same command on every cycle.
 //!
-//! The reference never reads the banks' request lists. It scans an
+//! The reference never reads the banks' request lists, their oldest
+//! entries or `ready_row`, nor a rank's `act_floor`. It scans an
 //! age-ordered view of each queue, built from the slab's queued entries
 //! sorted by sequence number: pass 1 looks for the oldest ready column
 //! command, pass 2 for the oldest request whose bank accepts its row
@@ -172,8 +172,8 @@ impl Channel {
                         seen_row_match |= bit;
                         let rank = &self.ranks[b / self.banks_per_rank];
                         let mut c = bank.ready_act;
-                        if rank.last_act != 0 {
-                            c = c.max(rank.last_act + t.t_rrd);
+                        if let Some(last_act) = rank.act_window[0].filter(|&at| at != 0) {
+                            c = c.max(last_act + t.t_rrd);
                         }
                         let mut in_window = 0usize;
                         let mut oldest = u64::MAX;
@@ -224,7 +224,7 @@ impl Channel {
             return false;
         }
         let rank = &self.ranks[b / self.banks_per_rank];
-        if rank.last_act != 0 && cycle < rank.last_act + t.t_rrd {
+        if rank.act_window[0].is_some_and(|last_act| last_act != 0 && cycle < last_act + t.t_rrd) {
             return false;
         }
         let in_window = rank

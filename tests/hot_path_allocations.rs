@@ -308,7 +308,7 @@ fn drive_dram(
             *seed ^= *seed << 13;
             *seed ^= *seed >> 7;
             *seed ^= *seed << 17;
-            if kind == AccessKind::Write && *seed % 8 != 0 {
+            if kind == AccessKind::Write && !seed.is_multiple_of(8) {
                 continue;
             }
             let class = RequestClass::ALL[(*seed % 5) as usize];
