@@ -79,6 +79,14 @@ struct BankDetail {
     hit: [u32; 2],
 }
 
+/// `x` when `cond` holds, else [`NONE`] (`u64::MAX`), as a conditional
+/// move: a plain `if` compiles to branches on the scans' data-dependent
+/// readiness tests, which measured slower in the benchmark's traced
+/// `dram.tick_ns`.
+fn if_ready(cond: bool, x: u64) -> u64 {
+    std::hint::select_unpredictable(cond, x, NONE)
+}
+
 /// Index of `kind`'s queue in the per-bank arrays.
 fn qi(kind: AccessKind) -> usize {
     match kind {
@@ -562,8 +570,8 @@ impl Channel {
             let col_ready = cycle >= bank.ready_col;
             let row_ready = cycle >= bank.ready_row;
             for k in 0..2 {
-                col[k] = col[k].min(if col_ready { bank.oldest_hit[k] } else { NONE });
-                row[k] = row[k].min(if row_ready { bank.oldest[k] } else { NONE });
+                col[k] = col[k].min(if_ready(col_ready, bank.oldest_hit[k]));
+                row[k] = row[k].min(if_ready(row_ready, bank.oldest[k]));
             }
         }
         let primary = if self.draining || self.len[0] == 0 {
@@ -618,7 +626,7 @@ impl Channel {
         let mut earliest = NONE;
         for bank in &self.banks {
             for (col, &hit) in col.iter_mut().zip(&bank.oldest_hit) {
-                *col = (*col).min(if hit != NONE { bank.ready_col } else { NONE });
+                *col = (*col).min(if_ready(hit != NONE, bank.ready_col));
             }
             earliest = earliest.min(bank.ready_row);
         }
