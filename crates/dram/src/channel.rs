@@ -118,8 +118,8 @@ struct Rank {
 }
 
 /// A queued request in the channel's slab. The scheduler reads `seq`,
-/// `row` and the links (kept first so a list walk touches one cache line
-/// per entry); the rest is echoed in the completion.
+/// `row` and the links (kept together in the first 24 bytes); the rest is
+/// echoed in the completion.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     /// Channel-wide arrival order: smaller is older.
