@@ -318,7 +318,7 @@ impl Aggregate for CampaignAggregate {
             j.as_array()
                 .ok_or_else(|| format!("campaign aggregate: '{what}' is not an array"))?
                 .iter()
-                .map(|v| v.as_f64().map(|f| f as u64).ok_or_else(|| format!("bad number in {what}")))
+                .map(|v| v.as_u64().ok_or_else(|| format!("bad count in {what}")))
                 .collect()
         };
         let rows = json
@@ -352,8 +352,8 @@ impl Aggregate for CampaignAggregate {
             keys.push(MismatchKey {
                 index: k
                     .get("index")
-                    .and_then(Json::as_f64)
-                    .ok_or("mismatch key: missing 'index'")? as u64,
+                    .and_then(Json::as_u64)
+                    .ok_or("mismatch key: missing 'index'")?,
                 functional: k
                     .get("functional")
                     .and_then(Json::as_str)
@@ -370,8 +370,8 @@ impl Aggregate for CampaignAggregate {
             analytic_failures: [af[0], af[1], af[2]],
             mismatch_count: json
                 .get("mismatch_count")
-                .and_then(Json::as_f64)
-                .ok_or("campaign aggregate: missing 'mismatch_count'")? as u64,
+                .and_then(Json::as_u64)
+                .ok_or("campaign aggregate: missing 'mismatch_count'")?,
             mismatch_keys: keys,
             mac_computations: LogHistogram::from_snapshot(
                 json.get("mac_computations")
@@ -654,6 +654,21 @@ mod tests {
     }
 
     #[test]
+    fn counts_that_are_not_exact_integers_are_rejected() {
+        let text = CampaignJob::new(&quick(90, 1)).run_shard(0, 90).to_json();
+        // The first number after `key`: a matrix cell, or a plain count.
+        for key in ["\"matrix\":[[", "\"mismatch_count\":"] {
+            let at = text.find(key).expect("key present") + key.len();
+            let end = at + text[at..].find([',', ']']).expect("number ends");
+            for bad in ["-3", "1.5", "1e300"] {
+                let doc = format!("{}{bad}{}", &text[..at], &text[end..]);
+                let json = Json::parse(&doc).expect("still JSON");
+                assert!(CampaignAggregate::from_json(&json).is_err(), "{key}{bad} accepted");
+            }
+        }
+    }
+
+    #[test]
     fn checkpointed_campaign_resumes_bit_identically() {
         let params = quick(SHARD_INJECTIONS + 900, 2);
         let baseline = run(&params);
@@ -724,6 +739,43 @@ mod tests {
             let mut right = a;
             right.merge(&bc);
             prop_assert_eq!(left, right);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every prefix and every single-byte mutation of a serialized
+        /// aggregate parses and rebuilds to `Ok` or `Err`: nothing panics.
+        #[test]
+        fn truncated_or_mutated_aggregates_never_panic(start in 0u64..5_000, count in 1u64..60) {
+            let mut agg = CampaignJob::new(&quick(start + count, 1)).run_shard(start, count);
+            // Carry a reproducer, so the key fields are mutated too.
+            agg.mismatch_keys.push(MismatchKey {
+                index: start,
+                functional: Outcome::SilentDataCorruption,
+                analytic_fail: false,
+            });
+            let text = agg.to_json();
+            let rebuild = |doc: &str| {
+                if let Ok(json) = Json::parse(doc) {
+                    if let Ok(back) = CampaignAggregate::from_json(&json) {
+                        back.mac_computations.summary();
+                    }
+                }
+            };
+            for end in 0..text.len() {
+                rebuild(&text[..end]);
+            }
+            let mut bytes = text.into_bytes();
+            for i in 0..bytes.len() {
+                let original = bytes[i];
+                for &b in b"0123456789eE+-.,:[]{}\"\\ an" {
+                    bytes[i] = b;
+                    rebuild(std::str::from_utf8(&bytes).expect("ASCII"));
+                }
+                bytes[i] = original;
+            }
         }
     }
 

@@ -144,18 +144,10 @@ impl<A: Aggregate> Checkpoint<A> {
             Some(CHECKPOINT_FORMAT) => {}
             other => return Err(format!("checkpoint format {other:?} != {CHECKPOINT_FORMAT:?}")),
         }
-        // JSON numbers are f64: only integers up to 2^53 are exact.
-        const MAX_EXACT: f64 = (1u64 << 53) as f64;
         let num = |k: &str| -> Result<u64, String> {
-            let v = doc
-                .get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("checkpoint: missing numeric '{k}'"))?;
-            if v.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&v) {
-                Ok(v as u64)
-            } else {
-                Err(format!("checkpoint: '{k}' = {v} is not an integer in [0, 2^53]"))
-            }
+            doc.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("checkpoint: '{k}' is not an integer in [0, 2^53]"))
         };
         Ok(Self {
             fingerprint: doc

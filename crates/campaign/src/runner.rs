@@ -9,6 +9,7 @@
 //! [`verdicts_agree`] is the campaign's core assertion: an outcome in
 //! [`Outcome::is_failure`] iff the analytic model predicts a failure.
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use synergy_core::memory::{MemoryError, SynergyMemory, SynergyMemoryConfig};
@@ -80,11 +81,22 @@ pub struct FunctionalResult {
 }
 
 /// Runs the scenario through its design's functional pipeline.
+///
+/// The SECDED and SYNERGY pipelines run on this thread's working memory
+/// for their design, first restored to the pristine state in place: a warm
+/// injection allocates nothing, and each scenario stays a self-contained
+/// `(seed, index)` reproducer.
 pub fn run_functional(scenario: &Scenario) -> FunctionalResult {
     match scenario.design {
-        Design::Secded => run_secded(scenario),
+        Design::Secded => WORKING_SECDED.with_borrow_mut(|m| {
+            m.clear();
+            run_secded(m, scenario)
+        }),
         Design::Chipkill => run_chipkill(scenario),
-        Design::Synergy => run_synergy(scenario),
+        Design::Synergy => WORKING_SYNERGY.with_borrow_mut(|m| {
+            m.clone_from(pristine_synergy());
+            run_synergy(m, scenario)
+        }),
     }
 }
 
@@ -94,11 +106,10 @@ pub fn run_functional(scenario: &Scenario) -> FunctionalResult {
 ///
 /// [`EccPolicy::first_failure`]: synergy_faultsim::EccPolicy::first_failure
 pub fn analytic_fails(scenario: &Scenario) -> bool {
-    scenario
-        .design
-        .policy()
-        .first_failure(&scenario.analytic_faults(), LIFETIME_HOURS, None)
-        .is_some()
+    let policy = scenario.design.policy();
+    scenario.with_analytic_faults(|faults| {
+        policy.first_failure(faults, LIFETIME_HOURS, None).is_some()
+    })
 }
 
 /// The campaign invariant: functional failure ⇔ analytic failure.
@@ -106,8 +117,15 @@ pub fn verdicts_agree(scenario: &Scenario) -> bool {
     run_functional(scenario).outcome.is_failure() == analytic_fails(scenario)
 }
 
-fn run_secded(scenario: &Scenario) -> FunctionalResult {
-    let mut m = SecdedMemory::new(MEMORY_CAPACITY);
+thread_local! {
+    /// This thread's working memories (see [`run_functional`]).
+    static WORKING_SECDED: RefCell<SecdedMemory> =
+        RefCell::new(SecdedMemory::new(MEMORY_CAPACITY));
+    static WORKING_SYNERGY: RefCell<SynergyMemory> =
+        RefCell::new(pristine_synergy().clone());
+}
+
+fn run_secded(m: &mut SecdedMemory, scenario: &Scenario) -> FunctionalResult {
     let addr = scenario.data_addr;
     let truth = CacheLine::from_bytes(scenario.truth);
     m.write_line(addr, &truth).expect("in range");
@@ -132,11 +150,11 @@ fn chipkill() -> &'static Chipkill {
 }
 
 /// A pristine SYNERGY memory of [`MEMORY_CAPACITY`] bytes, keyed and
-/// fully materialized once per process, so no clone rebuilds the zero
-/// state of the lines it touches. Every injection runs on a clone and the
-/// template is never written, so each scenario stays a self-contained
-/// `(seed, index)` reproducer. (Scenarios corrupt single lines, never a
-/// whole chip, so materializing every line up front changes no outcome.)
+/// fully materialized once per process, so no injection rebuilds the zero
+/// state of the lines it touches. It is never written: each thread's
+/// working memory is restored from it before every injection. (Scenarios
+/// corrupt single lines, never a whole chip, so materializing every line
+/// up front changes no outcome.)
 fn pristine_synergy() -> &'static SynergyMemory {
     static TEMPLATE: OnceLock<SynergyMemory> = OnceLock::new();
     TEMPLATE.get_or_init(|| {
@@ -171,8 +189,7 @@ fn run_chipkill(scenario: &Scenario) -> FunctionalResult {
     FunctionalResult { outcome, mac_computations: 0 }
 }
 
-fn run_synergy(scenario: &Scenario) -> FunctionalResult {
-    let mut m = pristine_synergy().clone();
+fn run_synergy(m: &mut SynergyMemory, scenario: &Scenario) -> FunctionalResult {
     let addr = scenario.data_addr;
     let truth = CacheLine::from_bytes(scenario.truth);
     m.write_line(addr, &truth).expect("in range");
@@ -221,6 +238,37 @@ mod tests {
                 "index {index}: functional {:?} vs analytic fail={analytic}\n{s:#?}",
                 functional.outcome
             );
+        }
+    }
+
+    /// Scenario `i` on a fresh memory of its design.
+    fn run_fresh(s: &Scenario) -> FunctionalResult {
+        match s.design {
+            Design::Secded => run_secded(&mut SecdedMemory::new(MEMORY_CAPACITY), s),
+            Design::Chipkill => run_chipkill(s),
+            Design::Synergy => run_synergy(&mut pristine_synergy().clone(), s),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The working memory a scenario leaves behind does not leak into
+        /// the next: scenario `j` then scenario `i` on one thread gives
+        /// `i` the result it has on a fresh clone of the template. `j`
+        /// shares `i`'s design, so it ran on the same working memory.
+        #[test]
+        fn restored_working_memory_isolates_scenarios(
+            seed in 0u64..1 << 20,
+            i in 0u64..30_000,
+            j in 0u64..10_000,
+        ) {
+            let geo = ChipGeometry::default();
+            let model = FaultModel::sridharan();
+            let scenario = |index| scenario_for(seed, index, &model, &geo, MEMORY_CAPACITY / 64);
+            let (si, sj) = (scenario(i), scenario(3 * j + i % 3));
+            run_functional(&sj);
+            proptest::prop_assert_eq!(run_functional(&si), run_fresh(&si));
         }
     }
 

@@ -11,10 +11,15 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use synergy_ecc::reed_solomon::Chipkill;
 use synergy_faultsim::{ChipGeometry, EccPolicy, Fault, FaultModel, LineRegion};
 
 /// Word columns per 64-byte cacheline (64-bit words).
 pub const WORDS_PER_LINE: usize = 8;
+
+/// Chips in the widest correction domain, Chipkill's: the length of
+/// [`Scenario::chip_masks`].
+pub const MAX_CHIPS: usize = Chipkill::TOTAL_CHIPS;
 
 /// Odd multiplier decorrelating per-index RNG streams (splitmix64 gamma).
 const INDEX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -113,13 +118,15 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Per-chip union of all fault masks, OR-combined per word.
+    /// Per-chip union of all fault masks, OR-combined per word. Entry `c`
+    /// is chip `c`'s; the entries past the design's
+    /// [`chips`](Design::chips) stay zero.
     ///
     /// OR (not XOR) models stuck-at semantics: two faults pinning the same
     /// bit of the same word are one physical error, which is exactly the
     /// analytic model's same-chip same-bit exception for SECDED.
-    pub fn chip_masks(&self) -> Vec<[u8; WORDS_PER_LINE]> {
-        let mut masks = vec![[0u8; WORDS_PER_LINE]; self.design.chips()];
+    pub fn chip_masks(&self) -> [[u8; WORDS_PER_LINE]; MAX_CHIPS] {
+        let mut masks = [[0u8; WORDS_PER_LINE]; MAX_CHIPS];
         for sf in &self.faults {
             let chip = &mut masks[sf.fault.chip];
             for (m, s) in chip.iter_mut().zip(sf.masks) {
@@ -129,9 +136,16 @@ impl Scenario {
         masks
     }
 
-    /// The bare analytic faults, for [`EccPolicy::first_failure`].
-    pub fn analytic_faults(&self) -> Vec<Fault> {
-        self.faults.iter().map(|sf| sf.fault).collect()
+    /// Calls `f` with the bare analytic faults, for
+    /// [`EccPolicy::first_failure`]. The one or two faults a sampled
+    /// scenario carries are passed on the stack.
+    pub fn with_analytic_faults<T>(&self, f: impl FnOnce(&[Fault]) -> T) -> T {
+        match self.faults.as_slice() {
+            [] => f(&[]),
+            [a] => f(&[a.fault]),
+            [a, b] => f(&[a.fault, b.fault]),
+            many => f(&many.iter().map(|sf| sf.fault).collect::<Vec<_>>()),
+        }
     }
 }
 
@@ -361,6 +375,33 @@ mod tests {
                     "index {index}: odd multi-bit check-chip union {m:#x}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn chip_masks_cover_every_design() {
+        assert!(Design::ALL.iter().all(|d| d.chips() <= MAX_CHIPS));
+        let geo = ChipGeometry::default();
+        for index in 0..30 {
+            let s = scenario_for(13, index, &model(), &geo, 64);
+            let masks = s.chip_masks();
+            assert!(masks[s.design.chips()..].iter().all(|m| *m == [0; WORDS_PER_LINE]));
+            for sf in &s.faults {
+                assert!(masks[sf.fault.chip].iter().zip(sf.masks).all(|(u, m)| u & m == m));
+            }
+        }
+    }
+
+    #[test]
+    fn analytic_faults_keep_every_fault_in_order() {
+        let geo = ChipGeometry::default();
+        let pool: Vec<ScenarioFault> =
+            (0..4).map(|i| scenario_for(5, i, &model(), &geo, 64).faults[0]).collect();
+        let mut s = scenario_for(5, 0, &model(), &geo, 64);
+        for n in 0..=pool.len() {
+            s.faults = pool[..n].to_vec();
+            let expected: Vec<Fault> = s.faults.iter().map(|sf| sf.fault).collect();
+            s.with_analytic_faults(|faults| assert_eq!(faults, expected.as_slice()));
         }
     }
 

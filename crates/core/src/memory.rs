@@ -26,6 +26,8 @@
 //! whole chip across the DIMM), letting tests and examples exercise every
 //! scenario of Figure 7(c).
 
+use std::sync::Arc;
+
 use synergy_crypto::ctr::LineCipher;
 use synergy_crypto::gmac::Gmac;
 use synergy_crypto::{CacheLine, EncryptionKey, MacKey};
@@ -222,13 +224,14 @@ impl Chain {
 /// # }
 /// ```
 ///
-/// Cloning copies the whole memory, keys included: a clone of a pristine
-/// memory is a fresh memory without repeating the key setup.
-#[derive(Debug, Clone)]
+/// Cloning copies the line store and shares the layout and keys, which
+/// never change after construction: a clone of a pristine memory is a
+/// fresh memory without repeating the key setup. `clone_from` copies into
+/// the destination's buffers, so restoring a working memory from a
+/// template of the same capacity allocates nothing.
+#[derive(Debug)]
 pub struct SynergyMemory {
-    layout: MetadataLayout,
-    cipher: LineCipher,
-    gmac: Gmac,
+    fixed: Arc<Fixed>,
     /// Every line of the layout except the MAC region (SYNERGY keeps its
     /// MACs in the ECC chip), indexed by [`Self::index`].
     lines: Vec<StoredLine>,
@@ -243,6 +246,70 @@ pub struct SynergyMemory {
     stats: MemoryStats,
     fault_tracking_threshold: Option<u64>,
     tracked_faulty_chip: Option<usize>,
+}
+
+/// The parts of a [`SynergyMemory`] fixed at construction.
+#[derive(Debug)]
+struct Fixed {
+    layout: MetadataLayout,
+    cipher: LineCipher,
+    gmac: Gmac,
+}
+
+impl Clone for SynergyMemory {
+    fn clone(&self) -> Self {
+        let Self {
+            fixed,
+            lines,
+            materialized,
+            mac_base,
+            mac_lines,
+            root_counters,
+            stats,
+            fault_tracking_threshold,
+            tracked_faulty_chip,
+        } = self;
+        Self {
+            fixed: Arc::clone(fixed),
+            lines: lines.clone(),
+            materialized: materialized.clone(),
+            mac_base: *mac_base,
+            mac_lines: *mac_lines,
+            root_counters: root_counters.clone(),
+            stats: *stats,
+            fault_tracking_threshold: *fault_tracking_threshold,
+            tracked_faulty_chip: *tracked_faulty_chip,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Exhaustive, so that a new field does not compile until it is
+        // restored here too.
+        let Self {
+            fixed,
+            lines,
+            materialized,
+            mac_base,
+            mac_lines,
+            root_counters,
+            stats,
+            fault_tracking_threshold,
+            tracked_faulty_chip,
+        } = self;
+        // Only repoint when the source differs: clones of one template
+        // then never touch the shared reference count.
+        if !Arc::ptr_eq(fixed, &source.fixed) {
+            *fixed = Arc::clone(&source.fixed);
+        }
+        lines.clone_from(&source.lines);
+        materialized.clone_from(&source.materialized);
+        *mac_base = source.mac_base;
+        *mac_lines = source.mac_lines;
+        root_counters.clone_from(&source.root_counters);
+        *stats = source.stats;
+        *fault_tracking_threshold = source.fault_tracking_threshold;
+        *tracked_faulty_chip = source.tracked_faulty_chip;
+    }
 }
 
 impl SynergyMemory {
@@ -286,9 +353,11 @@ impl SynergyMemory {
         materialized.resize(stored_lines.div_ceil(64), 0);
         let roots = layout.root_counter_count() as usize;
         Ok(Self {
-            layout,
-            cipher: LineCipher::new(&config.encryption_key),
-            gmac: Gmac::new(&config.mac_key),
+            fixed: Arc::new(Fixed {
+                layout,
+                cipher: LineCipher::new(&config.encryption_key),
+                gmac: Gmac::new(&config.mac_key),
+            }),
             lines,
             materialized,
             mac_base,
@@ -302,7 +371,7 @@ impl SynergyMemory {
 
     /// The metadata layout in use.
     pub fn layout(&self) -> &MetadataLayout {
-        &self.layout
+        &self.fixed.layout
     }
 
     /// Operation statistics.
@@ -324,15 +393,15 @@ impl SynergyMemory {
     /// materialized line: after this call, that is every line of the
     /// layout, not only the lines touched so far.
     pub fn materialize_all(&mut self) {
-        for group in 0..self.layout.data_bytes() / (8 * LINE) {
-            self.ensure_line(self.layout.parity_base() + group * LINE);
+        for group in 0..self.fixed.layout.data_bytes() / (8 * LINE) {
+            self.ensure_line(self.fixed.layout.parity_base() + group * LINE);
         }
-        for c in 0..self.layout.counter_lines() {
-            self.ensure_line(self.layout.counter_base() + c * LINE);
+        for c in 0..self.fixed.layout.counter_lines() {
+            self.ensure_line(self.fixed.layout.counter_base() + c * LINE);
         }
-        for level in 0..self.layout.tree_depth() {
-            for n in 0..self.layout.tree_level_nodes(level) {
-                self.ensure_line(self.layout.tree_node_addr(level, n));
+        for level in 0..self.fixed.layout.tree_depth() {
+            for n in 0..self.fixed.layout.tree_level_nodes(level) {
+                self.ensure_line(self.fixed.layout.tree_node_addr(level, n));
             }
         }
     }
@@ -362,11 +431,11 @@ impl SynergyMemory {
         let mut parent_ctr = self.root_counters[top.slot];
         for (k, link) in links.iter().enumerate().rev() {
             let child_slot =
-                if k == 0 { self.layout.counter_slot(addr) } else { links[k - 1].slot };
+                if k == 0 { self.fixed.layout.counter_slot(addr) } else { links[k - 1].slot };
             let i = self.index(link.addr);
             let (mut counters, _, _) = self.lines[i].counter_parts();
             counters[child_slot] = (counters[child_slot] + 1) & MASK56;
-            let mac = self.gmac.node_tag(link.addr, parent_ctr, &pack_counters(&counters));
+            let mac = self.fixed.gmac.node_tag(link.addr, parent_ctr, &pack_counters(&counters));
             self.stats.mac_computations += 1;
             self.lines[i] = StoredLine::from_counters(&counters, mac);
             parent_ctr = counters[child_slot];
@@ -374,14 +443,14 @@ impl SynergyMemory {
         let new_counter = parent_ctr;
 
         // Encrypt + MAC + co-locate (data chips + ECC chip).
-        let ciphertext = self.cipher.encrypt(addr, new_counter, plaintext);
-        let mac = self.gmac.line_tag(addr, new_counter, &ciphertext);
+        let ciphertext = self.fixed.cipher.encrypt(addr, new_counter, plaintext);
+        let mac = self.fixed.gmac.line_tag(addr, new_counter, &ciphertext);
         self.stats.mac_computations += 1;
         let new_stored = StoredLine::from_data(&ciphertext, mac);
 
         // Parity slot update (P = XOR of all nine chips).
-        let p_slot = self.layout.parity_slot(addr);
-        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        let p_slot = self.fixed.layout.parity_slot(addr);
+        let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
         let (mut slots, _) = self.lines[pi].parity_parts();
         slots[p_slot] = new_stored.xor_of_nine();
         self.lines[pi] = StoredLine::from_parities(&slots);
@@ -404,7 +473,7 @@ impl SynergyMemory {
         let (stored, counter, corrected) = self.verified_data(addr)?;
         let (ciphertext, _) = stored.data_parts();
         Ok(ReadOutput {
-            data: self.cipher.decrypt(addr, counter, &ciphertext),
+            data: self.fixed.cipher.decrypt(addr, counter, &ciphertext),
             corrected,
             mac_computations: (self.stats.mac_computations - macs_before) as u32,
         })
@@ -416,7 +485,7 @@ impl SynergyMemory {
         let chain = self.chain(addr);
         self.touch(addr, &chain);
         let counters = self.verify_chain(&chain)?;
-        let counter = counters[self.layout.counter_slot(addr)];
+        let counter = counters[self.fixed.layout.counter_slot(addr)];
         let i = self.ensure_line(addr);
 
         // Fast path for a tracked permanent chip failure: reconstruct that
@@ -428,7 +497,7 @@ impl SynergyMemory {
             let candidate = stored.with_chip_reconstructed(chip, &parity);
             let (cl, cmac) = candidate.data_parts();
             self.stats.mac_computations += 1;
-            if self.gmac.line_tag(addr, counter, &cl) == cmac {
+            if self.fixed.gmac.line_tag(addr, counter, &cl) == cmac {
                 let fixed = candidate != stored;
                 if fixed {
                     self.lines[i] = candidate;
@@ -440,7 +509,7 @@ impl SynergyMemory {
 
         let (ciphertext, mac) = stored.data_parts();
         self.stats.mac_computations += 1;
-        if self.gmac.line_tag(addr, counter, &ciphertext) == mac {
+        if self.fixed.gmac.line_tag(addr, counter, &ciphertext) == mac {
             return Ok((stored, counter, false));
         }
 
@@ -456,12 +525,12 @@ impl SynergyMemory {
     /// (and corrected) and its slot reset from it. A line that fails
     /// verification keeps its slot; its own next read reports the attack.
     fn repair_parity_group(&mut self, addr: u64) {
-        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
         let (slots, parity_p) = self.lines[pi].parity_parts();
         if xor_slices(&slots) == parity_p {
             return;
         }
-        let p_slot = self.layout.parity_slot(addr);
+        let p_slot = self.fixed.layout.parity_slot(addr);
         let first = addr - p_slot as u64 * LINE;
         for k in (0..8).filter(|&k| k != p_slot) {
             if let Ok((line, _, _)) = self.verified_data(first + k as u64 * LINE) {
@@ -556,7 +625,7 @@ impl SynergyMemory {
     /// Validates an adversary/injection address and materializes its line.
     fn raw_line(&mut self, line_addr: u64) -> usize {
         assert!(line_addr.is_multiple_of(LINE), "address {line_addr:#x} is not line-aligned");
-        match self.layout.classify(line_addr) {
+        match self.fixed.layout.classify(line_addr) {
             Region::Mac => panic!("SYNERGY stores no separate MAC region; addr {line_addr:#x}"),
             Region::OutOfRange => panic!("address {line_addr:#x} outside layout"),
             _ => self.ensure_line(line_addr),
@@ -567,8 +636,8 @@ impl SynergyMemory {
         if !addr.is_multiple_of(LINE) {
             return Err(MemoryError::Misaligned { addr });
         }
-        if addr >= self.layout.data_bytes() {
-            return Err(MemoryError::OutOfRange { addr, capacity: self.layout.data_bytes() });
+        if addr >= self.fixed.layout.data_bytes() {
+            return Err(MemoryError::OutOfRange { addr, capacity: self.fixed.layout.data_bytes() });
         }
         Ok(())
     }
@@ -578,11 +647,11 @@ impl SynergyMemory {
     /// [`MetadataLayout::tree_path_iter`].
     fn chain(&self, addr: u64) -> Chain {
         let mut chain = Chain { links: [Link::default(); MAX_CHAIN], len: 0 };
-        let mut line = self.layout.counter_line_addr(addr);
+        let mut line = self.fixed.layout.counter_line_addr(addr);
         // Index of `line` within its level: its low three bits are its
         // slot in its parent; the top line's whole index is its root slot.
-        let mut idx = (line - self.layout.counter_base()) >> LINE_SHIFT;
-        for parent in self.layout.tree_path_iter(line) {
+        let mut idx = (line - self.fixed.layout.counter_base()) >> LINE_SHIFT;
+        for parent in self.fixed.layout.tree_path_iter(line) {
             chain.links[chain.len] = Link { addr: line, slot: (idx & 7) as usize };
             chain.len += 1;
             idx >>= 3;
@@ -599,7 +668,7 @@ impl SynergyMemory {
     /// each chain level's load waiting behind the MAC of the level above.
     /// A 72-byte stored line spans two cache lines, hence both ends.
     fn touch(&self, addr: u64, chain: &Chain) {
-        let parity = self.layout.parity_line_addr(addr);
+        let parity = self.fixed.layout.parity_line_addr(addr);
         let mut sink = 0;
         for line in chain.links().iter().map(|l| l.addr).chain([addr, parity]) {
             let stored = &self.lines[self.index(line)];
@@ -627,7 +696,7 @@ impl SynergyMemory {
         let stored = self.lines[i];
         let (counters, mac, _) = stored.counter_parts();
         self.stats.mac_computations += 1;
-        if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&counters)) == mac {
+        if self.fixed.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&counters)) == mac {
             return Ok(counters);
         }
         // Correction: up to 8 reconstruction attempts (Scenario B/C). The
@@ -639,7 +708,7 @@ impl SynergyMemory {
                 stored.with_chip_replaced(chip, xor_slices(&[base, stored.chips[chip]]));
             let (c2, m2, _) = candidate.counter_parts();
             self.stats.mac_computations += 1;
-            if self.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&c2)) == m2 {
+            if self.fixed.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&c2)) == m2 {
                 self.lines[i] = candidate;
                 self.record_correction(chip);
                 return Ok(c2);
@@ -653,8 +722,8 @@ impl SynergyMemory {
     fn correct_data_line(&mut self, addr: u64, counter: u64) -> Result<StoredLine, MemoryError> {
         let i = self.ensure_line(addr);
         let stored = self.lines[i];
-        let p_slot = self.layout.parity_slot(addr);
-        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
+        let p_slot = self.fixed.layout.parity_slot(addr);
+        let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
         let (slots, parity_p) = self.lines[pi].parity_parts();
         let primary = slots[p_slot];
 
@@ -690,7 +759,7 @@ impl SynergyMemory {
                     stored.with_chip_replaced(chip, xor_slices(&[base, stored.chips[chip]]));
                 let (cl, cmac) = candidate.data_parts();
                 self.stats.mac_computations += 1;
-                if self.gmac.line_tag(addr, counter, &cl) == cmac {
+                if self.fixed.gmac.line_tag(addr, counter, &cl) == cmac {
                     self.lines[i] = candidate;
                     if reconstructed_parity {
                         let mut new_slots = slots;
@@ -719,8 +788,8 @@ impl SynergyMemory {
 
     /// Current parity value protecting the data line at `addr`.
     fn parity_slot_value(&mut self, addr: u64) -> ChipSlice {
-        let pi = self.ensure_line(self.layout.parity_line_addr(addr));
-        self.lines[pi].chips[self.layout.parity_slot(addr)]
+        let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
+        self.lines[pi].chips[self.fixed.layout.parity_slot(addr)]
     }
 
     /// Index of a line in `lines`: its line number, with the MAC region
@@ -752,15 +821,15 @@ impl SynergyMemory {
     fn ensure_line(&mut self, line_addr: u64) -> usize {
         let i = self.index(line_addr);
         if !self.is_materialized(i) {
-            match self.layout.classify(line_addr) {
+            match self.fixed.layout.classify(line_addr) {
                 Region::Data => {
-                    self.materialize_parity_group(self.layout.parity_line_addr(line_addr))
+                    self.materialize_parity_group(self.fixed.layout.parity_line_addr(line_addr))
                 }
                 Region::Parity => self.materialize_parity_group(line_addr),
                 Region::Counter | Region::Tree(_) => {
                     // All-zero counters, MAC keyed by the (necessarily zero)
                     // parent counter.
-                    let mac = self.gmac.node_tag(line_addr, 0, &pack_counters(&[0; 8]));
+                    let mac = self.fixed.gmac.node_tag(line_addr, 0, &pack_counters(&[0; 8]));
                     self.store(i, StoredLine::from_counters(&[0; 8], mac));
                 }
                 Region::Mac | Region::OutOfRange => {
@@ -776,14 +845,14 @@ impl SynergyMemory {
     /// every group is full), all in their zero state: plaintext zero under
     /// counter zero, and the parity slots they imply.
     fn materialize_parity_group(&mut self, p_addr: u64) {
-        let first_data = (p_addr - self.layout.parity_base()) * 8;
+        let first_data = (p_addr - self.fixed.layout.parity_base()) * 8;
         let mut slots = [[0u8; 8]; 8];
         for (k, slot) in slots.iter_mut().enumerate() {
             let d = first_data + k as u64 * LINE;
             let di = self.index(d);
             debug_assert!(!self.is_materialized(di), "data line {d:#x} without its parity");
-            let ciphertext = self.cipher.encrypt(d, 0, &CacheLine::zeroed());
-            let mac = self.gmac.line_tag(d, 0, &ciphertext);
+            let ciphertext = self.fixed.cipher.encrypt(d, 0, &CacheLine::zeroed());
+            let mac = self.fixed.gmac.line_tag(d, 0, &ciphertext);
             let stored = StoredLine::from_data(&ciphertext, mac);
             *slot = stored.xor_of_nine();
             self.store(di, stored);

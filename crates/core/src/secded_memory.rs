@@ -8,8 +8,6 @@
 //! `synergy_ecc::secded` tests). Examples use the two side by side to
 //! demonstrate the paper's reliability claim.
 
-use std::collections::HashMap;
-
 use synergy_crypto::CacheLine;
 use synergy_ecc::{secded, DecodeOutcome};
 
@@ -63,17 +61,30 @@ pub struct SecdedReadOutput {
     pub outcome: DecodeOutcome,
 }
 
+/// One stored line: eight data words and their eight check bytes.
+type Line = ([u64; 8], [u8; 8]);
+
 /// A plain ECC-DIMM memory with (72,64) SECDED per word.
 #[derive(Debug, Clone)]
 pub struct SecdedMemory {
     capacity: u64,
-    lines: HashMap<u64, ([u64; 8], [u8; 8])>,
+    /// Every line, indexed by address / 64. All-zero storage is the
+    /// encoded zero line: a zero word has a zero check byte.
+    lines: Vec<Line>,
 }
 
 impl SecdedMemory {
-    /// Creates a zeroed memory of `capacity` bytes.
+    /// Creates a zeroed memory of `capacity` bytes. The line store is
+    /// allocated up front: 72 bytes of host memory per 64-byte line.
     pub fn new(capacity: u64) -> Self {
-        Self { capacity, lines: HashMap::new() }
+        let lines = usize::try_from(capacity.div_ceil(64)).expect("line count fits in usize");
+        Self { capacity, lines: vec![([0; 8], [0; 8]); lines] }
+    }
+
+    /// Returns every line to the zero state of a new memory, keeping the
+    /// line store.
+    pub fn clear(&mut self) {
+        self.lines.fill(([0; 8], [0; 8]));
     }
 
     fn check(&self, addr: u64) -> Result<(), SecdedError> {
@@ -94,8 +105,7 @@ impl SecdedMemory {
     pub fn write_line(&mut self, addr: u64, line: &CacheLine) -> Result<(), SecdedError> {
         self.check(addr)?;
         let words = line.to_words();
-        let check = secded::encode_line(&words);
-        self.lines.insert(addr, (words, check));
+        self.lines[(addr / 64) as usize] = (words, secded::encode_line(&words));
         Ok(())
     }
 
@@ -105,12 +115,9 @@ impl SecdedMemory {
     ///
     /// Returns [`SecdedError::UncorrectableError`] when any word has a
     /// detected multi-bit error.
-    pub fn read_line(&mut self, addr: u64) -> Result<SecdedReadOutput, SecdedError> {
+    pub fn read_line(&self, addr: u64) -> Result<SecdedReadOutput, SecdedError> {
         self.check(addr)?;
-        let (words, check) = self.lines.entry(addr).or_insert_with(|| {
-            let words = [0u64; 8];
-            (words, secded::encode_line(&words))
-        });
+        let (words, check) = &self.lines[(addr / 64) as usize];
         match secded::decode_line(words, check) {
             (Some(decoded), outcome) => {
                 Ok(SecdedReadOutput { data: CacheLine::from_words(decoded), outcome })
@@ -126,8 +133,7 @@ impl SecdedMemory {
     /// Panics if `word >= 8`, `bit >= 64`, or the address is invalid.
     pub fn inject_bit_flip(&mut self, addr: u64, word: usize, bit: usize) {
         assert!(word < 8 && bit < 64);
-        self.ensure(addr);
-        self.lines.get_mut(&addr).expect("ensured").0[word] ^= 1 << bit;
+        self.line_mut(addr).0[word] ^= 1 << bit;
     }
 
     /// Corrupts chip `chip`'s contribution (byte `chip` of every word, or
@@ -151,8 +157,7 @@ impl SecdedMemory {
     /// Panics if `chip >= 9` or the address is invalid.
     pub fn inject_chip_pattern(&mut self, addr: u64, chip: usize, pattern: ChipSlice) {
         assert!(chip < 9);
-        self.ensure(addr);
-        let entry = self.lines.get_mut(&addr).expect("ensured");
+        let entry = self.line_mut(addr);
         if chip < 8 {
             for (w, p) in entry.0.iter_mut().zip(pattern) {
                 *w ^= u64::from(p) << (chip * 8);
@@ -164,12 +169,9 @@ impl SecdedMemory {
         }
     }
 
-    fn ensure(&mut self, addr: u64) {
+    fn line_mut(&mut self, addr: u64) -> &mut Line {
         assert!(addr.is_multiple_of(64) && addr < self.capacity, "invalid address {addr:#x}");
-        self.lines.entry(addr).or_insert_with(|| {
-            let words = [0u64; 8];
-            (words, secded::encode_line(&words))
-        });
+        &mut self.lines[(addr / 64) as usize]
     }
 }
 
@@ -227,7 +229,20 @@ mod tests {
 
     #[test]
     fn unwritten_reads_zero() {
-        let mut m = SecdedMemory::new(4096);
+        let m = SecdedMemory::new(4096);
         assert_eq!(m.read_line(0).unwrap().data, CacheLine::zeroed());
+        assert_eq!(m.read_line(4032).unwrap().outcome, DecodeOutcome::Clean);
+    }
+
+    #[test]
+    fn clear_restores_the_zero_state() {
+        let mut m = SecdedMemory::new(4096);
+        m.write_line(128, &CacheLine::from_bytes([5; 64])).unwrap();
+        m.inject_chip_error(192, 2);
+        m.clear();
+        for addr in [128, 192] {
+            let out = m.read_line(addr).unwrap();
+            assert_eq!((out.data, out.outcome), (CacheLine::zeroed(), DecodeOutcome::Clean));
+        }
     }
 }

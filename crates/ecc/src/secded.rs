@@ -16,10 +16,11 @@
 //! | s ≠ 0 | even | double-bit error — detected, uncorrectable |
 //!
 //! The line codecs never build the 72-bit codeword: they compute on the
-//! stored (data word, check byte) pair with constant masks (one popcount
-//! parity per check bit) and map a syndrome to its data bit through a
-//! constant table. [`Codeword`]'s bit-position API is the only place the
-//! codeword layout is materialized.
+//! stored (data word, check byte) pair. The code is linear, so a word's
+//! check byte is the XOR of its eight bytes' check bytes, read from a
+//! constant table; a syndrome maps to its data bit through another.
+//! [`Codeword`]'s bit-position API is the only place the codeword layout
+//! is materialized.
 
 use crate::DecodeOutcome;
 
@@ -43,24 +44,6 @@ const DATA_POSITIONS: [usize; 64] = {
     positions
 };
 
-/// `CHECK_MASKS[i]`: the data bits whose codeword position has bit `i`
-/// set — the coverage of the check bit at position `2^i`.
-const CHECK_MASKS: [u64; CHECK_BITS] = {
-    let mut masks = [0; CHECK_BITS];
-    let mut d = 0;
-    while d < 64 {
-        let mut i = 0;
-        while i < CHECK_BITS {
-            if DATA_POSITIONS[d] & (1 << i) != 0 {
-                masks[i] |= 1 << d;
-            }
-            i += 1;
-        }
-        d += 1;
-    }
-    masks
-};
-
 /// `SYNDROME_FLIPS[s]`: the data-word bit that a single-bit error at
 /// codeword position `s` flipped, or 0 when `s` is a check position or
 /// lies past the codeword (a 7-bit syndrome reaches 127, the codeword
@@ -75,35 +58,69 @@ const SYNDROME_FLIPS: [u64; 128] = {
     flips
 };
 
-/// The seven Hamming check bits of `data`: bit `i` is the check bit at
-/// codeword position `2^i`, the parity of the data bits it covers.
+/// Parity of `x`: 1 when an odd number of its bits are set. An XOR fold,
+/// because the default x86-64 target has no `popcnt` instruction.
 #[inline]
-fn hamming_bits(data: u64) -> u8 {
-    let mut bits = 0;
-    for (i, mask) in CHECK_MASKS.iter().enumerate() {
-        bits |= (((data & mask).count_ones() & 1) as u8) << i;
-    }
-    bits
+const fn parity(x: u64) -> u8 {
+    let mut x = x ^ (x >> 32);
+    x ^= x >> 16;
+    x ^= x >> 8;
+    x ^= x >> 4;
+    x ^= x >> 2;
+    x ^= x >> 1;
+    (x & 1) as u8
 }
 
+/// `CHECK_TABLE[k][b]`: the check byte of the data word whose only set
+/// bits are byte `b` at byte `k`. Bits 1..8 are the seven Hamming check
+/// bits: the XOR of the codeword positions of the set data bits. Bit 0
+/// is the overall parity of those data bits and check bits. Every part is
+/// an XOR, so [`check_byte`] of a word is the XOR of its bytes' entries.
+const CHECK_TABLE: [[u8; 256]; 8] = {
+    let mut table = [[0; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let mut hamming = 0;
+            let mut j = 0;
+            while j < 8 {
+                if (b >> j) & 1 == 1 {
+                    hamming ^= DATA_POSITIONS[8 * k + j];
+                }
+                j += 1;
+            }
+            table[k][b] = ((hamming as u8) << 1) | (parity(b as u64) ^ parity(hamming as u64));
+            b += 1;
+        }
+        k += 1;
+    }
+    table
+};
+
 /// The stored check byte of `data` (see [`Codeword::from_parts`] for the
-/// layout).
+/// layout): the Hamming check bits, and an overall parity that makes the
+/// whole codeword even-weight.
 #[inline]
 fn check_byte(data: u64) -> u8 {
-    let hamming = hamming_bits(data);
-    // Overall parity makes the whole codeword even-weight.
-    let overall = ((data.count_ones() + hamming.count_ones()) & 1) as u8;
-    (hamming << 1) | overall
+    let mut check = 0;
+    for (row, byte) in CHECK_TABLE.iter().zip(data.to_le_bytes()) {
+        check ^= row[usize::from(byte)];
+    }
+    check
 }
 
 /// Decodes one stored (data word, check byte) pair; see
 /// [`Codeword::decode`].
 #[inline]
 fn decode_word(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
-    // The syndrome is the XOR of the positions of all set bits: bit `i`
-    // is the parity of check bit `2^i` and the data bits it covers.
-    let syndrome = usize::from(hamming_bits(data) ^ (check >> 1));
-    let parity_odd = (data.count_ones() + check.count_ones()) & 1 == 1;
+    // The code is linear: the stored check byte XOR the one recomputed
+    // from the stored data is the check byte of the error. Its Hamming
+    // bits are the syndrome (the XOR of the positions of all flipped
+    // bits), and its parity is the parity of the whole stored codeword.
+    let diff = check_byte(data) ^ check;
+    let syndrome = usize::from(diff >> 1);
+    let parity_odd = parity(u64::from(diff)) == 1;
     match (syndrome, parity_odd) {
         (0, false) => (Some(data), DecodeOutcome::Clean),
         // Syndrome 0 means the overall parity bit itself flipped; a check
@@ -499,7 +516,75 @@ mod tests {
         assert!(phantom_multi_bit > 0 && past_end > 0);
     }
 
+    /// The popcount form of the codec that the byte-sliced table
+    /// replaced: one masked parity per check bit.
+    mod popcount {
+        use super::super::{CHECK_BITS, DATA_POSITIONS, SYNDROME_FLIPS};
+        use crate::DecodeOutcome;
+
+        /// `CHECK_MASKS[i]`: the data bits whose codeword position has bit
+        /// `i` set — the coverage of the check bit at position `2^i`.
+        const CHECK_MASKS: [u64; CHECK_BITS] = {
+            let mut masks = [0; CHECK_BITS];
+            let mut d = 0;
+            while d < 64 {
+                let mut i = 0;
+                while i < CHECK_BITS {
+                    if DATA_POSITIONS[d] & (1 << i) != 0 {
+                        masks[i] |= 1 << d;
+                    }
+                    i += 1;
+                }
+                d += 1;
+            }
+            masks
+        };
+
+        fn hamming_bits(data: u64) -> u8 {
+            let mut bits = 0;
+            for (i, mask) in CHECK_MASKS.iter().enumerate() {
+                bits |= (((data & mask).count_ones() & 1) as u8) << i;
+            }
+            bits
+        }
+
+        pub fn check_byte(data: u64) -> u8 {
+            let hamming = hamming_bits(data);
+            let overall = ((data.count_ones() + hamming.count_ones()) & 1) as u8;
+            (hamming << 1) | overall
+        }
+
+        pub fn decode_word(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
+            let syndrome = usize::from(hamming_bits(data) ^ (check >> 1));
+            match (syndrome, (data.count_ones() + check.count_ones()) & 1 == 1) {
+                (0, false) => (Some(data), DecodeOutcome::Clean),
+                (s, true) => (Some(data ^ SYNDROME_FLIPS[s]), DecodeOutcome::Corrected),
+                (_, false) => (None, DecodeOutcome::DetectedUncorrectable),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_word_has_a_zero_check_byte() {
+        // Memories rely on this to start from all-zero storage.
+        assert_eq!(check_byte(0), 0);
+        assert_eq!(encode_line(&[0; 8]), [0; 8]);
+    }
+
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn table_codec_matches_the_popcount_form(data in any::<u64>(), check in any::<u8>()) {
+            prop_assert_eq!(check_byte(data), popcount::check_byte(data));
+            prop_assert_eq!(decode_word(data, check), popcount::decode_word(data, check));
+            // A valid codeword with one stored bit flipped, too.
+            let near = check_byte(data) ^ (1 << (check % 8));
+            prop_assert_eq!(decode_word(data, near), popcount::decode_word(data, near));
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]

@@ -24,23 +24,23 @@ impl ModeRate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultModel {
     rates: Vec<ModeRate>,
+    /// [`Self::total_fit`], summed once: `sample_mode` reads it per fault.
+    total_fit: f64,
 }
 
 impl FaultModel {
     /// Table I of the paper — DRAM failures per billion hours per chip.
     pub fn sridharan() -> Self {
         use FaultMode::*;
-        Self {
-            rates: vec![
-                ModeRate { mode: SingleBit, transient_fit: 14.2, permanent_fit: 18.6 },
-                ModeRate { mode: SingleWord, transient_fit: 1.4, permanent_fit: 0.3 },
-                ModeRate { mode: SingleColumn, transient_fit: 1.4, permanent_fit: 5.6 },
-                ModeRate { mode: SingleRow, transient_fit: 0.2, permanent_fit: 8.2 },
-                ModeRate { mode: SingleBank, transient_fit: 0.8, permanent_fit: 10.0 },
-                ModeRate { mode: MultiBank, transient_fit: 0.3, permanent_fit: 1.4 },
-                ModeRate { mode: MultiRank, transient_fit: 0.9, permanent_fit: 2.8 },
-            ],
-        }
+        Self::with_rates(vec![
+            ModeRate { mode: SingleBit, transient_fit: 14.2, permanent_fit: 18.6 },
+            ModeRate { mode: SingleWord, transient_fit: 1.4, permanent_fit: 0.3 },
+            ModeRate { mode: SingleColumn, transient_fit: 1.4, permanent_fit: 5.6 },
+            ModeRate { mode: SingleRow, transient_fit: 0.2, permanent_fit: 8.2 },
+            ModeRate { mode: SingleBank, transient_fit: 0.8, permanent_fit: 10.0 },
+            ModeRate { mode: MultiBank, transient_fit: 0.3, permanent_fit: 1.4 },
+            ModeRate { mode: MultiRank, transient_fit: 0.9, permanent_fit: 2.8 },
+        ])
     }
 
     /// Builds a custom model.
@@ -56,15 +56,19 @@ impl FaultModel {
                 "FIT rates must be non-negative"
             );
         }
-        Self { rates }
+        Self::with_rates(rates)
+    }
+
+    fn with_rates(rates: Vec<ModeRate>) -> Self {
+        let total_fit = rates.iter().map(ModeRate::total_fit).sum();
+        Self { rates, total_fit }
     }
 
     /// Scales every rate by `factor` (for acceleration studies).
     #[must_use]
     pub fn scaled(&self, factor: f64) -> Self {
-        Self {
-            rates: self
-                .rates
+        Self::with_rates(
+            self.rates
                 .iter()
                 .map(|r| ModeRate {
                     mode: r.mode,
@@ -72,7 +76,7 @@ impl FaultModel {
                     permanent_fit: r.permanent_fit * factor,
                 })
                 .collect(),
-        }
+        )
     }
 
     /// Per-mode rates.
@@ -82,7 +86,7 @@ impl FaultModel {
 
     /// Total per-chip FIT across modes.
     pub fn total_fit(&self) -> f64 {
-        self.rates.iter().map(ModeRate::total_fit).sum()
+        self.total_fit
     }
 
     /// Expected faults for one chip over `hours`.
@@ -92,8 +96,7 @@ impl FaultModel {
 
     /// Samples a (mode, permanent) pair proportionally to the rates.
     pub fn sample_mode<R: rand::Rng>(&self, rng: &mut R) -> (FaultMode, bool) {
-        let total = self.total_fit();
-        let mut x = rng.gen_range(0.0..total);
+        let mut x = rng.gen_range(0.0..self.total_fit);
         for r in &self.rates {
             if x < r.transient_fit {
                 return (r.mode, false);

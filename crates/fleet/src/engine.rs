@@ -93,22 +93,25 @@ impl DesignTally {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("fleet tally: missing '{key}'"))
         };
+        let count = |key: &str| -> Result<u64, String> {
+            json.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("fleet tally: '{key}' is not a count"))
+        };
         let years = |key: &str| -> Result<Vec<u64>, String> {
             json.get(key)
                 .and_then(Json::as_array)
                 .ok_or_else(|| format!("fleet tally: missing '{key}'"))?
                 .iter()
-                .map(|v| {
-                    v.as_f64().map(|f| f as u64).ok_or_else(|| format!("bad count in {key}"))
-                })
+                .map(|v| v.as_u64().ok_or_else(|| format!("bad count in {key}")))
                 .collect()
         };
         Ok(Self {
-            dimms: num("dimms")? as u64,
-            dimms_with_faults: num("dimms_with_faults")? as u64,
-            due: num("due")? as u64,
-            sdc: num("sdc")? as u64,
-            degraded_dimms: num("degraded_dimms")? as u64,
+            dimms: count("dimms")?,
+            dimms_with_faults: count("dimms_with_faults")?,
+            due: count("due")?,
+            sdc: count("sdc")?,
+            degraded_dimms: count("degraded_dimms")?,
             degraded_hours: num("degraded_hours")?,
             failure_time_sum: num("failure_time_sum")?,
             due_by_year: years("due_by_year")?,
@@ -526,6 +529,22 @@ mod tests {
         let json = Json::parse(&agg.to_json()).expect("aggregate JSON parses");
         let back = FleetAggregate::from_json(&json).expect("aggregate deserializes");
         assert_eq!(agg, back);
+    }
+
+    #[test]
+    fn counts_that_are_not_exact_integers_are_rejected() {
+        let job = FleetJob::new(&scaled(400)).with_shard_items(400);
+        let text = job.run_shard(0, 400).to_json();
+        // The first number after `key`: a tally field, or a year cell.
+        for key in ["\"dimms\":", "\"due_by_year\":["] {
+            let at = text.find(key).expect("key present") + key.len();
+            let end = at + text[at..].find([',', ']']).expect("number ends");
+            for bad in ["-3", "1.5", "1e300"] {
+                let doc = format!("{}{bad}{}", &text[..at], &text[end..]);
+                let json = Json::parse(&doc).expect("still JSON");
+                assert!(FleetAggregate::from_json(&json).is_err(), "{key}{bad} accepted");
+            }
+        }
     }
 
     #[test]

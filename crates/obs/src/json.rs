@@ -65,6 +65,17 @@ impl Json {
         }
     }
 
+    /// The number as a count: `Some` only for an integer in `[0, 2^53]`,
+    /// the range in which every integer has an exact `f64`. A negative,
+    /// fractional or larger number is `None`, never clamped or rounded.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(n) => Some(*n as u64),
+            _ => None,
+        }
+    }
+
     /// The string, if this is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -312,6 +323,14 @@ mod tests {
         assert_eq!(arr[2].as_str(), Some("x"));
         assert_eq!(v.get("neg").unwrap().as_f64(), Some(-3.0));
         assert_eq!(v.get("exp").unwrap().as_f64(), Some(2000.0));
+    }
+
+    #[test]
+    fn as_u64_accepts_only_exact_counts() {
+        let v = Json::parse("[0, 7, 9007199254740992, -3, 1.5, 1e300, 9007199254740993e3, \"7\"]")
+            .unwrap();
+        let counts: Vec<Option<u64>> = v.as_array().unwrap().iter().map(Json::as_u64).collect();
+        assert_eq!(counts, [Some(0), Some(7), Some(1 << 53), None, None, None, None, None]);
     }
 
     #[test]

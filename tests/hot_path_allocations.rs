@@ -9,14 +9,20 @@
 //! and Chipkill line codecs work on stack arrays only, the simulator's
 //! in-flight [`RequestLedger`] reuses its table slots and builds a span
 //! only for a read that enters the top-K, and the DRAM model keeps both
-//! request queues of a channel in one slab sized at construction. These
-//! tests install a counting global allocator and assert the warm paths
-//! perform literally zero allocations.
+//! request queues of a channel in one slab sized at construction. A
+//! campaign injection runs on its thread's working memories, restored
+//! from the template in place. These tests install a counting global
+//! allocator and assert the warm paths perform literally zero
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use synergy::cache::{CacheConfig, SetAssocCache};
+use synergy::campaign::runner::MEMORY_CAPACITY;
+use synergy::campaign::{
+    analytic_fails, run_functional, scenario_for, CampaignParams, Design, Scenario, TargetRegion,
+};
 use synergy::core::{SynergyMemory, SynergyMemoryConfig};
 use synergy::crypto::CacheLine;
 use synergy::dram::{AccessKind, Completion, DramConfig, MemorySystem, Request, RequestClass};
@@ -348,6 +354,53 @@ fn warm_dram_performs_zero_allocations() {
         after - before,
         0,
         "DRAM model allocated {} times in steady state",
+        after - before
+    );
+}
+
+/// Runs every scenario through its functional pipeline and the analytic
+/// model; returns the failure verdicts, summed.
+fn inject(scenarios: &[Scenario]) -> u64 {
+    scenarios
+        .iter()
+        .map(|s| u64::from(run_functional(s).outcome.is_failure()) + u64::from(analytic_fails(s)))
+        .sum()
+}
+
+#[test]
+fn warm_campaign_injection_performs_zero_allocations() {
+    let p = CampaignParams::default();
+    // Built before the measured window: scenario construction allocates.
+    let scenarios: Vec<Scenario> = (0..900)
+        .map(|i| scenario_for(p.seed, i, &p.model, &p.geometry, MEMORY_CAPACITY / 64))
+        .collect();
+    for design in Design::ALL {
+        for faults in 1..=2 {
+            assert!(
+                scenarios.iter().any(|s| s.design == design && s.faults.len() == faults),
+                "no {faults}-fault {design:?} scenario"
+            );
+        }
+    }
+    for region in [TargetRegion::Data, TargetRegion::Counter, TargetRegion::Parity] {
+        assert!(
+            scenarios.iter().any(|s| s.design == Design::Synergy && s.region == region),
+            "no SYNERGY scenario targets the {region:?} region"
+        );
+    }
+    // Warm-up: the SYNERGY template, the Chipkill codec and this thread's
+    // working memories.
+    let warm = inject(&scenarios);
+    assert!(warm > 0);
+
+    let before = allocation_count();
+    let steady = inject(&scenarios);
+    let after = allocation_count();
+    assert_eq!(steady, warm);
+    assert_eq!(
+        after - before,
+        0,
+        "campaign injections allocated {} times in steady state",
         after - before
     );
 }
