@@ -83,14 +83,17 @@ pub struct FunctionalResult {
 /// Runs the scenario through its design's functional pipeline.
 ///
 /// The SECDED and SYNERGY pipelines run on this thread's working memory
-/// for their design, first restored to the pristine state in place: a warm
+/// for their design, pristine whenever an injection starts: a warm
 /// injection allocates nothing, and each scenario stays a self-contained
-/// `(seed, index)` reproducer.
+/// `(seed, index)` reproducer. SYNERGY's is restored from the template in
+/// place first. A SECDED scenario writes, corrupts and reads only its own
+/// line, so zeroing that line afterwards restores SECDED's.
 pub fn run_functional(scenario: &Scenario) -> FunctionalResult {
     match scenario.design {
         Design::Secded => WORKING_SECDED.with_borrow_mut(|m| {
-            m.clear();
-            run_secded(m, scenario)
+            let result = run_secded(m, scenario);
+            m.write_line(scenario.data_addr, &CacheLine::zeroed()).expect("in range");
+            result
         }),
         Design::Chipkill => run_chipkill(scenario),
         Design::Synergy => WORKING_SYNERGY.with_borrow_mut(|m| {

@@ -141,7 +141,6 @@ impl Scenario {
     /// scenario carries are passed on the stack.
     pub fn with_analytic_faults<T>(&self, f: impl FnOnce(&[Fault]) -> T) -> T {
         match self.faults.as_slice() {
-            [] => f(&[]),
             [a] => f(&[a.fault]),
             [a, b] => f(&[a.fault, b.fault]),
             many => f(&many.iter().map(|sf| sf.fault).collect::<Vec<_>>()),

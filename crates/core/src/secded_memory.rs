@@ -81,12 +81,6 @@ impl SecdedMemory {
         Self { capacity, lines: vec![([0; 8], [0; 8]); lines] }
     }
 
-    /// Returns every line to the zero state of a new memory, keeping the
-    /// line store.
-    pub fn clear(&mut self) {
-        self.lines.fill(([0; 8], [0; 8]));
-    }
-
     fn check(&self, addr: u64) -> Result<(), SecdedError> {
         if !addr.is_multiple_of(64) {
             return Err(SecdedError::Misaligned { addr });
@@ -232,17 +226,5 @@ mod tests {
         let m = SecdedMemory::new(4096);
         assert_eq!(m.read_line(0).unwrap().data, CacheLine::zeroed());
         assert_eq!(m.read_line(4032).unwrap().outcome, DecodeOutcome::Clean);
-    }
-
-    #[test]
-    fn clear_restores_the_zero_state() {
-        let mut m = SecdedMemory::new(4096);
-        m.write_line(128, &CacheLine::from_bytes([5; 64])).unwrap();
-        m.inject_chip_error(192, 2);
-        m.clear();
-        for addr in [128, 192] {
-            let out = m.read_line(addr).unwrap();
-            assert_eq!((out.data, out.outcome), (CacheLine::zeroed(), DecodeOutcome::Clean));
-        }
     }
 }
