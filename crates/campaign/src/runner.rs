@@ -110,9 +110,8 @@ pub fn run_functional(scenario: &Scenario) -> FunctionalResult {
 /// [`EccPolicy::first_failure`]: synergy_faultsim::EccPolicy::first_failure
 pub fn analytic_fails(scenario: &Scenario) -> bool {
     let policy = scenario.design.policy();
-    scenario.with_analytic_faults(|faults| {
-        policy.first_failure(faults, LIFETIME_HOURS, None).is_some()
-    })
+    scenario
+        .with_analytic_faults(|faults| policy.first_failure(faults, LIFETIME_HOURS, None).is_some())
 }
 
 /// The campaign invariant: functional failure ⇔ analytic failure.
