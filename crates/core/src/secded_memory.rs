@@ -75,7 +75,8 @@ pub struct SecdedMemory {
 
 impl SecdedMemory {
     /// Creates a zeroed memory of `capacity` bytes. The line store is
-    /// allocated up front: 72 bytes of host memory per 64-byte line.
+    /// allocated up front, 72 bytes of host memory per 64-byte line, so
+    /// `capacity` must fit in host memory.
     pub fn new(capacity: u64) -> Self {
         let lines = usize::try_from(capacity.div_ceil(64)).expect("line count fits in usize");
         Self { capacity, lines: vec![([0; 8], [0; 8]); lines] }
