@@ -248,7 +248,8 @@ pub struct SynergyMemory {
     tracked_faulty_chip: Option<usize>,
 }
 
-/// The parts of a [`SynergyMemory`] fixed at construction.
+/// The layout and keyed crypto of a [`SynergyMemory`]: fixed at
+/// construction, and shared by its clones.
 #[derive(Debug)]
 struct Fixed {
     layout: MetadataLayout,
