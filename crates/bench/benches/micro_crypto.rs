@@ -1,30 +1,22 @@
-//! Criterion micro-benchmarks for the crypto substrate: AES block
-//! throughput, counter-mode line encryption, GMAC and Carter–Wegman tags.
+//! Micro-benchmark of the crypto kernels the functional memory calls:
+//! AES block encryption, counter-mode line encryption and the GMAC line
+//! tag.
 //!
-//! Each hot-path kernel is benchmarked on every backend the host can run
-//! (the AES-NI/PCLMULQDQ [`Backend::Simd`] path where available, the
-//! portable [`Backend::Table`] path everywhere) plus the retained
-//! bit-serial / per-byte `*_reference` path, so both speedup stages are
-//! visible directly in the report: tables over the reference
-//! implementation, and hardware instructions over the tables
-//! (`gmac_line_tag/simd` vs `gmac_line_tag/table` vs
-//! `gmac_line_tag/reference`). Batched entry points
-//! ([`Gmac::line_tags_batch`], [`LineCipher::pads_batch`],
-//! [`Aes128::encrypt_blocks`]) get `batch8` rows alongside the scalar
-//! ones.
+//! Each kernel is timed once per backend the host can run (the
+//! AES-NI/PCLMULQDQ [`Backend::Simd`] path where available, the portable
+//! [`Backend::Table`] path everywhere) plus the retained bit-serial /
+//! per-byte `*_reference` path, so both speedup stages are visible in one
+//! table: tables over the reference implementation, and hardware
+//! instructions over the tables. A plain `std::time::Instant` harness
+//! (the methodology `BENCH_crypto.json` records) times every row and
+//! writes `target/experiments/micro_crypto_backends.csv` (one row per
+//! kernel and backend with ns/op), so CI can archive the comparison.
 //!
-//! After the criterion groups run, a plain `std::time::Instant` harness —
-//! the same methodology `BENCH_crypto.json` records — replays the
-//! backend × mode matrix and writes
-//! `target/experiments/micro_crypto_backends.csv` (one row per
-//! kernel/backend/mode with ns/op), so CI can archive the comparison
-//! without parsing criterion output.
+//! Run with `cargo bench -p synergy-bench --bench micro_crypto`.
 
-use criterion::{criterion_group, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Instant;
 use synergy_crypto::ctr::LineCipher;
-use synergy_crypto::cw_mac::CarterWegmanMac;
 use synergy_crypto::gmac::Gmac;
 use synergy_crypto::{Aes128, Backend, CacheLine, EncryptionKey, MacKey};
 
@@ -37,106 +29,7 @@ fn backends() -> Vec<(Backend, &'static str)> {
     }
 }
 
-fn bench_aes(c: &mut Criterion) {
-    let block = [0x3Cu8; 16];
-    let mut g = c.benchmark_group("aes128");
-    g.throughput(Throughput::Bytes(16));
-    for (backend, label) in backends() {
-        let aes = Aes128::with_backend(&[7u8; 16], backend);
-        g.bench_function(&format!("encrypt_block/{label}"), |b| {
-            b.iter(|| aes.encrypt_block(black_box(&block)))
-        });
-    }
-    let aes = Aes128::new(&[7u8; 16]);
-    g.bench_function("encrypt_block_reference", |b| {
-        b.iter(|| aes.encrypt_block_reference(black_box(&block)))
-    });
-    g.bench_function("decrypt_block", |b| {
-        let ct = aes.encrypt_block(&block);
-        b.iter(|| aes.decrypt_block(black_box(&ct)))
-    });
-    g.finish();
-}
-
-fn bench_ctr(c: &mut Criterion) {
-    let line = CacheLine::from_bytes([0xA5; 64]);
-    let mut g = c.benchmark_group("ctr_encrypt_line");
-    for (backend, label) in backends() {
-        let cipher = LineCipher::with_backend(&EncryptionKey::from_bytes([1; 16]), backend);
-        g.throughput(Throughput::Bytes(64));
-        g.bench_function(label, |b| {
-            let mut ctr = 0u64;
-            b.iter(|| {
-                ctr += 1;
-                cipher.encrypt(black_box(0x4000), black_box(ctr), black_box(&line))
-            })
-        });
-        g.throughput(Throughput::Bytes(64 * 8));
-        g.bench_function(&format!("{label}_batch8"), |b| {
-            let mut ctr = 0u64;
-            b.iter(|| {
-                ctr += 1;
-                let nonces: Vec<(u64, u64)> =
-                    (0..8u64).map(|i| (0x4000 + i * 64, ctr)).collect();
-                cipher.pads_batch(black_box(&nonces))
-            })
-        });
-    }
-    g.throughput(Throughput::Bytes(64));
-    let cipher = LineCipher::new(&EncryptionKey::from_bytes([1; 16]));
-    g.bench_function("reference", |b| {
-        let mut ctr = 0u64;
-        b.iter(|| {
-            ctr += 1;
-            cipher.encrypt_reference(black_box(0x4000), black_box(ctr), black_box(&line))
-        })
-    });
-    g.finish();
-}
-
-fn bench_gmac(c: &mut Criterion) {
-    let line = CacheLine::from_bytes([0x5A; 64]);
-    let mut g = c.benchmark_group("gmac_line_tag");
-    for (backend, label) in backends() {
-        let gmac = Gmac::with_backend(&MacKey::from_bytes([2; 16]), backend);
-        g.throughput(Throughput::Bytes(64));
-        g.bench_function(label, |b| {
-            b.iter(|| gmac.line_tag(black_box(0x4000), black_box(9), black_box(&line)))
-        });
-        g.throughput(Throughput::Bytes(64 * 8));
-        g.bench_function(&format!("{label}_batch8"), |b| {
-            let items: Vec<(u64, u64, &CacheLine)> =
-                (0..8u64).map(|i| (0x4000 + i * 64, 9, &line)).collect();
-            b.iter(|| gmac.line_tags_batch(black_box(&items)))
-        });
-    }
-    g.throughput(Throughput::Bytes(64));
-    let gmac = Gmac::new(&MacKey::from_bytes([2; 16]));
-    g.bench_function("reference", |b| {
-        b.iter(|| gmac.line_tag_reference(black_box(0x4000), black_box(9), black_box(&line)))
-    });
-    g.finish();
-}
-
-fn bench_cw(c: &mut Criterion) {
-    let line = CacheLine::from_bytes([0x5A; 64]);
-    let mut g = c.benchmark_group("cw_tag_line");
-    g.throughput(Throughput::Bytes(64));
-    for (backend, label) in backends() {
-        let cw = CarterWegmanMac::with_backend(&MacKey::from_bytes([3; 16]), backend);
-        g.bench_function(label, |b| {
-            b.iter(|| cw.line_tag(black_box(0x4000), black_box(9), black_box(&line)))
-        });
-    }
-    let cw = CarterWegmanMac::new(&MacKey::from_bytes([3; 16]));
-    g.bench_function("reference", |b| {
-        b.iter(|| cw.line_tag_reference(black_box(0x4000), black_box(9), black_box(&line)))
-    });
-    g.finish();
-}
-
-/// ns/op over `iters` calls of `f`, after a 10% warm-up — the same
-/// Instant-based harness `BENCH_crypto.json`'s methodology describes.
+/// ns/op over `iters` calls of `f`, after a 10% warm-up.
 fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
     for _ in 0..(iters / 10).max(1) {
         f();
@@ -148,186 +41,81 @@ fn time_ns(iters: u64, mut f: impl FnMut()) -> f64 {
     t.elapsed().as_nanos() as f64 / iters as f64
 }
 
-struct MatrixRow {
+struct Row {
     kernel: &'static str,
     backend: &'static str,
-    mode: &'static str,
     iters: u64,
     ns: f64,
 }
 
-/// Replays the backend × mode matrix with the Instant harness and writes
-/// `micro_crypto_backends.csv`. Batched rows report ns per *item* (a
-/// batch-8 call amortizes over its 8 lines), so every row is directly
-/// comparable.
-fn backend_matrix() {
-    const BATCH: u64 = 8;
+fn row(kernel: &'static str, backend: &'static str, iters: u64, f: impl FnMut()) -> Row {
+    Row { kernel, backend, iters, ns: time_ns(iters, f) }
+}
+
+fn main() {
     let line = CacheLine::from_bytes([0x5A; 64]);
     let block = [0x3Cu8; 16];
-    let mut rows: Vec<MatrixRow> = Vec::new();
+    let enc_key = EncryptionKey::from_bytes([1; 16]);
+    let mac_key = MacKey::from_bytes([2; 16]);
+    let mut rows: Vec<Row> = Vec::new();
 
     for (backend, label) in backends() {
         let aes = Aes128::with_backend(&[7u8; 16], backend);
-        rows.push(MatrixRow {
-            kernel: "aes_encrypt_block",
-            backend: label,
-            mode: "scalar",
-            iters: 1_000_000,
-            ns: time_ns(1_000_000, || {
-                black_box(aes.encrypt_block(black_box(&block)));
-            }),
-        });
-        let mut blocks = [[0x3Cu8; 16]; BATCH as usize];
-        rows.push(MatrixRow {
-            kernel: "aes_encrypt_block",
-            backend: label,
-            mode: "batch8",
-            iters: 125_000 * BATCH,
-            ns: time_ns(125_000, || aes.encrypt_blocks(black_box(&mut blocks))) / BATCH as f64,
-        });
-
-        let cipher = LineCipher::with_backend(&EncryptionKey::from_bytes([1; 16]), backend);
-        rows.push(MatrixRow {
-            kernel: "ctr_encrypt_line",
-            backend: label,
-            mode: "scalar",
-            iters: 300_000,
-            ns: time_ns(300_000, || {
-                black_box(cipher.encrypt(black_box(0x4000), black_box(9), black_box(&line)));
-            }),
-        });
-        let nonces: Vec<(u64, u64)> = (0..BATCH).map(|i| (0x4000 + i * 64, 9)).collect();
-        rows.push(MatrixRow {
-            kernel: "ctr_encrypt_line",
-            backend: label,
-            mode: "batch8",
-            iters: 40_000 * BATCH,
-            ns: time_ns(40_000, || {
-                black_box(cipher.pads_batch(black_box(&nonces)));
-            }) / BATCH as f64,
-        });
-
-        let gmac = Gmac::with_backend(&MacKey::from_bytes([2; 16]), backend);
-        rows.push(MatrixRow {
-            kernel: "gmac_line_tag",
-            backend: label,
-            mode: "scalar",
-            iters: 300_000,
-            ns: time_ns(300_000, || {
-                black_box(gmac.line_tag(black_box(0x4000), black_box(9), black_box(&line)));
-            }),
-        });
-        let items: Vec<(u64, u64, &CacheLine)> =
-            (0..BATCH).map(|i| (0x4000 + i * 64, 9, &line)).collect();
-        rows.push(MatrixRow {
-            kernel: "gmac_line_tag",
-            backend: label,
-            mode: "batch8",
-            iters: 40_000 * BATCH,
-            ns: time_ns(40_000, || {
-                black_box(gmac.line_tags_batch(black_box(&items)));
-            }) / BATCH as f64,
-        });
-
-        let cw = CarterWegmanMac::with_backend(&MacKey::from_bytes([3; 16]), backend);
-        rows.push(MatrixRow {
-            kernel: "cw_tag_line",
-            backend: label,
-            mode: "scalar",
-            iters: 300_000,
-            ns: time_ns(300_000, || {
-                black_box(cw.line_tag(black_box(0x4000), black_box(9), black_box(&line)));
-            }),
-        });
+        rows.push(row("aes_encrypt_block", label, 1_000_000, || {
+            black_box(aes.encrypt_block(black_box(&block)));
+        }));
+        let cipher = LineCipher::with_backend(&enc_key, backend);
+        rows.push(row("ctr_encrypt_line", label, 300_000, || {
+            black_box(cipher.encrypt(black_box(0x4000), black_box(9), black_box(&line)));
+        }));
+        let gmac = Gmac::with_backend(&mac_key, backend);
+        rows.push(row("gmac_line_tag", label, 300_000, || {
+            black_box(gmac.line_tag(black_box(0x4000), black_box(9), black_box(&line)));
+        }));
     }
 
     // The bit-serial oracles are backend-independent; one row each.
     let aes = Aes128::new(&[7u8; 16]);
-    rows.push(MatrixRow {
-        kernel: "aes_encrypt_block",
-        backend: "reference",
-        mode: "scalar",
-        iters: 100_000,
-        ns: time_ns(100_000, || {
-            black_box(aes.encrypt_block_reference(black_box(&block)));
-        }),
-    });
-    let cipher = LineCipher::new(&EncryptionKey::from_bytes([1; 16]));
-    rows.push(MatrixRow {
-        kernel: "ctr_encrypt_line",
-        backend: "reference",
-        mode: "scalar",
-        iters: 20_000,
-        ns: time_ns(20_000, || {
-            black_box(cipher.encrypt_reference(black_box(0x4000), black_box(9), black_box(&line)));
-        }),
-    });
-    let gmac = Gmac::new(&MacKey::from_bytes([2; 16]));
-    rows.push(MatrixRow {
-        kernel: "gmac_line_tag",
-        backend: "reference",
-        mode: "scalar",
-        iters: 20_000,
-        ns: time_ns(20_000, || {
-            black_box(gmac.line_tag_reference(black_box(0x4000), black_box(9), black_box(&line)));
-        }),
-    });
-    let cw = CarterWegmanMac::new(&MacKey::from_bytes([3; 16]));
-    rows.push(MatrixRow {
-        kernel: "cw_tag_line",
-        backend: "reference",
-        mode: "scalar",
-        iters: 20_000,
-        ns: time_ns(20_000, || {
-            black_box(cw.line_tag_reference(black_box(0x4000), black_box(9), black_box(&line)));
-        }),
-    });
+    rows.push(row("aes_encrypt_block", "reference", 100_000, || {
+        black_box(aes.encrypt_block_reference(black_box(&block)));
+    }));
+    let cipher = LineCipher::new(&enc_key);
+    rows.push(row("ctr_encrypt_line", "reference", 20_000, || {
+        black_box(cipher.encrypt_reference(black_box(0x4000), black_box(9), black_box(&line)));
+    }));
+    let gmac = Gmac::new(&mac_key);
+    rows.push(row("gmac_line_tag", "reference", 20_000, || {
+        black_box(gmac.line_tag_reference(black_box(0x4000), black_box(9), black_box(&line)));
+    }));
 
-    // Speedup of each row relative to the same kernel's table/scalar row.
-    let table_ns = |kernel: &str| {
-        rows.iter()
-            .find(|r| r.kernel == kernel && r.backend == "table" && r.mode == "scalar")
-            .map(|r| r.ns)
-    };
+    // Speedup of each row relative to the same kernel's table row.
     let speedups: Vec<String> = rows
         .iter()
-        .map(|r| table_ns(r.kernel).map_or_else(String::new, |t| format!("{:.2}", t / r.ns)))
+        .map(|r| {
+            rows.iter()
+                .find(|t| t.kernel == r.kernel && t.backend == "table")
+                .map_or_else(String::new, |t| format!("{:.2}", t.ns / r.ns))
+        })
         .collect();
 
-    println!("\nbackend × mode matrix (Instant harness, ns/op; speedup vs table/scalar):");
+    println!("\nbackend matrix (Instant harness, ns/op; speedup vs table):");
     synergy_bench::print_table(
-        &["kernel", "backend", "mode", "ns_per_op", "vs_table"],
+        &["kernel", "backend", "ns_per_op", "vs_table"],
         &rows
             .iter()
             .zip(&speedups)
             .map(|(r, s)| {
-                vec![
-                    r.kernel.to_string(),
-                    r.backend.to_string(),
-                    r.mode.to_string(),
-                    format!("{:.1}", r.ns),
-                    s.clone(),
-                ]
+                vec![r.kernel.to_string(), r.backend.to_string(), format!("{:.1}", r.ns), s.clone()]
             })
             .collect::<Vec<_>>(),
     );
     synergy_bench::write_csv(
         "micro_crypto_backends",
-        "kernel,backend,mode,iters,ns_per_op,speedup_vs_table_scalar",
+        "kernel,backend,iters,ns_per_op,speedup_vs_table",
         &rows
             .iter()
             .zip(&speedups)
-            .map(|(r, s)| {
-                format!("{},{},{},{},{:.1},{}", r.kernel, r.backend, r.mode, r.iters, r.ns, s)
-            })
+            .map(|(r, s)| format!("{},{},{},{:.1},{}", r.kernel, r.backend, r.iters, r.ns, s))
             .collect::<Vec<_>>(),
     );
-}
-
-criterion_group!(benches, bench_aes, bench_ctr, bench_gmac, bench_cw);
-
-fn main() {
-    benches();
-    Criterion::default().configure_from_args().final_summary();
-    backend_matrix();
 }

@@ -656,14 +656,28 @@ mod tests {
     #[test]
     fn counts_that_are_not_exact_integers_are_rejected() {
         let text = CampaignJob::new(&quick(90, 1)).run_shard(0, 90).to_json();
-        // The first number after `key`: a matrix cell, or a plain count.
-        for key in ["\"matrix\":[[", "\"mismatch_count\":"] {
-            let at = text.find(key).expect("key present") + key.len();
-            let end = at + text[at..].find([',', ']']).expect("number ends");
+        // The number after `key` and `skip` commas: a matrix cell, a plain
+        // count, or a field of the embedded MAC-count histogram.
+        for (key, skip) in [
+            ("\"matrix\":[[", 0),
+            ("\"mismatch_count\":", 0),
+            ("\"mac_computations\":{\"count\":", 0),
+            ("\"sum\":", 0),
+            ("\"min\":", 0),
+            ("\"max\":", 0),
+            ("\"buckets\":[[", 0),
+            ("\"buckets\":[[", 1),
+        ] {
+            let mut at = text.find(key).expect("key present") + key.len();
+            for _ in 0..skip {
+                at += text[at..].find(',').expect("next number") + 1;
+            }
+            let end = at + text[at..].find([',', ']', '}']).expect("number ends");
             for bad in ["-3", "1.5", "1e300"] {
                 let doc = format!("{}{bad}{}", &text[..at], &text[end..]);
                 let json = Json::parse(&doc).expect("still JSON");
-                assert!(CampaignAggregate::from_json(&json).is_err(), "{key}{bad} accepted");
+                let parsed = CampaignAggregate::from_json(&json);
+                assert!(parsed.is_err(), "{key}+{skip} {bad} accepted");
             }
         }
     }

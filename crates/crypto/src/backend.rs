@@ -1,12 +1,12 @@
 //! Runtime crypto-backend selection.
 //!
 //! Every keyed primitive in this crate ([`crate::Aes128`],
-//! [`crate::gmac::Gmac`], [`crate::cw_mac::CarterWegmanMac`],
-//! [`crate::ctr::LineCipher`]) carries a [`Backend`] chosen once per
-//! process: the hardware [`Backend::Simd`] path (AES-NI rounds,
-//! PCLMULQDQ carry-less multiplies — see `crate::simd`) when the CPU
-//! supports it, or the portable [`Backend::Table`] path (T-table AES,
-//! windowed GHASH/GF(2^64) key tables) everywhere else. The bit-serial
+//! [`crate::GhashKey`], [`crate::gmac::Gmac`], [`crate::ctr::LineCipher`])
+//! carries a [`Backend`] chosen once per process: the hardware
+//! [`Backend::Simd`] path (AES-NI rounds, PCLMULQDQ carry-less
+//! multiplies — see `crate::simd`) when the CPU supports it, or the
+//! portable [`Backend::Table`] path (T-table AES, windowed GHASH key
+//! table) everywhere else. The bit-serial
 //! `*_reference` functions are backend-independent and keep pinning both.
 //!
 //! The `SYNERGY_CRYPTO_BACKEND` environment variable overrides detection:

@@ -11,27 +11,17 @@
 //! uniqueness; counters are in turn protected from replay by the integrity
 //! tree (see `synergy-secure`).
 //!
-//! [`pad_with_cipher`], behind every pad and every [`LineCipher`]
-//! encryption, derives a 64-byte pad in one call: on the SIMD backend a
-//! fixed-shape AES-NI kernel builds the four counter blocks in registers
-//! and runs them through the rounds as four straight-line lanes; the table
-//! backend batches the four blocks through [`Aes128::encrypt_blocks4`].
-//! [`LineCipher::pads_batch`] pipelines the pads of several independent
-//! lines through one [`Aes128::encrypt_blocks`] call.
+//! [`pad_with_cipher`], behind every [`LineCipher`] encryption, derives a
+//! 64-byte pad in one call: on the SIMD backend a fixed-shape AES-NI kernel
+//! builds the four counter blocks in registers and runs them through the
+//! rounds as four straight-line lanes; the table backend encrypts the four
+//! blocks one after another with [`Aes128::encrypt_block`]. CTR mode never
+//! runs the block cipher backwards: decryption XORs the same pad.
 //! [`pad_with_cipher_reference`] keeps the scalar per-byte AES path for
 //! equivalence testing and benchmarking.
 
 use crate::backend::Backend;
 use crate::{Aes128, CacheLine, EncryptionKey, LINE_BYTES};
-
-/// Derives the 64-byte one-time pad for `(addr, counter)`.
-///
-/// **Warning — not for hot paths.** Each call re-runs the AES key
-/// schedule; hold a [`LineCipher`] (or an [`Aes128`] with
-/// [`pad_with_cipher`]) when deriving more than one pad under a key.
-pub fn one_time_pad(key: &EncryptionKey, addr: u64, counter: u64) -> CacheLine {
-    pad_with_cipher(&Aes128::new(key.as_bytes()), addr, counter)
-}
 
 /// The four counter-mode block inputs for `(addr, counter)`.
 #[inline]
@@ -47,19 +37,17 @@ fn pad_blocks(addr: u64, counter: u64) -> [[u8; 16]; 4] {
     blocks
 }
 
-/// Pad derivation when the caller already holds an expanded [`Aes128`]
-/// (avoids re-running the key schedule per line). The whole 64-byte pad is
-/// one fixed-shape kernel call on the SIMD backend and one batched
-/// [`Aes128::encrypt_blocks4`] call on the table backend.
+/// The 64-byte one-time pad for `(addr, counter)` under an expanded
+/// [`Aes128`]: one fixed-shape kernel call on the SIMD backend, four
+/// [`Aes128::encrypt_block`] calls on the table backend.
 pub fn pad_with_cipher(aes: &Aes128, addr: u64, counter: u64) -> CacheLine {
     #[cfg(target_arch = "x86_64")]
     if aes.backend() == Backend::Simd {
         return CacheLine::from_bytes(crate::simd::ctr_pad(aes.round_keys(), addr, counter));
     }
-    let cts = aes.encrypt_blocks4(&pad_blocks(addr, counter));
     let mut pad = [0u8; LINE_BYTES];
-    for (i, ct) in cts.iter().enumerate() {
-        pad[i * 16..(i + 1) * 16].copy_from_slice(ct);
+    for (i, block) in pad_blocks(addr, counter).iter().enumerate() {
+        pad[i * 16..(i + 1) * 16].copy_from_slice(&aes.encrypt_block(block));
     }
     CacheLine::from_bytes(pad)
 }
@@ -72,17 +60,6 @@ pub fn pad_with_cipher_reference(aes: &Aes128, addr: u64, counter: u64) -> Cache
         pad[i * 16..(i + 1) * 16].copy_from_slice(&ct);
     }
     CacheLine::from_bytes(pad)
-}
-
-/// Encrypts a plaintext cacheline: `ciphertext = plaintext XOR OTP`.
-pub fn encrypt(key: &EncryptionKey, addr: u64, counter: u64, plaintext: &CacheLine) -> CacheLine {
-    plaintext.xor(&one_time_pad(key, addr, counter))
-}
-
-/// Decrypts a ciphertext cacheline (XOR with the same pad).
-pub fn decrypt(key: &EncryptionKey, addr: u64, counter: u64, ciphertext: &CacheLine) -> CacheLine {
-    // CTR decryption is identical to encryption.
-    encrypt(key, addr, counter, ciphertext)
 }
 
 /// A cacheline encryptor that amortizes AES key expansion across lines —
@@ -120,28 +97,6 @@ impl LineCipher {
         Self { aes: Aes128::with_backend(key.as_bytes(), backend) }
     }
 
-    /// Derives one-time pads for a batch of independent `(addr, counter)`
-    /// nonces — semantically `nonces.map(one_time_pad)`, but all `4·n`
-    /// counter blocks go through one [`Aes128::encrypt_blocks`] call so
-    /// independent lines overlap in the AES unit.
-    pub fn pads_batch(&self, nonces: &[(u64, u64)]) -> Vec<CacheLine> {
-        let mut blocks: Vec<[u8; 16]> = Vec::with_capacity(nonces.len() * 4);
-        for &(addr, counter) in nonces {
-            blocks.extend_from_slice(&pad_blocks(addr, counter));
-        }
-        self.aes.encrypt_blocks(&mut blocks);
-        blocks
-            .chunks_exact(4)
-            .map(|cts| {
-                let mut pad = [0u8; LINE_BYTES];
-                for (i, ct) in cts.iter().enumerate() {
-                    pad[i * 16..(i + 1) * 16].copy_from_slice(ct);
-                }
-                CacheLine::from_bytes(pad)
-            })
-            .collect()
-    }
-
     /// Encrypts a plaintext line under `(addr, counter)`.
     pub fn encrypt(&self, addr: u64, counter: u64, plaintext: &CacheLine) -> CacheLine {
         plaintext.xor(&pad_with_cipher(&self.aes, addr, counter))
@@ -167,12 +122,21 @@ mod tests {
         EncryptionKey::from_bytes(*b"0123456789abcdef")
     }
 
+    fn cipher() -> LineCipher {
+        LineCipher::new(&key())
+    }
+
+    /// The pad of `(addr, counter)`: the encryption of an all-zero line.
+    fn pad(addr: u64, counter: u64) -> CacheLine {
+        cipher().encrypt(addr, counter, &CacheLine::zeroed())
+    }
+
     #[test]
     fn roundtrip() {
         let pt = CacheLine::from_bytes([0xA5; 64]);
-        let ct = encrypt(&key(), 0x1000, 42, &pt);
+        let ct = cipher().encrypt(0x1000, 42, &pt);
         assert_ne!(ct, pt);
-        assert_eq!(decrypt(&key(), 0x1000, 42, &ct), pt);
+        assert_eq!(cipher().decrypt(0x1000, 42, &ct), pt);
     }
 
     #[test]
@@ -194,24 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn pads_batch_matches_scalar_pads() {
-        for backend in [Backend::Table, Backend::detect()] {
-            let cipher = LineCipher::with_backend(&key(), backend);
-            let nonces: Vec<(u64, u64)> =
-                (0u64..5).map(|i| (0x1000 + 64 * i, 7 + i)).collect();
-            // Batch sizes straddling the 8-lane AES chunking (4·n blocks).
-            for n in [0, 1, 2, 3, 5] {
-                let batch = cipher.pads_batch(&nonces[..n]);
-                let scalar: Vec<CacheLine> = nonces[..n]
-                    .iter()
-                    .map(|&(a, c)| pad_with_cipher(&cipher.aes, a, c))
-                    .collect();
-                assert_eq!(batch, scalar, "{backend:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
     fn simd_and_table_backends_agree_on_pads() {
         if !Backend::simd_available() {
             eprintln!("SKIP: host lacks AES-NI — cross-backend CTR test not run");
@@ -230,9 +176,9 @@ mod tests {
 
     #[test]
     fn pad_uniqueness_across_counters_and_addresses() {
-        let p1 = one_time_pad(&key(), 0, 0);
-        let p2 = one_time_pad(&key(), 0, 1);
-        let p3 = one_time_pad(&key(), 64, 0);
+        let p1 = pad(0, 0);
+        let p2 = pad(0, 1);
+        let p3 = pad(64, 0);
         assert_ne!(p1, p2, "counter must vary the pad (temporal uniqueness)");
         assert_ne!(p1, p3, "address must vary the pad (spatial uniqueness)");
         assert_ne!(p2, p3);
@@ -241,8 +187,8 @@ mod tests {
     #[test]
     fn pad_blocks_are_distinct() {
         // The four 16-byte pad blocks come from distinct AES inputs.
-        let pad = one_time_pad(&key(), 0, 0);
-        let b = pad.as_bytes();
+        let p = pad(0, 0);
+        let b = p.as_bytes();
         for i in 0..4 {
             for j in (i + 1)..4 {
                 assert_ne!(b[i * 16..(i + 1) * 16], b[j * 16..(j + 1) * 16]);
@@ -255,15 +201,8 @@ mod tests {
         // Replaying an old counter (the attack the integrity tree guards
         // against) produces garbage, not the plaintext.
         let pt = CacheLine::from_bytes([7; 64]);
-        let ct = encrypt(&key(), 0, 5, &pt);
-        assert_ne!(decrypt(&key(), 0, 4, &ct), pt);
-    }
-
-    #[test]
-    fn line_cipher_matches_free_functions() {
-        let cipher = LineCipher::new(&key());
-        let pt = CacheLine::from_bytes([0x3C; 64]);
-        assert_eq!(cipher.encrypt(8, 9, &pt), encrypt(&key(), 8, 9, &pt));
+        let ct = cipher().encrypt(0, 5, &pt);
+        assert_ne!(cipher().decrypt(0, 4, &ct), pt);
     }
 
     #[test]
@@ -272,7 +211,7 @@ mod tests {
         // different ciphertexts — the property defeating known-plaintext
         // dictionary attacks on memory.
         let pt = CacheLine::from_bytes([0; 64]);
-        assert_ne!(encrypt(&key(), 0, 1, &pt), encrypt(&key(), 0, 2, &pt));
+        assert_ne!(cipher().encrypt(0, 1, &pt), cipher().encrypt(0, 2, &pt));
     }
 
     #[test]
@@ -280,8 +219,8 @@ mod tests {
         // Counters at and above 2^56 alias by design (the top byte is not
         // encoded); the secure layer never issues counters that large, but
         // the pad must still distinguish all 56-bit values.
-        let a = one_time_pad(&key(), 0, (1 << 56) - 1);
-        let b = one_time_pad(&key(), 0, (1 << 56) - 2);
+        let a = pad(0, (1 << 56) - 1);
+        let b = pad(0, (1 << 56) - 2);
         assert_ne!(a, b);
     }
 }

@@ -8,10 +8,12 @@
 //! Two implementations live here:
 //!
 //! * the school-book shift-and-add [`gf128_mul_reference`] (128 iterations
-//!   per block) and the free functions built on it — the **oracle** used by
-//!   the equivalence tests; and
-//! * [`GhashKey`], the keyed hot path, which dispatches on
-//!   [`crate::Backend`]:
+//!   per block) and the streaming [`ghash`] built on it — the **oracle**
+//!   used by the equivalence tests and the SP 800-38D known-answer tests;
+//!   and
+//! * [`GhashKey`], the keyed hot path, whose one hash,
+//!   [`GhashKey::ghash_line`], covers the fixed line-tag shape and
+//!   dispatches on [`crate::Backend`]:
 //!   - **table** — a per-key **8-bit-window table** (16 byte positions ×
 //!     256 entries × 16 bytes = 64 KiB per key, heap-allocated) built once
 //!     at key setup. A block multiply by `H` then costs 16 table lookups
@@ -21,9 +23,9 @@
 //!     Shoup's and OpenSSL's GHASH implementations).
 //!   - **simd** (x86-64 + PCLMULQDQ) — carry-less multiplies in
 //!     `crate::simd`, *aggregated*: with the precomputed powers
-//!     `H^1..H^8` up to eight blocks are absorbed as independent 256-bit
-//!     products XORed before a single reduction, so the serial Horner
-//!     chain becomes instruction-level parallelism. The 64 KiB table is
+//!     `H^1..H^6` the six blocks of a line tag are absorbed as independent
+//!     256-bit products XORed before a single reduction, so the serial
+//!     Horner chain becomes instruction-level parallelism. The 64 KiB table is
 //!     not built on this backend.
 
 use crate::backend::Backend;
@@ -32,10 +34,10 @@ use crate::backend::Backend;
 /// order this is the byte 0xE1 followed by fifteen zero bytes.
 const R: u128 = 0xe1 << 120;
 
-/// How many key powers the aggregated SIMD fold precomputes, i.e. the
-/// maximum blocks absorbed per reduction. Eight covers a whole line tag
-/// (1 AAD + 4 data + 1 length = 6 blocks) in one fold.
-const AGG_BLOCKS: usize = 8;
+/// How many key powers the aggregated SIMD fold precomputes: one per
+/// block of a line tag (1 AAD + 4 data + 1 length), so a whole tag is
+/// absorbed in one fold.
+const AGG_BLOCKS: usize = 6;
 
 /// Multiplies two elements of GF(2^128) in the GCM bit ordering.
 ///
@@ -57,14 +59,6 @@ pub fn gf128_mul_reference(x: u128, y: u128) -> u128 {
     z
 }
 
-/// Multiplies two elements of GF(2^128) in the GCM bit ordering.
-///
-/// Alias of [`gf128_mul_reference`]; key-bound hot paths should use
-/// [`GhashKey::mul`] instead.
-pub fn gf128_mul(x: u128, y: u128) -> u128 {
-    gf128_mul_reference(x, y)
-}
-
 /// A GHASH subkey `H` with its precomputed 8-bit-window multiplication
 /// table.
 ///
@@ -76,7 +70,7 @@ pub fn gf128_mul(x: u128, y: u128) -> u128 {
 ///
 /// The table is 64 KiB and boxed, so a `GhashKey` is cheap to move; cloning
 /// copies the table. On the SIMD backend the table is not built at all —
-/// only the eight key powers for the aggregated fold.
+/// only the six key powers for the aggregated fold.
 #[derive(Clone)]
 pub struct GhashKey {
     h: u128,
@@ -96,7 +90,7 @@ impl core::fmt::Debug for GhashKey {
 impl GhashKey {
     /// Builds the key from the hash subkey `H = AES_K(0^128)`: the
     /// 8-bit-window table (table backend only), then the key powers
-    /// `H^2..H^8` by the key's own [`GhashKey::mul`].
+    /// `H^2..H^6` by the key's own [`GhashKey::mul`].
     ///
     /// The table needs the 128 products `H·x^k`, one per bit position.
     /// Multiplying by `x` is one shift-and-reduce step, so they come from a
@@ -178,39 +172,11 @@ impl GhashKey {
         acc
     }
 
-    /// Computes GHASH over complete 16-byte blocks.
-    pub fn ghash_blocks(&self, blocks: impl IntoIterator<Item = u128>) -> u128 {
-        let mut acc = Accumulator::new(self);
-        for x in blocks {
-            acc.push(x);
-        }
-        acc.finish()
-    }
-
-    /// Keyed equivalent of [`ghash`]: full GCM-style GHASH over AAD and
-    /// data with the trailing length block.
-    pub fn ghash(&self, aad: &[u8], data: &[u8]) -> u128 {
-        let mut acc = Accumulator::new(self);
-        let absorb = |acc: &mut Accumulator<'_>, bytes: &[u8]| {
-            for chunk in bytes.chunks(16) {
-                let mut block = [0u8; 16];
-                block[..chunk.len()].copy_from_slice(chunk);
-                acc.push(u128::from_be_bytes(block));
-            }
-        };
-        absorb(&mut acc, aad);
-        absorb(&mut acc, data);
-        let len_block = ((aad.len() as u128 * 8) << 64) | (data.len() as u128 * 8);
-        acc.push(len_block);
-        acc.finish()
-    }
-
-    /// [`GhashKey::ghash`] specialized for the line-tag shape — a 4-byte
-    /// AAD and exactly 64 bytes of data. The six blocks (one AAD, four
-    /// data, one length) are assembled on the stack and absorbed in
-    /// **one** aggregated fold on the SIMD backend, skipping the
-    /// streaming `Accumulator`'s per-block buffering, which costs
-    /// several times the fold itself at this fixed small size.
+    /// Keyed [`ghash`] for the line-tag shape — a 4-byte AAD and exactly
+    /// 64 bytes of data. The six blocks (one AAD, four data, one length)
+    /// are assembled on the stack and absorbed in **one** aggregated fold
+    /// on the SIMD backend, or by a Horner loop of table multiplies on the
+    /// table backend.
     pub fn ghash_line(&self, aad: [u8; 4], data: &[u8; 64]) -> u128 {
         let mut blocks = [0u128; 6];
         blocks[0] = (u32::from_be_bytes(aad) as u128) << 96;
@@ -231,67 +197,10 @@ impl GhashKey {
     }
 }
 
-/// Streaming GHASH state: a plain Horner loop on the table backend, a
-/// buffer of up to [`AGG_BLOCKS`] blocks folded per single reduction on
-/// the SIMD backend.
-struct Accumulator<'a> {
-    key: &'a GhashKey,
-    y: u128,
-    buf: [u128; AGG_BLOCKS],
-    len: usize,
-}
-
-impl<'a> Accumulator<'a> {
-    fn new(key: &'a GhashKey) -> Self {
-        Self { key, y: 0, buf: [0; AGG_BLOCKS], len: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, block: u128) {
-        #[cfg(target_arch = "x86_64")]
-        if self.key.backend == Backend::Simd {
-            self.buf[self.len] = block;
-            self.len += 1;
-            if self.len == AGG_BLOCKS {
-                self.flush();
-            }
-            return;
-        }
-        self.y = self.key.mul(self.y ^ block);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn flush(&mut self) {
-        if self.len > 0 {
-            self.y = crate::simd::ghash_fold(self.y, &self.buf[..self.len], &self.key.powers);
-            self.len = 0;
-        }
-    }
-
-    #[inline]
-    fn finish(mut self) -> u128 {
-        #[cfg(target_arch = "x86_64")]
-        self.flush();
-        self.y
-    }
-}
-
-/// Computes GHASH over a sequence of complete 16-byte blocks.
-///
-/// `Y_0 = 0; Y_i = (Y_{i-1} XOR X_i) * H` and the result is `Y_n`.
-/// Reference path; hot paths use [`GhashKey::ghash_blocks`].
-pub fn ghash_blocks(h: u128, blocks: impl IntoIterator<Item = u128>) -> u128 {
-    let mut y = 0u128;
-    for x in blocks {
-        y = gf128_mul_reference(y ^ x, h);
-    }
-    y
-}
-
 /// Computes the full GCM-style GHASH over additional authenticated data and
 /// ciphertext: both are zero-padded to 16-byte boundaries, then a final
 /// length block `len(aad) || len(data)` (bit lengths, big-endian) is mixed in.
-/// Reference path; hot paths use [`GhashKey::ghash`].
+/// Reference path; the keyed hot path is [`GhashKey::ghash_line`].
 pub fn ghash(h: u128, aad: &[u8], data: &[u8]) -> u128 {
     let mut y = 0u128;
     let mut absorb = |bytes: &[u8]| {
@@ -317,8 +226,8 @@ mod tests {
         // polynomial "1" has its coefficient in the top bit).
         let one: u128 = 1 << 127;
         for x in [0u128, 1, one, u128::MAX, 0xdeadbeef << 64] {
-            assert_eq!(gf128_mul(x, one), x);
-            assert_eq!(gf128_mul(one, x), x);
+            assert_eq!(gf128_mul_reference(x, one), x);
+            assert_eq!(gf128_mul_reference(one, x), x);
         }
     }
 
@@ -333,11 +242,11 @@ mod tests {
         ];
         for &a in &samples {
             for &b in &samples {
-                assert_eq!(gf128_mul(a, b), gf128_mul(b, a));
+                assert_eq!(gf128_mul_reference(a, b), gf128_mul_reference(b, a));
                 for &c in &samples {
                     assert_eq!(
-                        gf128_mul(a, b ^ c),
-                        gf128_mul(a, b) ^ gf128_mul(a, c),
+                        gf128_mul_reference(a, b ^ c),
+                        gf128_mul_reference(a, b) ^ gf128_mul_reference(a, c),
                         "distributivity failed"
                     );
                 }
@@ -347,8 +256,8 @@ mod tests {
 
     #[test]
     fn mul_by_zero_is_zero() {
-        assert_eq!(gf128_mul(0, u128::MAX), 0);
-        assert_eq!(gf128_mul(u128::MAX, 0), 0);
+        assert_eq!(gf128_mul_reference(0, u128::MAX), 0);
+        assert_eq!(gf128_mul_reference(u128::MAX, 0), 0);
     }
 
     #[test]
@@ -377,16 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn table_ghash_matches_reference_ghash() {
-        let h = 0x66e94bd4ef8a2c3b_884cfa59ca342b2eu128;
-        let key = GhashKey::new(h);
-        let data: Vec<u8> = (0u8..77).collect();
-        let aad: Vec<u8> = (0u8..13).collect();
-        assert_eq!(key.ghash(&aad, &data), ghash(h, &aad, &data));
-        assert_eq!(key.ghash(&[], &[]), ghash(h, &[], &[]));
-    }
-
-    #[test]
     fn ghash_gcm_spec_test_case_2() {
         // GCM spec test case 2: H = AES_0(0), C = 0388dace60b6a392f328c2b971b2fe78.
         // GHASH(H, {}, C) is the value that, XORed with E_K(J0), yields the
@@ -395,9 +294,7 @@ mod tests {
         let h = 0x66e94bd4ef8a2c3b_884cfa59ca342b2eu128;
         let c = 0x0388dace60b6a392_f328c2b971b2fe78u128.to_be_bytes();
         let ek_j0 = 0x58e2fccefa7e3061_367f1d57a4e7455au128;
-        for g in [ghash(h, &[], &c), GhashKey::new(h).ghash(&[], &c)] {
-            assert_eq!(g ^ ek_j0, 0xab6e47d42cec13bd_f53a67b21257bddf);
-        }
+        assert_eq!(ghash(h, &[], &c) ^ ek_j0, 0xab6e47d42cec13bd_f53a67b21257bddf);
     }
 
     #[test]
@@ -407,19 +304,6 @@ mod tests {
         let h = 0x12345_6789abcdefu128 | (1 << 127);
         assert_ne!(ghash(h, &[], &[1]), ghash(h, &[], &[1, 0]));
         assert_ne!(ghash(h, &[1], &[]), ghash(h, &[], &[1]));
-    }
-
-    #[test]
-    fn ghash_blocks_agrees_with_ghash_for_block_multiple() {
-        let h = 0xdeadbeefcafef00d_0123456789abcdefu128;
-        let data: Vec<u8> = (0u8..32).collect();
-        let blocks = data
-            .chunks_exact(16)
-            .map(|c| u128::from_be_bytes(c.try_into().unwrap()));
-        let via_blocks = ghash_blocks(h, blocks);
-        // ghash() additionally mixes the length block.
-        let len_block = (32u128) * 8;
-        assert_eq!(ghash(h, &[], &data), gf128_mul(via_blocks ^ len_block, h));
     }
 
     #[test]
@@ -434,28 +318,10 @@ mod tests {
         for x in [0u128, 1, 1 << 127, u128::MAX, 0xdead << 96 | 0xbeef] {
             assert_eq!(simd.mul(x), table.mul(x), "x={x:032x}");
         }
-        // Block counts straddling the aggregation width, including the
-        // multi-fold case (> AGG_BLOCKS) and byte strings with padding.
-        let blocks: Vec<u128> = (1..=21u128).map(|i| i * 0x1234_5678_9abc_def1).collect();
-        for n in [0, 1, 5, 6, 7, 8, 9, 16, 17, 21] {
-            assert_eq!(
-                simd.ghash_blocks(blocks[..n].iter().copied()),
-                table.ghash_blocks(blocks[..n].iter().copied()),
-                "n={n}"
-            );
-        }
-        let data: Vec<u8> = (0u8..150).collect();
-        for (aad_len, data_len) in [(0, 0), (4, 64), (13, 77), (16, 128), (33, 150)] {
-            assert_eq!(
-                simd.ghash(&data[..aad_len], &data[..data_len]),
-                table.ghash(&data[..aad_len], &data[..data_len]),
-                "aad={aad_len} data={data_len}"
-            );
-        }
     }
 
     #[test]
-    fn ghash_line_matches_generic_ghash() {
+    fn ghash_line_matches_reference_ghash() {
         let h = 0x66e94bd4ef8a2c3b_884cfa59ca342b2eu128;
         let backends: &[Backend] = if Backend::simd_available() {
             &[Backend::Table, Backend::Simd]
@@ -472,7 +338,7 @@ mod tests {
             for aad in [[0u8; 4], [1, 2, 3, 4], [0xff; 4]] {
                 assert_eq!(
                     key.ghash_line(aad, &data),
-                    key.ghash(&aad, &data),
+                    ghash(h, &aad, &data),
                     "{backend:?} aad={aad:?}"
                 );
             }
@@ -497,17 +363,6 @@ mod tests {
                 assert_eq!(key.powers(), &expected[..], "{backend:?} h={h:032x}");
             }
         }
-    }
-
-    #[test]
-    fn table_blocks_agrees_with_reference_blocks() {
-        let h = 0xdeadbeefcafef00d_0123456789abcdefu128;
-        let key = GhashKey::new(h);
-        let blocks = [1u128, 2, 3, u128::MAX, 0x5555 << 64];
-        assert_eq!(
-            key.ghash_blocks(blocks.iter().copied()),
-            ghash_blocks(h, blocks.iter().copied())
-        );
     }
 }
 

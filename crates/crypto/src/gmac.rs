@@ -15,11 +15,10 @@
 //! The tag path is keyed and backend-dispatched: [`Gmac::new`] derives the
 //! AES schedule and a [`GhashKey`] once, so each line tag costs 6 GF(2^128)
 //! multiplies plus one AES encryption — table lookups on the portable
-//! backend, one aggregated PCLMULQDQ fold plus an AES-NI encryption on the
-//! SIMD backend. [`Gmac::line_tags_batch`] and [`Gmac::verify_lines_batch`]
-//! additionally pipeline the `E_K(J0)` block encryptions of several
-//! independent lines through one [`Aes128::encrypt_blocks`] call. The
-//! bit-serial path is kept as [`Gmac::tag128_reference`] /
+//! backend, one fused AES-NI encryption and aggregated PCLMULQDQ fold on
+//! the SIMD backend. Data lines ([`Gmac::line_tag`]) and counter-tree nodes
+//! ([`Gmac::node_tag`]) share that one fixed-shape path. The bit-serial
+//! path is kept as [`Gmac::tag128_reference`] /
 //! [`Gmac::line_tag_reference`] for equivalence testing and benchmarking.
 
 use crate::backend::Backend;
@@ -83,40 +82,27 @@ impl Gmac {
         (j0, aad)
     }
 
-    /// Computes the full 128-bit GCM tag for `data` under the nonce
-    /// `(addr, counter)` via the table-driven GHASH.
-    pub fn tag128(&self, addr: u64, counter: u64, data: &[u8]) -> u128 {
-        let (j0, aad) = Self::nonce_parts(addr, counter);
-        let g = self.hkey.ghash(&aad, data);
-        g ^ self.aes.encrypt_u128(j0)
-    }
-
-    /// [`Gmac::tag128`] computed with the bit-serial GHASH oracle — kept for
-    /// equivalence tests and table-vs-reference benchmarks.
+    /// The full 128-bit GCM tag for `data` under the nonce `(addr,
+    /// counter)`, computed with the bit-serial GHASH and the per-byte AES
+    /// — the oracle both backends are tested against. The 64-bit tags of
+    /// [`Gmac::line_tag`] and [`Gmac::node_tag`] are its upper half.
     pub fn tag128_reference(&self, addr: u64, counter: u64, data: &[u8]) -> u128 {
         let (j0, aad) = Self::nonce_parts(addr, counter);
         let g = ghash(self.hkey.h(), &aad, data);
         g ^ u128::from_be_bytes(self.aes.encrypt_block_reference(&j0.to_be_bytes()))
     }
 
-    /// Computes the 64-bit truncated GMAC used throughout the paper.
-    pub fn tag64(&self, addr: u64, counter: u64, data: &[u8]) -> u64 {
-        (self.tag128(addr, counter, data) >> 64) as u64
-    }
-
-    /// Tag for a 64-byte data cacheline: MAC(addr, counter, ciphertext).
-    ///
-    /// Semantically `tag64(addr, counter, line.as_bytes())`, but routed
-    /// through the fixed-shape single-fold path (pinned equal to the
-    /// generic path by test).
+    /// Tag for a 64-byte data cacheline: MAC(addr, counter, ciphertext),
+    /// the 64-bit truncated GMAC used throughout the paper.
     pub fn line_tag(&self, addr: u64, counter: u64, line: &CacheLine) -> u64 {
         self.tag64_line_shape(addr, counter, line.as_bytes())
     }
 
-    /// `tag64` for exactly 64 bytes of data: the fused single-call kernel
-    /// on the SIMD backend, [`GhashKey::ghash_line`] on the table backend.
-    /// Both equal the generic streaming path bit for bit (a 4-byte AAD and
-    /// 64 data bytes are exactly the shape `ghash_line` is pinned on).
+    /// The upper 64 bits of the GCM tag of exactly 64 bytes of data: the
+    /// fused single-call kernel on the SIMD backend,
+    /// [`GhashKey::ghash_line`] on the table backend. Both equal
+    /// [`Gmac::tag128_reference`] bit for bit (pinned by the
+    /// backend-equivalence suite).
     #[inline]
     fn tag64_line_shape(&self, addr: u64, counter: u64, data: &[u8; 64]) -> u64 {
         let (j0, aad) = Self::nonce_parts(addr, counter);
@@ -148,100 +134,11 @@ impl Gmac {
     /// eight 56-bit counters (packed into `payload`) and is keyed by the
     /// node's address and the parent tree counter.
     ///
-    /// Semantically `tag64(addr, parent_counter, payload)`, computed on the
-    /// same fixed-shape kernel as [`Gmac::line_tag`]: a counter-tree walk
-    /// costs one fused tag per level.
+    /// Computed on the same fixed-shape kernel as [`Gmac::line_tag`]: a
+    /// counter-tree walk costs one fused tag per level.
     pub fn node_tag(&self, addr: u64, parent_counter: u64, payload: &[u8; 64]) -> u64 {
         self.tag64_line_shape(addr, parent_counter, payload)
     }
-
-    /// Computes line tags for a batch of independent `(addr, counter,
-    /// line)` tuples — semantically `items.map(line_tag)`. On the SIMD
-    /// backend each tag runs the fused single-call kernel (AES and fold
-    /// already overlap inside it); on the table backend the per-line
-    /// `E_K(J0)` block encryptions are pipelined through one
-    /// [`Aes128::encrypt_blocks`] call, amortizing call overhead and
-    /// keeping the T-tables hot (the win the batched secure-engine drain
-    /// exploits).
-    pub fn line_tags_batch(&self, items: &[(u64, u64, &CacheLine)]) -> Vec<u64> {
-        #[cfg(target_arch = "x86_64")]
-        if self.aes.backend() == Backend::Simd {
-            return items
-                .iter()
-                .map(|&(addr, counter, line)| self.line_tag(addr, counter, line))
-                .collect();
-        }
-        let mut j0s: Vec<[u8; 16]> = items
-            .iter()
-            .map(|&(addr, counter, _)| Self::nonce_parts(addr, counter).0.to_be_bytes())
-            .collect();
-        self.aes.encrypt_blocks(&mut j0s);
-        items
-            .iter()
-            .zip(&j0s)
-            .map(|(&(addr, counter, line), ek_j0)| {
-                let (_, aad) = Self::nonce_parts(addr, counter);
-                let g = self.hkey.ghash_line(aad, line.as_bytes());
-                ((g ^ u128::from_be_bytes(*ek_j0)) >> 64) as u64
-            })
-            .collect()
-    }
-
-    /// Verifies stored tags for a batch of independent lines —
-    /// semantically `items.map(verify_line)` with the batched tag
-    /// pipeline of [`Gmac::line_tags_batch`].
-    pub fn verify_lines_batch(&self, items: &[(u64, u64, &CacheLine, u64)]) -> Vec<bool> {
-        let tuples: Vec<(u64, u64, &CacheLine)> =
-            items.iter().map(|&(a, c, l, _)| (a, c, l)).collect();
-        self.line_tags_batch(&tuples)
-            .iter()
-            .zip(items)
-            .map(|(computed, &(_, _, _, stored))| *computed == stored)
-            .collect()
-    }
-}
-
-/// Debug-build tripwire for the one-shot helpers below: each call repeats
-/// full key setup, so any hot loop reaching for them is a performance bug
-/// (the simulator issues millions of tags per run — through [`Gmac`]).
-/// The threshold is far above any sane one-off/test usage.
-#[cfg(debug_assertions)]
-fn debit_one_shot_budget() {
-    use core::sync::atomic::{AtomicU64, Ordering};
-    static ONE_SHOT_CALLS: AtomicU64 = AtomicU64::new(0);
-    let calls = ONE_SHOT_CALLS.fetch_add(1, Ordering::Relaxed) + 1;
-    debug_assert!(
-        calls <= 4096,
-        "gmac::compute/verify called {calls} times — these re-run AES key \
-         setup per call; hold a Gmac and use line_tag/verify_line instead"
-    );
-}
-
-#[cfg(not(debug_assertions))]
-fn debit_one_shot_budget() {}
-
-/// One-shot convenience: compute the 64-bit GMAC of a cacheline.
-///
-/// **Warning — not for hot paths.** Each call runs full key setup: the AES
-/// key schedule plus (on the table backend) the 64 KiB GHASH window table,
-/// thousands of times the cost of the tag itself. Hold a [`Gmac`] and call
-/// [`Gmac::line_tag`] / [`Gmac::line_tags_batch`] when computing more than
-/// one tag under the same key. Debug builds panic if a process exceeds a
-/// generous process-wide one-shot budget (4096 calls).
-pub fn compute(key: &MacKey, addr: u64, counter: u64, line: &CacheLine) -> u64 {
-    debit_one_shot_budget();
-    Gmac::new(key).line_tag(addr, counter, line)
-}
-
-/// One-shot convenience: verify the 64-bit GMAC of a cacheline.
-///
-/// **Warning — not for hot paths.** Repeats full key setup per call; see
-/// [`compute`]. Hold a [`Gmac`] and use [`Gmac::verify_line`] /
-/// [`Gmac::verify_lines_batch`] instead. Debug builds panic past a
-/// generous process-wide one-shot budget.
-pub fn verify(key: &MacKey, addr: u64, counter: u64, line: &CacheLine, tag: u64) -> bool {
-    debit_one_shot_budget();
-    Gmac::new(key).verify_line(addr, counter, line, tag)
 }
 
 #[cfg(test)]
@@ -263,10 +160,6 @@ mod tests {
         let g = gmac();
         let line = CacheLine::from_bytes([0xA7; 64]);
         for (addr, counter) in [(0u64, 0u64), (0x4000, 9), (u64::MAX, u64::MAX), (1, 1 << 40)] {
-            assert_eq!(
-                g.tag128(addr, counter, line.as_bytes()),
-                g.tag128_reference(addr, counter, line.as_bytes())
-            );
             assert_eq!(
                 g.line_tag(addr, counter, &line),
                 g.line_tag_reference(addr, counter, &line)
@@ -326,50 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_helpers_agree_with_instance() {
-        let key = MacKey::from_bytes([3; 16]);
-        let line = CacheLine::from_bytes([0xCD; 64]);
-        let tag = compute(&key, 64, 5, &line);
-        assert_eq!(tag, Gmac::new(&key).line_tag(64, 5, &line));
-        assert!(verify(&key, 64, 5, &line, tag));
-        assert!(!verify(&key, 64, 6, &line, tag));
-    }
-
-    #[test]
-    fn batch_tags_match_scalar_tags() {
-        for backend in [Backend::Table, Backend::detect()] {
-            let g = Gmac::with_backend(&MacKey::from_bytes([0x5A; 16]), backend);
-            let lines: Vec<CacheLine> =
-                (0u8..7).map(|i| CacheLine::from_bytes([i.wrapping_mul(41); 64])).collect();
-            let items: Vec<(u64, u64, &CacheLine)> = lines
-                .iter()
-                .enumerate()
-                .map(|(i, l)| (0x1000 + 64 * i as u64, (1u64 << 40) + i as u64, l))
-                .collect();
-            // Batch sizes straddling the 8-lane AES pipeline, plus empty.
-            for n in [0, 1, 4, 7] {
-                let batch = g.line_tags_batch(&items[..n]);
-                let scalar: Vec<u64> =
-                    items[..n].iter().map(|&(a, c, l)| g.line_tag(a, c, l)).collect();
-                assert_eq!(batch, scalar, "{backend:?} n={n}");
-            }
-            let with_tags: Vec<(u64, u64, &CacheLine, u64)> = items
-                .iter()
-                .enumerate()
-                .map(|(i, &(a, c, l))| {
-                    // Corrupt every other stored tag.
-                    let t = g.line_tag(a, c, l) ^ (i as u64 & 1);
-                    (a, c, l, t)
-                })
-                .collect();
-            let verdicts = g.verify_lines_batch(&with_tags);
-            for (i, ok) in verdicts.iter().enumerate() {
-                assert_eq!(*ok, i % 2 == 0, "{backend:?} item {i}");
-            }
-        }
-    }
-
-    #[test]
     fn simd_and_table_backends_agree_on_tags() {
         if !Backend::simd_available() {
             eprintln!("SKIP: host lacks AES-NI/PCLMULQDQ — cross-backend GMAC test not run");
@@ -381,8 +230,13 @@ mod tests {
         let line = CacheLine::from_bytes([0xA7; 64]);
         for (addr, counter) in [(0u64, 0u64), (0x4000, 9), (u64::MAX, u64::MAX), (1, 1 << 40)] {
             assert_eq!(
-                simd.tag128(addr, counter, line.as_bytes()),
-                table.tag128(addr, counter, line.as_bytes()),
+                simd.line_tag(addr, counter, &line),
+                table.line_tag(addr, counter, &line),
+                "addr={addr:#x} counter={counter:#x}"
+            );
+            assert_eq!(
+                simd.node_tag(addr, counter, line.as_bytes()),
+                table.node_tag(addr, counter, line.as_bytes()),
                 "addr={addr:#x} counter={counter:#x}"
             );
         }

@@ -1,33 +1,33 @@
 //! Cryptographic substrate for the SYNERGY secure-memory reproduction.
 //!
-//! Secure memories built in the style of Intel SGX (and the SYNERGY design
-//! from HPCA 2018) rest on three cryptographic primitives, all of which are
-//! implemented here from scratch:
+//! SYNERGY's functional secure memory (HPCA 2018, §II-A and §III) needs
+//! exactly two cryptographic operations, both implemented here from
+//! scratch:
 //!
 //! * **Counter-mode encryption** ([`ctr`]) — every 64-byte cacheline is
 //!   XORed with a one-time pad derived from AES-128 applied to the line
 //!   address and a per-line write counter, providing confidentiality with
 //!   pad pre-computation off the critical path.
-//! * **Message authentication codes** — a 64-bit AES-GCM-style GMAC
-//!   ([`gmac`]) over the ciphertext, address and counter provides integrity,
-//!   and doubles as the chip-failure *error-detection* code in SYNERGY.
-//!   A Carter–Wegman universal-hash MAC ([`cw_mac`]) mirrors the 56-bit MAC
-//!   used by commercial SGX.
-//! * **The AES-128 block cipher** ([`aes`]) underlying both, implemented
-//!   per FIPS-197 and validated against the published test vectors.
+//! * **A 64-bit GMAC** ([`gmac`]) over a data line or a counter-tree node,
+//!   bound to its address and counter. It provides integrity and doubles
+//!   as the chip-failure *error-detection* code in SYNERGY.
 //!
-//! Each primitive ships in three forms: a straightforward **reference**
+//! Both rest on the forward **AES-128 block cipher** ([`aes`]) and the
+//! GF(2^128) hash [`ghash`], implemented per FIPS-197 and SP 800-38D and
+//! validated against the published test vectors.
+//!
+//! Each kernel ships in three forms: a straightforward **reference**
 //! implementation (bit-serial field multiplies, per-byte AES rounds —
 //! exported with `*_reference` names) that serves as the testing oracle,
 //! a portable **table-driven** path (T-table AES, an 8-bit-window GHASH
-//! key table, a 4-bit-window GF(2^64) key table) built once at key setup,
-//! and — on x86-64 with AES-NI + PCLMULQDQ — a **SIMD** path
-//! (`_mm_aesenc_si128` rounds, `_mm_clmulepi64_si128` field multiplies)
-//! selected by one-time runtime CPU detection (see [`Backend`] and the
-//! `SYNERGY_CRYPTO_BACKEND` override). Every keyed instance ([`Aes128`],
-//! [`gmac::Gmac`], [`cw_mac::CarterWegmanMac`], [`ctr::LineCipher`])
-//! dispatches through its backend; proptest suites assert all paths agree
-//! on random inputs and on the published known-answer vectors.
+//! key table) built once at key setup, and — on x86-64 with AES-NI +
+//! PCLMULQDQ — a **SIMD** path (`_mm_aesenc_si128` rounds,
+//! `_mm_clmulepi64_si128` field multiplies) selected by one-time runtime
+//! CPU detection (see [`Backend`] and the `SYNERGY_CRYPTO_BACKEND`
+//! override). Every keyed instance ([`Aes128`], [`GhashKey`],
+//! [`gmac::Gmac`], [`ctr::LineCipher`]) dispatches through its backend;
+//! proptest suites assert all paths agree on random inputs and on the
+//! published known-answer vectors.
 //!
 //! # Quickstart
 //!
@@ -63,7 +63,6 @@
 pub mod aes;
 pub mod backend;
 pub mod ctr;
-pub mod cw_mac;
 pub mod ghash;
 pub mod gmac;
 
@@ -73,7 +72,6 @@ pub(crate) mod simd;
 
 pub use aes::Aes128;
 pub use backend::Backend;
-pub use cw_mac::Gf64Key;
 pub use ghash::GhashKey;
 pub use line::CacheLine;
 

@@ -2,15 +2,14 @@
 //! carry-less multiplies.
 //!
 //! This is the [`crate::backend::Backend::Simd`] implementation behind
-//! the dispatching primitives. Three kernel families live here:
+//! the dispatching primitives. Two kernel families live here:
 //!
 //! * **AES-128** — the round functions run on `_mm_aesenc_si128` /
 //!   `_mm_aesenclast_si128` with the key schedule derived via
-//!   `_mm_aeskeygenassist_si128`; [`encrypt_blocks`] pipelines a slice of
-//!   independent blocks through the rounds together so the 4-cycle
-//!   `aesenc` latency overlaps across lanes (the hardware unit is fully
-//!   pipelined); [`ctr_pad`] is the fixed four-lane form that derives a
-//!   whole 64-byte counter-mode pad.
+//!   `_mm_aeskeygenassist_si128`; [`ctr_pad`] runs the four counter
+//!   blocks of a 64-byte counter-mode pad through the rounds as
+//!   independent lanes, so the 4-cycle `aesenc` latency overlaps across
+//!   them (the hardware unit is fully pipelined).
 //! * **GHASH / GF(2^128)** — the repo represents GCM field elements as
 //!   `u128::from_be_bytes(block)`, which is exactly the *bit-reflected*
 //!   operand form of Intel's GCM white-paper `gfmul`: on a little-endian
@@ -21,10 +20,6 @@
 //!   H^1..H^k a k-block GHASH becomes k independent 256-bit products
 //!   XORed before a **single** shift + reduction (linearity), turning the
 //!   serial Horner chain into instruction-level parallelism.
-//! * **GF(2^64)** — the Carter–Wegman hash field (the pentanomial
-//!   x^64 + x^4 + x^3 + x + 1, normal bit order): one `clmul` for the
-//!   product and two small folds of the high half through the
-//!   pentanomial's low terms.
 //!
 //! Every public function here has a safe signature; the `unsafe` is
 //! confined to `#[target_feature]` inner functions whose required CPU
@@ -96,53 +91,6 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
     unsafe { expand_key_inner(key) }
 }
 
-/// How many blocks ride the AES pipeline together. Eight lanes cover the
-/// 4-cycle `aesenc` latency with slack; beyond that register pressure
-/// costs more than the extra overlap buys.
-const AES_LANES: usize = 8;
-
-#[inline]
-#[target_feature(enable = "aes")]
-unsafe fn encrypt_lanes(keys: &[__m128i; 11], lanes: &mut [__m128i]) {
-    for l in lanes.iter_mut() {
-        *l = _mm_xor_si128(*l, keys[0]);
-    }
-    for k in &keys[1..10] {
-        for l in lanes.iter_mut() {
-            *l = _mm_aesenc_si128(*l, *k);
-        }
-    }
-    for l in lanes.iter_mut() {
-        *l = _mm_aesenclast_si128(*l, keys[10]);
-    }
-}
-
-#[target_feature(enable = "aes")]
-unsafe fn encrypt_blocks_inner(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-    let mut keys = [_mm_setzero_si128(); 11];
-    for (k, rk) in keys.iter_mut().zip(round_keys.iter()) {
-        *k = _mm_loadu_si128(rk.as_ptr().cast());
-    }
-    for chunk in blocks.chunks_mut(AES_LANES) {
-        let mut lanes = [_mm_setzero_si128(); AES_LANES];
-        let n = chunk.len();
-        for (l, b) in lanes.iter_mut().zip(chunk.iter()) {
-            *l = _mm_loadu_si128(b.as_ptr().cast());
-        }
-        encrypt_lanes(&keys, &mut lanes[..n]);
-        for (b, l) in chunk.iter_mut().zip(lanes.iter()) {
-            _mm_storeu_si128(b.as_mut_ptr().cast(), *l);
-        }
-    }
-}
-
-/// Encrypts a slice of blocks in place, pipelining up to [`AES_LANES`]
-/// blocks through the AES-NI rounds at a time.
-pub(crate) fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
-    debug_assert_supported();
-    unsafe { encrypt_blocks_inner(round_keys, blocks) }
-}
-
 #[target_feature(enable = "aes")]
 unsafe fn encrypt_block_inner(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
     let mut s = _mm_xor_si128(
@@ -158,9 +106,7 @@ unsafe fn encrypt_block_inner(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> 
     out
 }
 
-/// Single-block encryption — straight-line rounds with none of the
-/// lane-marshalling of [`encrypt_blocks`], which costs more than the
-/// cipher itself at a batch size of one.
+/// Single-block encryption: straight-line AES-NI rounds.
 pub(crate) fn encrypt_block(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
     debug_assert_supported();
     unsafe { encrypt_block_inner(round_keys, block) }
@@ -316,7 +262,7 @@ unsafe fn ghash_fold_inner(y: u128, blocks: &[u128], powers: &[u128]) -> u128 {
 
 /// Aggregated GHASH fold: absorbs `blocks` into running digest `y` using
 /// the precomputed key powers `powers[j] = H^(j+1)`. Requires
-/// `1 <= blocks.len() <= powers.len()`; callers stride longer inputs.
+/// `1 <= blocks.len() <= powers.len()`.
 pub(crate) fn ghash_fold(y: u128, blocks: &[u128], powers: &[u128]) -> u128 {
     debug_assert_supported();
     unsafe { ghash_fold_inner(y, blocks, powers) }
@@ -383,28 +329,6 @@ pub(crate) fn gmac_line_tag(
     unsafe { gmac_line_tag_inner(round_keys, powers, j0, aad, data) }
 }
 
-// ---------------------------------------------------------------------
-// GF(2^64) — Carter–Wegman hash field, normal bit order
-// ---------------------------------------------------------------------
-
-#[target_feature(enable = "pclmulqdq")]
-unsafe fn gf64_mul_inner(a: u64, b: u64) -> u64 {
-    // Low terms of x^64 + x^4 + x^3 + x + 1: x^64 ≡ 0x1B.
-    let poly = _mm_cvtsi64_si128(0x1B);
-    let p = _mm_clmulepi64_si128::<0x00>(_mm_cvtsi64_si128(a as i64), _mm_cvtsi64_si128(b as i64));
-    // Fold the high 64 bits down (degree ≤ 67 afterwards), then fold the
-    // ≤ 4-bit residue of that product — two clmuls finish the reduction.
-    let t = _mm_clmulepi64_si128::<0x01>(p, poly);
-    let t2 = _mm_clmulepi64_si128::<0x01>(t, poly);
-    _mm_cvtsi128_si64(_mm_xor_si128(_mm_xor_si128(p, t), t2)) as u64
-}
-
-/// GF(2^64) multiply (x^64 + x^4 + x^3 + x + 1) via PCLMULQDQ.
-pub(crate) fn gf64_mul(a: u64, b: u64) -> u64 {
-    debug_assert_supported();
-    unsafe { gf64_mul_inner(a, b) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,23 +377,6 @@ mod tests {
                     gf128_mul(a, b),
                     crate::ghash::gf128_mul_reference(a, b),
                     "a={a:032x} b={b:032x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gf64_matches_reference_on_fixed_points() {
-        if skip() {
-            return;
-        }
-        let xs = [0u64, 1, 2, 0x1B, u64::MAX, 0xdeadbeefcafef00d, 1 << 63];
-        for &a in &xs {
-            for &b in &xs {
-                assert_eq!(
-                    gf64_mul(a, b),
-                    crate::cw_mac::gf64_mul_reference(a, b),
-                    "a={a:016x} b={b:016x}"
                 );
             }
         }

@@ -1,14 +1,12 @@
 //! Equivalence suite for the table-driven crypto kernels.
 //!
-//! Every hot-path kernel (T-table AES, 8-bit-window GHASH, 4-bit-window
-//! GF(2^64)) must agree with its retained bit-serial / per-byte reference
-//! implementation on arbitrary inputs, and both must reproduce the
-//! published known-answer vectors (FIPS-197 appendices, SP 800-38D GCM
-//! test cases).
+//! Every hot-path kernel (T-table AES, 8-bit-window GHASH) must agree with
+//! its retained bit-serial / per-byte reference implementation on
+//! arbitrary inputs, and both must reproduce the published known-answer
+//! vectors (FIPS-197 appendices, SP 800-38D GCM test cases).
 
 use proptest::prelude::*;
 use synergy_crypto::ctr::{pad_with_cipher, pad_with_cipher_reference, LineCipher};
-use synergy_crypto::cw_mac::{gf64_mul_reference, CarterWegmanMac, Gf64Key};
 use synergy_crypto::ghash::{gf128_mul_reference, ghash, GhashKey};
 use synergy_crypto::gmac::Gmac;
 use synergy_crypto::{Aes128, CacheLine, EncryptionKey, MacKey};
@@ -25,12 +23,11 @@ fn hex16(s: &str) -> [u8; 16] {
 }
 
 /// Full AES-GCM encryption (96-bit IV fast path) built from the public
-/// primitives — used to check the composed table path against the SP
-/// 800-38D test vectors end to end.
+/// primitives — keyed AES for the keystream and the reference GHASH for
+/// the tag — checked against the SP 800-38D test vectors end to end.
 fn gcm_encrypt(key: &[u8; 16], iv: &[u8; 12], aad: &[u8], pt: &[u8]) -> (Vec<u8>, [u8; 16]) {
     let aes = Aes128::new(key);
     let h = u128::from_be_bytes(aes.encrypt_block(&[0u8; 16]));
-    let hkey = GhashKey::new(h);
 
     let mut j = [0u8; 16];
     j[..12].copy_from_slice(iv);
@@ -44,7 +41,7 @@ fn gcm_encrypt(key: &[u8; 16], iv: &[u8; 12], aad: &[u8], pt: &[u8]) -> (Vec<u8>
         ct.extend(chunk.iter().zip(ks.iter()).map(|(p, k)| p ^ k));
     }
 
-    let g = hkey.ghash(aad, &ct);
+    let g = ghash(h, aad, &ct);
     let tag = (g ^ aes.encrypt_u128(j0)).to_be_bytes();
     (ct, tag)
 }
@@ -108,30 +105,16 @@ fn fips197_known_answers_on_both_paths() {
     let ct = hex16("69c4e0d86a7b0430d8cdb78070b4c55a");
     assert_eq!(aes.encrypt_block(&pt), ct);
     assert_eq!(aes.encrypt_block_reference(&pt), ct);
-    assert_eq!(aes.decrypt_block(&ct), pt);
-    assert_eq!(aes.decrypt_block_reference(&ct), pt);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
-    /// T-table AES agrees with the per-byte reference rounds, both ways.
+    /// T-table AES agrees with the per-byte reference rounds.
     #[test]
     fn aes_table_matches_reference(key in any::<[u8; 16]>(), block in any::<[u8; 16]>()) {
         let aes = Aes128::new(&key);
-        let ct = aes.encrypt_block(&block);
-        prop_assert_eq!(ct, aes.encrypt_block_reference(&block));
-        prop_assert_eq!(aes.decrypt_block(&ct), aes.decrypt_block_reference(&ct));
-    }
-
-    /// The batch entry point is exactly four single-block encryptions.
-    #[test]
-    fn aes_blocks4_matches_singles(key in any::<[u8; 16]>(), blocks in any::<[[u8; 16]; 4]>()) {
-        let aes = Aes128::new(&key);
-        let batch = aes.encrypt_blocks4(&blocks);
-        for i in 0..4 {
-            prop_assert_eq!(batch[i], aes.encrypt_block(&blocks[i]));
-        }
+        prop_assert_eq!(aes.encrypt_block(&block), aes.encrypt_block_reference(&block));
     }
 
     /// The 8-bit-window GHASH table agrees with the bit-serial multiply.
@@ -140,21 +123,15 @@ proptest! {
         prop_assert_eq!(GhashKey::new(h).mul(x), gf128_mul_reference(x, h));
     }
 
-    /// Full GHASH (padding + length block) agrees between the two paths
-    /// for arbitrary AAD/data lengths.
+    /// The keyed line-shape GHASH (4-byte AAD, 64-byte data, length
+    /// block) agrees with the reference GHASH for arbitrary subkeys.
     #[test]
-    fn ghash_full_matches_reference(
+    fn ghash_line_matches_reference(
         h in any::<u128>(),
-        aad in proptest::collection::vec(any::<u8>(), 0..48),
-        data in proptest::collection::vec(any::<u8>(), 0..96),
+        aad in any::<[u8; 4]>(),
+        data in any::<[u8; 64]>(),
     ) {
-        prop_assert_eq!(GhashKey::new(h).ghash(&aad, &data), ghash(h, &aad, &data));
-    }
-
-    /// The 4-bit-window GF(2^64) table agrees with the bit-serial multiply.
-    #[test]
-    fn gf64_table_matches_reference(k in any::<u64>(), x in any::<u64>()) {
-        prop_assert_eq!(Gf64Key::new(k).mul(x), gf64_mul_reference(x, k));
+        prop_assert_eq!(GhashKey::new(h).ghash_line(aad, &data), ghash(h, &aad, &data));
     }
 
     /// End-to-end: table-driven GMAC line tags equal the reference tags for
@@ -172,14 +149,10 @@ proptest! {
             gmac.line_tag(addr, counter, &l),
             gmac.line_tag_reference(addr, counter, &l)
         );
-        prop_assert_eq!(
-            gmac.tag128(addr, counter, l.as_bytes()),
-            gmac.tag128_reference(addr, counter, l.as_bytes())
-        );
     }
 
-    /// End-to-end: the batched table-driven pad equals the scalar pad, and
-    /// line encryption agrees between the paths.
+    /// End-to-end: the table-driven pad equals the reference pad, and line
+    /// encryption agrees between the paths.
     #[test]
     fn ctr_pad_matches_reference(
         key in any::<[u8; 16]>(),
@@ -197,22 +170,6 @@ proptest! {
         prop_assert_eq!(
             cipher.encrypt(addr, counter, &pt),
             cipher.encrypt_reference(addr, counter, &pt)
-        );
-    }
-
-    /// End-to-end: table-driven Carter–Wegman tags equal the reference tags.
-    #[test]
-    fn cw_tag_matches_reference(
-        key in any::<[u8; 16]>(),
-        line in any::<[u8; 64]>(),
-        addr in any::<u64>(),
-        counter in any::<u64>(),
-    ) {
-        let mac = CarterWegmanMac::new(&MacKey::from_bytes(key));
-        let l = CacheLine::from_bytes(line);
-        prop_assert_eq!(
-            mac.line_tag(addr, counter, &l),
-            mac.line_tag_reference(addr, counter, &l)
         );
     }
 }

@@ -500,6 +500,7 @@ pub fn run_with_fabric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use synergy_faultsim::FaultModel;
 
     fn quick(dimms: u64, threads: usize) -> FleetParams {
@@ -593,5 +594,45 @@ mod tests {
         r.export(&mut reg);
         assert_eq!(reg.counter("fleet_secded_dimms"), Some(5_000));
         assert!(reg.gauge("fleet_synergy_availability").is_some());
+    }
+
+    proptest! {
+        // Each case already walks about 20 000 mutated documents (the JSON
+        // layout, and so the mutation set, is the same in every case).
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Every prefix and every single-byte mutation of a serialized
+        /// aggregate parses and rebuilds to `Ok` or `Err`, and reporting
+        /// from a rebuilt aggregate never panics.
+        #[test]
+        fn truncated_or_mutated_fleet_aggregates_never_panic(
+            start in 0u64..100_000,
+            count in 1u64..60,
+        ) {
+            let params = scaled(start + count);
+            let text = FleetJob::new(&params).run_shard(start, count).to_json();
+            let rebuild = |doc: &str| {
+                if let Ok(json) = Json::parse(doc) {
+                    if let Ok(aggregate) = FleetAggregate::from_json(&json) {
+                        let r = FleetResult { params: params.clone(), aggregate };
+                        r.csv_rows();
+                        r.curve_csv_rows();
+                        r.export(&mut MetricRegistry::new());
+                    }
+                }
+            };
+            for end in 0..text.len() {
+                rebuild(&text[..end]);
+            }
+            let mut bytes = text.into_bytes();
+            for i in 0..bytes.len() {
+                let original = bytes[i];
+                for &b in b"0123456789eE+-.,:[]{}\"\\ an" {
+                    bytes[i] = b;
+                    rebuild(std::str::from_utf8(&bytes).expect("ASCII"));
+                }
+                bytes[i] = original;
+            }
+        }
     }
 }

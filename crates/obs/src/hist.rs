@@ -210,8 +210,9 @@ impl LogHistogram {
     /// Lossless JSON snapshot:
     /// `{"count":..,"sum":..,"min":..,"max":..,"buckets":[[index,count],..]}`.
     ///
-    /// Values survive the JSON `f64` round-trip exactly up to 2^53 —
-    /// far beyond any checkpointed campaign or fleet aggregate.
+    /// Values survive the JSON `f64` round-trip exactly up to 2^53, and
+    /// [`LogHistogram::from_snapshot`] rejects anything larger — far
+    /// beyond any checkpointed campaign or fleet aggregate.
     ///
     /// Unlike [`crate::export::histogram_to_json`] (a human-oriented
     /// summary), this preserves the internal state exactly — a histogram
@@ -243,24 +244,24 @@ impl LogHistogram {
     /// range, bucket counts that do not add up to `count`, `min > max`)
     /// is an error, so a corrupted checkpoint never yields a histogram
     /// whose queries panic.
+    ///
+    /// Every number (`count`, `sum`, `min`, `max`, each bucket index and
+    /// count) is read with [`crate::json::Json::as_u64`]: a negative,
+    /// fractional or non-numeric value is an error naming the field,
+    /// never coerced. So is any value above 2^53, including a `sum` that
+    /// large, because JSON numbers are exact only up to there.
     pub fn from_snapshot(json: &crate::json::Json) -> Result<Self, String> {
-        let field = |k: &str| -> Result<u64, String> {
-            json.get(k)
-                .and_then(|v| v.as_f64())
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("histogram snapshot: missing numeric '{k}'"))
+        let exact = |v: Option<&crate::json::Json>, what: &str| -> Result<u64, String> {
+            v.and_then(crate::json::Json::as_u64).ok_or_else(|| {
+                format!("histogram snapshot: {what} is not an integer in [0, 2^53]")
+            })
         };
-        let count = field("count")?;
+        let field = |k: &str| exact(json.get(k), &format!("'{k}'"));
+        let (count, sum, min, max) = (field("count")?, field("sum")?, field("min")?, field("max")?);
         if count == 0 {
             return Ok(Self::new());
         }
-        let mut h = Self {
-            counts: Vec::new(),
-            count,
-            sum: field("sum")?,
-            min: field("min")?,
-            max: field("max")?,
-        };
+        let mut h = Self { counts: Vec::new(), count, sum, min, max };
         let buckets = json
             .get("buckets")
             .and_then(|v| v.as_array())
@@ -269,14 +270,15 @@ impl LogHistogram {
             let pair = b.as_array().filter(|p| p.len() == 2);
             let (idx, c) = match pair {
                 Some(p) => (
-                    p[0].as_f64().ok_or("bad bucket index")? as usize,
-                    p[1].as_f64().ok_or("bad bucket count")? as u64,
+                    exact(Some(&p[0]), "bucket index")?,
+                    exact(Some(&p[1]), "bucket count")?,
                 ),
                 None => return Err("histogram snapshot: bucket is not [index,count]".into()),
             };
-            if idx > bucket_index(u64::MAX) {
+            if idx > bucket_index(u64::MAX) as u64 {
                 return Err(format!("histogram snapshot: bucket index {idx} out of range"));
             }
+            let idx = idx as usize;
             if idx >= h.counts.len() {
                 h.counts.resize(idx + 1, 0);
             }

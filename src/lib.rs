@@ -5,8 +5,8 @@
 //! (HPCA 2018). It re-exports every subsystem crate so downstream users can
 //! depend on a single crate:
 //!
-//! * [`crypto`] — AES-128, GHASH/GMAC, Carter–Wegman MACs, counter-mode
-//!   encryption.
+//! * [`crypto`] — forward AES-128, GHASH and the 64-bit GMAC, counter-mode
+//!   line encryption.
 //! * [`ecc`] — SECDED (Hsiao 72,64), Reed–Solomon Chipkill, RAID-3 chip
 //!   parity.
 //! * [`dram`] — cycle-level DDR3 memory-system simulator (USIMM-style).
