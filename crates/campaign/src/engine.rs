@@ -539,7 +539,8 @@ pub fn minimize(scenario: &Scenario) -> Scenario {
         if best.faults.len() > 1 {
             for i in 0..best.faults.len() {
                 let mut cand = best.clone();
-                cand.faults.remove(i);
+                cand.faults =
+                    best.faults.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, f)| *f).collect();
                 if mismatches(&cand) {
                     best = cand;
                     reduced = true;

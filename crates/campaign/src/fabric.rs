@@ -481,6 +481,44 @@ mod tests {
         assert!(Checkpoint::<HashAgg>::from_json(&text).is_ok());
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Every single-byte mutation of a serialized checkpoint parses to
+        /// `Ok` or `Err`, and whatever parses renders again: nothing
+        /// panics.
+        #[test]
+        fn mutated_checkpoints_never_panic(
+            picks in proptest::collection::vec(0usize..5, 0..12),
+            total_shards in 0u64..1 << 40,
+            watermark in 0u64..1 << 40,
+            sum in 0u64..1 << 53,
+            n in 0u64..1 << 20,
+        ) {
+            // Quotes and backslashes exercise the fingerprint's escaping.
+            let fingerprint = picks.iter().map(|&k| ['a', 'z', ' ', '"', '\\'][k]).collect();
+            let text = Checkpoint {
+                fingerprint,
+                total_shards,
+                watermark,
+                aggregate: HashAgg { sum, n, fsum: sum as f64 / 7.0 },
+            }
+            .to_json();
+            let mut bytes = text.into_bytes();
+            for i in 0..bytes.len() {
+                let original = bytes[i];
+                for &b in b"0123456789eE+-.,:[]{}\"\\ an" {
+                    bytes[i] = b;
+                    let doc = std::str::from_utf8(&bytes).expect("ASCII");
+                    if let Ok(cp) = Checkpoint::<HashAgg>::from_json(doc) {
+                        cp.to_json();
+                    }
+                }
+                bytes[i] = original;
+            }
+        }
+    }
+
     #[test]
     fn malformed_watermark_is_rejected() {
         let text = Checkpoint {

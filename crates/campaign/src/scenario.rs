@@ -12,7 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use synergy_ecc::reed_solomon::Chipkill;
-use synergy_faultsim::{ChipGeometry, EccPolicy, Fault, FaultModel, LineRegion};
+use synergy_faultsim::{ChipGeometry, EccPolicy, Fault, FaultMode, FaultModel, LineRegion};
+use synergy_obs::InlineVec;
 
 /// Word columns per 64-byte cacheline (64-bit words).
 pub const WORDS_PER_LINE: usize = 8;
@@ -99,6 +100,29 @@ pub struct ScenarioFault {
     pub masks: [u8; WORDS_PER_LINE],
 }
 
+/// A fault that stamps nothing: a transient single bit of chip 0 with
+/// every mask zero. It fills the unused inline slots of
+/// [`Scenario::faults`]; the sampler never emits it.
+impl Default for ScenarioFault {
+    fn default() -> Self {
+        let fault = Fault {
+            chip: 0,
+            mode: FaultMode::SingleBit,
+            permanent: false,
+            at_hours: 0.0,
+            bank: None,
+            row: None,
+            col: None,
+            bit: None,
+        };
+        Self { fault, masks: [0; WORDS_PER_LINE] }
+    }
+}
+
+/// The faults of one scenario: the one or two a sampled scenario carries
+/// live inline, so building a scenario allocates nothing.
+pub type ScenarioFaults = InlineVec<ScenarioFault, 2>;
+
 /// A complete, replayable differential-injection scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -112,7 +136,7 @@ pub struct Scenario {
     /// within the runner's memory capacity).
     pub data_addr: u64,
     /// One or two faults pinned inside `line`.
-    pub faults: Vec<ScenarioFault>,
+    pub faults: ScenarioFaults,
     /// Plaintext truth written before injection.
     pub truth: [u8; 64],
 }
@@ -153,7 +177,7 @@ impl Scenario {
 /// Deterministic: the same `(seed, index, model, geometry)` always yields
 /// the identical scenario regardless of sharding or thread count. Designs
 /// rotate by index (`index % 3`) so every design sees exactly a third of
-/// any contiguous index range.
+/// any contiguous index range. Allocation-free.
 pub fn scenario_for(
     seed: u64,
     index: u64,
@@ -179,7 +203,7 @@ pub fn scenario_for(
     // a modeling gap outside this campaign's scope, excluded by
     // construction and documented in EXPERIMENTS.md.
     let n_faults = if region == TargetRegion::Parity { 1 } else { 1 + rng.gen_range(0..2u32) };
-    let mut faults = Vec::with_capacity(n_faults as usize);
+    let mut faults = ScenarioFaults::new();
     for _ in 0..n_faults {
         let chip = rng.gen_range(0..design.chips() as u32) as usize;
         let (mode, permanent) = model.sample_mode(&mut rng);
@@ -209,7 +233,7 @@ pub fn scenario_for(
 /// in the byte the flips landed) scores as fatal. Even-weight check-byte
 /// errors can never alias this way — the syndrome is nonzero (powers of
 /// two are linearly independent) with even parity, a guaranteed DUE.
-/// Individual masks are already even ([`multi_bit_byte`]), but the OR
+/// Individual masks are already even ([`ACCEPT`]), but the OR
 /// union of a bit-pinned and a wildcard fault on the same word can be odd,
 /// so wildcard masks are re-drawn until the union is safe. This was found
 /// by the campaign itself (seed `0x5E_CA3B`, index 963) and is recorded in
@@ -242,31 +266,7 @@ fn constrain_check_chip<R: Rng>(
     }
 }
 
-/// Concrete per-word corruption masks for a line-pinned fault.
-///
-/// Bit-pinned faults (single-bit, single-column) flip exactly their pinned
-/// bit. Wildcard-bit faults (word, row, bank, chip modes) corrupt the
-/// chip's whole per-word contribution with a random ≥2-bit byte — the
-/// physical signature that makes those modes defeat SECDED, keeping the
-/// functional injection aligned with
-/// [`FaultMode::defeats_secded`](synergy_faultsim::FaultMode::defeats_secded).
-fn sample_masks<R: Rng>(rng: &mut R, fault: &Fault, line: &LineRegion) -> [u8; WORDS_PER_LINE] {
-    let mut masks = [0u8; WORDS_PER_LINE];
-    for (w, mask) in masks.iter_mut().enumerate() {
-        let col = line.col_base + w as u32;
-        let covered = fault.col.is_none_or(|c| c == col);
-        if !covered {
-            continue;
-        }
-        *mask = match fault.bit {
-            Some(b) => 1u8 << b,
-            None => multi_bit_byte(rng),
-        };
-    }
-    masks
-}
-
-/// A uniformly random byte with an even number (>= 2) of bits set.
+/// `ACCEPT[b]` is 1 when byte `b` has an even number (≥ 2) of bits set.
 ///
 /// Even weight keeps the functional SECDED outcome aligned with the
 /// analytic verdict for wildcard-bit faults: an even number of flips in
@@ -275,13 +275,52 @@ fn sample_masks<R: Rng>(rng: &mut R, fault: &Fault, line: &LineRegion) -> [u8; W
 /// miscorrection — exactly the "defeats SECDED" failure the mode-level
 /// model predicts. See [`constrain_check_chip`] for the check-chip
 /// aliasing this rules out.
-fn multi_bit_byte<R: Rng>(rng: &mut R) -> u8 {
-    loop {
-        let b: u8 = rng.gen();
-        if b.count_ones() >= 2 && b.count_ones().is_multiple_of(2) {
-            return b;
+const ACCEPT: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let weight = (b as u8).count_ones();
+        table[b] = (weight >= 2 && weight.is_multiple_of(2)) as u8;
+        b += 1;
+    }
+    table
+};
+
+/// Concrete per-word corruption masks for a line-pinned fault.
+///
+/// Bit-pinned faults (single-bit, single-column) flip exactly their pinned
+/// bit. Wildcard-bit faults (word, row, bank, chip modes) corrupt the
+/// chip's whole per-word contribution with a uniformly random byte of even
+/// weight ≥ 2 ([`ACCEPT`]) — the physical signature that makes those modes
+/// defeat SECDED, keeping the functional injection aligned with
+/// [`FaultMode::defeats_secded`].
+///
+/// The wildcard masks are drawn by rejection in one loop over the covered
+/// words: every draw is stored in the current word, which is kept only
+/// when the draw is acceptable. Each draw is one `next_u64`, as
+/// `Rng::gen::<u8>` takes it, so the stream is the per-word rejection
+/// loop's.
+fn sample_masks<R: Rng>(rng: &mut R, fault: &Fault, line: &LineRegion) -> [u8; WORDS_PER_LINE] {
+    let mut masks = [0u8; WORDS_PER_LINE];
+    let words = match fault.col {
+        None => 0..WORDS_PER_LINE,
+        Some(col) => match col.checked_sub(line.col_base).map(|w| w as usize) {
+            Some(w) if w < WORDS_PER_LINE => w..w + 1,
+            _ => 0..0,
+        },
+    };
+    match fault.bit {
+        Some(b) => masks[words].fill(1u8 << b),
+        None => {
+            let mut w = words.start;
+            while w < words.end {
+                let b = rng.next_u64() as u8;
+                masks[w] = b;
+                w += usize::from(ACCEPT[usize::from(b)]);
+            }
         }
     }
+    masks
 }
 
 #[cfg(test)]
@@ -324,7 +363,7 @@ mod tests {
                     "fault must corrupt at least one word of its line"
                 );
                 // Defeating modes carry even-weight ≥2-bit masks in every
-                // affected byte (see `multi_bit_byte`).
+                // affected byte (see `ACCEPT`).
                 if sf.fault.mode.defeats_secded() {
                     for &m in sf.masks.iter().filter(|&&m| m != 0) {
                         assert!(
@@ -398,7 +437,7 @@ mod tests {
             (0..4).map(|i| scenario_for(5, i, &model(), &geo, 64).faults[0]).collect();
         let mut s = scenario_for(5, 0, &model(), &geo, 64);
         for n in 0..=pool.len() {
-            s.faults = pool[..n].to_vec();
+            s.faults = pool[..n].iter().copied().collect();
             let expected: Vec<Fault> = s.faults.iter().map(|sf| sf.fault).collect();
             s.with_analytic_faults(|faults| assert_eq!(faults, expected.as_slice()));
         }
@@ -411,7 +450,7 @@ mod tests {
         let mut s = scenario_for(5, 0, &model, &geo, 64);
         // Force two identical single-bit faults on the same chip/word/bit.
         let f = s.faults[0];
-        s.faults = vec![f, f];
+        s.faults = [f, f].into_iter().collect();
         let masks = s.chip_masks();
         let total_bits: u32 = masks[f.fault.chip].iter().map(|m| m.count_ones()).sum();
         let single_bits: u32 = f.masks.iter().map(|m| m.count_ones()).sum();

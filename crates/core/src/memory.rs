@@ -510,12 +510,13 @@ impl SynergyMemory {
 
         let (ciphertext, mac) = stored.data_parts();
         self.stats.mac_computations += 1;
-        if self.fixed.gmac.line_tag(addr, counter, &ciphertext) == mac {
+        let tag = self.fixed.gmac.line_tag(addr, counter, &ciphertext);
+        if tag == mac {
             return Ok((stored, counter, false));
         }
 
         // §III-B: correction instead of immediate attack declaration.
-        Ok((self.correct_data_line(addr, counter)?, counter, true))
+        Ok((self.correct_data_line(addr, counter, tag)?, counter, true))
     }
 
     /// Before `addr`'s slot is rewritten, brings its group's parity line
@@ -695,41 +696,55 @@ impl SynergyMemory {
     fn verified_node(&mut self, line_addr: u64, parent_ctr: u64) -> Result<[u64; 8], MemoryError> {
         let i = self.ensure_line(line_addr);
         let stored = self.lines[i];
-        let (counters, mac, _) = stored.counter_parts();
+        let (mut counters, mac, _) = stored.counter_parts();
+        let payload = pack_counters(&counters);
         self.stats.mac_computations += 1;
-        if self.fixed.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&counters)) == mac {
+        if self.fixed.gmac.node_tag(line_addr, parent_ctr, &payload) == mac {
             return Ok(counters);
         }
         // Correction: up to 8 reconstruction attempts (Scenario B/C). The
-        // ParityC reconstruction of any chip is `base ^ chips[chip]` with
-        // `base = XOR of all nine chips`, folded once for all 8 candidates.
-        let base = stored.xor_of_nine();
-        for chip in 0..8 {
-            let candidate =
-                stored.with_chip_replaced(chip, xor_slices(&[base, stored.chips[chip]]));
-            let (c2, m2, _) = candidate.counter_parts();
-            self.stats.mac_computations += 1;
-            if self.fixed.gmac.node_tag(line_addr, parent_ctr, &pack_counters(&c2)) == m2 {
-                self.lines[i] = candidate;
-                self.record_correction(chip);
-                return Ok(c2);
-            }
-        }
-        self.stats.attacks_declared += 1;
-        Err(MemoryError::AttackDetected { addr: line_addr })
+        // ParityC reconstruction of chip c XORs `base = XOR of all nine
+        // chips` into chip c's word: its low 56 bits into counter c, its
+        // top byte into MAC byte c. Only the counter bits enter the MAC
+        // payload, so one candidate kernel call tags all eight.
+        let base = u64::from_le_bytes(stored.xor_of_nine());
+        let (_, tags) = self.fixed.gmac.line_tag_candidates(
+            line_addr,
+            parent_ctr,
+            &payload,
+            (base & MASK56).to_le_bytes(),
+        );
+        let found = (0..8).find(|&chip| tags[chip] == mac ^ ((base >> 56) << (8 * chip)));
+        // Every candidate up to and including the match, as if each had
+        // been tagged in turn.
+        self.stats.mac_computations += found.map_or(8, |chip| chip + 1) as u64;
+        let Some(chip) = found else {
+            self.stats.attacks_declared += 1;
+            return Err(MemoryError::AttackDetected { addr: line_addr });
+        };
+        self.lines[i] =
+            stored.with_chip_replaced(chip, xor_slices(&[base.to_le_bytes(), stored.chips[chip]]));
+        self.record_correction(chip);
+        counters[chip] ^= base & MASK56;
+        Ok(counters)
     }
 
     /// The §III-B data-line reconstruction engine (Scenario D included).
-    fn correct_data_line(&mut self, addr: u64, counter: u64) -> Result<StoredLine, MemoryError> {
+    /// `failed_tag` is the tag of the stored line, which did not match its
+    /// MAC.
+    fn correct_data_line(
+        &mut self,
+        addr: u64,
+        counter: u64,
+        failed_tag: u64,
+    ) -> Result<StoredLine, MemoryError> {
         let i = self.ensure_line(addr);
         let stored = self.lines[i];
+        let (ciphertext, mac) = stored.data_parts();
         let p_slot = self.fixed.layout.parity_slot(addr);
         let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
         let (slots, parity_p) = self.lines[pi].parity_parts();
         let primary = slots[p_slot];
-
-        // MAC chip first, then the data chips (§III-B ordering).
-        let order: [usize; CHIPS] = [8, 0, 1, 2, 3, 4, 5, 6, 7];
 
         for pass in 0..2 {
             let (parity, reconstructed_parity) = if pass == 0 {
@@ -752,25 +767,39 @@ impl SynergyMemory {
             };
 
             // Reconstruction of any chip is `base ^ chips[chip]` with
-            // `base = parity ⊕ xor_of_nine`, folded once per parity pass
-            // instead of once per candidate (≤ 9 candidates per pass).
+            // `base = parity ⊕ xor_of_nine`, folded once per parity pass.
+            // The candidates go MAC chip first, then the data chips
+            // (§III-B ordering). The MAC chip's candidate keeps the
+            // ciphertext, so its tag is the one that already failed; a
+            // data chip's candidate keeps the MAC, and one candidate
+            // kernel call tags all eight.
             let base = xor_slices(&[parity, stored.xor_of_nine()]);
-            for &chip in &order {
+            let found = if mac ^ u64::from_le_bytes(base) == failed_tag {
+                Some(8)
+            } else {
+                let (_, tags) =
+                    self.fixed.gmac.line_tag_candidates(addr, counter, ciphertext.as_bytes(), base);
+                tags.iter().position(|&t| t == mac)
+            };
+            // Every candidate up to and including the match, as if each
+            // had been tagged in turn.
+            self.stats.mac_computations += match found {
+                Some(8) => 1,
+                Some(chip) => chip as u64 + 2,
+                None => CHIPS as u64,
+            };
+            if let Some(chip) = found {
                 let candidate =
                     stored.with_chip_replaced(chip, xor_slices(&[base, stored.chips[chip]]));
-                let (cl, cmac) = candidate.data_parts();
-                self.stats.mac_computations += 1;
-                if self.fixed.gmac.line_tag(addr, counter, &cl) == cmac {
-                    self.lines[i] = candidate;
-                    if reconstructed_parity {
-                        let mut new_slots = slots;
-                        new_slots[p_slot] = parity;
-                        self.lines[pi] = StoredLine::from_parities(&new_slots);
-                        self.stats.parity_reconstructions += 1;
-                    }
-                    self.record_correction(chip);
-                    return Ok(candidate);
+                self.lines[i] = candidate;
+                if reconstructed_parity {
+                    let mut new_slots = slots;
+                    new_slots[p_slot] = parity;
+                    self.lines[pi] = StoredLine::from_parities(&new_slots);
+                    self.stats.parity_reconstructions += 1;
                 }
+                self.record_correction(chip);
+                return Ok(candidate);
             }
         }
         self.stats.attacks_declared += 1;

@@ -146,9 +146,9 @@ impl StoredLine {
     /// Returns a copy with chip `chip`'s slice replaced by `slice`.
     ///
     /// Combined with a hoisted XOR base (`parity ⊕ xor_of_nine`), this lets
-    /// the correction engine derive each of its up-to-18 candidate
-    /// reconstructions with a single 8-byte XOR instead of re-folding all
-    /// nine chips per candidate (see `SynergyMemory::correct_data_line`).
+    /// the correction engine build the candidate that verified with a
+    /// single 8-byte XOR instead of re-folding all nine chips (see
+    /// `SynergyMemory::correct_data_line`).
     ///
     /// # Panics
     ///

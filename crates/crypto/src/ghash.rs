@@ -195,6 +195,27 @@ impl GhashKey {
         }
         y
     }
+
+    /// What XORing the big-endian word `delta` into chip `c`'s eight bytes
+    /// of a 64-byte line adds to [`Self::ghash_line`], for each chip `c`:
+    /// `δ_c · H^(5 − c/2)`, where `δ_c` is `delta` in the high (even `c`)
+    /// or low (odd `c`) half of data block `c/2`. GHASH is linear, so this
+    /// does not depend on the line. Computed as two chains of five
+    /// multiplies by `H`, one per half; the SIMD tag kernel has its own
+    /// fused form.
+    pub(crate) fn chip_products(&self, delta: u64) -> [u128; 8] {
+        let mut out = [0u128; 8];
+        for (half, start) in [(0, u128::from(delta) << 64), (1, u128::from(delta))] {
+            // Block b's weight is H^(5 − b): walk H^1, H^2 (block 3), …,
+            // H^5 (block 0).
+            let mut p = self.mul(start);
+            for b in (0..4).rev() {
+                p = self.mul(p);
+                out[2 * b + half] = p;
+            }
+        }
+        out
+    }
 }
 
 /// Computes the full GCM-style GHASH over additional authenticated data and

@@ -116,6 +116,61 @@ impl Gmac {
         ((g ^ self.aes.encrypt_u128(j0)) >> 64) as u64
     }
 
+    /// The full 128-bit tag of a 64-byte line (or node payload) `data`,
+    /// and the 64-bit tags of its eight single-chip variants: variant `c`
+    /// is `data` with `delta` XORed into chip `c`'s bytes `8c..8c + 8`.
+    ///
+    /// This is the correction engine's candidate check. GHASH is linear
+    /// and every variant shares the nonce, hence `E_K(J0)`, so one AES
+    /// encryption and one GHASH give the line's tag, and each variant
+    /// adds only the product of its delta block by a key power
+    /// (`H^(5 − c/2)`). Equal, bit for bit, to
+    /// [`Gmac::line_tag_candidates_reference`].
+    pub fn line_tag_candidates(
+        &self,
+        addr: u64,
+        counter: u64,
+        data: &[u8; 64],
+        delta: [u8; 8],
+    ) -> (u128, [u64; 8]) {
+        let (j0, aad) = Self::nonce_parts(addr, counter);
+        let delta = u64::from_be_bytes(delta);
+        #[cfg(target_arch = "x86_64")]
+        if self.aes.backend() == Backend::Simd {
+            let keys = self.aes.round_keys();
+            return crate::simd::gmac_line_candidates(
+                keys,
+                self.hkey.powers(),
+                j0,
+                aad,
+                data,
+                delta,
+            );
+        }
+        let tag = self.hkey.ghash_line(aad, data) ^ self.aes.encrypt_u128(j0);
+        let products = self.hkey.chip_products(delta);
+        (tag, products.map(|p| ((tag ^ p) >> 64) as u64))
+    }
+
+    /// [`Gmac::line_tag_candidates`] the long way: each variant is
+    /// materialized and tagged by [`Gmac::tag128_reference`].
+    pub fn line_tag_candidates_reference(
+        &self,
+        addr: u64,
+        counter: u64,
+        data: &[u8; 64],
+        delta: [u8; 8],
+    ) -> (u128, [u64; 8]) {
+        let variants = core::array::from_fn(|chip| {
+            let mut variant = *data;
+            for (v, d) in variant[8 * chip..8 * chip + 8].iter_mut().zip(delta) {
+                *v ^= d;
+            }
+            (self.tag128_reference(addr, counter, &variant) >> 64) as u64
+        });
+        (self.tag128_reference(addr, counter, data), variants)
+    }
+
     /// [`Gmac::line_tag`] via the reference (bit-serial) path.
     pub fn line_tag_reference(&self, addr: u64, counter: u64, line: &CacheLine) -> u64 {
         (self.tag128_reference(addr, counter, line.as_bytes()) >> 64) as u64

@@ -329,6 +329,65 @@ pub(crate) fn gmac_line_tag(
     unsafe { gmac_line_tag_inner(round_keys, powers, j0, aad, data) }
 }
 
+/// # Safety
+///
+/// The CPU must support AES-NI and PCLMULQDQ, and `powers` must hold at
+/// least the six key powers of a line tag.
+#[target_feature(enable = "aes,pclmulqdq")]
+unsafe fn gmac_line_candidates_inner(
+    round_keys: &[[u8; 16]; 11],
+    powers: &[u128],
+    j0: u128,
+    aad: [u8; 4],
+    data: &[u8; 64],
+    delta: u64,
+) -> (u128, [u64; 8]) {
+    let tag = gmac_line_tag_inner(round_keys, powers, j0, aad, data);
+    // Chips 2b and 2b+1 put `delta` in the high and the low half of data
+    // block b, whose GHASH weight is H^(5 − b) = powers[4 − b]. With
+    // `delta` in the register's low qword, the same two clmuls serve both:
+    // X = delta·P_lo and Y = delta·P_hi. The odd chip's operand is
+    // [delta, 0], so its product is X + Y·x^64; the even chip's is
+    // [0, delta], so its product is Y·x^128 + X·x^64. A tag's top 64 bits
+    // are the register's high qword.
+    let t = load_elem(tag);
+    let top = |v: __m128i| _mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)) as u64;
+    let d = _mm_set_epi64x(0, delta as i64);
+    let mut variants = [0u64; 8];
+    for b in 0..4 {
+        let p = load_elem(powers[4 - b]);
+        let x = _mm_clmulepi64_si128::<0x00>(d, p);
+        let y = _mm_clmulepi64_si128::<0x10>(d, p);
+        let even =
+            Wide { hi: _mm_xor_si128(y, _mm_srli_si128::<8>(x)), lo: _mm_slli_si128::<8>(x) };
+        let odd = Wide { hi: _mm_srli_si128::<8>(y), lo: _mm_xor_si128(x, _mm_slli_si128::<8>(y)) };
+        variants[2 * b] = top(_mm_xor_si128(t, shift_reduce(even)));
+        variants[2 * b + 1] = top(_mm_xor_si128(t, shift_reduce(odd)));
+    }
+    (tag, variants)
+}
+
+/// [`gmac_line_tag`] plus the 64-bit tags of the eight variants of
+/// `data` with `delta` (as a big-endian word) XORed into one chip's eight
+/// bytes: GHASH is linear and the variants share `E_K(J0)`, so each costs
+/// one carry-less product of `delta` by a key power, two `clmul`s and a
+/// reduction, instead of a tag.
+pub(crate) fn gmac_line_candidates(
+    round_keys: &[[u8; 16]; 11],
+    powers: &[u128],
+    j0: u128,
+    aad: [u8; 4],
+    data: &[u8; 64],
+    delta: u64,
+) -> (u128, [u64; 8]) {
+    debug_assert_supported();
+    debug_assert!(powers.len() >= 6);
+    // SAFETY: this module is reached only through a `Backend::Simd`
+    // instance, built only after AES-NI and PCLMULQDQ were detected; the
+    // caller passes a key's six powers (`GhashKey::powers`).
+    unsafe { gmac_line_candidates_inner(round_keys, powers, j0, aad, data, delta) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

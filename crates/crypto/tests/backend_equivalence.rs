@@ -110,6 +110,44 @@ proptest! {
         }
     }
 
+    /// Correction candidates by linearity: on every backend, the line's
+    /// tag state equals the bit-serial 128-bit tag, and each variant tag
+    /// equals `line_tag_reference` of the materialized variant (the line
+    /// with `delta` XORed into that chip's bytes). One case in four uses a
+    /// zero delta, whose variants are the line itself.
+    #[test]
+    fn gmac_candidate_tags_three_way(
+        key in any::<[u8; 16]>(),
+        addr in any::<u64>(),
+        counter in 0u64..(1 << 56),
+        line in any::<[u8; 64]>(),
+        delta in any::<[u8; 8]>(),
+        zero in 0u8..4,
+    ) {
+        let mac_key = MacKey::from_bytes(key);
+        let delta = if zero == 0 { [0; 8] } else { delta };
+        let oracle = Gmac::with_backend(&mac_key, Backend::Table);
+        let expect_state = oracle.tag128_reference(addr, counter, &line);
+        let expect: [u64; 8] = std::array::from_fn(|chip| {
+            let mut variant = CacheLine::from_bytes(line);
+            for (v, d) in variant.chip_slice_mut(chip).iter_mut().zip(delta) {
+                *v ^= d;
+            }
+            oracle.line_tag_reference(addr, counter, &variant)
+        });
+        prop_assert_eq!(
+            oracle.line_tag_candidates_reference(addr, counter, &line, delta),
+            (expect_state, expect),
+            "reference"
+        );
+        for backend in backends() {
+            let gmac = Gmac::with_backend(&mac_key, backend);
+            let (state, variants) = gmac.line_tag_candidates(addr, counter, &line, delta);
+            prop_assert_eq!(state, expect_state, "{:?} tag state", backend);
+            prop_assert_eq!(variants, expect, "{:?} variants", backend);
+        }
+    }
+
     /// CTR pads: every backend equals the scalar reference AES pad.
     #[test]
     fn ctr_pad_three_way(

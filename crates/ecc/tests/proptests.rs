@@ -112,6 +112,19 @@ proptest! {
         prop_assert_eq!(line.reconstruct_parity(failed), slots[failed]);
     }
 
+    /// The table-driven Chipkill encoder equals the general code's serial
+    /// division on every beat of a random line.
+    #[test]
+    fn chipkill_encoder_matches_reed_solomon_encode(data in any::<[u8; 64]>()) {
+        let ck = Chipkill::new().expect("fixed geometry");
+        let code = ReedSolomon::new(Chipkill::DATA_CHIPS, 2).expect("valid code");
+        let beats = ck.encode_line(&data).expect("encode");
+        for (beat, chunk) in beats.iter().zip(data.chunks_exact(Chipkill::DATA_CHIPS)) {
+            prop_assert_eq!(&beat[..Chipkill::DATA_CHIPS], chunk);
+            prop_assert_eq!(&beat[Chipkill::DATA_CHIPS..], &code.encode(chunk).expect("encode")[..]);
+        }
+    }
+
     /// Chipkill corrects any single-symbol corruption — any chip, any beat,
     /// any nonzero magnitude — on a random cacheline.
     #[test]

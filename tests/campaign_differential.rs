@@ -2,7 +2,10 @@
 //! agree with the analytic reliability model, identically for any thread
 //! count, and a fixed-seed campaign's results are pinned.
 
-use synergy::campaign::{run, CampaignParams, CampaignResult, Design, Outcome, SHARD_INJECTIONS};
+use synergy::campaign::runner::MEMORY_CAPACITY;
+use synergy::campaign::{
+    run, scenario_for, CampaignParams, CampaignResult, Design, Outcome, SHARD_INJECTIONS,
+};
 
 fn params(injections: u64, threads: usize) -> CampaignParams {
     CampaignParams { injections, threads, seed: 0x7E57_CA3B, ..Default::default() }
@@ -61,4 +64,31 @@ fn campaign_golden_pin() {
     let r = run(&params(30_000, 2));
     assert!(r.passed(), "functional-vs-analytic mismatches: {:#?}", r.mismatches);
     assert_eq!(digest(&r), GOLDEN, "campaign digest {:#018x}", digest(&r));
+}
+
+/// The digests of the scenario streams below when they were recorded,
+/// one per seed.
+const SCENARIO_STREAMS: [(u64, u64); 3] = [
+    (0x7E57_CA3B, 0xda36_254b_46f4_ed9d),
+    (0x5E_CA3B, 0x86ac_42c5_bdfe_03ae),
+    (u64::MAX, 0xef4a_331f_2fb4_e247),
+];
+
+#[test]
+fn scenario_stream_pin() {
+    // Any change to what the sampler draws, or in which order, moves a
+    // digest: every field of every scenario goes into it through `Debug`.
+    let p = CampaignParams::default();
+    let mut digests = Vec::new();
+    for (seed, _) in SCENARIO_STREAMS {
+        let mut d = 0xCBF2_9CE4_8422_2325u64;
+        for index in 0..50_000 {
+            let s = scenario_for(seed, index, &p.model, &p.geometry, MEMORY_CAPACITY / 64);
+            for b in format!("{s:?}").bytes() {
+                d = (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        digests.push((seed, d));
+    }
+    assert_eq!(digests, SCENARIO_STREAMS, "scenario streams moved: {digests:#x?}");
 }

@@ -10,10 +10,10 @@
 //! in-flight [`RequestLedger`] reuses its table slots and builds a span
 //! only for a read that enters the top-K, and the DRAM model keeps both
 //! request queues of a channel in one slab sized at construction. A
-//! campaign injection runs on its thread's working memories, restored
-//! from the template in place. These tests install a counting global
-//! allocator and assert the warm paths perform literally zero
-//! allocations.
+//! campaign injection builds its scenario with the faults inline and runs
+//! on its thread's working memories, restored from the template in place.
+//! These tests install a counting global allocator and assert the warm
+//! paths perform literally zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -358,20 +358,26 @@ fn warm_dram_performs_zero_allocations() {
     );
 }
 
-/// Runs every scenario through its functional pipeline and the analytic
-/// model; returns the failure verdicts, summed.
-fn inject(scenarios: &[Scenario]) -> u64 {
-    scenarios
-        .iter()
-        .map(|s| u64::from(run_functional(s).outcome.is_failure()) + u64::from(analytic_fails(s)))
+/// Injections of the campaign test below.
+const INJECTIONS: u64 = 900;
+
+/// Builds each scenario of the default campaign and runs it through its
+/// functional pipeline and the analytic model, as a campaign shard does;
+/// returns the failure verdicts, summed.
+fn inject(p: &CampaignParams) -> u64 {
+    (0..INJECTIONS)
+        .map(|i| {
+            let s = scenario_for(p.seed, i, &p.model, &p.geometry, MEMORY_CAPACITY / 64);
+            u64::from(run_functional(&s).outcome.is_failure()) + u64::from(analytic_fails(&s))
+        })
         .sum()
 }
 
 #[test]
 fn warm_campaign_injection_performs_zero_allocations() {
     let p = CampaignParams::default();
-    // Built before the measured window: scenario construction allocates.
-    let scenarios: Vec<Scenario> = (0..900)
+    // The injections reach every design, fault count and SYNERGY region.
+    let scenarios: Vec<Scenario> = (0..INJECTIONS)
         .map(|i| scenario_for(p.seed, i, &p.model, &p.geometry, MEMORY_CAPACITY / 64))
         .collect();
     for design in Design::ALL {
@@ -390,11 +396,11 @@ fn warm_campaign_injection_performs_zero_allocations() {
     }
     // Warm-up: the SYNERGY template, the Chipkill codec and this thread's
     // working memories.
-    let warm = inject(&scenarios);
+    let warm = inject(&p);
     assert!(warm > 0);
 
     let before = allocation_count();
-    let steady = inject(&scenarios);
+    let steady = inject(&p);
     let after = allocation_count();
     assert_eq!(steady, warm);
     assert_eq!(
