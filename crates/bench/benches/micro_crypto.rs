@@ -8,9 +8,12 @@
 //! per-byte `*_reference` path, so both speedup stages are visible in one
 //! table: tables over the reference implementation, and hardware
 //! instructions over the tables. A plain `std::time::Instant` harness
-//! (the methodology `BENCH_crypto.json` records) times every row and
-//! writes `target/experiments/micro_crypto_backends.csv` (one row per
-//! kernel and backend with ns/op), so CI can archive the comparison.
+//! (fixed inputs, a 10% warm-up, ns/op = wall time ÷ iterations) times
+//! every row and writes `target/experiments/micro_crypto_backends.csv`
+//! (one row per kernel and backend with ns/op), so CI can archive the
+//! comparison. The kernels' cost inside the functional memory is the
+//! layered benchmark's traced `secmem` rows (`crypto.line_tag_ns`,
+//! `crypto.node_tag_ns`, `crypto.ctr_line_ns`).
 //!
 //! Run with `cargo bench -p synergy-bench --bench micro_crypto`.
 

@@ -27,8 +27,8 @@ use synergy_bench::{
     banner, fail, flag_value, parsed_arg, print_table, scaled_arg, write_csv,
     write_metrics_registry,
 };
-use synergy_campaign::FabricConfig;
 use synergy_fleet::{run_with_fabric, FleetParams, SHARD_DIMMS};
+use synergy_obs::fabric::FabricConfig;
 use synergy_obs::MetricRegistry;
 
 /// The value of `flag` as a finite number of years or hours, above zero

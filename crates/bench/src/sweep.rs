@@ -18,10 +18,11 @@
 
 use std::convert::Infallible;
 use std::thread;
+use std::time::Instant;
 
 use synergy_core::system::SimResult;
 use synergy_faultsim::FaultSchedule;
-use synergy_obs::{shard, MetricRegistry, Stopwatch};
+use synergy_obs::{shard, MetricRegistry};
 use synergy_secure::DesignConfig;
 use synergy_trace::presets::MixSpec;
 use synergy_trace::WorkloadSpec;
@@ -166,9 +167,9 @@ impl SweepReport {
 /// cell order. Byte-identical to running the cells sequentially.
 pub fn run_sweep(cells: &[SweepCell]) -> SweepReport {
     let threads = sweep_threads();
-    let wall = Stopwatch::start();
+    let wall = Instant::now();
     let results = parallel_map(cells, threads, |_, cell| cell.run());
-    SweepReport { results, wall_seconds: wall.elapsed_secs(), threads: threads.min(cells.len().max(1)) }
+    SweepReport { results, wall_seconds: wall.elapsed().as_secs_f64(), threads: threads.min(cells.len().max(1)) }
 }
 
 /// Deterministic parallel map: applies `f` to every item on up to

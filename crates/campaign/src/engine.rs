@@ -12,9 +12,9 @@
 //! bit-identically too.
 
 use synergy_faultsim::{ChipGeometry, FaultModel};
+use synergy_obs::fabric::{Aggregate, FabricConfig, FabricRun, Job, JobFabric};
 use synergy_obs::{Json, LogHistogram, MetricRegistry};
 
-use crate::fabric::{Aggregate, FabricConfig, FabricRun, Job, JobFabric};
 use crate::runner::{analytic_fails, run_functional, Outcome, MEMORY_CAPACITY};
 use crate::scenario::{scenario_for, Design, Scenario};
 

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod fabric;
 pub mod runner;
 pub mod scenario;
 
@@ -54,6 +53,6 @@ pub use engine::{
     finalize, run, run_with_fabric, CampaignAggregate, CampaignJob, CampaignParams,
     CampaignResult, Mismatch, MismatchKey, OutcomeMatrix, SHARD_INJECTIONS,
 };
-pub use fabric::{Aggregate, Checkpoint, FabricConfig, FabricRun, Job, JobFabric};
+pub use synergy_obs::fabric::{Aggregate, Checkpoint, FabricConfig, FabricRun, Job, JobFabric};
 pub use runner::{analytic_fails, run_functional, Outcome};
 pub use scenario::{scenario_for, Design, Scenario, ScenarioFault, TargetRegion};

@@ -27,6 +27,7 @@
 //!   burst is charged as MAC latency on the detecting load.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
 use synergy_cache::{CacheConfig, SetAssocCache};
 use synergy_dram::{
@@ -785,7 +786,7 @@ pub fn run(
         .collect();
     let mut mem = MemSide::new(dram, &cfg.telemetry);
     let mut registry = MetricRegistry::new();
-    let wall = synergy_obs::Stopwatch::start();
+    let wall = Instant::now();
     let mut ff_jumps: u64 = 0;
     let mut ff_skipped_cycles: u64 = 0;
     let mut core_steps: u64 = 0;
@@ -951,8 +952,10 @@ pub fn run(
     // event-horizon fast path saved. These describe the simulator itself,
     // not the simulated system, and are the only wall-clock-dependent
     // values in the result (excluded from determinism comparisons).
-    registry.set_gauge("sim.cycles_per_sec", wall.rate(mem_cycle));
-    registry.set_gauge("sim.wall_seconds", wall.elapsed_secs());
+    let wall_secs = wall.elapsed().as_secs_f64();
+    let cycles_per_sec = if wall_secs > 0.0 { mem_cycle as f64 / wall_secs } else { 0.0 };
+    registry.set_gauge("sim.cycles_per_sec", cycles_per_sec);
+    registry.set_gauge("sim.wall_seconds", wall_secs);
     registry.set_counter("sim.ff_jumps", ff_jumps);
     registry.set_counter("sim.ff_skipped_cycles", ff_skipped_cycles);
     // Real `step_core` calls; cycles a core spends in closed-form

@@ -10,8 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use synergy_campaign::fabric::{Aggregate, FabricConfig, Job, JobFabric};
 use synergy_faultsim::{poisson, EccPolicy, Fault, HOURS_PER_YEAR};
+use synergy_obs::fabric::{Aggregate, FabricConfig, Job, JobFabric};
 use synergy_obs::{Json, MetricRegistry};
 
 use crate::model::{
@@ -88,10 +88,18 @@ impl DesignTally {
         if name != design.name() {
             return Err(format!("fleet tally: expected design {}, found {name}", design.name()));
         }
-        let num = |key: &str| -> Result<f64, String> {
-            json.get(key)
+        // Hours: a finite, non-negative float, so the tally re-renders to a
+        // checkpoint that `Json::parse` reads back.
+        let hours = |key: &str| -> Result<f64, String> {
+            let v = json
+                .get(key)
                 .and_then(Json::as_f64)
-                .ok_or_else(|| format!("fleet tally: missing '{key}'"))
+                .ok_or_else(|| format!("fleet tally: missing '{key}'"))?;
+            if v.is_finite() && v >= 0.0 {
+                Ok(v)
+            } else {
+                Err(format!("fleet tally: '{key}' is not a finite, non-negative number of hours"))
+            }
         };
         let count = |key: &str| -> Result<u64, String> {
             json.get(key)
@@ -112,8 +120,8 @@ impl DesignTally {
             due: count("due")?,
             sdc: count("sdc")?,
             degraded_dimms: count("degraded_dimms")?,
-            degraded_hours: num("degraded_hours")?,
-            failure_time_sum: num("failure_time_sum")?,
+            degraded_hours: hours("degraded_hours")?,
+            failure_time_sum: hours("failure_time_sum")?,
             due_by_year: years("due_by_year")?,
             sdc_by_year: years("sdc_by_year")?,
         })
@@ -533,17 +541,27 @@ mod tests {
     }
 
     #[test]
-    fn counts_that_are_not_exact_integers_are_rejected() {
+    fn malformed_counts_and_hours_are_rejected() {
         let job = FleetJob::new(&scaled(400)).with_shard_items(400);
         let text = job.run_shard(0, 400).to_json();
         // The first number after `key`: a tally field, or a year cell.
-        for key in ["\"dimms\":", "\"due_by_year\":["] {
+        let counts = ["-3", "1.5", "1e300"];
+        let hours = ["1e999", "-5", "-1e999"];
+        for (key, field, bads) in [
+            ("\"dimms\":", "dimms", counts),
+            ("\"due_by_year\":[", "due_by_year", counts),
+            ("\"degraded_hours\":", "degraded_hours", hours),
+            ("\"failure_time_sum\":", "failure_time_sum", hours),
+        ] {
             let at = text.find(key).expect("key present") + key.len();
             let end = at + text[at..].find([',', ']']).expect("number ends");
-            for bad in ["-3", "1.5", "1e300"] {
+            for bad in bads {
                 let doc = format!("{}{bad}{}", &text[..at], &text[end..]);
                 let json = Json::parse(&doc).expect("still JSON");
-                assert!(FleetAggregate::from_json(&json).is_err(), "{key}{bad} accepted");
+                match FleetAggregate::from_json(&json) {
+                    Err(e) => assert!(e.contains(field), "{key}{bad}: {e} names the field"),
+                    Ok(_) => panic!("{key}{bad} accepted"),
+                }
             }
         }
     }
@@ -602,8 +620,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
         /// Every prefix and every single-byte mutation of a serialized
-        /// aggregate parses and rebuilds to `Ok` or `Err`, and reporting
-        /// from a rebuilt aggregate never panics.
+        /// aggregate parses and rebuilds to `Ok` or `Err`, reporting from a
+        /// rebuilt aggregate never panics, and a rebuilt aggregate
+        /// re-renders to a checkpoint that loads back equal.
         #[test]
         fn truncated_or_mutated_fleet_aggregates_never_panic(
             start in 0u64..100_000,
@@ -614,6 +633,9 @@ mod tests {
             let rebuild = |doc: &str| {
                 if let Ok(json) = Json::parse(doc) {
                     if let Ok(aggregate) = FleetAggregate::from_json(&json) {
+                        let again = Json::parse(&aggregate.to_json())
+                            .and_then(|json| FleetAggregate::from_json(&json));
+                        assert_eq!(again.as_ref(), Ok(&aggregate), "{doc}");
                         let r = FleetResult { params: params.clone(), aggregate };
                         r.csv_rows();
                         r.curve_csv_rows();

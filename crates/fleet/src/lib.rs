@@ -27,7 +27,7 @@
 //!   priced by the measured `fig_degraded` gmean slowdowns
 //!   ([`degraded_slowdown`]).
 //!
-//! DIMMs shard onto the [`JobFabric`](synergy_campaign::JobFabric):
+//! DIMMs shard onto the [`JobFabric`](synergy_obs::fabric::JobFabric):
 //! fixed-size shards seeded by their first DIMM index, shard-ordered
 //! streaming merge (memory independent of the fleet size), and frontier
 //! checkpoints so a killed million-DIMM run resumes **bit-identically**.

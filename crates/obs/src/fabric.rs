@@ -1,14 +1,13 @@
 //! A generic, checkpointable Monte-Carlo job fabric.
 //!
-//! This is the campaign crate's shard-queue engine (PR 3) promoted to a
-//! reusable subsystem: any embarrassingly-parallel job whose work items
-//! derive deterministically from *global indices* can run on it and
-//! inherit the repo's two load-bearing guarantees plus a new one:
+//! Any embarrassingly-parallel job whose work items derive
+//! deterministically from *global indices* can run on it and inherit
+//! three guarantees:
 //!
 //! 1. **Thread-count invariance.** Work splits into fixed-size shards;
 //!    shard `i` covers items `[i·S, (i+1)·S)` and its result must be a
 //!    pure function of `(job, i)` — never of the worker that ran it.
-//!    Shards run on [`synergy_obs::shard::run_in_order`], which merges
+//!    Shards run on [`crate::shard::run_in_order`], which merges
 //!    results **in shard order**, so the final aggregate is bit-identical
 //!    for any worker count (including floating-point sums, which see one
 //!    fixed merge order).
@@ -22,22 +21,22 @@
 //!    not with the item count.
 //! 3. **Snapshot/resume.** The in-order merge maintains a *frontier*:
 //!    `(watermark, aggregate)` where `aggregate` is exactly the merge of
-//!    shards `[0, watermark)`. That pair — serialized as JSON via
-//!    `synergy-obs` — is a complete [`Checkpoint`]: a killed run resumed
+//!    shards `[0, watermark)`. That pair — serialized as JSON through
+//!    [`crate::export`] — is a complete [`Checkpoint`]: a killed run resumed
 //!    from it re-claims shards from the watermark and produces the
 //!    **bit-identical** final aggregate, because nothing about a shard's
 //!    result or the merge order depends on where the run was cut
 //!    (`tests/fleet_resume.rs` proves this property-based, at 1/2/8
 //!    threads).
 //!
-//! The differential campaign ([`crate::engine`]) and the fleet lifetime
+//! The differential campaign (`synergy-campaign`) and the fleet lifetime
 //! simulator (`synergy-fleet`) are the two production jobs; the SCREME
 //! framework ("A Scalable Framework for Resilient Memory Design") is the
 //! design template for this streaming/checkpointing shape.
 
 use std::path::{Path, PathBuf};
 
-use synergy_obs::{export, shard, Json};
+use crate::{export, shard, Json};
 
 /// A mergeable, JSON-serializable shard result.
 ///

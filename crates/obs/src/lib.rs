@@ -30,14 +30,16 @@
 //!   crate's own exports (round-trip tests, the `perf_gate` bin).
 //! * [`shard`] — the in-order shard runner behind the parallel sweeps,
 //!   the fault-simulation Monte Carlo and the checkpointable job fabric.
-//! * [`Stopwatch`] — wall-clock timing for simulator-throughput gauges
-//!   (`sim.cycles_per_sec`); never feeds back into simulated behaviour.
+//! * [`fabric`] — that job fabric: fixed-size shards, a streaming
+//!   in-order merge and JSON frontier checkpoints, shared by the
+//!   differential campaign and the fleet lifetime simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attrib;
 pub mod export;
+pub mod fabric;
 pub mod hist;
 pub mod inline_vec;
 pub mod json;
@@ -45,7 +47,6 @@ pub mod ledger;
 pub mod registry;
 pub mod shard;
 pub mod span;
-pub mod stopwatch;
 pub mod trace_export;
 
 pub use attrib::{AttribBucket, CycleAttribution};
@@ -55,5 +56,4 @@ pub use json::Json;
 pub use ledger::{ReadTimes, RequestLedger};
 pub use registry::{metric_name, EpochSample, Metric, MetricRegistry, Observe};
 pub use span::{Span, SpanPhase};
-pub use stopwatch::Stopwatch;
 pub use trace_export::ChromeTrace;

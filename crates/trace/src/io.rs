@@ -252,6 +252,43 @@ mod tests {
         ));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Every prefix and every single-byte mutation of a written trace
+        /// reads to `Ok` or `Err`, never a panic, and whatever reads
+        /// survives `write_trace` → `read_trace` unchanged.
+        #[test]
+        fn truncated_or_mutated_traces_never_panic(
+            raw in proptest::collection::vec((0u32..5000, 0u64..1 << 40, 0u8..4), 1..12),
+        ) {
+            let records: Vec<_> = raw
+                .iter()
+                .map(|&(gap, addr, flags)| rec(gap, flags & 1 == 1, addr & !63, flags & 2 == 2))
+                .collect();
+            let mut bytes = Vec::new();
+            write_trace(&mut bytes, &records).unwrap();
+            let check = |doc: &[u8]| {
+                if let Ok(parsed) = read_trace(doc) {
+                    let mut again = Vec::new();
+                    write_trace(&mut again, &parsed).unwrap();
+                    assert_eq!(read_trace(&again[..]).unwrap(), parsed, "{doc:?}");
+                }
+            };
+            for end in 0..bytes.len() {
+                check(&bytes[..end]);
+            }
+            for i in 0..bytes.len() {
+                let original = bytes[i];
+                for b in 0..=255u8 {
+                    bytes[i] = b;
+                    check(&bytes);
+                }
+                bytes[i] = original;
+            }
+        }
+    }
+
     #[test]
     fn generator_export_import_roundtrip() {
         use crate::{presets, TraceGen};
