@@ -29,19 +29,17 @@
 use std::sync::Arc;
 
 use synergy_crypto::ctr::LineCipher;
-use synergy_crypto::gmac::Gmac;
+use synergy_crypto::gmac::{ChainLevel, Gmac};
 use synergy_crypto::{CacheLine, EncryptionKey, MacKey};
 use synergy_secure::layout::{CounterOrg, MetadataLayout, Region, TreeLeaves, LINE, LINE_SHIFT};
 
-use crate::stored::{xor_slices, ChipSlice, StoredLine, CHIPS};
-
-/// 56-bit counter mask.
-const MASK56: u64 = (1 << 56) - 1;
+use crate::stored::{ChipSlice, LineWords, StoredLine, CHIPS, MASK56};
 
 /// Bound on a counter chain: the counter line plus every in-memory tree
-/// level. A 2^64-byte memory has 2^55 counter lines, so at most 18 tree
-/// levels.
-const MAX_CHAIN: usize = 24;
+/// level. Each tree level covers 8× the capacity of the one below; a
+/// 16 MiB memory has 4, so 15 levels take 2^57 bytes, whose line store no
+/// host can allocate. [`SynergyMemory::new`] rejects a deeper layout.
+const MAX_CHAIN: usize = 16;
 
 /// Errors returned by the functional memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,26 +178,21 @@ impl synergy_obs::Observe for MemoryStats {
     }
 }
 
-/// One counter or tree line of a counter chain.
-#[derive(Debug, Clone, Copy, Default)]
-struct Link {
-    /// Line address.
-    addr: u64,
-    /// Slot of this line's counter in its parent line; for the top line of
-    /// the chain, the index of its on-chip root counter.
-    slot: usize,
-}
-
-/// A counter line's path to the on-chip root: the counter line first, then
-/// one tree node per in-memory level.
+/// A data line's counter chain: the counter line first, then one tree
+/// node per in-memory level. [`SynergyMemory::chain`] fills each level's
+/// address and the slot a write to the data line bumps in it (the counter
+/// of the level below, or of the data line); the verify walk fills in the
+/// rest.
 struct Chain {
-    links: [Link; MAX_CHAIN],
+    levels: [ChainLevel; MAX_CHAIN],
     len: usize,
+    /// Index of the top line's on-chip root counter.
+    root: usize,
 }
 
 impl Chain {
-    fn links(&self) -> &[Link] {
-        &self.links[..self.len]
+    fn levels(&self) -> &[ChainLevel] {
+        &self.levels[..self.len]
     }
 }
 
@@ -234,7 +227,7 @@ pub struct SynergyMemory {
     fixed: Arc<Fixed>,
     /// Every line of the layout except the MAC region (SYNERGY keeps its
     /// MACs in the ECC chip), indexed by [`Self::index`].
-    lines: Vec<StoredLine>,
+    lines: Vec<LineWords>,
     /// One bit per entry of `lines`: set once the line has left its
     /// implicit zero state. Unset entries hold no meaningful value.
     materialized: Vec<u64>,
@@ -336,6 +329,16 @@ impl SynergyMemory {
             CounterOrg::Monolithic,
             TreeLeaves::CounterLines,
         );
+        let chain = layout.tree_depth() + 1;
+        if chain > MAX_CHAIN {
+            return Err(MemoryError::InvalidConfig {
+                reason: format!(
+                    "capacity {} needs a {chain}-line counter chain, beyond the bound of \
+                     {MAX_CHAIN}",
+                    config.capacity_bytes
+                ),
+            });
+        }
         let mac_base = layout.mac_line_addr(0);
         let mac_lines = (layout.parity_base() - mac_base) >> LINE_SHIFT;
         let stored_lines = (layout.total_bytes() >> LINE_SHIFT) - mac_lines;
@@ -350,7 +353,7 @@ impl SynergyMemory {
         lines.try_reserve_exact(stored_lines).map_err(|_| too_large())?;
         let mut materialized = Vec::new();
         materialized.try_reserve_exact(stored_lines.div_ceil(64)).map_err(|_| too_large())?;
-        lines.resize(stored_lines, StoredLine { chips: [[0; 8]; CHIPS] });
+        lines.resize(stored_lines, LineWords::ZERO);
         materialized.resize(stored_lines.div_ceil(64), 0);
         let roots = layout.root_counter_count() as usize;
         Ok(Self {
@@ -409,56 +412,101 @@ impl SynergyMemory {
 
     /// Writes a plaintext line: encrypt, MAC, parity update, tree update.
     ///
+    /// Every counter on the chain is bumped and every chain line re-MACed
+    /// under its parent's bumped counter (Bonsai update). The new tags come
+    /// from the GHASH states of the verify walk by linearity, in one
+    /// [`Gmac::bonsai_update`] call with the data line's CTR pad and tag;
+    /// [`MemoryStats::mac_computations`] still counts one MAC per level.
+    ///
     /// # Errors
     ///
     /// Returns address-validation errors, or [`MemoryError::AttackDetected`]
     /// when the counter chain cannot be verified/corrected.
     pub fn write_line(&mut self, addr: u64, plaintext: &CacheLine) -> Result<(), MemoryError> {
         self.check_data_addr(addr)?;
-        self.stats.writes += 1;
-
-        let chain = self.chain(addr);
-        self.touch(addr, &chain);
-        // Verify (and correct) the whole counter chain before mutating.
-        self.verify_chain(&chain)?;
-        self.repair_parity_group(addr);
-
-        // Bump every counter on the path root-down, recomputing MACs with
-        // the parent's fresh value (Bonsai update). The verified walk left
-        // every chain line materialized.
-        let links = chain.links();
-        let top = links[links.len() - 1];
-        self.root_counters[top.slot] = (self.root_counters[top.slot] + 1) & MASK56;
-        let mut parent_ctr = self.root_counters[top.slot];
-        for (k, link) in links.iter().enumerate().rev() {
-            let child_slot =
-                if k == 0 { self.fixed.layout.counter_slot(addr) } else { links[k - 1].slot };
-            let i = self.index(link.addr);
-            let (mut counters, _, _) = self.lines[i].counter_parts();
-            counters[child_slot] = (counters[child_slot] + 1) & MASK56;
-            let mac = self.fixed.gmac.node_tag(link.addr, parent_ctr, &pack_counters(&counters));
-            self.stats.mac_computations += 1;
-            self.lines[i] = StoredLine::from_counters(&counters, mac);
-            parent_ctr = counters[child_slot];
+        let mut chain = self.chain(addr);
+        self.prepare_write(addr, &mut chain)?;
+        let levels = chain.levels();
+        let mut tags = [0; MAX_CHAIN];
+        let (ciphertext, mac) = self.fixed.gmac.bonsai_update(
+            &self.fixed.cipher,
+            levels,
+            addr,
+            plaintext,
+            &mut tags[..levels.len()],
+        );
+        self.stats.mac_computations += levels.len() as u64 + 1;
+        self.root_counters[chain.root] = (self.root_counters[chain.root] + 1) & MASK56;
+        // The verified walk left every chain line materialized.
+        for (level, &tag) in levels.iter().zip(&tags) {
+            let i = self.index(level.addr);
+            let (mut counters, _) = self.lines[i].counter_parts();
+            counters[level.slot] = (counters[level.slot] + 1) & MASK56;
+            self.lines[i] = LineWords::from_counters(&counters, tag);
         }
-        let new_counter = parent_ctr;
-
-        // Encrypt + MAC + co-locate (data chips + ECC chip).
-        let ciphertext = self.fixed.cipher.encrypt(addr, new_counter, plaintext);
-        let mac = self.fixed.gmac.line_tag(addr, new_counter, &ciphertext);
-        self.stats.mac_computations += 1;
-        let new_stored = StoredLine::from_data(&ciphertext, mac);
-
-        // Parity slot update (P = XOR of all nine chips).
-        let p_slot = self.fixed.layout.parity_slot(addr);
-        let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
-        let (mut slots, _) = self.lines[pi].parity_parts();
-        slots[p_slot] = new_stored.xor_of_nine();
-        self.lines[pi] = StoredLine::from_parities(&slots);
-
-        let i = self.ensure_line(addr);
-        self.lines[i] = new_stored;
+        self.store_data(addr, LineWords::from_data(&ciphertext, mac));
         Ok(())
+    }
+
+    /// [`Self::write_line`] with the Bonsai update computed the long way,
+    /// root-down: each chain line's counters are bumped and re-MACed by
+    /// [`Gmac::node_tag`] under its parent's fresh counter, then the data
+    /// line is encrypted and tagged. The oracle the memory-level
+    /// differential test holds `write_line` to: the same stored lines and
+    /// the same [`MemoryStats`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::write_line`].
+    pub fn write_line_reference(
+        &mut self,
+        addr: u64,
+        plaintext: &CacheLine,
+    ) -> Result<(), MemoryError> {
+        self.check_data_addr(addr)?;
+        let mut chain = self.chain(addr);
+        self.prepare_write(addr, &mut chain)?;
+        let root = &mut self.root_counters[chain.root];
+        *root = (*root + 1) & MASK56;
+        let mut parent_ctr = *root;
+        for level in chain.levels().iter().rev() {
+            let i = self.index(level.addr);
+            let (mut counters, _) = self.lines[i].counter_parts();
+            counters[level.slot] = (counters[level.slot] + 1) & MASK56;
+            let mac = self.fixed.gmac.node_tag(level.addr, parent_ctr, &pack_counters(&counters));
+            self.stats.mac_computations += 1;
+            self.lines[i] = LineWords::from_counters(&counters, mac);
+            parent_ctr = counters[level.slot];
+        }
+        let ciphertext = self.fixed.cipher.encrypt(addr, parent_ctr, plaintext);
+        let mac = self.fixed.gmac.line_tag(addr, parent_ctr, &ciphertext);
+        self.stats.mac_computations += 1;
+        self.store_data(addr, LineWords::from_data(&ciphertext, mac));
+        Ok(())
+    }
+
+    /// A write's steps before the update, on the chain of a valid data
+    /// address: verify (and correct) the whole counter chain, and bring
+    /// the parity group into agreement with its data. The caller's chain
+    /// is filled in place: at 784 bytes it is too large to move through a
+    /// `Result` on every write.
+    fn prepare_write(&mut self, addr: u64, chain: &mut Chain) -> Result<(), MemoryError> {
+        self.stats.writes += 1;
+        self.touch(addr, chain);
+        self.verify_chain(chain)?;
+        self.repair_parity_group(addr);
+        Ok(())
+    }
+
+    /// Stores a freshly written data line and its parity slot
+    /// (P = XOR of all nine chips).
+    fn store_data(&mut self, addr: u64, line: LineWords) {
+        let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
+        let mut slots: [u64; 8] = core::array::from_fn(|k| self.lines[pi].0[k]);
+        slots[self.fixed.layout.parity_slot(addr)] = line.xor_of_nine();
+        self.lines[pi] = LineWords::from_parities(&slots);
+        let i = self.ensure_line(addr);
+        self.lines[i] = line;
     }
 
     /// Reads and verifies a line, correcting single-chip errors.
@@ -482,11 +530,10 @@ impl SynergyMemory {
 
     /// Verifies (correcting if need be) the stored data line at `addr`;
     /// returns it with its counter and whether it was corrected.
-    fn verified_data(&mut self, addr: u64) -> Result<(StoredLine, u64, bool), MemoryError> {
-        let chain = self.chain(addr);
+    fn verified_data(&mut self, addr: u64) -> Result<(LineWords, u64, bool), MemoryError> {
+        let mut chain = self.chain(addr);
         self.touch(addr, &chain);
-        let counters = self.verify_chain(&chain)?;
-        let counter = counters[self.fixed.layout.counter_slot(addr)];
+        let counter = self.verify_chain(&mut chain)?;
         let i = self.ensure_line(addr);
 
         // Fast path for a tracked permanent chip failure: reconstruct that
@@ -495,7 +542,7 @@ impl SynergyMemory {
         let stored = self.lines[i];
         if let Some(chip) = self.tracked_faulty_chip {
             let parity = self.parity_slot_value(addr);
-            let candidate = stored.with_chip_reconstructed(chip, &parity);
+            let candidate = stored.with_chip_xored(chip, parity ^ stored.xor_of_nine());
             let (cl, cmac) = candidate.data_parts();
             self.stats.mac_computations += 1;
             if self.fixed.gmac.line_tag(addr, counter, &cl) == cmac {
@@ -528,15 +575,14 @@ impl SynergyMemory {
     /// verification keeps its slot; its own next read reports the attack.
     fn repair_parity_group(&mut self, addr: u64) {
         let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
-        let (slots, parity_p) = self.lines[pi].parity_parts();
-        if xor_slices(&slots) == parity_p {
+        if self.lines[pi].xor_of_nine() == 0 {
             return;
         }
         let p_slot = self.fixed.layout.parity_slot(addr);
         let first = addr - p_slot as u64 * LINE;
         for k in (0..8).filter(|&k| k != p_slot) {
             if let Ok((line, _, _)) = self.verified_data(first + k as u64 * LINE) {
-                self.lines[pi].chips[k] = line.xor_of_nine();
+                self.lines[pi].0[k] = line.xor_of_nine();
             }
         }
     }
@@ -562,8 +608,9 @@ impl SynergyMemory {
     /// Panics if `chip >= 9` or the address is not a stored line (see
     /// [`Self::snapshot_raw`]).
     pub fn inject_chip_pattern(&mut self, line_addr: u64, chip: usize, pattern: ChipSlice) {
+        assert!(chip < CHIPS, "chip {chip} out of range");
         let i = self.raw_line(line_addr);
-        self.lines[i].corrupt_chip(chip, pattern);
+        self.lines[i].0[chip] ^= u64::from_le_bytes(pattern);
     }
 
     /// Flips a single bit (0..64) of one chip of one line.
@@ -586,11 +633,12 @@ impl SynergyMemory {
     /// Panics if `chip >= 9`.
     pub fn inject_chip_failure(&mut self, chip: usize) {
         assert!(chip < CHIPS, "chip {chip} out of range");
+        let pattern = u64::from_le_bytes(crate::testsupport::CHIP_FAILURE_PATTERN);
         for (w, &word) in self.materialized.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
-                self.lines[i].corrupt_chip(chip, crate::testsupport::CHIP_FAILURE_PATTERN);
+                self.lines[i].0[chip] ^= pattern;
                 bits &= bits - 1;
             }
         }
@@ -605,7 +653,7 @@ impl SynergyMemory {
     /// or lies in the MAC region (SYNERGY stores its MACs in the ECC chip).
     pub fn snapshot_raw(&mut self, line_addr: u64) -> StoredLine {
         let i = self.raw_line(line_addr);
-        self.lines[i]
+        self.lines[i].into()
     }
 
     /// Adversary primitive: overwrite the raw stored line (splicing or
@@ -617,7 +665,7 @@ impl SynergyMemory {
     /// [`Self::snapshot_raw`]).
     pub fn overwrite_raw(&mut self, line_addr: u64, stored: StoredLine) {
         let i = self.raw_line(line_addr);
-        self.lines[i] = stored;
+        self.lines[i] = stored.into();
     }
 
     // ------------------------------------------------------------------
@@ -644,76 +692,84 @@ impl SynergyMemory {
         Ok(())
     }
 
-    /// The counter chain of data line `addr`: each line's address and its
-    /// slot in its parent, from the counter line up along
-    /// [`MetadataLayout::tree_path_iter`].
+    /// The counter chain of data line `addr`: each line's address and the
+    /// slot a write bumps in it, from the counter line up along
+    /// [`MetadataLayout::tree_path_iter`], and the top line's root counter.
     fn chain(&self, addr: u64) -> Chain {
-        let mut chain = Chain { links: [Link::default(); MAX_CHAIN], len: 0 };
+        let mut chain =
+            Chain { levels: [ChainLevel::default(); MAX_CHAIN], len: 0, root: 0 };
         let mut line = self.fixed.layout.counter_line_addr(addr);
+        let mut slot = self.fixed.layout.counter_slot(addr);
         // Index of `line` within its level: its low three bits are its
         // slot in its parent; the top line's whole index is its root slot.
         let mut idx = (line - self.fixed.layout.counter_base()) >> LINE_SHIFT;
         for parent in self.fixed.layout.tree_path_iter(line) {
-            chain.links[chain.len] = Link { addr: line, slot: (idx & 7) as usize };
+            chain.levels[chain.len] = ChainLevel { addr: line, slot, ..ChainLevel::default() };
             chain.len += 1;
+            slot = (idx & 7) as usize;
             idx >>= 3;
             line = parent;
         }
-        chain.links[chain.len] = Link { addr: line, slot: idx as usize };
+        chain.levels[chain.len] = ChainLevel { addr: line, slot, ..ChainLevel::default() };
         chain.len += 1;
+        chain.root = idx as usize;
         chain
     }
 
-    /// Loads the first and last byte of every line an operation on data
-    /// line `addr` reads (its counter chain, the line and its parity line)
-    /// and discards them, so their cache misses start together instead of
-    /// each chain level's load waiting behind the MAC of the level above.
-    /// A 72-byte stored line spans two cache lines, hence both ends.
+    /// Prefetches every line an operation on data line `addr` reads (its
+    /// counter chain, the line and its parity line), so their cache misses
+    /// start together instead of each chain level's load waiting behind
+    /// the MAC of the level above. A 72-byte stored line spans two cache
+    /// lines, hence its first and last word. The prefetch does not block,
+    /// so the misses overlap without filling the out-of-order window.
     fn touch(&self, addr: u64, chain: &Chain) {
         let parity = self.fixed.layout.parity_line_addr(addr);
-        let mut sink = 0;
-        for line in chain.links().iter().map(|l| l.addr).chain([addr, parity]) {
-            let stored = &self.lines[self.index(line)];
-            sink ^= stored.chips[0][0] ^ stored.chips[8][7];
+        for line in chain.levels().iter().map(|l| l.addr).chain([addr, parity]) {
+            synergy_crypto::prefetch(&self.lines[self.index(line)].0);
         }
-        std::hint::black_box(sink);
     }
 
     /// Verifies (correcting via `ParityC`) every line of `chain` top-down,
-    /// each against its parent's counter, and returns the counter line's
-    /// counters.
-    fn verify_chain(&mut self, chain: &Chain) -> Result<[u64; 8], MemoryError> {
-        let links = chain.links();
-        let mut parent_ctr = self.root_counters[links[links.len() - 1].slot];
-        for k in (1..links.len()).rev() {
-            parent_ctr = self.verified_node(links[k].addr, parent_ctr)?[links[k - 1].slot];
+    /// each against its parent's counter, fills in each level's parent
+    /// counter, GHASH state and bumped-slot counter, and returns the data
+    /// line's counter.
+    fn verify_chain(&mut self, chain: &mut Chain) -> Result<u64, MemoryError> {
+        let mut parent_ctr = self.root_counters[chain.root];
+        for level in chain.levels[..chain.len].iter_mut().rev() {
+            let (counters, state) = self.verified_node(level.addr, parent_ctr)?;
+            level.parent_counter = parent_ctr;
+            level.state = state;
+            level.counter = counters[level.slot];
+            parent_ctr = level.counter;
         }
-        self.verified_node(links[0].addr, parent_ctr)
+        Ok(parent_ctr)
     }
 
     /// Verified read of one counter/tree line against its parent's
-    /// counter, correcting via `ParityC`.
-    fn verified_node(&mut self, line_addr: u64, parent_ctr: u64) -> Result<[u64; 8], MemoryError> {
+    /// counter, correcting via `ParityC`. Returns the line's counters and
+    /// the GHASH state of its (corrected) payload under that counter.
+    fn verified_node(
+        &mut self,
+        line_addr: u64,
+        parent_ctr: u64,
+    ) -> Result<([u64; 8], u128), MemoryError> {
         let i = self.ensure_line(line_addr);
         let stored = self.lines[i];
-        let (mut counters, mac, _) = stored.counter_parts();
+        let (mut counters, mac) = stored.counter_parts();
         let payload = pack_counters(&counters);
         self.stats.mac_computations += 1;
-        if self.fixed.gmac.node_tag(line_addr, parent_ctr, &payload) == mac {
-            return Ok(counters);
+        let (tag, state) = self.fixed.gmac.node_tag_state(line_addr, parent_ctr, &payload);
+        if tag == mac {
+            return Ok((counters, state));
         }
         // Correction: up to 8 reconstruction attempts (Scenario B/C). The
         // ParityC reconstruction of chip c XORs `base = XOR of all nine
         // chips` into chip c's word: its low 56 bits into counter c, its
         // top byte into MAC byte c. Only the counter bits enter the MAC
         // payload, so one candidate kernel call tags all eight.
-        let base = u64::from_le_bytes(stored.xor_of_nine());
-        let (_, tags) = self.fixed.gmac.line_tag_candidates(
-            line_addr,
-            parent_ctr,
-            &payload,
-            (base & MASK56).to_le_bytes(),
-        );
+        let base = stored.xor_of_nine();
+        let delta = (base & MASK56).to_le_bytes();
+        let (_, tags) = self.fixed.gmac.line_tag_candidates(line_addr, parent_ctr, &payload, delta);
         let found = (0..8).find(|&chip| tags[chip] == mac ^ ((base >> 56) << (8 * chip)));
         // Every candidate up to and including the match, as if each had
         // been tagged in turn.
@@ -722,11 +778,11 @@ impl SynergyMemory {
             self.stats.attacks_declared += 1;
             return Err(MemoryError::AttackDetected { addr: line_addr });
         };
-        self.lines[i] =
-            stored.with_chip_replaced(chip, xor_slices(&[base.to_le_bytes(), stored.chips[chip]]));
+        self.lines[i] = stored.with_chip_xored(chip, base);
         self.record_correction(chip);
         counters[chip] ^= base & MASK56;
-        Ok(counters)
+        // The corrected payload's state, by the same linearity.
+        Ok((counters, state ^ self.fixed.gmac.chip_delta_state(chip, delta)))
     }
 
     /// The §III-B data-line reconstruction engine (Scenario D included).
@@ -737,29 +793,24 @@ impl SynergyMemory {
         addr: u64,
         counter: u64,
         failed_tag: u64,
-    ) -> Result<StoredLine, MemoryError> {
+    ) -> Result<LineWords, MemoryError> {
         let i = self.ensure_line(addr);
         let stored = self.lines[i];
         let (ciphertext, mac) = stored.data_parts();
         let p_slot = self.fixed.layout.parity_slot(addr);
         let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
-        let (slots, parity_p) = self.lines[pi].parity_parts();
-        let primary = slots[p_slot];
+        let parity_line = self.lines[pi];
+        let primary = parity_line.0[p_slot];
 
         for pass in 0..2 {
             let (parity, reconstructed_parity) = if pass == 0 {
                 (primary, false)
             } else {
                 // The parity itself may sit in the failed chip: rebuild it
-                // from ParityP and the other seven slots.
-                let mut rebuilt = parity_p;
-                for (i, s) in slots.iter().enumerate() {
-                    if i != p_slot {
-                        for (r, b) in rebuilt.iter_mut().zip(s.iter()) {
-                            *r ^= b;
-                        }
-                    }
-                }
+                // from ParityP and the other seven slots (all nine words
+                // fold to ParityP ⊕ its slots; XORing `primary` back out
+                // leaves the other seven).
+                let rebuilt = parity_line.xor_of_nine() ^ primary;
                 if rebuilt == primary {
                     break; // nothing new to try
                 }
@@ -773,12 +824,16 @@ impl SynergyMemory {
             // ciphertext, so its tag is the one that already failed; a
             // data chip's candidate keeps the MAC, and one candidate
             // kernel call tags all eight.
-            let base = xor_slices(&[parity, stored.xor_of_nine()]);
-            let found = if mac ^ u64::from_le_bytes(base) == failed_tag {
+            let base = parity ^ stored.xor_of_nine();
+            let found = if mac ^ base == failed_tag {
                 Some(8)
             } else {
-                let (_, tags) =
-                    self.fixed.gmac.line_tag_candidates(addr, counter, ciphertext.as_bytes(), base);
+                let (_, tags) = self.fixed.gmac.line_tag_candidates(
+                    addr,
+                    counter,
+                    ciphertext.as_bytes(),
+                    base.to_le_bytes(),
+                );
                 tags.iter().position(|&t| t == mac)
             };
             // Every candidate up to and including the match, as if each
@@ -789,13 +844,12 @@ impl SynergyMemory {
                 None => CHIPS as u64,
             };
             if let Some(chip) = found {
-                let candidate =
-                    stored.with_chip_replaced(chip, xor_slices(&[base, stored.chips[chip]]));
+                let candidate = stored.with_chip_xored(chip, base);
                 self.lines[i] = candidate;
                 if reconstructed_parity {
-                    let mut new_slots = slots;
+                    let mut new_slots: [u64; 8] = core::array::from_fn(|k| parity_line.0[k]);
                     new_slots[p_slot] = parity;
-                    self.lines[pi] = StoredLine::from_parities(&new_slots);
+                    self.lines[pi] = LineWords::from_parities(&new_slots);
                     self.stats.parity_reconstructions += 1;
                 }
                 self.record_correction(chip);
@@ -817,9 +871,9 @@ impl SynergyMemory {
     }
 
     /// Current parity value protecting the data line at `addr`.
-    fn parity_slot_value(&mut self, addr: u64) -> ChipSlice {
+    fn parity_slot_value(&mut self, addr: u64) -> u64 {
         let pi = self.ensure_line(self.fixed.layout.parity_line_addr(addr));
-        self.lines[pi].chips[self.fixed.layout.parity_slot(addr)]
+        self.lines[pi].0[self.fixed.layout.parity_slot(addr)]
     }
 
     /// Index of a line in `lines`: its line number, with the MAC region
@@ -836,7 +890,7 @@ impl SynergyMemory {
     }
 
     #[inline]
-    fn store(&mut self, i: usize, stored: StoredLine) {
+    fn store(&mut self, i: usize, stored: LineWords) {
         self.lines[i] = stored;
         self.materialized[i / 64] |= 1 << (i % 64);
     }
@@ -860,7 +914,7 @@ impl SynergyMemory {
                     // All-zero counters, MAC keyed by the (necessarily zero)
                     // parent counter.
                     let mac = self.fixed.gmac.node_tag(line_addr, 0, &pack_counters(&[0; 8]));
-                    self.store(i, StoredLine::from_counters(&[0; 8], mac));
+                    self.store(i, LineWords::from_counters(&[0; 8], mac));
                 }
                 Region::Mac | Region::OutOfRange => {
                     unreachable!("SYNERGY stores no separate MAC region; addr {line_addr:#x}")
@@ -876,19 +930,19 @@ impl SynergyMemory {
     /// counter zero, and the parity slots they imply.
     fn materialize_parity_group(&mut self, p_addr: u64) {
         let first_data = (p_addr - self.fixed.layout.parity_base()) * 8;
-        let mut slots = [[0u8; 8]; 8];
+        let mut slots = [0u64; 8];
         for (k, slot) in slots.iter_mut().enumerate() {
             let d = first_data + k as u64 * LINE;
             let di = self.index(d);
             debug_assert!(!self.is_materialized(di), "data line {d:#x} without its parity");
             let ciphertext = self.fixed.cipher.encrypt(d, 0, &CacheLine::zeroed());
             let mac = self.fixed.gmac.line_tag(d, 0, &ciphertext);
-            let stored = StoredLine::from_data(&ciphertext, mac);
+            let stored = LineWords::from_data(&ciphertext, mac);
             *slot = stored.xor_of_nine();
             self.store(di, stored);
         }
         let pi = self.index(p_addr);
-        self.store(pi, StoredLine::from_parities(&slots));
+        self.store(pi, LineWords::from_parities(&slots));
     }
 }
 
@@ -960,6 +1014,13 @@ mod tests {
     fn unallocatable_capacity_is_an_error_not_an_abort() {
         let err = SynergyMemory::new(SynergyMemoryConfig::with_capacity(1 << 50)).unwrap_err();
         assert!(matches!(err, MemoryError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_chain_beyond_the_bound_is_an_error() {
+        // 2^60 bytes: 16 tree levels above the counter line.
+        let err = SynergyMemory::new(SynergyMemoryConfig::with_capacity(1 << 60)).unwrap_err();
+        assert!(err.to_string().contains("counter chain"), "{err}");
     }
 
     #[test]

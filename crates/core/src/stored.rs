@@ -12,6 +12,12 @@
 //!
 //! Fault injection operates on this representation: a failed chip corrupts
 //! its 8-byte slice of every line it touches, whatever the region.
+//!
+//! [`StoredLine`] is the line as the bus carries it, nine 8-byte slices:
+//! the view of the adversary primitives and of fault injection. The
+//! memory keeps each line as nine little-endian words instead
+//! (`LineWords`), so that parity folds, `ParityC` and the counter fields
+//! are word XORs and masks.
 
 use synergy_crypto::CacheLine;
 
@@ -20,6 +26,9 @@ pub type ChipSlice = [u8; 8];
 
 /// Number of chips on the DIMM (8 data + 1 ECC).
 pub const CHIPS: usize = 9;
+
+/// 56-bit counter mask.
+pub(crate) const MASK56: u64 = (1 << 56) - 1;
 
 /// A line as physically stored across the 9 chips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,135 +39,45 @@ pub struct StoredLine {
 
 impl StoredLine {
     /// Builds a data-region line: ciphertext in chips 0–7, MAC in the ECC
-    /// chip. The line is decomposed in a single pass over its bytes.
+    /// chip.
     pub fn from_data(ciphertext: &CacheLine, mac: u64) -> Self {
-        let mut chips = [[0u8; 8]; CHIPS];
-        for (chip, bytes) in chips.iter_mut().zip(ciphertext.as_bytes().chunks_exact(8)) {
-            chip.copy_from_slice(bytes);
-        }
-        chips[8] = mac.to_le_bytes();
-        Self { chips }
+        LineWords::from_data(ciphertext, mac).into()
     }
 
-    /// Splits a data-region line into `(ciphertext, mac)` — one pass, no
-    /// per-chip slice round trips.
+    /// Splits a data-region line into `(ciphertext, mac)`.
     pub fn data_parts(&self) -> (CacheLine, u64) {
-        let mut bytes = [0u8; 64];
-        for (chunk, chip) in bytes.chunks_exact_mut(8).zip(self.chips.iter()) {
-            chunk.copy_from_slice(chip);
-        }
-        (CacheLine::from_bytes(bytes), u64::from_le_bytes(self.chips[8]))
+        LineWords::from(*self).data_parts()
     }
 
     /// Builds a counter-region line: chip *i* carries counter *i*
     /// (56 bits, low 7 bytes) plus byte *i* of the distributed 64-bit MAC;
     /// the ECC chip carries `ParityC`, the XOR of chips 0–7.
     pub fn from_counters(counters: &[u64; 8], mac: u64) -> Self {
-        let mac_bytes = mac.to_le_bytes();
-        let mut chips = [[0u8; 8]; CHIPS];
-        for i in 0..8 {
-            let c = counters[i] & ((1 << 56) - 1);
-            chips[i][..7].copy_from_slice(&c.to_le_bytes()[..7]);
-            chips[i][7] = mac_bytes[i];
-        }
-        chips[8] = xor_slices(&chips[..8]);
-        Self { chips }
+        LineWords::from_counters(counters, mac).into()
     }
 
     /// Splits a counter-region line into `(counters, mac, parity_c)`,
     /// reading each data chip as one little-endian word: counter *i* in its
     /// low 56 bits, MAC byte *i* in its top byte.
-    #[inline]
     pub fn counter_parts(&self) -> ([u64; 8], u64, ChipSlice) {
-        let mut counters = [0u64; 8];
-        let mut mac = 0u64;
-        for (i, chip) in self.chips[..8].iter().enumerate() {
-            let word = u64::from_le_bytes(*chip);
-            counters[i] = word & ((1 << 56) - 1);
-            mac |= (word >> 56) << (8 * i);
-        }
+        let (counters, mac) = LineWords::from(*self).counter_parts();
         (counters, mac, self.chips[8])
     }
 
     /// Builds a parity-region line: eight parity slots plus `ParityP`.
     pub fn from_parities(slots: &[ChipSlice; 8]) -> Self {
-        let mut chips = [[0u8; 8]; CHIPS];
-        chips[..8].copy_from_slice(slots);
-        chips[8] = xor_slices(slots);
-        Self { chips }
+        LineWords::from_parities(&slots.map(u64::from_le_bytes)).into()
     }
 
     /// Splits a parity-region line into `(slots, parity_p)`.
     pub fn parity_parts(&self) -> ([ChipSlice; 8], ChipSlice) {
-        let mut slots = [[0u8; 8]; 8];
-        slots.copy_from_slice(&self.chips[..8]);
-        (slots, self.chips[8])
+        (core::array::from_fn(|i| self.chips[i]), self.chips[8])
     }
 
     /// XOR of all nine chip slices — the value stored in the parity region
     /// for data lines (`P = C0 ⊕ … ⊕ C7 ⊕ MAC`, §III).
     pub fn xor_of_nine(&self) -> ChipSlice {
-        xor_slices(&self.chips)
-    }
-
-    /// Returns a copy with chip `failed` replaced by the RAID-3
-    /// reconstruction `parity ⊕ (XOR of the other chips)` over all nine
-    /// chips — the data-line reconstruction engine's unit step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failed >= 9`.
-    #[must_use]
-    pub fn with_chip_reconstructed(&self, failed: usize, parity: &ChipSlice) -> Self {
-        assert!(failed < CHIPS, "chip {failed} out of range");
-        let mut out = *self;
-        let mut slice = *parity;
-        for (i, chip) in self.chips.iter().enumerate() {
-            if i != failed {
-                xor_into(&mut slice, chip);
-            }
-        }
-        out.chips[failed] = slice;
-        out
-    }
-
-    /// Returns a copy with data chip `failed` (0–7) rebuilt from the
-    /// ECC-chip parity over chips 0–7 — the counter-line reconstruction
-    /// step (`ParityC`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failed >= 8`.
-    #[must_use]
-    pub fn with_chip_reconstructed_from_ecc(&self, failed: usize) -> Self {
-        assert!(failed < 8, "only chips 0..8 are covered by ParityC");
-        let mut out = *self;
-        let mut slice = self.chips[8];
-        for (i, chip) in self.chips.iter().take(8).enumerate() {
-            if i != failed {
-                xor_into(&mut slice, chip);
-            }
-        }
-        out.chips[failed] = slice;
-        out
-    }
-
-    /// Returns a copy with chip `chip`'s slice replaced by `slice`.
-    ///
-    /// Combined with a hoisted XOR base (`parity ⊕ xor_of_nine`), this lets
-    /// the correction engine build the candidate that verified with a
-    /// single 8-byte XOR instead of re-folding all nine chips (see
-    /// `SynergyMemory::correct_data_line`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip >= 9`.
-    #[must_use]
-    pub fn with_chip_replaced(&self, chip: usize, slice: ChipSlice) -> Self {
-        assert!(chip < CHIPS, "chip {chip} out of range");
-        let mut out = *self;
-        out.chips[chip] = slice;
-        out
+        LineWords::from(*self).xor_of_nine().to_le_bytes()
     }
 
     /// Flips `pattern` into chip `chip`'s slice (fault injection).
@@ -168,23 +87,91 @@ impl StoredLine {
     /// Panics if `chip >= 9`.
     pub fn corrupt_chip(&mut self, chip: usize, pattern: ChipSlice) {
         assert!(chip < CHIPS, "chip {chip} out of range");
-        xor_into(&mut self.chips[chip], &pattern);
+        for (d, s) in self.chips[chip].iter_mut().zip(pattern) {
+            *d ^= s;
+        }
     }
 }
 
-/// XOR of a set of slices.
-pub fn xor_slices(slices: &[ChipSlice]) -> ChipSlice {
-    let mut out = [0u8; 8];
-    for s in slices {
-        xor_into(&mut out, s);
+/// A line as the memory keeps it: chip *i*'s eight bytes as one
+/// little-endian word, `words[i].to_le_bytes() == chips[i]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LineWords(pub(crate) [u64; CHIPS]);
+
+impl From<StoredLine> for LineWords {
+    fn from(line: StoredLine) -> Self {
+        Self(line.chips.map(u64::from_le_bytes))
     }
-    out
 }
 
-#[inline]
-fn xor_into(dst: &mut ChipSlice, src: &ChipSlice) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d ^= s;
+impl From<LineWords> for StoredLine {
+    fn from(line: LineWords) -> Self {
+        Self { chips: line.0.map(u64::to_le_bytes) }
+    }
+}
+
+impl LineWords {
+    /// The all-zero line.
+    pub(crate) const ZERO: Self = Self([0; CHIPS]);
+
+    /// [`StoredLine::from_data`].
+    pub(crate) fn from_data(ciphertext: &CacheLine, mac: u64) -> Self {
+        let mut words = [0; CHIPS];
+        words[..8].copy_from_slice(&ciphertext.to_words());
+        words[8] = mac;
+        Self(words)
+    }
+
+    /// [`StoredLine::data_parts`].
+    pub(crate) fn data_parts(&self) -> (CacheLine, u64) {
+        (CacheLine::from_words(core::array::from_fn(|i| self.0[i])), self.0[8])
+    }
+
+    /// [`StoredLine::from_counters`].
+    pub(crate) fn from_counters(counters: &[u64; 8], mac: u64) -> Self {
+        let mut words = [0; CHIPS];
+        for (i, (word, counter)) in words.iter_mut().zip(counters).enumerate() {
+            *word = (counter & MASK56) | ((mac >> (8 * i)) << 56);
+        }
+        words[8] = words[..8].iter().fold(0, |acc, w| acc ^ w);
+        Self(words)
+    }
+
+    /// `(counters, mac)` of a counter-region line; the ECC chip is
+    /// `self.0[8]`.
+    pub(crate) fn counter_parts(&self) -> ([u64; 8], u64) {
+        let mut mac = 0;
+        let counters = core::array::from_fn(|i| {
+            mac |= (self.0[i] >> 56) << (8 * i);
+            self.0[i] & MASK56
+        });
+        (counters, mac)
+    }
+
+    /// [`StoredLine::from_parities`].
+    pub(crate) fn from_parities(slots: &[u64; 8]) -> Self {
+        let mut words = [0; CHIPS];
+        words[..8].copy_from_slice(slots);
+        words[8] = slots.iter().fold(0, |acc, w| acc ^ w);
+        Self(words)
+    }
+
+    /// [`StoredLine::xor_of_nine`]. Zero for a parity line whose `ParityP`
+    /// agrees with its slots, and for a counter line whose `ParityC` does.
+    pub(crate) fn xor_of_nine(&self) -> u64 {
+        self.0.iter().fold(0, |acc, w| acc ^ w)
+    }
+
+    /// A copy with `delta` XORed into chip `chip`. The RAID-3
+    /// reconstruction of chip `c` from a parity `p` over all nine chips is
+    /// `with_chip_xored(c, p ^ xor_of_nine())`, and from `ParityC` it is
+    /// `with_chip_xored(c, xor_of_nine())`: one base per line, one XOR per
+    /// candidate.
+    #[must_use]
+    pub(crate) fn with_chip_xored(&self, chip: usize, delta: u64) -> Self {
+        let mut out = *self;
+        out.0[chip] ^= delta;
+        out
     }
 }
 
@@ -199,6 +186,7 @@ mod tests {
         let (l2, m2) = stored.data_parts();
         assert_eq!(l2, line);
         assert_eq!(m2, 0xDEAD_BEEF_0123_4567);
+        assert_eq!(stored.chips[8], 0xDEAD_BEEF_0123_4567u64.to_le_bytes());
     }
 
     #[test]
@@ -208,7 +196,15 @@ mod tests {
         let (c2, m2, pc) = stored.counter_parts();
         assert_eq!(c2, counters);
         assert_eq!(m2, 0xAABB_CCDD_EEFF_0011);
-        assert_eq!(pc, xor_slices(&stored.chips[..8]));
+        let mut fold = [0u8; 8];
+        for chip in &stored.chips[..8] {
+            for (f, b) in fold.iter_mut().zip(chip) {
+                *f ^= b;
+            }
+        }
+        assert_eq!(pc, fold);
+        // Counter i in the low seven bytes of chip i, MAC byte i on top.
+        assert_eq!(stored.chips[7], [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xAA]);
     }
 
     #[test]
@@ -225,69 +221,41 @@ mod tests {
         let (s2, pp) = stored.parity_parts();
         assert_eq!(s2, slots);
         assert_eq!(pp, [0u8; 8], "XOR of 8 equal slots is zero");
+        assert_eq!(LineWords::from(stored).xor_of_nine(), 0);
+    }
+
+    #[test]
+    fn words_and_slices_are_the_same_line() {
+        let mut stored = StoredLine::from_data(&CacheLine::from_bytes([0x5D; 64]), 99);
+        stored.corrupt_chip(4, [1, 2, 3, 4, 5, 6, 7, 8]);
+        let words = LineWords::from(stored);
+        assert_eq!(words.0[4], u64::from_le_bytes(stored.chips[4]));
+        assert_eq!(StoredLine::from(words), stored);
+        assert_eq!(words.xor_of_nine().to_le_bytes(), stored.xor_of_nine());
     }
 
     #[test]
     fn nine_chip_reconstruction_recovers_any_chip() {
         let line = CacheLine::from_bytes([0x11; 64]);
-        let clean = StoredLine::from_data(&line, 42);
+        let clean = LineWords::from_data(&line, 42);
         let parity = clean.xor_of_nine();
         for failed in 0..9 {
-            let mut bad = clean;
-            bad.corrupt_chip(failed, [0xFF; 8]);
-            let fixed = bad.with_chip_reconstructed(failed, &parity);
+            let bad = clean.with_chip_xored(failed, u64::MAX);
+            let fixed = bad.with_chip_xored(failed, parity ^ bad.xor_of_nine());
             assert_eq!(fixed, clean, "chip {failed}");
+            // Any other chip's reconstruction leaves a wrong line.
+            let wrong = (failed + 1) % CHIPS;
+            assert_ne!(bad.with_chip_xored(wrong, parity ^ bad.xor_of_nine()), clean);
         }
     }
 
     #[test]
     fn ecc_parity_reconstruction_recovers_counter_chips() {
         let counters = [10u64, 20, 30, 40, 50, 60, 70, 80];
-        let clean = StoredLine::from_counters(&counters, 99);
+        let clean = LineWords::from_counters(&counters, 99);
         for failed in 0..8 {
-            let mut bad = clean;
-            bad.corrupt_chip(failed, [0x5A; 8]);
-            let fixed = bad.with_chip_reconstructed_from_ecc(failed);
-            assert_eq!(fixed, clean, "chip {failed}");
-        }
-    }
-
-    #[test]
-    fn reconstructing_the_wrong_chip_fails() {
-        let line = CacheLine::from_bytes([0x99; 64]);
-        let clean = StoredLine::from_data(&line, 7);
-        let parity = clean.xor_of_nine();
-        let mut bad = clean;
-        bad.corrupt_chip(3, [0x01; 8]);
-        let attempt = bad.with_chip_reconstructed(5, &parity);
-        assert_ne!(attempt, clean);
-    }
-
-    #[test]
-    fn hoisted_base_reconstruction_matches_with_chip_reconstructed() {
-        // The correction engine's fast form: candidate chip value is
-        // `base ^ chips[failed]` with `base = parity ⊕ xor_of_nine`.
-        let line = CacheLine::from_bytes([0x2B; 64]);
-        let clean = StoredLine::from_data(&line, 1234);
-        let parity = clean.xor_of_nine();
-        let mut bad = clean;
-        bad.corrupt_chip(4, [0x0F; 8]);
-        let base = xor_slices(&[parity, bad.xor_of_nine()]);
-        for failed in 0..9 {
-            assert_eq!(
-                bad.with_chip_replaced(failed, xor_slices(&[base, bad.chips[failed]])),
-                bad.with_chip_reconstructed(failed, &parity),
-                "chip {failed}"
-            );
-        }
-        // Same identity for the ParityC (ECC-chip) form over chips 0–7.
-        let base_c = bad.xor_of_nine();
-        for failed in 0..8 {
-            assert_eq!(
-                bad.with_chip_replaced(failed, xor_slices(&[base_c, bad.chips[failed]])),
-                bad.with_chip_reconstructed_from_ecc(failed),
-                "chip {failed}"
-            );
+            let bad = clean.with_chip_xored(failed, 0x5A5A_5A5A_5A5A_5A5A);
+            assert_eq!(bad.with_chip_xored(failed, bad.xor_of_nine()), clean, "chip {failed}");
         }
     }
 

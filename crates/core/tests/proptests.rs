@@ -3,13 +3,24 @@
 
 use proptest::prelude::*;
 use synergy_core::memory::{MemoryError, SynergyMemory, SynergyMemoryConfig};
-use synergy_core::stored::{xor_slices, ChipSlice, StoredLine};
+use synergy_core::stored::{ChipSlice, StoredLine};
 use synergy_crypto::CacheLine;
 
 const CAP: u64 = 1 << 15; // 32 KiB: small enough for fast cases
 
 fn mem() -> SynergyMemory {
     SynergyMemory::new(SynergyMemoryConfig::with_capacity(CAP)).expect("valid capacity")
+}
+
+/// XOR of a set of chip slices.
+fn fold(slices: &[ChipSlice]) -> ChipSlice {
+    let mut out = [0u8; 8];
+    for slice in slices {
+        for (o, b) in out.iter_mut().zip(slice) {
+            *o ^= b;
+        }
+    }
+    out
 }
 
 proptest! {
@@ -140,7 +151,7 @@ proptest! {
         let (c2, m2, pc) = stored.counter_parts();
         prop_assert_eq!(c2, counters);
         prop_assert_eq!(m2, mac);
-        prop_assert_eq!(pc, xor_slices(&stored.chips[..8]));
+        prop_assert_eq!(pc, fold(&stored.chips[..8]));
     }
 
     /// Parity-region lines round-trip all eight slots, and the ECC chip
@@ -150,7 +161,7 @@ proptest! {
         let stored = StoredLine::from_parities(&slots);
         let (s2, pp) = stored.parity_parts();
         prop_assert_eq!(s2, slots);
-        prop_assert_eq!(pp, xor_slices(&slots));
+        prop_assert_eq!(pp, fold(&slots));
     }
 
     /// `corrupt_chip` is an involution: re-applying the same XOR pattern
@@ -219,6 +230,66 @@ proptest! {
         }
         for addr in touched {
             prop_assert_eq!(lazy.snapshot_raw(addr), eager.snapshot_raw(addr));
+        }
+    }
+
+    /// The Bonsai write update by GHASH linearity is invisible: over random
+    /// streams of writes and reads with single- and multi-chip errors on
+    /// the lines of the written chains (counter lines, every tree level,
+    /// `ParityC`), occasional data-line errors and a rare whole-chip
+    /// failure, `write_line` and the root-down `write_line_reference`
+    /// return the same results, keep the same `MemoryStats` after every
+    /// operation and leave every touched line byte for byte the same.
+    /// The memory is 1 MiB (three tree levels); addresses stay in its
+    /// first 64 KiB, so chains share their upper levels.
+    #[test]
+    fn write_line_matches_the_reference_bonsai_loop(
+        ops in proptest::collection::vec(
+            (0u8..16, 0u64..1024, (0usize..9, 0usize..4), any::<[u8; 8]>()),
+            1..80,
+        ),
+    ) {
+        let cfg = SynergyMemoryConfig::with_capacity(1 << 20);
+        let mut fast = SynergyMemory::new(cfg.clone()).expect("valid capacity");
+        let mut reference = SynergyMemory::new(cfg).expect("valid capacity");
+        let mut touched = Vec::new();
+        for (kind, line, (chip, level), bytes) in ops {
+            let addr = line * 64;
+            let l = fast.layout();
+            let ctr = l.counter_line_addr(addr);
+            let mut chain = vec![ctr];
+            chain.extend(l.tree_path(ctr));
+            let parity = l.parity_line_addr(addr);
+            match kind {
+                0..=5 => {
+                    let data = CacheLine::from_bytes([bytes[0]; 64]);
+                    prop_assert_eq!(
+                        fast.write_line(addr, &data),
+                        reference.write_line_reference(addr, &data)
+                    );
+                }
+                6..=9 => prop_assert_eq!(fast.read_line(addr), reference.read_line(addr)),
+                10..=13 => {
+                    let target = chain[level % chain.len()];
+                    fast.inject_chip_pattern(target, chip, bytes);
+                    reference.inject_chip_pattern(target, chip, bytes);
+                }
+                14 => {
+                    fast.inject_chip_pattern(addr, chip, bytes);
+                    reference.inject_chip_pattern(addr, chip, bytes);
+                }
+                _ if bytes[1] == 0 => {
+                    fast.inject_chip_failure(chip);
+                    reference.inject_chip_failure(chip);
+                }
+                _ => {}
+            }
+            touched.extend([addr, parity]);
+            touched.extend(chain);
+            prop_assert_eq!(*fast.stats(), *reference.stats());
+        }
+        for addr in touched {
+            prop_assert_eq!(fast.snapshot_raw(addr), reference.snapshot_raw(addr));
         }
     }
 }

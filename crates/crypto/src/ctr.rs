@@ -40,6 +40,7 @@ fn pad_blocks(addr: u64, counter: u64) -> [[u8; 16]; 4] {
 /// The 64-byte one-time pad for `(addr, counter)` under an expanded
 /// [`Aes128`]: one fixed-shape kernel call on the SIMD backend, four
 /// [`Aes128::encrypt_block`] calls on the table backend.
+#[inline]
 pub fn pad_with_cipher(aes: &Aes128, addr: u64, counter: u64) -> CacheLine {
     #[cfg(target_arch = "x86_64")]
     if aes.backend() == Backend::Simd {
@@ -97,7 +98,13 @@ impl LineCipher {
         Self { aes: Aes128::with_backend(key.as_bytes(), backend) }
     }
 
+    /// The expanded key, for the fused write kernel in [`crate::gmac`].
+    pub(crate) fn aes(&self) -> &Aes128 {
+        &self.aes
+    }
+
     /// Encrypts a plaintext line under `(addr, counter)`.
+    #[inline]
     pub fn encrypt(&self, addr: u64, counter: u64, plaintext: &CacheLine) -> CacheLine {
         plaintext.xor(&pad_with_cipher(&self.aes, addr, counter))
     }
@@ -109,6 +116,7 @@ impl LineCipher {
     }
 
     /// Decrypts a ciphertext line under `(addr, counter)`.
+    #[inline]
     pub fn decrypt(&self, addr: u64, counter: u64, ciphertext: &CacheLine) -> CacheLine {
         self.encrypt(addr, counter, ciphertext)
     }

@@ -172,6 +172,18 @@ impl GhashKey {
         acc
     }
 
+    /// `x · H^j` for `1 <= j <= 6`: one carry-less multiply by the
+    /// precomputed power on the SIMD backend, `j` table multiplies on the
+    /// table backend.
+    pub(crate) fn mul_power(&self, x: u128, j: usize) -> u128 {
+        debug_assert!((1..=AGG_BLOCKS).contains(&j));
+        #[cfg(target_arch = "x86_64")]
+        if self.backend == Backend::Simd {
+            return crate::simd::gf128_mul(x, self.powers[j - 1]);
+        }
+        (0..j).fold(x, |acc, _| self.mul(acc))
+    }
+
     /// Keyed [`ghash`] for the line-tag shape — a 4-byte AAD and exactly
     /// 64 bytes of data. The six blocks (one AAD, four data, one length)
     /// are assembled on the stack and absorbed in **one** aggregated fold
@@ -216,6 +228,16 @@ impl GhashKey {
         }
         out
     }
+}
+
+/// Where XORing the big-endian word `delta` into chip `chip`'s eight bytes
+/// of a 64-byte line enters [`GhashKey::ghash_line`]: the data block
+/// `chip / 2` with `delta` in its high (even `chip`) or low (odd `chip`)
+/// half, and the exponent `5 − chip / 2` of that block's key power (one
+/// AAD block, four data blocks, one length block).
+pub(crate) fn chip_term(chip: usize, delta: u64) -> (u128, usize) {
+    let block = if chip.is_multiple_of(2) { u128::from(delta) << 64 } else { u128::from(delta) };
+    (block, 5 - chip / 2)
 }
 
 /// Computes the full GCM-style GHASH over additional authenticated data and

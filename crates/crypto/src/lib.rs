@@ -56,7 +56,8 @@
 
 // `unsafe` is denied crate-wide and re-allowed in exactly one module:
 // the `#[target_feature]` SIMD kernels in `simd`, which every safe
-// caller reaches only behind a successful runtime feature detection.
+// caller reaches only behind a successful runtime feature detection, and
+// the baseline-SSE prefetch hint behind [`prefetch`].
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -74,6 +75,20 @@ pub use aes::Aes128;
 pub use backend::Backend;
 pub use ghash::GhashKey;
 pub use line::CacheLine;
+
+/// Hints the CPU to start loading the cache lines that hold the first and
+/// the last of `words`, and returns without waiting for them. On x86-64
+/// this is a non-blocking `prefetcht0` (SSE, part of the baseline); other
+/// targets load the two words and discard them.
+#[inline]
+pub fn prefetch(words: &[u64]) {
+    #[cfg(target_arch = "x86_64")]
+    simd::prefetch(words);
+    #[cfg(not(target_arch = "x86_64"))]
+    if let (Some(first), Some(last)) = (words.first(), words.last()) {
+        std::hint::black_box(first ^ last);
+    }
+}
 
 /// Size in bytes of a memory cacheline (fixed at 64 throughout the paper).
 pub const LINE_BYTES: usize = 64;

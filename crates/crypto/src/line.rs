@@ -36,6 +36,7 @@ impl CacheLine {
     ///
     /// This is the layout used for counter cachelines, where each chip
     /// supplies one 64-bit field of the line.
+    #[inline]
     pub fn from_words(words: [u64; 8]) -> Self {
         let mut bytes = [0u8; LINE_BYTES];
         for (i, w) in words.iter().enumerate() {
@@ -45,6 +46,7 @@ impl CacheLine {
     }
 
     /// Decomposes the line into eight little-endian 64-bit words.
+    #[inline]
     pub fn to_words(&self) -> [u64; 8] {
         let mut words = [0u64; 8];
         for (i, w) in words.iter_mut().enumerate() {
@@ -56,11 +58,6 @@ impl CacheLine {
     /// Returns the raw bytes of the line.
     pub fn as_bytes(&self) -> &[u8; LINE_BYTES] {
         &self.0
-    }
-
-    /// Returns the raw bytes of the line, mutably.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8; LINE_BYTES] {
-        &mut self.0
     }
 
     /// The 8-byte slice supplied by data chip `chip` (0..8).

@@ -2,7 +2,7 @@
 //! carry-less multiplies.
 //!
 //! This is the [`crate::backend::Backend::Simd`] implementation behind
-//! the dispatching primitives. Two kernel families live here:
+//! the dispatching primitives. These kernels live here:
 //!
 //! * **AES-128** — the round functions run on `_mm_aesenc_si128` /
 //!   `_mm_aesenclast_si128` with the key schedule derived via
@@ -10,6 +10,10 @@
 //!   blocks of a 64-byte counter-mode pad through the rounds as
 //!   independent lanes, so the 4-cycle `aesenc` latency overlaps across
 //!   them (the hardware unit is fully pipelined).
+//! * **The Bonsai write update** — [`bonsai_update`] runs a write's
+//!   whole crypto in one call: the data line's CTR pad, its tag, and every
+//!   counter-chain level's new tag from the level's GHASH state by
+//!   linearity, with the AES work in groups of four register lanes.
 //! * **GHASH / GF(2^128)** — the repo represents GCM field elements as
 //!   `u128::from_be_bytes(block)`, which is exactly the *bit-reflected*
 //!   operand form of Intel's GCM white-paper `gfmul`: on a little-endian
@@ -25,11 +29,16 @@
 //! confined to `#[target_feature]` inner functions whose required CPU
 //! features the caller guarantees by only reaching this module through a
 //! [`crate::backend::Backend::Simd`] dispatch (which implies detection
-//! succeeded). All kernels are pinned against the crate's bit-serial
-//! `*_reference` oracles by the backend-equivalence proptest suite.
+//! succeeded). The one exception is [`prefetch`], a cache hint that needs
+//! only the x86-64 baseline. All kernels are pinned against the crate's
+//! bit-serial `*_reference` oracles by the backend-equivalence proptest
+//! suite.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
+
+use crate::ghash::chip_term;
+use crate::gmac::{bump, nonce_parts, ChainLevel};
 
 /// Debug-build guard: the SIMD entry points must only be reached behind
 /// a successful feature detection.
@@ -91,6 +100,10 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
     unsafe { expand_key_inner(key) }
 }
 
+/// # Safety
+///
+/// The CPU must support AES-NI.
+#[inline]
 #[target_feature(enable = "aes")]
 unsafe fn encrypt_block_inner(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
     let mut s = _mm_xor_si128(
@@ -112,35 +125,28 @@ pub(crate) fn encrypt_block(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u
     unsafe { encrypt_block_inner(round_keys, block) }
 }
 
+/// The four counter-mode blocks of `(addr, counter)` as AES registers.
+/// Counter block i is `addr (8 bytes BE) || counter (low 7 bytes BE) ||
+/// i`. As a little-endian register the high half is the byte-swapped
+/// `counter << 8`, so the four blocks differ only in its top byte.
+///
+/// # Safety
+///
+/// None beyond SSE2, part of the x86-64 baseline.
+#[inline]
+unsafe fn ctr_blocks(addr: u64, counter: u64) -> [__m128i; 4] {
+    let base = _mm_set_epi64x((counter << 8).swap_bytes() as i64, addr.swap_bytes() as i64);
+    [0, 1, 2, 3].map(|i: i64| _mm_xor_si128(base, _mm_set_epi64x(i << 56, 0)))
+}
+
 /// # Safety
 ///
 /// The CPU must support AES-NI.
 #[target_feature(enable = "aes")]
 unsafe fn ctr_pad_inner(round_keys: &[[u8; 16]; 11], addr: u64, counter: u64) -> [u8; 64] {
-    // Counter block i is `addr (8 bytes BE) || counter (low 7 bytes BE) ||
-    // i`. As a little-endian register the high half is the byte-swapped
-    // `counter << 8`, so the four blocks differ only in its top byte.
-    let base = _mm_set_epi64x((counter << 8).swap_bytes() as i64, addr.swap_bytes() as i64);
-    let k0 = _mm_loadu_si128(round_keys[0].as_ptr().cast());
-    let mut b = [
-        _mm_xor_si128(base, k0),
-        _mm_xor_si128(_mm_xor_si128(base, _mm_set_epi64x(1 << 56, 0)), k0),
-        _mm_xor_si128(_mm_xor_si128(base, _mm_set_epi64x(2 << 56, 0)), k0),
-        _mm_xor_si128(_mm_xor_si128(base, _mm_set_epi64x(3 << 56, 0)), k0),
-    ];
-    for rk in &round_keys[1..10] {
-        let k = _mm_loadu_si128(rk.as_ptr().cast());
-        b = [
-            _mm_aesenc_si128(b[0], k),
-            _mm_aesenc_si128(b[1], k),
-            _mm_aesenc_si128(b[2], k),
-            _mm_aesenc_si128(b[3], k),
-        ];
-    }
-    let k10 = _mm_loadu_si128(round_keys[10].as_ptr().cast());
     let mut pad = [0u8; 64];
-    for (i, lane) in b.iter().enumerate() {
-        _mm_storeu_si128(pad[16 * i..].as_mut_ptr().cast(), _mm_aesenclast_si128(*lane, k10));
+    for (i, lane) in aes_x4(round_keys, ctr_blocks(addr, counter)).iter().enumerate() {
+        _mm_storeu_si128(pad[16 * i..].as_mut_ptr().cast(), *lane);
     }
     pad
 }
@@ -150,6 +156,7 @@ unsafe fn ctr_pad_inner(round_keys: &[[u8; 16]; 11], addr: u64, counter: u64) ->
 /// four straight-line lanes. Byte-identical to the four blocks of
 /// [`crate::ctr::pad_with_cipher_reference`] (pinned by the
 /// backend-equivalence suite).
+#[inline]
 pub(crate) fn ctr_pad(round_keys: &[[u8; 16]; 11], addr: u64, counter: u64) -> [u8; 64] {
     debug_assert_supported();
     // SAFETY: this module is reached only through a `Backend::Simd`
@@ -268,29 +275,40 @@ pub(crate) fn ghash_fold(y: u128, blocks: &[u128], powers: &[u128]) -> u128 {
     unsafe { ghash_fold_inner(y, blocks, powers) }
 }
 
-#[target_feature(enable = "aes,pclmulqdq")]
-unsafe fn gmac_line_tag_inner(
-    round_keys: &[[u8; 16]; 11],
-    powers: &[u128],
-    j0: u128,
-    aad: [u8; 4],
-    data: &[u8; 64],
-) -> u128 {
-    // E_K(J0): straight-line AES rounds. Issued before the fold so the
-    // serial aesenc chain overlaps the independent clmuls in the
-    // out-of-order window.
-    let j0_bytes = j0.to_be_bytes();
-    let mut s = _mm_xor_si128(
-        _mm_loadu_si128(j0_bytes.as_ptr().cast()),
-        _mm_loadu_si128(round_keys[0].as_ptr().cast()),
-    );
-    for rk in &round_keys[1..10] {
-        s = _mm_aesenc_si128(s, _mm_loadu_si128(rk.as_ptr().cast()));
-    }
-    s = _mm_aesenclast_si128(s, _mm_loadu_si128(round_keys[10].as_ptr().cast()));
+/// Loads a GCM block given as a `u128` value (big-endian block order)
+/// into the byte order the AES rounds take.
+///
+/// # Safety
+///
+/// None beyond SSE2, part of the x86-64 baseline.
+#[inline]
+unsafe fn load_block(x: u128) -> __m128i {
+    let bytes = x.to_be_bytes();
+    _mm_loadu_si128(bytes.as_ptr().cast())
+}
 
-    // GHASH of (4-byte AAD, 64-byte data): 1 AAD + 4 data + 1 length
-    // block, aggregated into a single reduction.
+/// Inverse of [`load_block`]: an AES output register as a `u128` block.
+///
+/// # Safety
+///
+/// None beyond SSE2, part of the x86-64 baseline.
+#[inline]
+unsafe fn store_block(v: __m128i) -> u128 {
+    let mut bytes = [0u8; 16];
+    _mm_storeu_si128(bytes.as_mut_ptr().cast(), v);
+    u128::from_be_bytes(bytes)
+}
+
+/// GHASH of (4-byte AAD, 64-byte data): 1 AAD + 4 data + 1 length block,
+/// aggregated into a single reduction.
+///
+/// # Safety
+///
+/// The CPU must support PCLMULQDQ, and `powers` must hold the six key
+/// powers of a line tag (a shorter slice panics).
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+unsafe fn ghash_line(powers: &[u128], aad: [u8; 4], data: &[u8; 64]) -> u128 {
     let aad_block = (u32::from_be_bytes(aad) as u128) << 96;
     let mut acc = clmul256(load_elem(aad_block), load_elem(powers[5]));
     for i in 0..4 {
@@ -303,29 +321,46 @@ unsafe fn gmac_line_tag_inner(
     let w = clmul256(load_elem(len_block), load_elem(powers[0]));
     acc.hi = _mm_xor_si128(acc.hi, w.hi);
     acc.lo = _mm_xor_si128(acc.lo, w.lo);
-    let g = store_elem(shift_reduce(acc));
-
-    let mut ct = [0u8; 16];
-    _mm_storeu_si128(ct.as_mut_ptr().cast(), s);
-    g ^ u128::from_be_bytes(ct)
+    store_elem(shift_reduce(acc))
 }
 
-/// The full 128-bit GMAC line tag — `GHASH(aad, data) ^ E_K(J0)` — in one
-/// kernel call. Fusing the AES encryption and the aggregated fold keeps
-/// the whole tag inside a single `#[target_feature]` region: the two
-/// halves are independent, so the hardware overlaps them, and the call
-/// boundary (which cannot be inlined into non-target-feature callers) is
-/// paid once instead of twice. `powers` needs at least the six key powers
-/// a line tag consumes.
+/// # Safety
+///
+/// The CPU must support AES-NI and PCLMULQDQ, and `powers` must hold the
+/// six key powers of a line tag (a shorter slice panics).
+#[target_feature(enable = "aes,pclmulqdq")]
+unsafe fn gmac_line_tag_inner(
+    round_keys: &[[u8; 16]; 11],
+    powers: &[u128],
+    j0: u128,
+    aad: [u8; 4],
+    data: &[u8; 64],
+) -> (u128, u128) {
+    // E_K(J0) is issued before the fold, so the serial aesenc chain
+    // overlaps the independent clmuls in the out-of-order window.
+    let ek_j0 = u128::from_be_bytes(encrypt_block_inner(round_keys, &j0.to_be_bytes()));
+    (ghash_line(powers, aad, data), ek_j0)
+}
+
+/// The two halves of a 128-bit GMAC line tag, `(GHASH(aad, data),
+/// E_K(J0))`, in one kernel call: the tag is their XOR. Fusing the AES
+/// encryption and the aggregated fold keeps the whole tag inside a single
+/// `#[target_feature]` region: the two halves are independent, so the
+/// hardware overlaps them, and the call boundary (which cannot be inlined
+/// into non-target-feature callers) is paid once instead of twice.
+/// `powers` needs at least the six key powers a line tag consumes.
+#[inline]
 pub(crate) fn gmac_line_tag(
     round_keys: &[[u8; 16]; 11],
     powers: &[u128],
     j0: u128,
     aad: [u8; 4],
     data: &[u8; 64],
-) -> u128 {
+) -> (u128, u128) {
     debug_assert_supported();
     debug_assert!(powers.len() >= 6);
+    // SAFETY: this module is reached only through `Backend::Simd`
+    // instances, built only after AES-NI and PCLMULQDQ were detected.
     unsafe { gmac_line_tag_inner(round_keys, powers, j0, aad, data) }
 }
 
@@ -342,7 +377,8 @@ unsafe fn gmac_line_candidates_inner(
     data: &[u8; 64],
     delta: u64,
 ) -> (u128, [u64; 8]) {
-    let tag = gmac_line_tag_inner(round_keys, powers, j0, aad, data);
+    let (ghash, ek_j0) = gmac_line_tag_inner(round_keys, powers, j0, aad, data);
+    let tag = ghash ^ ek_j0;
     // Chips 2b and 2b+1 put `delta` in the high and the low half of data
     // block b, whose GHASH weight is H^(5 − b) = powers[4 − b]. With
     // `delta` in the register's low qword, the same two clmuls serve both:
@@ -386,6 +422,133 @@ pub(crate) fn gmac_line_candidates(
     // instance, built only after AES-NI and PCLMULQDQ were detected; the
     // caller passes a key's six powers (`GhashKey::powers`).
     unsafe { gmac_line_candidates_inner(round_keys, powers, j0, aad, data, delta) }
+}
+
+/// Runs four blocks through AES-128 as independent lanes: every lane runs
+/// a round before any runs the next, so the `aesenc` latency overlaps
+/// across them, and the lanes stay in registers.
+///
+/// # Safety
+///
+/// The CPU must support AES-NI.
+#[inline]
+#[target_feature(enable = "aes")]
+unsafe fn aes_x4(round_keys: &[[u8; 16]; 11], blocks: [__m128i; 4]) -> [__m128i; 4] {
+    let k0 = _mm_loadu_si128(round_keys[0].as_ptr().cast());
+    let mut b = blocks;
+    for lane in &mut b {
+        *lane = _mm_xor_si128(*lane, k0);
+    }
+    for rk in &round_keys[1..10] {
+        let k = _mm_loadu_si128(rk.as_ptr().cast());
+        for lane in &mut b {
+            *lane = _mm_aesenc_si128(*lane, k);
+        }
+    }
+    let k10 = _mm_loadu_si128(round_keys[10].as_ptr().cast());
+    for lane in &mut b {
+        *lane = _mm_aesenclast_si128(*lane, k10);
+    }
+    b
+}
+
+/// # Safety
+///
+/// The CPU must support AES-NI and PCLMULQDQ. (Every index is checked:
+/// an empty chain, a slot above 7 or a short `tags` panics.)
+#[target_feature(enable = "aes,pclmulqdq")]
+unsafe fn bonsai_update_inner(
+    mac_keys: &[[u8; 16]; 11],
+    enc_keys: &[[u8; 16]; 11],
+    powers: &[u128],
+    levels: &[ChainLevel],
+    addr: u64,
+    plaintext: &[u8; 64],
+    tags: &mut [u64],
+) -> ([u8; 64], u64) {
+    let counter = bump(levels[0].counter);
+    let (data_j0, data_aad) = nonce_parts(addr, counter);
+    // The data line's CTR pad under the encryption key first, so that the
+    // GHASH of its ciphertext overlaps the AES of the J0 blocks under the
+    // MAC key, which run four lanes at a time: lane 0 of the first group
+    // is the data line's, lane j >= 1 is level j − 1's.
+    let pad = aes_x4(enc_keys, ctr_blocks(addr, counter));
+    let mut ciphertext = [0u8; 64];
+    for (i, lane) in pad.iter().enumerate() {
+        let pt = _mm_loadu_si128(plaintext[16 * i..].as_ptr().cast());
+        _mm_storeu_si128(ciphertext[16 * i..].as_mut_ptr().cast(), _mm_xor_si128(*lane, pt));
+    }
+    let mut data_tag = ghash_line(powers, data_aad, &ciphertext);
+    for first in (0..=levels.len()).step_by(4) {
+        let mut j0 = [_mm_setzero_si128(); 4];
+        for (j, lane) in (first..=levels.len()).zip(&mut j0) {
+            *lane = load_block(match j {
+                0 => data_j0,
+                _ => nonce_parts(levels[j - 1].addr, bump(levels[j - 1].parent_counter)).0,
+            });
+        }
+        for (j, ek) in (first..=levels.len()).zip(aes_x4(mac_keys, j0)) {
+            let Some(k) = j.checked_sub(1) else {
+                data_tag ^= store_block(ek);
+                continue;
+            };
+            // Level k's new GHASH state is its old one plus the bumped
+            // slot's delta times its block's key power, plus the AAD delta
+            // times H^6 when the parent counter crossed a 2^32 boundary.
+            let level = &levels[k];
+            let parent = bump(level.parent_counter);
+            let delta = (level.counter ^ bump(level.counter)).swap_bytes();
+            let (block, power) = chip_term(level.slot, delta);
+            let mut acc = clmul256(load_elem(block), load_elem(powers[power - 1]));
+            let aad = (level.parent_counter >> 32) ^ (parent >> 32);
+            if aad != 0 {
+                let w = clmul256(load_elem(u128::from(aad) << 96), load_elem(powers[5]));
+                acc.hi = _mm_xor_si128(acc.hi, w.hi);
+                acc.lo = _mm_xor_si128(acc.lo, w.lo);
+            }
+            let state = level.state ^ store_elem(shift_reduce(acc));
+            tags[k] = ((state ^ store_block(ek)) >> 64) as u64;
+        }
+    }
+    (ciphertext, (data_tag >> 64) as u64)
+}
+
+/// The whole write of a data line under a verified counter chain in one
+/// kernel call: every level's new tag by GHASH linearity, and the data
+/// line's ciphertext and tag under its bumped counter (see
+/// [`crate::gmac::Gmac::bonsai_update`]). The AES work of every level's
+/// `E_K(J0)`, the data line's and its four CTR blocks runs in groups of
+/// four interleaved lanes; each level then costs one or two carry-less
+/// products and a reduction.
+pub(crate) fn bonsai_update(
+    mac_keys: &[[u8; 16]; 11],
+    enc_keys: &[[u8; 16]; 11],
+    powers: &[u128],
+    levels: &[ChainLevel],
+    addr: u64,
+    plaintext: &[u8; 64],
+    tags: &mut [u64],
+) -> ([u8; 64], u64) {
+    debug_assert_supported();
+    // SAFETY: this module is reached only through `Backend::Simd`
+    // instances, built only after AES-NI and PCLMULQDQ were detected.
+    unsafe { bonsai_update_inner(mac_keys, enc_keys, powers, levels, addr, plaintext, tags) }
+}
+
+/// Starts loading the cache lines holding the first and the last of
+/// `words` into every cache level (`prefetcht0`) and returns at once. A
+/// load would hold its instruction back from retiring until the line
+/// arrives; a prefetch retires immediately, so several misses overlap
+/// without filling the out-of-order window.
+pub(crate) fn prefetch(words: &[u64]) {
+    if let (Some(first), Some(last)) = (words.first(), words.last()) {
+        // SAFETY: a prefetch is a hint: it never faults and writes
+        // nothing, and SSE is part of the x86-64 baseline.
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>((first as *const u64).cast());
+            _mm_prefetch::<_MM_HINT_T0>((last as *const u64).cast());
+        }
+    }
 }
 
 #[cfg(test)]

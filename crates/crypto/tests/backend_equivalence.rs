@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use synergy_crypto::ctr::{pad_with_cipher, pad_with_cipher_reference, LineCipher};
-use synergy_crypto::gmac::Gmac;
+use synergy_crypto::gmac::{ChainLevel, Gmac};
 use synergy_crypto::{Aes128, Backend, CacheLine, EncryptionKey, MacKey};
 
 /// The backends to cross-check: always the table path; the SIMD path
@@ -145,6 +145,98 @@ proptest! {
             let (state, variants) = gmac.line_tag_candidates(addr, counter, &line, delta);
             prop_assert_eq!(state, expect_state, "{:?} tag state", backend);
             prop_assert_eq!(variants, expect, "{:?} variants", backend);
+        }
+    }
+
+    /// The Bonsai write update by linearity: on every backend,
+    /// `bonsai_update` from the walk's GHASH states equals
+    /// `bonsai_update_reference`, which retags every bumped payload with
+    /// the bit-serial path and encrypts and tags the data line the
+    /// reference way. Chains run from the counter line alone to eight
+    /// levels. Each counter is drawn at random, just below a 2^32
+    /// boundary (its bump changes the AAD) or at 2^56 − 1 (its bump wraps
+    /// to zero). One level in four is stored with a single-chip error in
+    /// its payload and its state is recovered as the walk does after a
+    /// `ParityC` correction: the failed check's state plus
+    /// `chip_delta_state`.
+    #[test]
+    fn bonsai_update_three_way(
+        mac_key in any::<[u8; 16]>(),
+        enc_key in any::<[u8; 16]>(),
+        addr in any::<u64>(),
+        plaintext in any::<[u8; 64]>(),
+        levels in proptest::collection::vec(
+            (
+                (any::<u64>(), any::<[u64; 8]>(), 0usize..8, 0u8..4),
+                (0u8..4, 0usize..8, any::<u64>()),
+            ),
+            1..9,
+        ),
+        root in any::<u64>(),
+        root_kind in 0u8..4,
+    ) {
+        const MASK56: u64 = (1 << 56) - 1;
+        // 0: random; 1: just below a 2^32 boundary; 2: 2^56 − 1; 3: random.
+        let shape = |value: u64, kind: u8| match kind {
+            1 => (value | 0xffff_ffff) & MASK56,
+            2 => MASK56,
+            _ => value & MASK56,
+        };
+        let mac_key = MacKey::from_bytes(mac_key);
+        let enc_key = EncryptionKey::from_bytes(enc_key);
+        let plaintext = CacheLine::from_bytes(plaintext);
+        let n = levels.len();
+        // Build the chain top-down: each level's parent counter is the
+        // counter in the bumped slot of the level above.
+        let mut chain = vec![ChainLevel::default(); n];
+        let mut payloads = vec![[0u64; 8]; n];
+        let mut errors = vec![None; n];
+        let mut parent = shape(root, root_kind);
+        for k in (0..n).rev() {
+            let ((line_addr, words, slot, kind), (fault, chip, delta)) = levels[k];
+            let mut payload = words.map(|w| w & MASK56);
+            payload[slot] = shape(payload[slot], kind);
+            chain[k] = ChainLevel {
+                addr: line_addr & !63,
+                parent_counter: parent,
+                state: 0,
+                slot,
+                counter: payload[slot],
+            };
+            if fault == 0 && delta & MASK56 != 0 {
+                errors[k] = Some((chip, (delta & MASK56).to_le_bytes()));
+            }
+            payloads[k] = payload;
+            parent = payload[slot];
+        }
+        let oracle = Gmac::with_backend(&mac_key, Backend::Table);
+        let oracle_cipher = LineCipher::with_backend(&enc_key, Backend::Table);
+        let mut expect_tags = vec![0u64; n];
+        let expect = oracle.bonsai_update_reference(
+            &oracle_cipher, &chain, &payloads, addr, &plaintext, &mut expect_tags,
+        );
+        for backend in backends() {
+            let gmac = Gmac::with_backend(&mac_key, backend);
+            let cipher = LineCipher::with_backend(&enc_key, backend);
+            let mut walked = chain.clone();
+            for ((level, payload), error) in walked.iter_mut().zip(&payloads).zip(&errors) {
+                let mut stored = CacheLine::from_words(*payload);
+                if let Some((chip, delta)) = *error {
+                    for (b, d) in stored.chip_slice_mut(chip).iter_mut().zip(delta) {
+                        *b ^= d;
+                    }
+                }
+                let (_, state) =
+                    gmac.node_tag_state(level.addr, level.parent_counter, stored.as_bytes());
+                level.state = match *error {
+                    Some((chip, delta)) => state ^ gmac.chip_delta_state(chip, delta),
+                    None => state,
+                };
+            }
+            let mut tags = vec![0u64; n];
+            let got = gmac.bonsai_update(&cipher, &walked, addr, &plaintext, &mut tags);
+            prop_assert_eq!(&tags, &expect_tags, "{:?} level tags", backend);
+            prop_assert_eq!(got, expect, "{:?} data line", backend);
         }
     }
 

@@ -109,11 +109,6 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// True when the target channel queue has room for `req`.
-    pub fn can_accept(&self, req: &Request) -> bool {
-        self.has_room(map_address(&self.cfg, req.addr).channel, req.kind)
-    }
-
     fn has_room(&self, channel: usize, kind: AccessKind) -> bool {
         let ch = &self.channels[channel];
         match kind {

@@ -145,11 +145,6 @@ impl CycleAttribution {
         self.cells[class].iter().sum()
     }
 
-    /// Requests closed for one class.
-    pub fn class_requests(&self, class: usize) -> u64 {
-        self.requests[class]
-    }
-
     /// Total attributed cycles over all cells.
     pub fn total_cycles(&self) -> u64 {
         self.cells.iter().flatten().sum()
