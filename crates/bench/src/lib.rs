@@ -212,13 +212,8 @@ pub fn run_workload_custom(
     run(&cfg, &mut trace, bench_insts()).expect("simulation config is valid")
 }
 
-/// Runs a 4-benchmark mix under `design`.
-pub fn run_mix(design: DesignConfig, mix: &presets::MixSpec, channels: usize) -> SimResult {
-    run_mix_with_faults(design, mix, channels, FaultSchedule::default())
-}
-
 /// Runs a 4-benchmark mix under `design` with a scheduled fault injection
-/// (see [`run_workload_with_faults`]).
+/// (see [`run_workload_with_faults`]; an empty schedule for a healthy run).
 pub fn run_mix_with_faults(
     design: DesignConfig,
     mix: &presets::MixSpec,

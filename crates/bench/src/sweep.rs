@@ -3,9 +3,9 @@
 //! The paper's performance figures are sweeps over (design, workload,
 //! channels) cells — ~35 workloads × 3–4 designs for Figures 8–9 — and
 //! every cell is an independent simulation: [`crate::run_workload`] /
-//! [`crate::run_mix`] seed each cell's trace from the *cell parameters
-//! alone* (`trace_seed`, shared across designs by design), never from
-//! global mutable state. Cells can therefore run on any thread in any
+//! [`crate::run_mix_with_faults`] seed each cell's trace from the *cell
+//! parameters alone* (`trace_seed`, shared across designs by design), never
+//! from global mutable state. Cells can therefore run on any thread in any
 //! order and still produce byte-identical [`SimResult`]s; only the fold
 //! into [`crate::MetricsSnapshot`] is order-sensitive, and that stays on
 //! the calling thread in deterministic cell order.

@@ -6,8 +6,6 @@
 //! single [`EccPolicy::first_failure`] call over the same faults.
 //!
 //! [`EccPolicy::first_failure`]: synergy_faultsim::EccPolicy::first_failure
-//! [`verdicts_agree`] is the campaign's core assertion: an outcome in
-//! [`Outcome::is_failure`] iff the analytic model predicts a failure.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -112,11 +110,6 @@ pub fn analytic_fails(scenario: &Scenario) -> bool {
     let policy = scenario.design.policy();
     scenario
         .with_analytic_faults(|faults| policy.first_failure(faults, LIFETIME_HOURS, None).is_some())
-}
-
-/// The campaign invariant: functional failure ⇔ analytic failure.
-pub fn verdicts_agree(scenario: &Scenario) -> bool {
-    run_functional(scenario).outcome.is_failure() == analytic_fails(scenario)
 }
 
 thread_local! {

@@ -1,4 +1,4 @@
-//! GF(2^8) arithmetic — the symbol field for Reed–Solomon Chipkill codes.
+//! GF(2^8) arithmetic — the symbol field of the Chipkill code.
 //!
 //! Uses the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D) with
 //! generator α = 2, the conventional choice for RS codes over bytes.
@@ -36,12 +36,6 @@ fn tables() -> &'static Tables {
     })
 }
 
-/// Adds two field elements (XOR).
-#[inline]
-pub fn add(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
 /// Multiplies two field elements.
 #[inline]
 pub fn mul(a: u8, b: u8) -> u8 {
@@ -50,28 +44,6 @@ pub fn mul(a: u8, b: u8) -> u8 {
     }
     let t = tables();
     t.exp[t.log[a as usize] as usize + t.log[b as usize] as usize]
-}
-
-/// Multiplicative inverse.
-///
-/// # Panics
-///
-/// Panics if `a == 0` (zero has no inverse).
-#[inline]
-pub fn inv(a: u8) -> u8 {
-    assert!(a != 0, "zero has no multiplicative inverse in GF(2^8)");
-    let t = tables();
-    t.exp[255 - t.log[a as usize] as usize]
-}
-
-/// Divides `a` by `b`.
-///
-/// # Panics
-///
-/// Panics if `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    mul(a, inv(b))
 }
 
 /// Raises the generator α (=2) to the power `e`.
@@ -94,8 +66,8 @@ pub fn log(a: u8) -> usize {
 /// Builds the 256-entry multiplication row for a fixed coefficient:
 /// `row[x] = coeff · x`. One log lookup for the coefficient plus one
 /// exp lookup per entry — after which multiplying *any* byte by `coeff`
-/// is a single indexed load. This is what the Reed–Solomon encoder and
-/// syndrome loops use to avoid the double-log-lookup of [`mul`] per byte.
+/// is a single indexed load. This is what the Chipkill encoder and
+/// syndrome tables use to avoid the double-log-lookup of [`mul`] per byte.
 pub fn mul_row(coeff: u8) -> [u8; 256] {
     let mut row = [0u8; 256];
     if coeff == 0 {
@@ -107,44 +79,6 @@ pub fn mul_row(coeff: u8) -> [u8; 256] {
         *r = t.exp[lc + t.log[x] as usize];
     }
     row
-}
-
-/// Length at which building a [`mul_row`] (256 table stores) pays for
-/// itself versus per-byte [`mul`] calls.
-const MUL_SLICE_ROW_THRESHOLD: usize = 32;
-
-/// Multiplies every byte of `dst` by `coeff` in place.
-///
-/// Short slices use direct log/exp multiplies; long slices amortize a
-/// per-coefficient [`mul_row`] so the inner loop is one load per byte.
-pub fn mul_slice(dst: &mut [u8], coeff: u8) {
-    match coeff {
-        0 => dst.fill(0),
-        1 => {}
-        _ if dst.len() >= MUL_SLICE_ROW_THRESHOLD => {
-            let row = mul_row(coeff);
-            for d in dst.iter_mut() {
-                *d = row[*d as usize];
-            }
-        }
-        _ => {
-            let t = tables();
-            let lc = t.log[coeff as usize] as usize;
-            for d in dst.iter_mut() {
-                if *d != 0 {
-                    *d = t.exp[lc + t.log[*d as usize] as usize];
-                }
-            }
-        }
-    }
-}
-
-/// Raises `a` to the power `e`.
-pub fn pow(a: u8, e: usize) -> u8 {
-    if a == 0 {
-        return if e == 0 { 1 } else { 0 };
-    }
-    alpha_pow(log(a) * e % 255)
 }
 
 #[cfg(test)]
@@ -180,29 +114,14 @@ mod tests {
         }
     }
 
+    /// The linearity `Chipkill`'s check and syndrome tables rest on.
     #[test]
-    fn distributive_over_add() {
+    fn mul_distributes_over_xor() {
         for a in (0..=255u8).step_by(13) {
             for b in (0..=255u8).step_by(19) {
                 for c in (0..=255u8).step_by(31) {
-                    assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
+                    assert_eq!(mul(a, b ^ c), mul(a, b) ^ mul(a, c));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn every_nonzero_element_has_inverse() {
-        for a in 1..=255u8 {
-            assert_eq!(mul(a, inv(a)), 1, "inv({a})");
-        }
-    }
-
-    #[test]
-    fn div_inverts_mul() {
-        for a in (0..=255u8).step_by(5) {
-            for b in (1..=255u8).step_by(7) {
-                assert_eq!(div(mul(a, b), b), a);
             }
         }
     }
@@ -225,45 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn pow_matches_repeated_mul() {
-        for a in [1u8, 2, 3, 0x53, 0xFF] {
-            let mut acc = 1u8;
-            for e in 0..20 {
-                assert_eq!(pow(a, e), acc, "a={a}, e={e}");
-                acc = mul(acc, a);
-            }
-        }
-        assert_eq!(pow(0, 0), 1);
-        assert_eq!(pow(0, 5), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no multiplicative inverse")]
-    fn inv_zero_panics() {
-        inv(0);
-    }
-
-    #[test]
     fn mul_row_matches_mul_exhaustively() {
         for coeff in 0..=255u8 {
             let row = mul_row(coeff);
             for x in 0..=255u8 {
                 assert_eq!(row[x as usize], mul(coeff, x), "coeff={coeff} x={x}");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_slice_matches_elementwise_mul() {
-        // Cover both the short (direct) and long (row-amortized) paths.
-        for len in [0usize, 1, 5, 31, 32, 200] {
-            for coeff in [0u8, 1, 2, 0x1D, 0x80, 0xFF] {
-                let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-                let mut dst = src.clone();
-                mul_slice(&mut dst, coeff);
-                for (d, s) in dst.iter().zip(src.iter()) {
-                    assert_eq!(*d, mul(*s, coeff), "len={len} coeff={coeff}");
-                }
             }
         }
     }

@@ -1,19 +1,18 @@
 //! Error-correction substrate for the SYNERGY reproduction.
 //!
 //! The paper evaluates three reliability mechanisms, all implemented here
-//! from scratch:
+//! from scratch, each as the one fixed-shape code the system runs with one
+//! private test oracle beside it:
 //!
 //! * [`secded`] — the (72,64) single-error-correct / double-error-detect
 //!   Hamming code stored in the 9th chip of a conventional ECC-DIMM. This is
 //!   what the SGX / SGX_O baselines use.
-//! * [`reed_solomon`] — symbol-based Reed–Solomon codes over GF(2^8)
-//!   ([`gf256`]), the construction behind commercial Chipkill: with two check
-//!   symbols per codeword, any single failed chip (symbol) out of 18 can be
-//!   corrected.
+//! * [`reed_solomon`] — x8 Chipkill, an (18,16) Reed–Solomon code over
+//!   GF(2^8) ([`gf256`]): with two check symbols per beat, any single
+//!   failed chip (symbol) out of 18 is corrected.
 //! * [`parity`] — the RAID-3 XOR parity that SYNERGY pairs with its MAC:
 //!   an 8-byte parity over 9 chip slices (8 data + 1 MAC) reconstructs the
-//!   contents of any one failed chip, and a parity-of-parities protects the
-//!   parity cachelines themselves.
+//!   contents of any one failed chip.
 //!
 //! # Which code tolerates what
 //!
@@ -34,7 +33,7 @@ pub mod secded;
 /// Outcome of an ECC decode attempt, common to every code in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecodeOutcome {
-    /// Codeword was error-free.
+    /// The word was error-free.
     Clean,
     /// An error was present and corrected; the payload is now trustworthy.
     Corrected,

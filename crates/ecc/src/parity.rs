@@ -8,10 +8,11 @@
 //!
 //! Because the faulty chip's identity is unknown, the reconstruction engine
 //! (in `synergy-core`) tries each chip in turn and validates each attempt
-//! with a MAC recomputation. This module provides the pure parity algebra:
-//! construction, verification and single-slice reconstruction, plus the
-//! parity-of-parities that protects the parity cachelines themselves
-//! (stored in the ECC chip alongside them, §III-A).
+//! with a MAC recomputation. This module provides the pure parity algebra
+//! over one data line's nine slices: construction and single-slice
+//! reconstruction. `synergy-core` keeps its own word-form parity, and the
+//! parity-of-parities that protects the parity cachelines (§III-A), on its
+//! line store.
 
 /// Number of protected chips: 8 data + 1 MAC.
 pub const CHIPS: usize = 9;
@@ -29,24 +30,6 @@ pub fn compute(slices: &[ChipSlice; CHIPS]) -> ChipSlice {
         }
     }
     parity
-}
-
-/// Computes the parity over an arbitrary number of slices — used for the
-/// 8-slice counter-cacheline parities (`ParityC`, `ParityT`) and the
-/// parity-of-parities (`ParityP`).
-pub fn compute_over(slices: &[ChipSlice]) -> ChipSlice {
-    let mut parity = [0u8; 8];
-    for slice in slices {
-        for (p, b) in parity.iter_mut().zip(slice.iter()) {
-            *p ^= b;
-        }
-    }
-    parity
-}
-
-/// Verifies that `parity` matches the XOR of `slices`.
-pub fn verify(slices: &[ChipSlice; CHIPS], parity: &ChipSlice) -> bool {
-    compute(slices) == *parity
 }
 
 /// Reconstructs the slice of chip `failed` from the other eight slices and
@@ -70,100 +53,6 @@ pub fn reconstruct(slices: &[ChipSlice; CHIPS], parity: &ChipSlice, failed: usiz
     out
 }
 
-/// Reconstructs a slice within an arbitrary-width group (for counter
-/// cachelines, which carry an 8-slice parity in the ECC chip).
-///
-/// # Panics
-///
-/// Panics if `failed >= slices.len()`.
-pub fn reconstruct_over(slices: &[ChipSlice], parity: &ChipSlice, failed: usize) -> ChipSlice {
-    assert!(failed < slices.len(), "chip index {failed} out of range");
-    let mut out = *parity;
-    for (i, slice) in slices.iter().enumerate() {
-        if i != failed {
-            for (o, b) in out.iter_mut().zip(slice.iter()) {
-                *o ^= b;
-            }
-        }
-    }
-    out
-}
-
-/// A parity cacheline: eight 8-byte parities packed so each chip `Cᵢ`
-/// supplies one parity (Figure 7(a)), with the parity-of-parities
-/// (`ParityP = P0 ⊕ … ⊕ P7`) stored in the ECC chip of the same line.
-///
-/// This layout means a failed chip that held both a data line and that
-/// line's parity (in different cachelines) is still recoverable: `ParityP`
-/// reconstructs the lost parity, which then reconstructs the lost data.
-///
-/// ```
-/// use synergy_ecc::parity::ParityLine;
-///
-/// let parities = [[1u8; 8], [2; 8], [3; 8], [4; 8], [5; 8], [6; 8], [7; 8], [8; 8]];
-/// let line = ParityLine::new(parities);
-///
-/// // Chip 3 fails, taking parity P3 with it:
-/// let recovered = line.reconstruct_parity(3);
-/// assert_eq!(recovered, [4; 8]);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParityLine {
-    parities: [ChipSlice; 8],
-    parity_of_parities: ChipSlice,
-}
-
-impl ParityLine {
-    /// Packs eight parities into a parity cacheline and derives `ParityP`.
-    pub fn new(parities: [ChipSlice; 8]) -> Self {
-        let parity_of_parities = compute_over(&parities);
-        Self { parities, parity_of_parities }
-    }
-
-    /// Rebuilds a parity line from stored bytes (after a memory read).
-    pub fn from_parts(parities: [ChipSlice; 8], parity_of_parities: ChipSlice) -> Self {
-        Self { parities, parity_of_parities }
-    }
-
-    /// The parity slice stored in chip `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 8`.
-    pub fn parity(&self, i: usize) -> ChipSlice {
-        self.parities[i]
-    }
-
-    /// Replaces the parity slice stored in chip `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 8`.
-    pub fn set_parity(&mut self, i: usize, value: ChipSlice) {
-        self.parities[i] = value;
-        self.parity_of_parities = compute_over(&self.parities);
-    }
-
-    /// The parity-of-parities stored in the ECC chip.
-    pub fn parity_of_parities(&self) -> ChipSlice {
-        self.parity_of_parities
-    }
-
-    /// True when `ParityP` is consistent with the eight parities.
-    pub fn is_consistent(&self) -> bool {
-        compute_over(&self.parities) == self.parity_of_parities
-    }
-
-    /// Reconstructs parity `i` from the other seven parities and `ParityP`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 8`.
-    pub fn reconstruct_parity(&self, i: usize) -> ChipSlice {
-        reconstruct_over(&self.parities, &self.parity_of_parities, i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,24 +65,6 @@ mod tests {
             }
         }
         slices
-    }
-
-    #[test]
-    fn parity_verifies() {
-        let slices = sample_slices();
-        let p = compute(&slices);
-        assert!(verify(&slices, &p));
-    }
-
-    #[test]
-    fn corrupted_slice_fails_verification() {
-        let slices = sample_slices();
-        let p = compute(&slices);
-        for chip in 0..CHIPS {
-            let mut bad = slices;
-            bad[chip][0] ^= 0xFF;
-            assert!(!verify(&bad, &p), "chip {chip}");
-        }
     }
 
     #[test]
@@ -229,42 +100,6 @@ mod tests {
         corrupted[1] = [0; 8];
         corrupted[2] = [0; 8];
         assert_ne!(reconstruct(&corrupted, &p, 1), slices[1]);
-    }
-
-    #[test]
-    fn parity_line_roundtrip() {
-        let parities = [[9u8; 8]; 8];
-        let line = ParityLine::new(parities);
-        assert!(line.is_consistent());
-        for i in 0..8 {
-            assert_eq!(line.parity(i), [9u8; 8]);
-            assert_eq!(line.reconstruct_parity(i), [9u8; 8]);
-        }
-    }
-
-    #[test]
-    fn parity_line_detects_inconsistency() {
-        let mut parities = [[1u8; 8]; 8];
-        parities[3] = [7; 8];
-        let line = ParityLine::new(parities);
-        let mut stored = line;
-        // Simulate a corrupted stored parity without updating ParityP.
-        stored.parities[3] = [0; 8];
-        assert!(!stored.is_consistent());
-        assert_eq!(stored.reconstruct_parity(3), [7; 8]);
-    }
-
-    #[test]
-    fn set_parity_keeps_parity_p_current() {
-        let mut line = ParityLine::new([[0u8; 8]; 8]);
-        line.set_parity(5, [0xAB; 8]);
-        assert!(line.is_consistent());
-        assert_eq!(line.reconstruct_parity(5), [0xAB; 8]);
-    }
-
-    #[test]
-    fn compute_over_empty_is_zero() {
-        assert_eq!(compute_over(&[]), [0u8; 8]);
     }
 
     #[test]

@@ -18,18 +18,15 @@
 //! The line codecs never build the 72-bit codeword: they compute on the
 //! stored (data word, check byte) pair. The code is linear, so a word's
 //! check byte is the XOR of its eight bytes' check bytes, read from a
-//! constant table; a syndrome maps to its data bit through another.
-//! [`Codeword`]'s bit-position API is the only place the codeword layout
-//! is materialized.
+//! constant table; a syndrome maps to its data bit through another. Only
+//! the bit-serial test oracle materializes the 72-bit codeword.
 
 use crate::DecodeOutcome;
 
-/// Number of Hamming check bits (positions 1,2,4,...,64).
-const CHECK_BITS: usize = 7;
 /// Total codeword length including the overall parity bit at position 0.
 const CODEWORD_BITS: usize = 72;
 
-/// Codeword position (1..72) of each data bit: the positions that are not
+/// The codeword position (1..72) of each data bit: the positions that are not
 /// powers of two, in increasing order.
 const DATA_POSITIONS: [usize; 64] = {
     let mut positions = [0; 64];
@@ -98,9 +95,9 @@ const CHECK_TABLE: [[u8; 256]; 8] = {
     table
 };
 
-/// The stored check byte of `data` (see [`Codeword::from_parts`] for the
-/// layout): the Hamming check bits, and an overall parity that makes the
-/// whole codeword even-weight.
+/// The stored check byte of `data`: bits 1..8 are the Hamming check bits
+/// of codeword positions 1, 2, 4, …, 64, and bit 0 is the overall parity
+/// (codeword position 0) that makes the whole codeword even-weight.
 #[inline]
 fn check_byte(data: u64) -> u8 {
     let mut check = 0;
@@ -110,8 +107,17 @@ fn check_byte(data: u64) -> u8 {
     check
 }
 
-/// Decodes one stored (data word, check byte) pair; see
-/// [`Codeword::decode`].
+/// Decodes one stored (data word, check byte) pair: the corrected data
+/// word (or `None` for a detected uncorrectable error) and the
+/// [`DecodeOutcome`].
+///
+/// **Phantom-bit corrections.** With odd overall parity, a nonzero
+/// syndrome that names a check position, or a position past bit 71
+/// (the 7-bit syndrome reaches 127), flips no data bit: the data comes
+/// back unchanged and the outcome is [`DecodeOutcome::Corrected`]. An
+/// odd-weight multi-bit error confined to the check byte can land here
+/// — the check-chip aliasing note in EXPERIMENTS.md, which the
+/// campaign's even-weight check-byte guard relies on.
 #[inline]
 fn decode_word(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
     // The code is linear: the stored check byte XOR the one recomputed
@@ -130,95 +136,6 @@ fn decode_word(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
     }
 }
 
-/// A (72,64) SECDED codeword: 64 data bits plus 8 check bits.
-///
-/// ```
-/// use synergy_ecc::secded::Codeword;
-/// use synergy_ecc::DecodeOutcome;
-///
-/// let cw = Codeword::encode(0xDEAD_BEEF_0123_4567);
-/// // A single-bit upset anywhere in the 72 bits is corrected:
-/// let (data, outcome) = cw.with_bit_flipped(17).decode();
-/// assert_eq!(data, Some(0xDEAD_BEEF_0123_4567));
-/// assert_eq!(outcome, DecodeOutcome::Corrected);
-///
-/// // Two upsets are detected but not corrected:
-/// let (_, outcome) = cw.with_bit_flipped(3).with_bit_flipped(40).decode();
-/// assert_eq!(outcome, DecodeOutcome::DetectedUncorrectable);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Codeword(u128);
-
-impl Codeword {
-    /// Encodes a 64-bit data word into a 72-bit SECDED codeword.
-    pub fn encode(data: u64) -> Self {
-        Self::from_parts(data, check_byte(data))
-    }
-
-    /// Reassembles a codeword from stored data + check byte, as read from
-    /// the 8 data chips and the ECC chip.
-    ///
-    /// Check byte layout: bit 0 = overall parity, bits 1..8 = Hamming
-    /// check bits in position order 1,2,4,8,16,32,64.
-    pub fn from_parts(data: u64, check: u8) -> Self {
-        let mut bits = u128::from(check & 1);
-        for (d, &pos) in DATA_POSITIONS.iter().enumerate() {
-            bits |= u128::from((data >> d) & 1) << pos;
-        }
-        for i in 0..CHECK_BITS {
-            bits |= u128::from((check >> (i + 1)) & 1) << (1usize << i);
-        }
-        Self(bits)
-    }
-
-    /// Splits the codeword into the stored representation:
-    /// `(data word, check byte)`.
-    pub fn to_parts(self) -> (u64, u8) {
-        let mut data = 0u64;
-        for (d, &pos) in DATA_POSITIONS.iter().enumerate() {
-            data |= (((self.0 >> pos) & 1) as u64) << d;
-        }
-        let mut check = (self.0 & 1) as u8;
-        for i in 0..CHECK_BITS {
-            check |= (((self.0 >> (1usize << i)) & 1) as u8) << (i + 1);
-        }
-        (data, check)
-    }
-
-    /// Returns the raw 72-bit codeword (bits above 71 are zero).
-    pub fn raw(self) -> u128 {
-        self.0
-    }
-
-    /// Returns a copy with bit `pos` (0..72) flipped — fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= 72`.
-    #[must_use]
-    pub fn with_bit_flipped(self, pos: usize) -> Self {
-        assert!(pos < CODEWORD_BITS, "bit position {pos} out of range");
-        Self(self.0 ^ (1 << pos))
-    }
-
-    /// Decodes the codeword.
-    ///
-    /// Returns the corrected data word (or `None` for a detected
-    /// uncorrectable error) along with the [`DecodeOutcome`].
-    ///
-    /// **Phantom-bit corrections.** With odd overall parity, a nonzero
-    /// syndrome that names a check position, or a position past bit 71
-    /// (the 7-bit syndrome reaches 127), flips no data bit: the data comes
-    /// back unchanged and the outcome is [`DecodeOutcome::Corrected`]. An
-    /// odd-weight multi-bit error confined to the check byte can land here
-    /// — the check-chip aliasing note in EXPERIMENTS.md, which the
-    /// campaign's even-weight check-byte guard relies on.
-    pub fn decode(self) -> (Option<u64>, DecodeOutcome) {
-        let (data, check) = self.to_parts();
-        decode_word(data, check)
-    }
-}
-
 /// Encodes all eight 64-bit words of a 64-byte cacheline, producing the
 /// 8 check bytes stored in the ECC chip.
 pub fn encode_line(words: &[u64; 8]) -> [u8; 8] {
@@ -228,8 +145,8 @@ pub fn encode_line(words: &[u64; 8]) -> [u8; 8] {
 /// Decodes a full cacheline of eight words against its 8 check bytes.
 ///
 /// Returns the corrected words and the worst outcome across the line
-/// (a line is only usable if every word decodes). Each word decodes as
-/// [`Codeword::decode`] does, phantom-bit corrections included.
+/// (a line is only usable if every word decodes). Each word decodes on
+/// its own, phantom-bit corrections included (see `decode_word`).
 pub fn decode_line(words: &[u64; 8], check: &[u8; 8]) -> (Option<[u64; 8]>, DecodeOutcome) {
     let mut out = [0u64; 8];
     let mut worst = DecodeOutcome::Clean;
@@ -249,48 +166,135 @@ pub fn decode_line(words: &[u64; 8], check: &[u8; 8]) -> (Option<[u64; 8]>, Deco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn clean_roundtrip() {
-        for data in [0u64, u64::MAX, 0xDEAD_BEEF, 1, 1 << 63, 0x5555_5555_5555_5555] {
-            let cw = Codeword::encode(data);
-            let (decoded, outcome) = cw.decode();
-            assert_eq!(decoded, Some(data));
-            assert_eq!(outcome, DecodeOutcome::Clean);
+    /// The bit-serial textbook code: scatter the word into Hamming
+    /// positions, sum positions for the syndrome, flip the named bit of the
+    /// 128-bit register. The oracle for the mask-and-table code.
+    mod oracle {
+        use super::super::CODEWORD_BITS;
+        use crate::DecodeOutcome;
+
+        /// The 72-bit codeword of a stored pair: the overall parity at
+        /// position 0, check bit `i` at position `2^i`, the data bits at the
+        /// other positions in order.
+        pub fn codeword(data: u64, check: u8) -> u128 {
+            let mut bits = u128::from(check & 1);
+            for i in 0..7 {
+                bits |= u128::from((check >> (i + 1)) & 1) << (1usize << i);
+            }
+            let mut d = 0;
+            for pos in 1..CODEWORD_BITS {
+                if !pos.is_power_of_two() {
+                    bits |= u128::from((data >> d) & 1) << pos;
+                    d += 1;
+                }
+            }
+            bits
+        }
+
+        /// The stored pair of a codeword; the inverse of [`codeword`].
+        pub fn split(bits: u128) -> (u64, u8) {
+            let mut check = (bits & 1) as u8;
+            for i in 0..7 {
+                check |= (((bits >> (1usize << i)) & 1) as u8) << (i + 1);
+            }
+            let (mut data, mut d) = (0u64, 0);
+            for pos in 1..CODEWORD_BITS {
+                if !pos.is_power_of_two() {
+                    data |= (((bits >> pos) & 1) as u64) << d;
+                    d += 1;
+                }
+            }
+            (data, check)
+        }
+
+        pub fn encode(data: u64) -> u8 {
+            let mut bits = codeword(data, 0);
+            for i in 0..7 {
+                let mask = 1usize << i;
+                let mut parity = 0u32;
+                for pos in 1..CODEWORD_BITS {
+                    if pos & mask != 0 && !pos.is_power_of_two() && (bits >> pos) & 1 == 1 {
+                        parity ^= 1;
+                    }
+                }
+                if parity == 1 {
+                    bits |= 1 << mask;
+                }
+            }
+            if bits.count_ones() & 1 == 1 {
+                bits |= 1;
+            }
+            split(bits).1
+        }
+
+        pub fn decode(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
+            let bits = codeword(data, check);
+            let mut syndrome = 0usize;
+            for pos in 1..CODEWORD_BITS {
+                if (bits >> pos) & 1 == 1 {
+                    syndrome ^= pos;
+                }
+            }
+            match (syndrome, bits.count_ones() & 1 == 1) {
+                (0, false) => (Some(split(bits).0), DecodeOutcome::Clean),
+                (0, true) => (Some(split(bits).0), DecodeOutcome::Corrected),
+                (s, true) => (Some(split(bits ^ (1 << s)).0), DecodeOutcome::Corrected),
+                (_, false) => (None, DecodeOutcome::DetectedUncorrectable),
+            }
+        }
+
+        pub fn decode_line(words: &[u64; 8], check: &[u8; 8]) -> (Option<[u64; 8]>, DecodeOutcome) {
+            let mut out = [0u64; 8];
+            let mut worst = DecodeOutcome::Clean;
+            for i in 0..8 {
+                match decode(words[i], check[i]) {
+                    (Some(w), outcome) => {
+                        out[i] = w;
+                        if outcome == DecodeOutcome::Corrected {
+                            worst = outcome;
+                        }
+                    }
+                    (None, _) => return (None, DecodeOutcome::DetectedUncorrectable),
+                }
+            }
+            (Some(out), worst)
         }
     }
 
-    #[test]
-    fn parts_roundtrip() {
-        let cw = Codeword::encode(0x0123_4567_89AB_CDEF);
-        let (data, check) = cw.to_parts();
-        assert_eq!(Codeword::from_parts(data, check), cw);
+    /// Decodes the stored pair of a 72-bit codeword.
+    fn decode_codeword(bits: u128) -> (Option<u64>, DecodeOutcome) {
+        let (data, check) = oracle::split(bits);
+        decode_word(data, check)
     }
 
     #[test]
     fn corrects_every_single_bit_error() {
-        let data = 0xA5A5_5A5A_DEAD_BEEF;
-        let cw = Codeword::encode(data);
-        for pos in 0..72 {
-            let (decoded, outcome) = cw.with_bit_flipped(pos).decode();
-            assert_eq!(decoded, Some(data), "position {pos}");
-            assert_eq!(outcome, DecodeOutcome::Corrected, "position {pos}");
+        for data in [0u64, u64::MAX, 0xDEAD_BEEF, 1 << 63, 0xA5A5_5A5A_DEAD_BEEF] {
+            let check = check_byte(data);
+            let cw = oracle::codeword(data, check);
+            assert_eq!(oracle::split(cw), (data, check));
+            assert_eq!(decode_codeword(cw), (Some(data), DecodeOutcome::Clean));
+            for pos in 0..72 {
+                let decoded = decode_codeword(cw ^ (1 << pos));
+                assert_eq!(decoded, (Some(data), DecodeOutcome::Corrected), "position {pos}");
+            }
         }
     }
 
     #[test]
     fn detects_every_double_bit_error() {
         let data = 0x0F0F_F0F0_1234_5678;
-        let cw = Codeword::encode(data);
+        let cw = oracle::codeword(data, check_byte(data));
         for a in 0..72 {
             for b in (a + 1)..72 {
-                let (decoded, outcome) = cw.with_bit_flipped(a).with_bit_flipped(b).decode();
+                let decoded = decode_codeword(cw ^ (1 << a) ^ (1 << b));
                 assert_eq!(
-                    outcome,
-                    DecodeOutcome::DetectedUncorrectable,
+                    decoded,
+                    (None, DecodeOutcome::DetectedUncorrectable),
                     "positions {a},{b} miscorrected"
                 );
-                assert_eq!(decoded, None);
             }
         }
     }
@@ -298,33 +302,20 @@ mod tests {
     #[test]
     fn chip_failure_exceeds_secded() {
         // An entire x8 chip supplies 8 adjacent data bits of each word; its
-        // failure flips up to 8 bits — far beyond SECDED. With 8 flipped
-        // bits (even count) the error is at best detected, and may alias;
-        // we verify it is never silently *corrected to wrong data*... which
-        // SECDED cannot actually guarantee — this is exactly why the paper
-        // needs Chipkill/SYNERGY. Here we just confirm multi-bit chip errors
-        // are not reliably corrected.
+        // failure flips up to 8 bits — far beyond SECDED. Flip four bits of
+        // the word (part of one chip's slice). Positions are chosen so the
+        // syndrome XOR (10^11^12^14 = 3) is nonzero — with a *different*
+        // unlucky set (e.g. 10,11,12,13) the syndromes cancel and the error
+        // is silent, which is precisely why SECDED is inadequate against
+        // chip failures (§II-B of the paper).
         let data = 0xFFFF_0000_FFFF_0000u64;
-        let cw = Codeword::encode(data);
-        // Flip four bits of the word (part of one chip's slice). Positions
-        // are chosen so the syndrome XOR (10^11^12^14 = 3) is nonzero —
-        // with a *different* unlucky set (e.g. 10,11,12,13) the syndromes
-        // cancel and the error is silent, which is precisely why SECDED is
-        // inadequate against chip failures (§II-B of the paper).
-        let mut corrupted = cw;
-        for pos in [10usize, 11, 12, 14] {
-            corrupted = corrupted.with_bit_flipped(pos);
-        }
-        let (decoded, outcome) = corrupted.decode();
-        assert_eq!(outcome, DecodeOutcome::DetectedUncorrectable);
-        assert_eq!(decoded, None);
+        let cw = oracle::codeword(data, check_byte(data));
+        let flip = |positions: [usize; 4]| positions.iter().fold(cw, |bits, &p| bits ^ (1 << p));
+        let decoded = decode_codeword(flip([10, 11, 12, 14]));
+        assert_eq!(decoded, (None, DecodeOutcome::DetectedUncorrectable));
 
         // And demonstrate the silent-aliasing case explicitly:
-        let mut aliased = cw;
-        for pos in [10usize, 11, 12, 13] {
-            aliased = aliased.with_bit_flipped(pos);
-        }
-        let (decoded, outcome) = aliased.decode();
+        let (decoded, outcome) = decode_codeword(flip([10, 11, 12, 13]));
         assert_eq!(outcome, DecodeOutcome::Clean, "4-bit chip error aliases");
         assert_ne!(decoded, Some(data), "…and silently corrupts data");
     }
@@ -365,123 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn check_bits_differ_across_data() {
-        // Different words should (typically) produce different check bytes.
-        let a = Codeword::encode(0).to_parts().1;
-        let b = Codeword::encode(1).to_parts().1;
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn flip_bounds_checked() {
-        let _ = Codeword::encode(0).with_bit_flipped(72);
-    }
-
-    /// The bit-serial textbook code: scatter the word into Hamming
-    /// positions, sum positions for the syndrome, flip the named bit of the
-    /// 128-bit register. The oracle for the mask-and-table code.
-    mod oracle {
-        use super::super::CODEWORD_BITS;
-        use crate::DecodeOutcome;
-
-        fn scatter(data: u64) -> u128 {
-            let mut bits = 0u128;
-            let mut d = 0;
-            for pos in 1..CODEWORD_BITS {
-                if !pos.is_power_of_two() {
-                    bits |= u128::from((data >> d) & 1) << pos;
-                    d += 1;
-                }
-            }
-            bits
-        }
-
-        fn gather(bits: u128) -> u64 {
-            let mut data = 0u64;
-            let mut d = 0;
-            for pos in 1..CODEWORD_BITS {
-                if !pos.is_power_of_two() {
-                    data |= (((bits >> pos) & 1) as u64) << d;
-                    d += 1;
-                }
-            }
-            data
-        }
-
-        fn check_of(bits: u128) -> u8 {
-            let mut check = (bits & 1) as u8;
-            for i in 0..7 {
-                check |= (((bits >> (1usize << i)) & 1) as u8) << (i + 1);
-            }
-            check
-        }
-
-        pub fn encode(data: u64) -> u8 {
-            let mut bits = scatter(data);
-            for i in 0..7 {
-                let mask = 1usize << i;
-                let mut parity = 0u32;
-                for pos in 1..CODEWORD_BITS {
-                    if pos & mask != 0 && !pos.is_power_of_two() && (bits >> pos) & 1 == 1 {
-                        parity ^= 1;
-                    }
-                }
-                if parity == 1 {
-                    bits |= 1 << mask;
-                }
-            }
-            if bits.count_ones() & 1 == 1 {
-                bits |= 1;
-            }
-            check_of(bits)
-        }
-
-        pub fn decode(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
-            let mut bits = scatter(data) | u128::from(check & 1);
-            for i in 0..7 {
-                bits |= u128::from((check >> (i + 1)) & 1) << (1usize << i);
-            }
-            let mut syndrome = 0usize;
-            for pos in 1..CODEWORD_BITS {
-                if (bits >> pos) & 1 == 1 {
-                    syndrome ^= pos;
-                }
-            }
-            match (syndrome, bits.count_ones() & 1 == 1) {
-                (0, false) => (Some(gather(bits)), DecodeOutcome::Clean),
-                (0, true) => (Some(gather(bits)), DecodeOutcome::Corrected),
-                (s, true) => (Some(gather(bits ^ (1 << s))), DecodeOutcome::Corrected),
-                (_, false) => (None, DecodeOutcome::DetectedUncorrectable),
-            }
-        }
-
-        pub fn decode_line(words: &[u64; 8], check: &[u8; 8]) -> (Option<[u64; 8]>, DecodeOutcome) {
-            let mut out = [0u64; 8];
-            let mut worst = DecodeOutcome::Clean;
-            for i in 0..8 {
-                match decode(words[i], check[i]) {
-                    (Some(w), outcome) => {
-                        out[i] = w;
-                        if outcome == DecodeOutcome::Corrected {
-                            worst = outcome;
-                        }
-                    }
-                    (None, _) => return (None, DecodeOutcome::DetectedUncorrectable),
-                }
-            }
-            (Some(out), worst)
-        }
-    }
-
-    #[test]
     fn every_check_byte_decodes_like_the_oracle() {
         for data in [0u64, u64::MAX, 0xA5A5_5A5A_DEAD_BEEF, 1 << 63, 0x0123_4567_89AB_CDEF] {
             assert_eq!(encode_line(&[data; 8])[0], oracle::encode(data));
             for check in 0..=255u8 {
                 let expected = oracle::decode(data, check);
                 assert_eq!(decode_word(data, check), expected, "{data:#x} {check:#04x}");
-                assert_eq!(Codeword::from_parts(data, check).decode(), expected);
             }
         }
     }
@@ -499,7 +379,7 @@ mod tests {
         let (mut phantom_multi_bit, mut past_end) = (0, 0);
         for error in 1..=255u8 {
             let syndrome = usize::from(error >> 1);
-            let (decoded, outcome) = Codeword::from_parts(data, check ^ error).decode();
+            let (decoded, outcome) = decode_word(data, check ^ error);
             if error.count_ones() % 2 == 0 {
                 assert_eq!(outcome, DecodeOutcome::DetectedUncorrectable, "error {error:#04x}");
                 continue;
@@ -516,54 +396,6 @@ mod tests {
         assert!(phantom_multi_bit > 0 && past_end > 0);
     }
 
-    /// The popcount form of the codec that the byte-sliced table
-    /// replaced: one masked parity per check bit.
-    mod popcount {
-        use super::super::{CHECK_BITS, DATA_POSITIONS, SYNDROME_FLIPS};
-        use crate::DecodeOutcome;
-
-        /// `CHECK_MASKS[i]`: the data bits whose codeword position has bit
-        /// `i` set — the coverage of the check bit at position `2^i`.
-        const CHECK_MASKS: [u64; CHECK_BITS] = {
-            let mut masks = [0; CHECK_BITS];
-            let mut d = 0;
-            while d < 64 {
-                let mut i = 0;
-                while i < CHECK_BITS {
-                    if DATA_POSITIONS[d] & (1 << i) != 0 {
-                        masks[i] |= 1 << d;
-                    }
-                    i += 1;
-                }
-                d += 1;
-            }
-            masks
-        };
-
-        fn hamming_bits(data: u64) -> u8 {
-            let mut bits = 0;
-            for (i, mask) in CHECK_MASKS.iter().enumerate() {
-                bits |= (((data & mask).count_ones() & 1) as u8) << i;
-            }
-            bits
-        }
-
-        pub fn check_byte(data: u64) -> u8 {
-            let hamming = hamming_bits(data);
-            let overall = ((data.count_ones() + hamming.count_ones()) & 1) as u8;
-            (hamming << 1) | overall
-        }
-
-        pub fn decode_word(data: u64, check: u8) -> (Option<u64>, DecodeOutcome) {
-            let syndrome = usize::from(hamming_bits(data) ^ (check >> 1));
-            match (syndrome, (data.count_ones() + check.count_ones()) & 1 == 1) {
-                (0, false) => (Some(data), DecodeOutcome::Clean),
-                (s, true) => (Some(data ^ SYNDROME_FLIPS[s]), DecodeOutcome::Corrected),
-                (_, false) => (None, DecodeOutcome::DetectedUncorrectable),
-            }
-        }
-    }
-
     #[test]
     fn zero_word_has_a_zero_check_byte() {
         // Memories rely on this to start from all-zero storage.
@@ -571,18 +403,42 @@ mod tests {
         assert_eq!(encode_line(&[0; 8]), [0; 8]);
     }
 
-    use proptest::prelude::*;
+    proptest! {
+        /// Every word encodes to a codeword that decodes clean to itself.
+        #[test]
+        fn secded_roundtrip(data in any::<u64>()) {
+            let decoded = decode_word(data, check_byte(data));
+            prop_assert_eq!(decoded, (Some(data), DecodeOutcome::Clean));
+        }
+
+        /// Any single-bit error in any codeword is corrected.
+        #[test]
+        fn secded_corrects_single_bit(data in any::<u64>(), pos in 0usize..72) {
+            let cw = oracle::codeword(data, check_byte(data));
+            let decoded = decode_codeword(cw ^ (1 << pos));
+            prop_assert_eq!(decoded, (Some(data), DecodeOutcome::Corrected));
+        }
+
+        /// Any double-bit error is detected, never miscorrected.
+        #[test]
+        fn secded_detects_double_bits(data in any::<u64>(), a in 0usize..72, b in 0usize..72) {
+            prop_assume!(a != b);
+            let cw = oracle::codeword(data, check_byte(data));
+            let decoded = decode_codeword(cw ^ (1 << a) ^ (1 << b));
+            prop_assert_eq!(decoded, (None, DecodeOutcome::DetectedUncorrectable));
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
         #[test]
-        fn table_codec_matches_the_popcount_form(data in any::<u64>(), check in any::<u8>()) {
-            prop_assert_eq!(check_byte(data), popcount::check_byte(data));
-            prop_assert_eq!(decode_word(data, check), popcount::decode_word(data, check));
+        fn word_codec_matches_the_bit_serial_oracle(data in any::<u64>(), check in any::<u8>()) {
+            prop_assert_eq!(check_byte(data), oracle::encode(data));
+            prop_assert_eq!(decode_word(data, check), oracle::decode(data, check));
             // A valid codeword with one stored bit flipped, too.
             let near = check_byte(data) ^ (1 << (check % 8));
-            prop_assert_eq!(decode_word(data, near), popcount::decode_word(data, near));
+            prop_assert_eq!(decode_word(data, near), oracle::decode(data, near));
         }
     }
 

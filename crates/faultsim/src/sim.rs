@@ -72,18 +72,6 @@ pub struct ReliabilityResult {
     pub mean_time_to_failure_hours: f64,
 }
 
-impl ReliabilityResult {
-    /// Improvement factor of `self` over `other`
-    /// (how many times lower `self`'s failure probability is).
-    pub fn improvement_over(&self, other: &ReliabilityResult) -> f64 {
-        if self.failure_probability == 0.0 {
-            f64::INFINITY
-        } else {
-            other.failure_probability / self.failure_probability
-        }
-    }
-}
-
 impl synergy_obs::Observe for ReliabilityResult {
     fn observe(&self, prefix: &str, registry: &mut synergy_obs::MetricRegistry) {
         use synergy_obs::metric_name;
@@ -137,15 +125,6 @@ pub fn simulate(policy: EccPolicy, model: &FaultModel, params: &SimParams) -> Re
         fit: p / hours * 1e9,
         mean_time_to_failure_hours: if failures == 0 { 0.0 } else { ttf_sum / failures as f64 },
     }
-}
-
-/// Convenience: simulate every Figure 11 policy and return
-/// `(policy, result)` pairs.
-pub fn simulate_all(model: &FaultModel, params: &SimParams) -> Vec<(EccPolicy, ReliabilityResult)> {
-    [EccPolicy::Secded, EccPolicy::Chipkill, EccPolicy::Synergy]
-        .into_iter()
-        .map(|p| (p, simulate(p, model, params)))
-        .collect()
 }
 
 /// Runs `count` devices with a shard-specific deterministic RNG (seeded by
@@ -327,19 +306,4 @@ mod tests {
             without.failure_probability
         );
     }
-
-    #[test]
-    fn improvement_helper() {
-        let a = ReliabilityResult {
-            devices: 1,
-            failures: 0,
-            devices_with_faults: 0,
-            failure_probability: 0.001,
-            fit: 0.0,
-            mean_time_to_failure_hours: 0.0,
-        };
-        let b = ReliabilityResult { failure_probability: 0.1, ..a };
-        assert!((a.improvement_over(&b) - 100.0).abs() < 1e-9);
-    }
-
 }

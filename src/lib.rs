@@ -7,7 +7,7 @@
 //!
 //! * [`crypto`] — forward AES-128, GHASH and the 64-bit GMAC, counter-mode
 //!   line encryption.
-//! * [`ecc`] — SECDED (Hsiao 72,64), Reed–Solomon Chipkill, RAID-3 chip
+//! * [`ecc`] — SECDED (extended Hamming 72,64), Reed–Solomon x8 Chipkill, RAID-3 chip
 //!   parity.
 //! * [`dram`] — cycle-level DDR3 memory-system simulator (USIMM-style).
 //! * [`cache`] — set-associative cache models (LLC, metadata cache).
