@@ -43,7 +43,7 @@ pub use sweep::{parallel_map, run_sweep, sweep_threads, SweepCell, SweepReport, 
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use synergy_core::system::{run, SimResult, SystemConfig};
 use synergy_dram::{DramConfig, RequestClass};
@@ -246,19 +246,39 @@ pub fn gmean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Directory for experiment CSVs (`target/experiments/`).
+/// Creates `dir` and its parents and returns it; the error names the path.
+fn output_dir(dir: PathBuf) -> Result<PathBuf, String> {
+    fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    Ok(dir)
+}
+
+/// Writes `content` to `path` through [`export::write_file`] (atomic
+/// replace); the error names the path.
+fn write_output(path: &Path, content: &str) -> Result<(), String> {
+    export::write_file(path, content).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Unwraps an output-path result, or prints the error and exits 1, as
+/// `perf_gate --bless` does: an output that cannot be written fails the
+/// run with a message, not a panic.
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(1)
+    })
+}
+
+/// Directory for experiment CSVs (`target/experiments/`). Exits 1,
+/// naming the path, when it cannot be created.
 pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-    fs::create_dir_all(&dir).expect("can create target/experiments");
-    dir
+    or_exit(output_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments")))
 }
 
 /// Directory for machine-readable metric snapshots
-/// (`target/experiments/metrics/`).
+/// (`target/experiments/metrics/`). Exits 1, naming the path, when it
+/// cannot be created.
 pub fn metrics_dir() -> PathBuf {
-    let dir = experiments_dir().join("metrics");
-    fs::create_dir_all(&dir).expect("can create target/experiments/metrics");
-    dir
+    or_exit(output_dir(experiments_dir().join("metrics")))
 }
 
 /// Writes a [`MetricRegistry`] snapshot to
@@ -270,18 +290,16 @@ pub fn write_metrics_registry(
     reg: &synergy_obs::MetricRegistry,
 ) -> PathBuf {
     let path = metrics_dir().join(format!("{name}.json"));
-    synergy_obs::export::write_file(&path, &synergy_obs::export::registry_to_json(reg))
-        .unwrap_or_else(|e| panic!("can write {name} metrics JSON: {e}"));
+    or_exit(write_output(&path, &export::registry_to_json(reg)));
     println!("\n[metrics] {}", path.display());
     path
 }
 
 /// Directory for Chrome-trace JSON documents
-/// (`target/experiments/trace/`).
+/// (`target/experiments/trace/`). Exits 1, naming the path, when it
+/// cannot be created.
 pub fn trace_dir() -> PathBuf {
-    let dir = experiments_dir().join("trace");
-    fs::create_dir_all(&dir).expect("can create target/experiments/trace");
-    dir
+    or_exit(output_dir(experiments_dir().join("trace")))
 }
 
 /// Writes a Perfetto-loadable Chrome trace of one run under
@@ -301,7 +319,7 @@ pub fn write_chrome_trace(name: &str, r: &SimResult) -> PathBuf {
         "attrib.cycles.",
     );
     let path = trace_dir().join(format!("{name}.trace.json"));
-    export::write_file(&path, &trace.finish()).expect("can write chrome trace");
+    or_exit(write_output(&path, &trace.finish()));
     println!("[trace] {}", path.display());
     path
 }
@@ -423,19 +441,17 @@ impl MetricsSnapshot {
     pub fn write(&self, name: &str) -> PathBuf {
         let dir = metrics_dir();
         let json_path = dir.join(format!("{name}.json"));
-        export::write_file(&json_path, &self.to_json()).expect("can write metrics JSON");
+        or_exit(write_output(&json_path, &self.to_json()));
         for (key, d) in &self.designs {
             let safe: String = key
                 .chars()
                 .map(|c| if c.is_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
                 .collect();
             let csv_path = dir.join(format!("{name}.{safe}.csv"));
-            export::write_file(&csv_path, &export::registry_to_csv(&d.full_registry()))
-                .expect("can write metrics CSV");
+            or_exit(write_output(&csv_path, &export::registry_to_csv(&d.full_registry())));
             if !d.attrib.is_empty() {
                 let attrib_path = dir.join(format!("{name}.{safe}.attrib.csv"));
-                export::write_file(&attrib_path, &d.attrib.to_csv())
-                    .expect("can write attribution CSV");
+                or_exit(write_output(&attrib_path, &d.attrib.to_csv()));
             }
         }
         println!("[metrics] {}", json_path.display());
@@ -443,7 +459,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Writes a CSV file of `rows` under `target/experiments/<name>.csv`.
+/// Writes a CSV file of `rows` under `target/experiments/<name>.csv`,
+/// replacing it atomically. Exits 1, naming the path, when it cannot be
+/// written.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     let path = experiments_dir().join(format!("{name}.csv"));
     let mut out = String::with_capacity(rows.len() * 64 + header.len() + 1);
@@ -453,7 +471,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
         out.push_str(r);
         out.push('\n');
     }
-    fs::write(&path, out).expect("can write experiment CSV");
+    or_exit(write_output(&path, &out));
     println!("\n[csv] {}", path.display());
 }
 
@@ -524,6 +542,20 @@ mod tests {
             assert!(err.contains("SYNERGY_BENCH_WORKLOADS"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
+    }
+
+    #[test]
+    fn unwritable_output_paths_are_errors_naming_the_path() {
+        // A directory under a regular file cannot be created, not even by root.
+        let file = std::env::temp_dir().join(format!("synergy_bench_file_{}", std::process::id()));
+        fs::write(&file, "").unwrap();
+        let dir = file.join("sub");
+        let err = output_dir(dir.clone()).unwrap_err();
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        let csv = dir.join("x.csv");
+        let err = write_output(&csv, "a\n").unwrap_err();
+        assert!(err.contains(&csv.display().to_string()), "{err}");
+        fs::remove_file(&file).unwrap();
     }
 
     #[test]

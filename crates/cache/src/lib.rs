@@ -30,8 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 /// Errors from cache construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheError {
@@ -448,43 +446,6 @@ impl SetAssocCache {
     }
 }
 
-/// A tiny unbounded presence map used for modeling structures like the
-/// on-chip integrity-tree root store, where capacity is not the modeled
-/// constraint.
-#[derive(Debug, Clone, Default)]
-pub struct PresenceSet {
-    lines: HashMap<u64, u64>,
-    clock: u64,
-}
-
-impl PresenceSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks `addr` present.
-    pub fn insert(&mut self, addr: u64) {
-        self.clock += 1;
-        self.lines.insert(addr, self.clock);
-    }
-
-    /// True if `addr` was marked present.
-    pub fn contains(&self, addr: u64) -> bool {
-        self.lines.contains_key(&addr)
-    }
-
-    /// Number of tracked lines.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// True when nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,16 +593,6 @@ mod tests {
         c.fill(0, false);
         c.read(0);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn presence_set_basics() {
-        let mut p = PresenceSet::new();
-        assert!(p.is_empty());
-        p.insert(42);
-        assert!(p.contains(42));
-        assert!(!p.contains(43));
-        assert_eq!(p.len(), 1);
     }
 
     #[test]

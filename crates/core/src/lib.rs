@@ -35,6 +35,4 @@ pub mod testsupport;
 pub use memory::{MemoryError, MemoryStats, ReadOutput, SynergyMemory, SynergyMemoryConfig};
 pub use secded_memory::{SecdedError, SecdedMemory, SecdedReadOutput};
 pub use stored::StoredLine;
-pub use system::{
-    run, SimResult, StoreMissPolicy, SystemConfig, SystemError, TrafficBreakdown,
-};
+pub use system::{run, SimResult, SystemConfig, SystemError, TrafficBreakdown};

@@ -64,29 +64,6 @@ impl core::fmt::Display for SystemError {
 
 impl std::error::Error for SystemError {}
 
-/// How a store that misses the LLC is modeled.
-///
-/// A real secure memory cannot merge a partial-line write blindly: the
-/// line must be fetched, decrypted and verified before new bytes are
-/// merged. The USIMM tradition (and the paper's posted-write evaluation)
-/// instead assumes stores overwrite whole lines, making the assumption
-/// explicit — and optional — is the point of this knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreMissPolicy {
-    /// Write-allocate without a memory read: every store is assumed to
-    /// overwrite its full 64 B line, so nothing needs fetching or
-    /// verifying. Understates read traffic for partial-line writes but
-    /// keeps results comparable with the recorded healthy baselines.
-    #[default]
-    FullLineWrite,
-    /// Model the read-decrypt-verify-merge: a store miss first expands a
-    /// full secure read (data + metadata traffic, counted in the engine's
-    /// `data_reads`), then allocates the line dirty. The store still
-    /// retires immediately — the fetch is posted, costing bandwidth but
-    /// not commit latency.
-    FetchAndVerify,
-}
-
 /// Full system configuration (defaults = the paper's Table III).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -143,8 +120,6 @@ pub struct SystemConfig {
     /// serially). Table III's ~40 ns AES-GCM pipeline at the 800 MHz bus
     /// ≈ 32 cycles per MAC.
     pub mac_latency_mem_cycles: u64,
-    /// How store misses are modeled (see [`StoreMissPolicy`]).
-    pub store_miss: StoreMissPolicy,
 }
 
 /// Telemetry collection configuration.
@@ -190,7 +165,6 @@ impl SystemConfig {
             fast_forward: true,
             fault_schedule: FaultSchedule::default(),
             mac_latency_mem_cycles: 32,
-            store_miss: StoreMissPolicy::default(),
         }
     }
 }
@@ -1073,7 +1047,7 @@ fn step_core(
 
         let addr = (rec.addr % cfg.data_capacity) & !63;
         if rec.is_write {
-            issue_store(addr, cfg, engine, llc, mem, mem_cycle, scratch);
+            issue_store(addr, engine, llc, mem, mem_cycle, scratch);
         } else {
             let pos = core.fetch_pos;
             if llc.read(addr) {
@@ -1155,13 +1129,12 @@ fn issue_load_miss(
 }
 
 /// A store: write-allocate into the LLC; dirty evictions become
-/// writebacks. Under [`StoreMissPolicy::FetchAndVerify`] a miss first
-/// expands a posted secure read of the line (read-decrypt-verify-merge);
-/// under the default full-line-write assumption it allocates with no
-/// fetch.
+/// writebacks. Stores are posted full-line writes, as in USIMM and the
+/// paper: a miss allocates the line dirty with no fetch, so a secure
+/// design never reads, decrypts and verifies a line only to merge into it.
+/// This understates read traffic for partial-line writes.
 fn issue_store(
     addr: u64,
-    cfg: &SystemConfig,
     engine: &mut SecureEngine,
     llc: &mut SetAssocCache,
     mem: &mut MemSide,
@@ -1169,18 +1142,7 @@ fn issue_store(
     scratch: &mut Scratch,
 ) {
     if !llc.write(addr) {
-        if cfg.store_miss == StoreMissPolicy::FetchAndVerify {
-            engine.expand_read_into(addr, llc, &mut scratch.exp);
-            for spec in &scratch.exp.accesses {
-                mem.push_request(*spec, cycle, None);
-            }
-            fill_data_line(addr, true, engine, llc, mem, cycle, scratch);
-            scratch.pending.clear();
-            scratch.pending.extend_from_slice(&scratch.exp.evicted_dirty_data);
-            cascade_writebacks(engine, llc, mem, cycle, scratch);
-        } else {
-            fill_data_line(addr, true, engine, llc, mem, cycle, scratch);
-        }
+        fill_data_line(addr, true, engine, llc, mem, cycle, scratch);
     }
 }
 
@@ -1525,36 +1487,6 @@ mod tests {
     }
 
     #[test]
-    fn store_miss_policy_controls_fetch_traffic() {
-        // Write-heavy workload: FetchAndVerify must generate strictly more
-        // data-read traffic (the read-decrypt-verify-merge fetch) than the
-        // default full-line-write assumption, which the healthy baselines
-        // rely on.
-        let mk = |policy: StoreMissPolicy| {
-            let mut cfg = SystemConfig::new(DesignConfig::synergy());
-            cfg.store_miss = policy;
-            let mut s = spec(25.0, AccessPattern::Random { cluster: 4, hot_fraction: 0.0, hot_bytes: 0 });
-            s.read_fraction = 0.3;
-            s.footprint_bytes = 24 << 20;
-            let mut trace = MultiCoreTrace::rate_mode(&s, cfg.cores, 13);
-            run(&cfg, &mut trace, 20_000).unwrap()
-        };
-        let posted = mk(StoreMissPolicy::FullLineWrite);
-        let verified = mk(StoreMissPolicy::FetchAndVerify);
-        assert!(
-            verified.traffic.reads(RequestClass::Data) > posted.traffic.reads(RequestClass::Data) * 1.5,
-            "fetch-and-verify data reads {} vs full-line-write {}",
-            verified.traffic.reads(RequestClass::Data),
-            posted.traffic.reads(RequestClass::Data)
-        );
-        // The fetch also drags the metadata chain along on a secure design.
-        assert!(
-            verified.traffic.reads(RequestClass::Counter)
-                > posted.traffic.reads(RequestClass::Counter)
-        );
-    }
-
-    #[test]
     fn fast_forward_matches_reference_under_backpressure() {
         // Stores only, through a tiny LLC into tiny write queues:
         // writebacks are deferred again and again, and a core held back
@@ -1577,6 +1509,8 @@ mod tests {
             reference.dram.writes(RequestClass::Parity) > 0,
             "no writebacks"
         );
+        // Stores are posted full-line writes: no store miss fetches its line.
+        assert_eq!(reference.dram.reads(RequestClass::Data), 0);
         assert_eq!(reference.core_cycles, fast.core_cycles);
         assert_eq!(reference.mem_cycles, fast.mem_cycles);
         assert_eq!(reference.dram, fast.dram);

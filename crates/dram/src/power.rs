@@ -30,15 +30,6 @@ impl EnergyBreakdown {
     pub fn total_j(&self) -> f64 {
         self.activate_j + self.read_j + self.write_j + self.io_j + self.background_j
     }
-
-    /// Mean DRAM power over `seconds` of execution, watts.
-    pub fn mean_power_w(&self, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
-            0.0
-        } else {
-            self.total_j() / seconds
-        }
-    }
 }
 
 /// Computes the energy breakdown from event counts.
@@ -88,12 +79,5 @@ mod tests {
         let s = DramStats::default();
         let e = energy(&p, &s, 2.0, 4);
         assert!((e.background_j - p.background_w_per_rank * 4.0 * 2.0).abs() < 1e-12);
-        assert!((e.mean_power_w(2.0) - p.background_w_per_rank * 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_time_power_guard() {
-        let e = energy(&PowerParams::default(), &DramStats::default(), 0.0, 4);
-        assert_eq!(e.mean_power_w(0.0), 0.0);
     }
 }

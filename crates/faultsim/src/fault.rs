@@ -214,12 +214,6 @@ impl Fault {
             && dim_intersects(self.row, other.row)
             && dim_intersects(self.col.map(|c| c / g), other.col.map(|c| c / g))
     }
-
-    /// True when the two regions share at least one *bit* — only
-    /// meaningful for same-chip faults under SECDED.
-    pub fn bits_intersect(&self, other: &Fault) -> bool {
-        self.words_intersect(other) && dim_intersects(self.bit, other.bit)
-    }
 }
 
 #[inline]
@@ -369,19 +363,5 @@ mod tests {
         b.col = None;
         assert!(a.granules_intersect(&b, 1));
         assert!(a.granules_intersect(&b, 8));
-    }
-
-    #[test]
-    fn bit_intersection_refines_word_intersection() {
-        let a = fault(0, FaultMode::SingleBit);
-        let mut b = fault(0, FaultMode::SingleBit);
-        b.bank = a.bank;
-        b.row = a.row;
-        b.col = a.col;
-        b.bit = Some((a.bit.unwrap() + 1) % 8);
-        assert!(a.words_intersect(&b));
-        assert!(!a.bits_intersect(&b));
-        b.bit = a.bit;
-        assert!(a.bits_intersect(&b));
     }
 }

@@ -111,7 +111,7 @@ pub fn histogram_to_json(h: &LogHistogram) -> String {
 }
 
 /// Renders one metric as a JSON object tagged with its kind.
-pub fn metric_to_json(m: &Metric) -> String {
+fn metric_to_json(m: &Metric) -> String {
     match m {
         Metric::Counter(v) => format!("{{\"kind\":\"counter\",\"value\":{v}}}"),
         Metric::Gauge(v) => format!("{{\"kind\":\"gauge\",\"value\":{}}}", json_f64(*v)),
@@ -147,7 +147,7 @@ pub fn registry_to_json(reg: &MetricRegistry) -> String {
 }
 
 /// Renders a span with its per-phase breakdown.
-pub fn span_to_json(span: &Span) -> String {
+fn span_to_json(span: &Span) -> String {
     let phases: Vec<String> = span
         .phase_durations()
         .iter()
@@ -203,38 +203,6 @@ pub fn registry_to_csv(reg: &MetricRegistry) -> String {
                 );
             }
         }
-    }
-    out
-}
-
-/// Renders the epoch time-series as wide CSV: `cycle` plus one column per
-/// sampled metric (union over all epochs; missing values left empty).
-pub fn epochs_to_csv(reg: &MetricRegistry) -> String {
-    let mut names: Vec<&str> = Vec::new();
-    for e in reg.epochs() {
-        for k in e.values.keys() {
-            if !names.contains(&k.as_str()) {
-                names.push(k);
-            }
-        }
-    }
-    names.sort_unstable();
-    let mut out = String::from("cycle");
-    for n in &names {
-        let _ = write!(out, ",{}", csv_escape(n));
-    }
-    out.push('\n');
-    for e in reg.epochs() {
-        let _ = write!(out, "{}", e.cycle);
-        for n in &names {
-            match e.values.get(*n) {
-                Some(v) => {
-                    let _ = write!(out, ",{v}");
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
     }
     out
 }
@@ -346,20 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_csv_is_wide() {
-        let mut r = MetricRegistry::new();
-        r.set_counter("a", 1);
-        r.sample_epoch(10);
-        r.set_counter("b", 2);
-        r.sample_epoch(20);
-        let csv = epochs_to_csv(&r);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "cycle,a,b");
-        assert_eq!(lines[1], "10,1,");
-        assert_eq!(lines[2], "20,1,2");
-    }
-
-    #[test]
     fn csv_quoting_round_trips_awkward_metric_names() {
         // Names with commas, quotes and both — e.g. a metric keyed by a
         // human-written workload label.
@@ -395,13 +349,6 @@ mod tests {
         let mut expect: Vec<String> = names.iter().map(|s| s.to_string()).collect();
         expect.sort();
         assert_eq!(seen, expect);
-
-        // Epoch CSV headers get the same treatment.
-        r.sample_epoch(5);
-        let wide = epochs_to_csv(&r);
-        let header = csv_split(wide.lines().next().unwrap());
-        assert_eq!(header[0], "cycle");
-        assert!(header.iter().any(|h| h == "note,with,commas"), "{header:?}");
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len == 0
     }
 
-    /// Inline capacity before the buffer spills to the heap.
-    pub const fn inline_capacity(&self) -> usize {
-        N
-    }
-
     /// `true` once the contents have moved to the heap spill vector.
     pub fn has_spilled(&self) -> bool {
         self.spilled

@@ -106,7 +106,7 @@ impl ChromeTrace {
 
     /// Adds a counter sample ("C" event). Perfetto stacks the series into
     /// an area chart under the track named `name`.
-    pub fn counter_event(&mut self, name: &str, pid: u64, ts: u64, series: &[(&str, f64)]) {
+    fn counter_event(&mut self, name: &str, pid: u64, ts: u64, series: &[(&str, f64)]) {
         let mut rendered = String::new();
         for (i, (k, v)) in series.iter().enumerate() {
             if i > 0 {

@@ -217,11 +217,6 @@ impl DesignConfig {
         self
     }
 
-    /// True when a data access requires a separate DRAM access for the MAC.
-    pub fn mac_needs_access(&self) -> bool {
-        matches!(self.mac, MacPlacement::SeparateRegion)
-    }
-
     /// True when data writes must also update a parity line.
     pub fn parity_write_factor(&self) -> f64 {
         if self.custom_dimm_colocated_parity {
@@ -278,22 +273,22 @@ mod tests {
     fn table_ii_rows() {
         let sgx = DesignConfig::sgx();
         assert!(!sgx.counters_in_llc);
-        assert!(sgx.mac_needs_access());
+        assert_eq!(sgx.mac, MacPlacement::SeparateRegion);
         assert_eq!(sgx.reliability, ReliabilityScheme::Secded);
 
         let sgx_o = DesignConfig::sgx_o();
         assert!(sgx_o.counters_in_llc);
-        assert!(sgx_o.mac_needs_access());
+        assert_eq!(sgx_o.mac, MacPlacement::SeparateRegion);
 
         let syn = DesignConfig::synergy();
         assert!(syn.counters_in_llc);
-        assert!(!syn.mac_needs_access(), "Synergy MAC rides in the ECC chip");
+        assert_eq!(syn.mac, MacPlacement::EccChip, "Synergy MAC rides in the ECC chip");
         assert_eq!(syn.parity_write_factor(), 1.0);
 
         let ivec = DesignConfig::ivec();
         assert_eq!(ivec.tree_leaves, TreeLeaves::MacLines);
         assert!(!ivec.counters_in_llc);
-        assert!(!ivec.mac_needs_access(), "IVEC MACs are LLC-cached");
+        assert_eq!(ivec.mac, MacPlacement::SeparateRegionLlcCached, "IVEC MACs are LLC-cached");
 
         let ns = DesignConfig::non_secure();
         assert!(!ns.secure);
@@ -304,7 +299,7 @@ mod tests {
     fn custom_dimm_removes_parity_writes() {
         let d = DesignConfig::synergy_custom_dimm();
         assert_eq!(d.parity_write_factor(), 0.0);
-        assert!(!d.mac_needs_access());
+        assert_eq!(d.mac, MacPlacement::EccChip);
         assert_eq!(DesignConfig::synergy().parity_write_factor(), 1.0);
     }
 

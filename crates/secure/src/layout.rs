@@ -42,7 +42,7 @@ impl CounterOrg {
 
     /// `log2(counters_per_line)` — both organizations are powers of two,
     /// so per-access divisions reduce to shifts.
-    pub fn counters_per_line_shift(self) -> u32 {
+    fn counters_per_line_shift(self) -> u32 {
         match self {
             CounterOrg::Monolithic => 3,
             CounterOrg::Split => 6,

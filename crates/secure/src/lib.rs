@@ -14,9 +14,9 @@
 //!
 //! Modules:
 //!
-//! * [`layout`] — the metadata address map (counters, MACs, parity, tree).
+//! * [`layout`] — the metadata address map (counters, MACs, parity, tree)
+//!   and the monolithic or split counter organization ([`CounterOrg`]).
 //! * [`design`] — the design configuration space and Table II presets.
-//! * [`counters`] — functional monolithic and split counters.
 //! * [`engine`] — the access-expansion engine used by the performance
 //!   simulator in `synergy-core`.
 //!
@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod design;
 pub mod engine;
 pub mod layout;

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod io;
 pub mod presets;
 
 use rand::rngs::StdRng;
@@ -288,7 +287,7 @@ impl TraceGen {
 
 impl WorkloadSpec {
     /// Footprint in cachelines (at least 1).
-    pub fn footprint_lines(&self) -> u64 {
+    fn footprint_lines(&self) -> u64 {
         (self.footprint_bytes / LINE_BYTES).max(1)
     }
 }

@@ -12,8 +12,9 @@
 //! * [`dram`] — cycle-level DDR3 memory-system simulator (USIMM-style).
 //! * [`cache`] — set-associative cache models (LLC, metadata cache).
 //! * [`trace`] — synthetic SPEC2006/GAP-like workload trace generators.
-//! * [`secure`] — secure-memory designs: counters, Bonsai counter tree,
-//!   MAC tree, and the access-expansion engines for SGX, SGX_O, Synergy,
+//! * [`secure`] — secure-memory designs: the metadata layout with
+//!   monolithic and split counter organizations, Bonsai counter tree, MAC
+//!   tree, and the access-expansion engines for SGX, SGX_O, Synergy,
 //!   IVEC, LOT-ECC and Non-Secure.
 //! * [`faultsim`] — Monte-Carlo DRAM reliability simulator with the
 //!   Sridharan field-study fault model.
