@@ -41,5 +41,5 @@ pub use model::{FaultModel, ModeRate};
 pub use schedule::{FaultSchedule, ScheduledFault};
 pub use policy::EccPolicy;
 pub use sim::{
-    poisson, simulate, ReliabilityResult, SimParams, HOURS_PER_YEAR, SHARD_DEVICES,
+    poisson, simulate, FaultyDevices, ReliabilityResult, SimParams, HOURS_PER_YEAR, SHARD_DEVICES,
 };
