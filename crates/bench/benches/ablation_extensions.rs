@@ -13,42 +13,18 @@ use synergy_secure::DesignConfig;
 
 fn main() {
     banner("Ablation — custom-DIMM parity co-location and speculation", "§VI-B / §VII-B");
-    let names = ["mcf", "libquantum", "lbm", "milc", "soplex", "pr-twi"];
-    let workloads: Vec<_> =
-        names.iter().map(|n| synergy_trace::presets::by_name(n).expect("preset")).collect();
-
-    let designs = [
-        DesignConfig::synergy(),
-        DesignConfig::synergy_custom_dimm(),
-        DesignConfig::sgx_o_speculative(),
-        DesignConfig::synergy_speculative(),
-    ];
-    let mut perf = vec![Vec::new(); designs.len()];
-    let mut edp = vec![Vec::new(); designs.len()];
-    for w in &workloads {
-        let base = run_workload(DesignConfig::sgx_o(), w, 2);
-        for (i, d) in designs.iter().enumerate() {
-            let r = run_workload(d.clone(), w, 2);
-            perf[i].push(r.ipc / base.ipc);
-            edp[i].push(r.edp() / base.edp());
-        }
-    }
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for (i, d) in designs.iter().enumerate() {
-        rows.push(vec![
-            d.name.to_string(),
-            format!("{:.2}", gmean(&perf[i])),
-            format!("{:.2}", gmean(&edp[i])),
-        ]);
-        csv.push(format!("{},{:.4},{:.4}", d.name, gmean(&perf[i]), gmean(&edp[i])));
-    }
-    print_table(&["design", "performance (vs SGX_O)", "EDP (vs SGX_O)"], &rows);
+    perf_edp_vs_sgx_o(
+        "ablation_extensions",
+        &[
+            DesignConfig::synergy(),
+            DesignConfig::synergy_custom_dimm(),
+            DesignConfig::sgx_o_speculative(),
+            DesignConfig::synergy_speculative(),
+        ],
+    );
     println!(
         "\nSynergy+16B removes the write-path parity bloat on top of Synergy;\n\
          with speculation everywhere, Synergy's bandwidth savings remain\n\
          (Spec-vs-Spec gap ≈ the MAC traffic share, §VII-B)."
     );
-    write_csv("ablation_extensions", "design,performance,edp", &csv);
 }

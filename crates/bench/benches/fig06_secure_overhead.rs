@@ -9,19 +9,14 @@ use synergy_secure::DesignConfig;
 fn main() {
     banner("Figure 6 — performance of SGX, SGX_O and Non-Secure", "Figure 6");
     let workloads = perf_workloads();
+    let designs = [DesignConfig::sgx_o(), DesignConfig::non_secure(), DesignConfig::sgx()];
+    let report = run_sweep(&workloads, &designs, |w, d| SweepCell::single(d, w, 2));
+    let ns_all = report.ratios(1, 0, |r| r.ipc);
+    let sgx_all = report.ratios(2, 0, |r| r.ipc);
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    let mut ns_all = Vec::new();
-    let mut sgx_all = Vec::new();
-    for w in &workloads {
-        let base = run_workload(DesignConfig::sgx_o(), w, 2);
-        let ns = run_workload(DesignConfig::non_secure(), w, 2);
-        let sgx = run_workload(DesignConfig::sgx(), w, 2);
-        let ns_rel = ns.ipc / base.ipc;
-        let sgx_rel = sgx.ipc / base.ipc;
-        ns_all.push(ns_rel);
-        sgx_all.push(sgx_rel);
+    for ((w, &ns_rel), &sgx_rel) in workloads.iter().zip(&ns_all).zip(&sgx_all) {
         rows.push(vec![
             w.name.to_string(),
             format!("{sgx_rel:.2}"),

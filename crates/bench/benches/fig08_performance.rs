@@ -13,7 +13,15 @@ use synergy_trace::{presets, Suite};
 
 fn main() {
     banner("Figure 8 — performance of SGX, SGX_O, Synergy", "Figure 8");
-    let workloads = perf_workloads();
+    // Every single workload, then (full sweep only) the mixes.
+    let mixes = if full_sweep() { presets::mixes() } else { Vec::new() };
+    let workloads: Vec<SweepWorkload> = perf_workloads()
+        .into_iter()
+        .map(SweepWorkload::Single)
+        .chain(mixes.into_iter().map(SweepWorkload::Mix))
+        .collect();
+    let designs = [DesignConfig::sgx_o(), DesignConfig::sgx(), DesignConfig::synergy()];
+    let report = run_sweep(&workloads, &designs, |w, d| SweepCell::new(d, w.clone(), 2));
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -22,32 +30,12 @@ fn main() {
     let mut sgx_all = Vec::new();
     let mut syn_all = Vec::new();
     let mut metrics = MetricsSnapshot::new();
-
-    // One cell per (design, workload): all cells are independent, so the
-    // sweep runner fans them across threads; results come back in cell
-    // order and the telemetry fold below stays deterministic.
-    let mut cells = Vec::new();
-    for w in &workloads {
-        cells.push(SweepCell::single(DesignConfig::sgx_o(), w, 2));
-        cells.push(SweepCell::single(DesignConfig::sgx(), w, 2));
-        cells.push(SweepCell::single(DesignConfig::synergy(), w, 2));
-    }
-    let mixes = if full_sweep() { presets::mixes() } else { Vec::new() };
-    for mix in &mixes {
-        cells.push(SweepCell::mix(DesignConfig::sgx_o(), mix, 2));
-        cells.push(SweepCell::mix(DesignConfig::sgx(), mix, 2));
-        cells.push(SweepCell::mix(DesignConfig::synergy(), mix, 2));
-    }
-    let report = run_sweep(&cells);
-    report.print_summary();
-
-    for (triple, cell) in report.results.chunks(3).zip(cells.chunks(3)) {
-        let [base, sgx, syn] = triple else { unreachable!("cells pushed in triples") };
-        let name = cell[0].workload_name();
-        let is_mix = matches!(cell[0].workload, SweepWorkload::Mix(_));
+    for (w, row) in workloads.iter().zip(&report.results) {
+        let [base, sgx, syn] = &row[..] else { unreachable!("three designs per row") };
+        let name = w.name();
         // Conservation invariant, zero tolerance: in every cell, the
         // attribution buckets must sum to the end-to-end request cycles.
-        for r in triple {
+        for r in row {
             r.attrib
                 .verify()
                 .unwrap_or_else(|e| panic!("{} / {name}: {e}", r.design));
@@ -59,11 +47,9 @@ fn main() {
         let syn_rel = syn.ipc / base.ipc;
         sgx_all.push(sgx_rel);
         syn_all.push(syn_rel);
-        let (suite_key, suite_label) = if is_mix {
-            (Suite::Mix, "MIX".to_string())
-        } else {
-            let w = workloads.iter().find(|w| w.name == name).expect("single cell");
-            (w.suite, w.suite.to_string())
+        let (suite_key, suite_label) = match w {
+            SweepWorkload::Single(w) => (w.suite, w.suite.to_string()),
+            SweepWorkload::Mix(_) => (Suite::Mix, "MIX".to_string()),
         };
         let entry = by_suite.entry(suite_key).or_default();
         entry.0.push(sgx_rel);
@@ -109,7 +95,7 @@ fn main() {
     // Perfetto-loadable trace of the last Synergy cell: the slowest
     // request spans, one track each ("where did my cycles go", §13 of
     // DESIGN.md).
-    if let Some(syn) = report.results.iter().rev().find(|r| r.design == "Synergy") {
-        write_chrome_trace("fig08_synergy", syn);
+    if let Some(last) = report.results.last() {
+        write_chrome_trace("fig08_synergy", &last[2]);
     }
 }

@@ -52,14 +52,9 @@ fn main() {
     let designs = [DesignConfig::sgx(), DesignConfig::sgx_o(), DesignConfig::synergy()];
     let mut aggs: Vec<Agg> = designs.iter().map(|_| Agg::new()).collect();
     let mut metrics = MetricsSnapshot::new();
-    let cells: Vec<SweepCell> = workloads
-        .iter()
-        .flat_map(|w| designs.iter().map(|d| SweepCell::single(d.clone(), w, 2)))
-        .collect();
-    let report = run_sweep(&cells);
-    report.print_summary();
-    for (w, designs_chunk) in workloads.iter().zip(report.results.chunks(designs.len())) {
-        for ((d, agg), r) in designs.iter().zip(aggs.iter_mut()).zip(designs_chunk) {
+    let report = run_sweep(&workloads, &designs, |w, d| SweepCell::single(d, w, 2));
+    for (w, row) in workloads.iter().zip(&report.results) {
+        for ((d, agg), r) in designs.iter().zip(aggs.iter_mut()).zip(row) {
             metrics.add_run(d.name, w.name, r);
             agg.add(&r.traffic);
         }

@@ -6,52 +6,36 @@
 //! keeps power flat.
 
 use synergy_bench::*;
+use synergy_core::system::SimResult;
 use synergy_secure::DesignConfig;
 
 fn main() {
     banner("Figure 10 — power / performance / energy / EDP", "Figure 10");
     let workloads = perf_workloads();
     let designs = [DesignConfig::sgx(), DesignConfig::sgx_o(), DesignConfig::synergy()];
+    let report = run_sweep(&workloads, &designs, |w, d| SweepCell::single(d, w, 2));
 
-    // Per design: geometric means of per-workload ratios vs SGX_O.
-    let mut power = vec![Vec::new(); 3];
-    let mut perf = vec![Vec::new(); 3];
-    let mut energy = vec![Vec::new(); 3];
-    let mut edp = vec![Vec::new(); 3];
-
-    for w in &workloads {
-        let base = run_workload(DesignConfig::sgx_o(), w, 2);
-        for (i, d) in designs.iter().enumerate() {
-            let r = if d.name == "SGX_O" { base.clone() } else { run_workload(d.clone(), w, 2) };
-            power[i].push(r.power_w() / base.power_w());
-            perf[i].push(r.ipc / base.ipc);
-            energy[i].push(r.total_energy_j() / base.total_energy_j());
-            edp[i].push(r.edp() / base.edp());
-        }
-    }
-
+    // Per design: geometric means of per-workload ratios vs SGX_O (design 1).
+    let edp: Vec<f64> =
+        (0..designs.len()).map(|i| gmean(&report.ratios(i, 1, SimResult::edp))).collect();
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for (i, d) in designs.iter().enumerate() {
+    for (i, (d, edp)) in designs.iter().zip(&edp).enumerate() {
+        let power = gmean(&report.ratios(i, 1, SimResult::power_w));
+        let perf = gmean(&report.ratios(i, 1, |r| r.ipc));
+        let energy = gmean(&report.ratios(i, 1, SimResult::total_energy_j));
         rows.push(vec![
             d.name.to_string(),
-            format!("{:.2}", gmean(&power[i])),
-            format!("{:.2}", gmean(&perf[i])),
-            format!("{:.2}", gmean(&energy[i])),
-            format!("{:.2}", gmean(&edp[i])),
+            format!("{power:.2}"),
+            format!("{perf:.2}"),
+            format!("{energy:.2}"),
+            format!("{edp:.2}"),
         ]);
-        csv.push(format!(
-            "{},{:.4},{:.4},{:.4},{:.4}",
-            d.name,
-            gmean(&power[i]),
-            gmean(&perf[i]),
-            gmean(&energy[i]),
-            gmean(&edp[i])
-        ));
+        csv.push(format!("{},{power:.4},{perf:.4},{energy:.4},{edp:.4}", d.name));
     }
     print_table(&["design", "power", "performance", "energy", "EDP"], &rows);
 
     println!("\npaper:    Synergy EDP ≈ 0.69x (−31%), power ≈ 1.0x across designs");
-    println!("measured: Synergy EDP ≈ {:.2}x", gmean(&edp[2]));
+    println!("measured: Synergy EDP ≈ {:.2}x", edp[2]);
     write_csv("fig10_energy", "design,power,performance,energy,edp", &csv);
 }

@@ -16,21 +16,15 @@ fn main() {
     let workloads: Vec<_> =
         names.iter().map(|n| synergy_trace::presets::by_name(n).expect("preset")).collect();
 
+    let designs = [DesignConfig::sgx_o(), DesignConfig::sgx(), DesignConfig::synergy()];
+
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut summary = Vec::new();
     for channels in [2usize, 4, 8] {
-        let mut sgx_rel = Vec::new();
-        let mut syn_rel = Vec::new();
-        for w in &workloads {
-            let base = run_workload(DesignConfig::sgx_o(), w, channels);
-            let sgx = run_workload(DesignConfig::sgx(), w, channels);
-            let syn = run_workload(DesignConfig::synergy(), w, channels);
-            sgx_rel.push(sgx.ipc / base.ipc);
-            syn_rel.push(syn.ipc / base.ipc);
-        }
-        let sgx_g = gmean(&sgx_rel);
-        let syn_g = gmean(&syn_rel);
+        let report = run_sweep(&workloads, &designs, |w, d| SweepCell::single(d, w, channels));
+        let sgx_g = gmean(&report.ratios(1, 0, |r| r.ipc));
+        let syn_g = gmean(&report.ratios(2, 0, |r| r.ipc));
         rows.push(vec![
             format!("{channels} channels"),
             format!("{sgx_g:.2}"),

@@ -10,28 +10,20 @@ use synergy_secure::DesignConfig;
 
 fn main() {
     banner("Figure 14 — sensitivity to counter caching", "Figure 14");
-    let names = ["mcf", "libquantum", "lbm", "milc", "soplex", "pr-twi"];
-    let workloads: Vec<_> =
-        names.iter().map(|n| synergy_trace::presets::by_name(n).expect("preset")).collect();
+    let designs = [
+        DesignConfig::sgx_o(),
+        DesignConfig::synergy(),
+        DesignConfig::sgx(),
+        DesignConfig::synergy().with_dedicated_cache_only(),
+    ];
+    let report = run_sweep(&sensitivity_workloads(), &designs, |w, d| SweepCell::single(d, w, 2));
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     let mut speedups = Vec::new();
-    for (label, base_design, syn_design) in [
-        ("dedicated + LLC", DesignConfig::sgx_o(), DesignConfig::synergy()),
-        (
-            "dedicated only",
-            DesignConfig::sgx(),
-            DesignConfig::synergy().with_dedicated_cache_only(),
-        ),
-    ] {
-        let mut rel = Vec::new();
-        for w in &workloads {
-            let base = run_workload(base_design.clone(), w, 2);
-            let syn = run_workload(syn_design.clone(), w, 2);
-            rel.push(syn.ipc / base.ipc);
-        }
-        let g = gmean(&rel);
+    // (label, Synergy design, its matching baseline) as indices into `designs`.
+    for (label, syn, base) in [("dedicated + LLC", 1, 0), ("dedicated only", 3, 2)] {
+        let g = gmean(&report.ratios(syn, base, |r| r.ipc));
         rows.push(vec![label.to_string(), format!("{g:.3}")]);
         csv.push(format!("{label},{g:.4}"));
         speedups.push(g);

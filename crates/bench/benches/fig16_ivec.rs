@@ -9,42 +9,11 @@ use synergy_secure::DesignConfig;
 
 fn main() {
     banner("Figure 16 — IVEC vs Synergy", "Figure 16 / §VII-A");
-    let names = ["mcf", "libquantum", "lbm", "milc", "soplex", "pr-twi"];
-    let workloads: Vec<_> =
-        names.iter().map(|n| synergy_trace::presets::by_name(n).expect("preset")).collect();
-
-    let mut perf = vec![Vec::new(); 2];
-    let mut edp = vec![Vec::new(); 2];
-    let designs = [DesignConfig::ivec(), DesignConfig::synergy()];
-    for w in &workloads {
-        let base = run_workload(DesignConfig::sgx_o(), w, 2);
-        for (i, d) in designs.iter().enumerate() {
-            let r = run_workload(d.clone(), w, 2);
-            perf[i].push(r.ipc / base.ipc);
-            edp[i].push(r.edp() / base.edp());
-        }
-    }
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for (i, d) in designs.iter().enumerate() {
-        rows.push(vec![
-            d.name.to_string(),
-            format!("{:.2}", gmean(&perf[i])),
-            format!("{:.2}", gmean(&edp[i])),
-        ]);
-        csv.push(format!("{},{:.4},{:.4}", d.name, gmean(&perf[i]), gmean(&edp[i])));
-    }
-    print_table(&["design", "performance (vs SGX_O)", "EDP (vs SGX_O)"], &rows);
-
+    let g = perf_edp_vs_sgx_o("fig16_ivec", &[DesignConfig::ivec(), DesignConfig::synergy()]);
+    let [(ivec_perf, ivec_edp), (syn_perf, syn_edp)] = g[..] else { unreachable!("two designs") };
     println!("\npaper:    IVEC ≈ 0.74x perf / 1.9x EDP; Synergy ≈ 1.20x / 0.69x (63% advantage)");
     println!(
-        "measured: IVEC ≈ {:.2}x / {:.2}x; Synergy ≈ {:.2}x / {:.2}x ({:.0}% advantage)",
-        gmean(&perf[0]),
-        gmean(&edp[0]),
-        gmean(&perf[1]),
-        gmean(&edp[1]),
-        100.0 * (gmean(&perf[1]) / gmean(&perf[0]) - 1.0)
+        "measured: IVEC ≈ {ivec_perf:.2}x / {ivec_edp:.2}x; Synergy ≈ {syn_perf:.2}x / {syn_edp:.2}x ({:.0}% advantage)",
+        100.0 * (syn_perf / ivec_perf - 1.0)
     );
-    write_csv("fig16_ivec", "design,performance,edp", &csv);
 }

@@ -9,44 +9,14 @@ use synergy_secure::DesignConfig;
 
 fn main() {
     banner("Figure 17 — LOT-ECC vs Synergy", "Figure 17 / §VII-C");
-    let names = ["mcf", "libquantum", "lbm", "milc", "soplex", "pr-twi"];
-    let workloads: Vec<_> =
-        names.iter().map(|n| synergy_trace::presets::by_name(n).expect("preset")).collect();
-
-    let designs = [
-        DesignConfig::lot_ecc(false),
-        DesignConfig::lot_ecc(true),
-        DesignConfig::synergy(),
-    ];
-    let mut perf = vec![Vec::new(); designs.len()];
-    let mut edp = vec![Vec::new(); designs.len()];
-    for w in &workloads {
-        let base = run_workload(DesignConfig::sgx_o(), w, 2);
-        for (i, d) in designs.iter().enumerate() {
-            let r = run_workload(d.clone(), w, 2);
-            perf[i].push(r.ipc / base.ipc);
-            edp[i].push(r.edp() / base.edp());
-        }
-    }
-
-    let mut rows = Vec::new();
-    let mut csv = Vec::new();
-    for (i, d) in designs.iter().enumerate() {
-        rows.push(vec![
-            d.name.to_string(),
-            format!("{:.2}", gmean(&perf[i])),
-            format!("{:.2}", gmean(&edp[i])),
-        ]);
-        csv.push(format!("{},{:.4},{:.4}", d.name, gmean(&perf[i]), gmean(&edp[i])));
-    }
-    print_table(&["design", "performance (vs SGX_O)", "EDP (vs SGX_O)"], &rows);
-
+    let designs =
+        [DesignConfig::lot_ecc(false), DesignConfig::lot_ecc(true), DesignConfig::synergy()];
+    let g = perf_edp_vs_sgx_o("fig17_lotecc", &designs);
     println!("\npaper:    LOT-ECC 15–20% slowdown; Synergy +20%");
     println!(
         "measured: LOT-ECC {:.0}%, LOT-ECC+WC {:.0}%, Synergy {:+.0}%",
-        100.0 * (gmean(&perf[0]) - 1.0),
-        100.0 * (gmean(&perf[1]) - 1.0),
-        100.0 * (gmean(&perf[2]) - 1.0)
+        100.0 * (g[0].0 - 1.0),
+        100.0 * (g[1].0 - 1.0),
+        100.0 * (g[2].0 - 1.0)
     );
-    write_csv("fig17_lotecc", "design,performance,edp", &csv);
 }

@@ -43,21 +43,17 @@ fn main() {
         DesignConfig::lot_ecc(true),
     ];
 
-    // Healthy/degraded twins, adjacent in cell order so the fold below can
-    // chunk in pairs. The fault schedule is not part of the trace seed:
-    // both twins replay the identical trace.
-    let mut cells = Vec::new();
-    for w in &workloads {
-        for d in &designs {
-            cells.push(SweepCell::single(d.clone(), w, 2));
-            cells.push(
-                SweepCell::single(d.clone(), w, 2)
-                    .with_fault_schedule(FaultSchedule::chip_failure_at(fail_cycle, FAILED_CHIP)),
-            );
-        }
-    }
-    let report = run_sweep(&cells);
-    report.print_summary();
+    // Each design is two grid columns, its healthy and its degraded twin.
+    // The fault schedule is not part of the trace seed: both twins replay
+    // the identical trace.
+    let failure = FaultSchedule::chip_failure_at(fail_cycle, FAILED_CHIP);
+    let columns: Vec<(&DesignConfig, FaultSchedule)> = designs
+        .iter()
+        .flat_map(|d| [(d, FaultSchedule::default()), (d, failure.clone())])
+        .collect();
+    let report = run_sweep(&workloads, &columns, |w, (d, faults)| {
+        SweepCell::single(d, w, 2).with_fault_schedule(faults.clone())
+    });
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
@@ -68,10 +64,11 @@ fn main() {
     // self-describing (the wall-clock context the sweep timing ran under).
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
 
-    for (pair, cell) in report.results.chunks(2).zip(cells.chunks(2)) {
-        let [healthy, degraded] = pair else { unreachable!("cells pushed in pairs") };
-        let workload = cell[0].workload_name();
-        let design = cell[0].design.name;
+    let twins = workloads.iter().zip(&report.results).flat_map(|(w, row)| {
+        designs.iter().zip(row.chunks_exact(2)).map(move |(d, pair)| (w.name, d.name, pair))
+    });
+    for (workload, design, pair) in twins {
+        let [healthy, degraded] = pair else { unreachable!("two twins per design") };
         for r in pair {
             r.attrib
                 .verify()
@@ -141,10 +138,9 @@ fn main() {
 /// as a shift in the cycle budget (parity traffic and the diagnosis
 /// burst's crypto-work cycles appear at the injection point).
 fn degraded_timeline_trace(workload: &synergy_trace::WorkloadSpec, fail_cycle: u64) {
-    let faults = FaultSchedule::chip_failure_at(fail_cycle, FAILED_CHIP);
-    let r = run_workload_custom(DesignConfig::synergy(), workload, 2, faults, |cfg| {
-        cfg.telemetry.epoch_mem_cycles = 1_000;
-    });
+    let r = SweepCell::single(&DesignConfig::synergy(), workload, 2)
+        .with_fault_schedule(FaultSchedule::chip_failure_at(fail_cycle, FAILED_CHIP))
+        .run_with(|cfg| cfg.telemetry.epoch_mem_cycles = 1_000);
     r.attrib.verify().expect("degraded timeline run conserves attribution");
     write_chrome_trace(&format!("fig_degraded_synergy_{}", workload.name), &r);
 }

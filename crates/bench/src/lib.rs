@@ -3,8 +3,9 @@
 //! Every table and figure of the paper has a bench target in `benches/`
 //! (custom `harness = false` executables) that prints the same rows or
 //! series the paper reports and writes a CSV under `target/experiments/`.
-//! This library holds the common machinery: running one workload under one
-//! design, geometric means, table formatting, and CSV output.
+//! This library holds the common machinery: the sweep grid every simulator
+//! figure runs on ([`sweep`]), geometric means, table formatting, and CSV
+//! output.
 //!
 //! Scale knobs (environment variables):
 //!
@@ -45,12 +46,11 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use synergy_core::system::{run, SimResult, SystemConfig};
-use synergy_dram::{DramConfig, RequestClass};
-use synergy_faultsim::FaultSchedule;
+use synergy_core::system::SimResult;
+use synergy_dram::RequestClass;
 use synergy_obs::{export, ChromeTrace, CycleAttribution, MetricRegistry, Span};
 use synergy_secure::DesignConfig;
-use synergy_trace::{presets, MultiCoreTrace, WorkloadSpec};
+use synergy_trace::{presets, WorkloadSpec};
 
 /// Instructions per core for performance runs.
 pub fn bench_insts() -> u64 {
@@ -151,7 +151,18 @@ pub fn perf_workloads() -> Vec<WorkloadSpec> {
     }
 }
 
-/// The trace seed for a sweep cell.
+/// The workloads of the sensitivity studies (Figures 13, 14, 16, 17 and
+/// the extension ablation): the five SPEC benchmarks of at least 20 APKI
+/// plus PageRank on the twitter graph for the GAP kernels. Their metadata
+/// traffic, which those studies vary, is the heaviest. The `*-web` graphs
+/// stay out: their counters thrash the LLC, the one Figure 8 regime where
+/// SGX_O trails SGX, which would mix a second effect into every comparison.
+pub fn sensitivity_workloads() -> Vec<WorkloadSpec> {
+    let names = ["mcf", "libquantum", "lbm", "milc", "soplex", "pr-twi"];
+    names.iter().map(|n| presets::by_name(n).expect("preset")).collect()
+}
+
+/// The trace seed for a sweep cell, as [`SweepCell::run`] derives it.
 ///
 /// **Invariant (the sweep runner and every figure depend on it):** the
 /// seed is a function of the *cell parameters only* — here the channel
@@ -172,61 +183,35 @@ pub fn bench_fail_cycle() -> u64 {
     env_u64("SYNERGY_BENCH_FAIL_CYCLE", 2_000)
 }
 
-/// Runs one single-benchmark workload (rate mode, 4 cores) under `design`.
-pub fn run_workload(design: DesignConfig, workload: &WorkloadSpec, channels: usize) -> SimResult {
-    run_workload_with_faults(design, workload, channels, FaultSchedule::default())
-}
-
-/// Runs one single-benchmark workload under `design` with a scheduled
-/// fault injection — the degraded-mode experiment's entry point. An empty
-/// schedule reproduces [`run_workload`] exactly; the schedule is not part
-/// of [`trace_seed`], so healthy and degraded runs of the same cell
-/// consume the identical trace stream and their IPC ratio is a pure
-/// correction-traffic slowdown.
-pub fn run_workload_with_faults(
-    design: DesignConfig,
-    workload: &WorkloadSpec,
-    channels: usize,
-    faults: FaultSchedule,
-) -> SimResult {
-    run_workload_custom(design, workload, channels, faults, |_| {})
-}
-
-/// [`run_workload_with_faults`] with a config hook: `tweak` runs on the
-/// fully-populated [`SystemConfig`] just before the trace is built. Used by
-/// bench targets that vary a knob the standard entry points pin — e.g.
-/// `fig_degraded`'s timeline trace, which turns on epoch sampling.
-pub fn run_workload_custom(
-    design: DesignConfig,
-    workload: &WorkloadSpec,
-    channels: usize,
-    faults: FaultSchedule,
-    tweak: impl FnOnce(&mut SystemConfig),
-) -> SimResult {
-    let mut cfg = SystemConfig::new(design);
-    cfg.dram = DramConfig::with_channels(channels);
-    cfg.warmup_records_per_core = bench_warmup();
-    cfg.fault_schedule = faults;
-    tweak(&mut cfg);
-    let mut trace = MultiCoreTrace::rate_mode(workload, cfg.cores, trace_seed(channels));
-    run(&cfg, &mut trace, bench_insts()).expect("simulation config is valid")
-}
-
-/// Runs a 4-benchmark mix under `design` with a scheduled fault injection
-/// (see [`run_workload_with_faults`]; an empty schedule for a healthy run).
-pub fn run_mix_with_faults(
-    design: DesignConfig,
-    mix: &presets::MixSpec,
-    channels: usize,
-    faults: FaultSchedule,
-) -> SimResult {
-    let members = presets::mix_members(mix);
-    let mut cfg = SystemConfig::new(design);
-    cfg.dram = DramConfig::with_channels(channels);
-    cfg.warmup_records_per_core = bench_warmup();
-    cfg.fault_schedule = faults;
-    let mut trace = MultiCoreTrace::mixed(&members, trace_seed(channels));
-    run(&cfg, &mut trace, bench_insts()).expect("simulation config is valid")
+/// The body shared by Figures 16 and 17 and the extension ablation: runs
+/// SGX_O and `designs` on the [`sensitivity_workloads`] at 2 channels,
+/// prints each design's performance and EDP normalized to SGX_O
+/// (geometric means of the per-workload ratios) and writes them to
+/// `target/experiments/<csv_name>.csv`. Returns the `(performance, EDP)`
+/// pairs in `designs` order.
+pub fn perf_edp_vs_sgx_o(csv_name: &str, designs: &[DesignConfig]) -> Vec<(f64, f64)> {
+    let workloads = sensitivity_workloads();
+    let columns: Vec<DesignConfig> =
+        std::iter::once(DesignConfig::sgx_o()).chain(designs.iter().cloned()).collect();
+    let report = run_sweep(&workloads, &columns, |w, d| SweepCell::single(d, w, 2));
+    let gmeans: Vec<(f64, f64)> = (1..columns.len())
+        .map(|i| {
+            (gmean(&report.ratios(i, 0, |r| r.ipc)), gmean(&report.ratios(i, 0, SimResult::edp)))
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = designs
+        .iter()
+        .zip(&gmeans)
+        .map(|(d, (perf, edp))| vec![d.name.to_string(), format!("{perf:.2}"), format!("{edp:.2}")])
+        .collect();
+    print_table(&["design", "performance (vs SGX_O)", "EDP (vs SGX_O)"], &rows);
+    let csv: Vec<String> = designs
+        .iter()
+        .zip(&gmeans)
+        .map(|(d, (perf, edp))| format!("{},{perf:.4},{edp:.4}", d.name))
+        .collect();
+    write_csv(csv_name, "design,performance,edp", &csv);
+    gmeans
 }
 
 /// Geometric mean.
@@ -403,8 +388,8 @@ impl MetricsSnapshot {
         self.merge_spans(design, &r.telemetry.slowest);
     }
 
-    /// Stores a component registry verbatim under `key` (for probe bins
-    /// that want the full per-run metric set rather than an aggregate).
+    /// Stores a registry verbatim under `key` rather than as an aggregate
+    /// (the figures store their [`SweepReport::registry`] this way).
     pub fn add_registry(&mut self, key: &str, registry: &MetricRegistry, spans: &[Span]) {
         let d = self.designs.entry(key.to_string()).or_default();
         d.registry = registry.clone();
@@ -520,6 +505,7 @@ pub fn banner(title: &str, paper_ref: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synergy_trace::MultiCoreTrace;
 
     #[test]
     fn knobs_parse_or_name_the_bad_value() {
@@ -622,7 +608,7 @@ mod tests {
         // byte-identity guarantee.
         assert_eq!(trace_seed(2), 0xBEEF ^ 2);
         assert_eq!(trace_seed(8), 0xBEEF ^ 8);
-        // Two traces built the way run_workload builds them — for two
+        // Two traces built the way SweepCell::run builds them — for two
         // *different* designs — must yield the identical record stream.
         let w = presets::by_name("mcf").unwrap();
         let mut a = MultiCoreTrace::rate_mode(&w, 4, trace_seed(2));

@@ -24,8 +24,8 @@
 //! * [`ChromeTrace`] — `chrome://tracing` / Perfetto JSON export of span
 //!   lifecycles and epoch-sampled attribution counters.
 //! * [`export`] — hand-rolled JSON/CSV snapshot serialization used by the
-//!   fig0x bench targets and the `calibrate` / `debug_probe` bins, written
-//!   under `target/experiments/metrics/`.
+//!   figure bench targets and the `campaign` / `fleet` bins, written under
+//!   `target/experiments/metrics/`.
 //! * [`Json`] — a matching minimal JSON reader, enough to re-read the
 //!   crate's own exports (round-trip tests, the `perf_gate` bin).
 //! * [`shard`] — the in-order shard runner behind the parallel sweeps,
