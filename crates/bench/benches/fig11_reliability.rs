@@ -4,17 +4,33 @@
 //! Paper: Chipkill reduces failure probability 37x vs SECDED; Synergy
 //! 185x vs SECDED (5x vs Chipkill). IVEC provides ~50x (its own paper).
 //!
-//! Scale with `SYNERGY_BENCH_DEVICES` (default 50 M; paper: 1 B devices).
+//! The ECC designs come from one fleet Monte Carlo (`synergy_fleet::run`,
+//! skip-ahead fault sampling on the job fabric): P(failure) is P(DUE) +
+//! P(SDC). No-ECC fails on its first fault arrival, so its row is the
+//! exact `1 − e^−λ` over 8 chips. Scale with `SYNERGY_BENCH_DEVICES`
+//! (default 50 M DIMMs; paper: 1 B devices) and `SYNERGY_BENCH_THREADS`;
+//! the CSV is identical at any thread count.
 
-use synergy_bench::{banner, bench_devices, print_table, write_csv};
-use synergy_faultsim::{simulate, EccPolicy, FaultModel, SimParams};
+use synergy_bench::{banner, bench_devices, print_table, sweep_threads, write_csv};
+use synergy_faultsim::EccPolicy;
+use synergy_fleet::{run, FleetParams};
 
 fn main() {
     banner("Figure 11 — probability of system failure (7 years)", "Figure 11");
-    let model = FaultModel::sridharan();
-    let params = SimParams { devices: bench_devices(), ..Default::default() };
-    println!("devices: {} (Monte Carlo, conditioned sampling)\n", params.devices);
+    let params = FleetParams { dimms: bench_devices(), threads: sweep_threads(), ..Default::default() };
+    println!("DIMMs: {} (fleet Monte Carlo, skip-ahead sampling; No-ECC exact)\n", params.dimms);
 
+    let hours = params.horizon_hours();
+    let fleet = run(&params);
+    let failure_probability = |policy: EccPolicy| {
+        if policy == EccPolicy::None {
+            let lambda = policy.domain_chips() as f64 * params.model.total_fit() * 1e-9 * hours;
+            -(-lambda).exp_m1()
+        } else {
+            let r = fleet.report(policy);
+            r.due_probability + r.sdc_probability
+        }
+    };
     let policies = [
         EccPolicy::None,
         EccPolicy::Secded,
@@ -22,48 +38,28 @@ fn main() {
         EccPolicy::Ivec,
         EccPolicy::Synergy,
     ];
-    let results: Vec<_> = policies.iter().map(|&p| (p, simulate(p, &model, &params))).collect();
-    let secded_p = results
-        .iter()
-        .find(|(p, _)| *p == EccPolicy::Secded)
-        .map(|(_, r)| r.failure_probability)
-        .expect("secded simulated");
+    let p: Vec<f64> = policies.iter().map(|&d| failure_probability(d)).collect();
+    let [_, secded_p, chipkill_p, _, synergy_p] = p[..] else { unreachable!("five policies") };
 
     let mut rows = Vec::new();
     let mut csv = Vec::new();
-    for (p, r) in &results {
-        let improvement = secded_p / r.failure_probability.max(1e-300);
+    for (policy, &p) in policies.iter().zip(&p) {
+        let fit = p / hours * 1e9;
+        let improvement = secded_p / p.max(1e-300);
         rows.push(vec![
-            p.name().to_string(),
-            format!("{} chips", p.domain_chips()),
-            format!("{:.3e}", r.failure_probability),
-            format!("{:.2}", r.fit),
-            format!("{:.1}x", improvement),
+            policy.name().to_string(),
+            format!("{} chips", policy.domain_chips()),
+            format!("{p:.3e}"),
+            format!("{fit:.2}"),
+            format!("{improvement:.1}x"),
         ]);
-        csv.push(format!(
-            "{},{},{:.6e},{:.4},{:.2}",
-            p.name(),
-            p.domain_chips(),
-            r.failure_probability,
-            r.fit,
-            improvement
-        ));
+        csv.push(format!("{},{},{p:.6e},{fit:.4},{improvement:.2}", policy.name(), policy.domain_chips()));
     }
     print_table(
         &["scheme", "correction domain", "P(failure, 7y)", "FIT", "vs SECDED"],
         &rows,
     );
 
-    let chipkill_p = results
-        .iter()
-        .find(|(p, _)| *p == EccPolicy::Chipkill)
-        .map(|(_, r)| r.failure_probability)
-        .unwrap();
-    let synergy_p = results
-        .iter()
-        .find(|(p, _)| *p == EccPolicy::Synergy)
-        .map(|(_, r)| r.failure_probability)
-        .unwrap();
     println!("\npaper:    Chipkill 37x, Synergy 185x better than SECDED (Synergy 5x vs Chipkill)");
     println!(
         "measured: Chipkill {:.0}x, Synergy {:.0}x better than SECDED (Synergy {:.1}x vs Chipkill)",

@@ -60,10 +60,6 @@ fn main() {
     let mut metrics = MetricsSnapshot::new();
     let mut slowdowns: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();
 
-    // The host's CPU count, repeated on every CSV row so each row is
-    // self-describing (the wall-clock context the sweep timing ran under).
-    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-
     let twins = workloads.iter().zip(&report.results).flat_map(|(w, row)| {
         designs.iter().zip(row.chunks_exact(2)).map(move |(d, pair)| (w.name, d.name, pair))
     });
@@ -96,7 +92,7 @@ fn main() {
             d.due_events.to_string(),
         ]);
         csv.push(format!(
-            "{workload},{design},{:.6},{:.6},{slowdown:.6},{},{},{},{},{},{host_cpus}",
+            "{workload},{design},{:.6},{:.6},{slowdown:.6},{},{},{},{},{}",
             healthy.ipc, degraded.ipc, d.detections, d.corrections, d.parity_reads, d.parity_hits, d.due_events
         ));
     }
@@ -125,7 +121,7 @@ fn main() {
     );
     write_csv(
         "fig_degraded",
-        "workload,design,healthy_ipc,degraded_ipc,slowdown,detections,corrections,parity_reads,parity_hits,due_events,host_cpus",
+        "workload,design,healthy_ipc,degraded_ipc,slowdown,detections,corrections,parity_reads,parity_hits,due_events",
         &csv,
     );
     metrics.add_registry("sweep", &report.registry(), &[]);

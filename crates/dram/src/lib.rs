@@ -12,9 +12,9 @@
 //!   interleaving ([`mapping`]).
 //! * A Micron-style event-energy power model ([`power`]).
 //!
-//! The simulator is driven in memory-bus cycles via [`MemorySystem::tick`];
-//! the CPU model in `synergy-core` runs 4 CPU cycles (3.2 GHz) per memory
-//! cycle (800 MHz).
+//! The simulator is driven in memory-bus cycles via
+//! [`MemorySystem::tick_into`]; the CPU model in `synergy-core` runs 4 CPU
+//! cycles (3.2 GHz) per memory cycle (800 MHz).
 //!
 //! # Example: latency gap between row hits and misses
 //!
@@ -130,17 +130,6 @@ impl MemorySystem {
         *channel_event = (*channel_event).min(event);
         self.next_event = self.next_event.min(event);
         true
-    }
-
-    /// Advances one memory-bus cycle, returning reads completed this cycle.
-    ///
-    /// Convenience wrapper around [`Self::tick_into`] that allocates a
-    /// fresh vector per call; hot loops should own a drain buffer and call
-    /// [`Self::tick_into`] directly.
-    pub fn tick(&mut self) -> Vec<Completion> {
-        let mut completions = Vec::new();
-        self.tick_into(&mut completions);
-        completions
     }
 
     /// Advances one memory-bus cycle, appending reads completed this cycle
@@ -402,8 +391,9 @@ mod tests {
         }
         assert_eq!(accepted, cap, "reads beyond capacity are rejected");
         // After draining some, the queue accepts again.
+        let mut done = Vec::new();
         for _ in 0..2000 {
-            mem.tick();
+            mem.tick_into(&mut done);
         }
         assert!(mem.enqueue(read(9999, 0)));
     }
@@ -415,11 +405,11 @@ mod tests {
         let mut cfg = DramConfig::default();
         cfg.timing.t_refi = 0; // disable refresh for a clean measurement
         let mut mem = MemorySystem::new(cfg).unwrap();
-        let mut completed = 0usize;
+        let mut done = Vec::new();
         let mut id = 0u64;
         let mut next_addr = 0u64;
         let start = mem.cycle();
-        while completed < 4000 {
+        while done.len() < 4000 {
             for _ in 0..4 {
                 let req = read(id, next_addr);
                 if mem.enqueue(req) {
@@ -427,9 +417,9 @@ mod tests {
                     next_addr += 64;
                 }
             }
-            completed += mem.tick().len();
+            mem.tick_into(&mut done);
             if mem.cycle() > 1_000_000 {
-                panic!("deadlock: {completed} completed");
+                panic!("deadlock: {} completed", done.len());
             }
         }
         let elapsed = mem.cycle() - start;
@@ -482,8 +472,9 @@ mod tests {
     fn refresh_occurs() {
         let mut mem = MemorySystem::new(DramConfig::default()).unwrap();
         mem.enqueue(read(1, 0));
+        let mut done = Vec::new();
         for _ in 0..7000 {
-            mem.tick();
+            mem.tick_into(&mut done);
         }
         assert!(mem.stats().refreshes > 0);
     }

@@ -21,10 +21,9 @@ use crate::model::{
     SECDED_SDC_GIVEN_UNCORRECTABLE,
 };
 
-/// DIMMs per deterministic work shard. Matches the reliability
-/// simulator's [`SHARD_DEVICES`](synergy_faultsim::SHARD_DEVICES) scale:
-/// one shard is a few milliseconds of work, small enough for fine-grained
-/// checkpoints, large enough to amortize the merge lock.
+/// DIMMs per deterministic work shard: one shard is well under a
+/// millisecond of work at the Table I rates, small enough for
+/// fine-grained checkpoints, large enough to amortize the merge lock.
 pub const SHARD_DIMMS: u64 = 16_384;
 
 const INDEX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -564,11 +563,28 @@ mod tests {
 
     #[test]
     fn identical_results_for_any_thread_count() {
-        let params = FleetParams { dimms: 2 * SHARD_DIMMS + 900, threads: 1, ..Default::default() };
-        let baseline = run(&params);
-        for threads in [2usize, 8] {
-            let r = run(&FleetParams { threads, ..params.clone() });
-            assert_eq!(baseline.aggregate, r.aggregate, "threads={threads} diverged");
+        // Every field of every design's tally (f64s by bit pattern) folds
+        // into one FNV-1a hash, pinned so a change to sampling, sharding or
+        // merge order cannot pass unnoticed at any thread count.
+        const GOLDEN: u64 = 0xb229_98c7_c601_2764;
+        for threads in [1usize, 2, 8] {
+            let r = run(&FleetParams { dimms: 2 * SHARD_DIMMS + 900, threads, ..Default::default() });
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for t in &r.aggregate.designs {
+                let fields = [
+                    t.dimms,
+                    t.dimms_with_faults,
+                    t.due,
+                    t.sdc,
+                    t.degraded_dimms,
+                    t.degraded_hours.to_bits(),
+                    t.failure_time_sum.to_bits(),
+                ];
+                for v in fields.iter().chain(&t.due_by_year).chain(&t.sdc_by_year) {
+                    h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, GOLDEN, "threads={threads}: {h:#018x}");
         }
     }
 
@@ -615,6 +631,18 @@ mod tests {
         let p = |d| r.report(d).due_probability + r.report(d).sdc_probability;
         assert!(p(EccPolicy::Secded) > p(EccPolicy::Chipkill), "SECDED worst");
         assert!(p(EccPolicy::Chipkill) > p(EccPolicy::Synergy), "Chipkill above Synergy");
+    }
+
+    #[test]
+    fn scrubbing_reduces_synergy_failures() {
+        let params = FleetParams { model: FaultModel::sridharan().scaled(50.0), ..quick(100_000, 2) };
+        let scrubbed = FleetParams { scrub_interval_hours: Some(24.0), ..params.clone() };
+        let p = |params: &FleetParams| {
+            let r = run(params).report(EccPolicy::Synergy);
+            r.due_probability + r.sdc_probability
+        };
+        let (without, with) = (p(&params), p(&scrubbed));
+        assert!(with < without, "scrubbed {with} vs unscrubbed {without}");
     }
 
     #[test]

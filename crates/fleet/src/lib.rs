@@ -1,10 +1,12 @@
-//! Fleet-scale lifetime reliability — the paper's §V story at datacenter
-//! scale, on the checkpointable job fabric.
+//! Fleet-scale lifetime reliability — the paper's §V Monte Carlo, on the
+//! checkpointable job fabric.
 //!
-//! `synergy-faultsim` answers "does one correction domain survive its
-//! lifetime?"; the differential campaign (`synergy-campaign`) validates
-//! that analytic verdict against the functional decoders. This crate asks
-//! the question operators actually face: across **N DIMMs over a T-year
+//! This is the one reliability Monte Carlo: Figure 11's per-design
+//! P(failure) is P(DUE) + P(SDC) from one [`run`]. `synergy-faultsim`
+//! supplies the fault model, the samplers and the per-device verdict; the
+//! differential campaign (`synergy-campaign`) validates that verdict
+//! against the functional decoders. Beyond Figure 11, this crate asks the
+//! question operators actually face: across **N DIMMs over a T-year
 //! horizon**, what availability, silent-data-corruption rate, and
 //! performance does each Table II design deliver?
 //!
@@ -13,7 +15,7 @@
 //! [`FaultModel`](synergy_faultsim::FaultModel) (transient faults clear at
 //! scrub boundaries, permanent faults persist), and the arrival set is
 //! judged by [`EccPolicy::first_failure`]. On top of that verdict the
-//! fleet model prices what the reliability-only simulator ignores:
+//! fleet model prices what a per-device failure probability ignores:
 //!
 //! * **DUE vs SDC** — an uncorrectable SECDED error aliases to a clean or
 //!   single-bit syndrome with probability ≈ 73/256 and silently corrupts

@@ -1,6 +1,7 @@
 //! Reliability shoot-out: SECDED vs Chipkill vs SYNERGY against escalating
 //! DRAM faults, on real bytes (functional models) *and* in expectation
-//! (Monte Carlo) — a miniature of the paper's Figure 11 with a live demo.
+//! (the fleet Monte Carlo) — a miniature of the paper's Figure 11 with a
+//! live demo.
 //!
 //! Run with `cargo run --release --example reliability_shootout`.
 
@@ -8,7 +9,8 @@ use synergy::core::memory::{SynergyMemory, SynergyMemoryConfig};
 use synergy::core::secded_memory::SecdedMemory;
 use synergy::crypto::CacheLine;
 use synergy::ecc::reed_solomon::Chipkill;
-use synergy::faultsim::{simulate, EccPolicy, FaultModel, SimParams};
+use synergy::faultsim::EccPolicy;
+use synergy::fleet::FleetParams;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Part 1: functional models vs a failed chip ==\n");
@@ -45,18 +47,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(out.data, payload);
 
-    println!("\n== Part 2: Monte Carlo over a 7-year lifetime ==\n");
-    let model = FaultModel::sridharan();
-    let params = SimParams { devices: 5_000_000, ..Default::default() };
-    let mut baseline = None;
+    println!("\n== Part 2: fleet Monte Carlo over a 7-year lifetime ==\n");
+    let fleet = synergy::fleet::run(&FleetParams { dimms: 5_000_000, ..Default::default() });
+    let p = |d| fleet.report(d).due_probability + fleet.report(d).sdc_probability;
     for policy in [EccPolicy::Secded, EccPolicy::Chipkill, EccPolicy::Synergy] {
-        let r = simulate(policy, &model, &params);
-        let base = *baseline.get_or_insert(r.failure_probability);
         println!(
             "{:9} P(fail, 7y) = {:.3e}   ({:.0}x better than SECDED)",
             policy.name(),
-            r.failure_probability,
-            base / r.failure_probability
+            p(policy),
+            p(EccPolicy::Secded) / p(policy)
         );
     }
     println!("\npaper: Chipkill 37x, Synergy 185x (Figure 11)");

@@ -16,16 +16,16 @@
 //!   monolithic and split counter organizations, Bonsai counter tree, MAC
 //!   tree, and the access-expansion engines for SGX, SGX_O, Synergy,
 //!   IVEC, LOT-ECC and Non-Secure.
-//! * [`faultsim`] — Monte-Carlo DRAM reliability simulator with the
-//!   Sridharan field-study fault model.
+//! * [`faultsim`] — the Sridharan field-study DRAM fault model, ECC
+//!   failure policies and fault-arrival samplers.
 //! * [`campaign`] — differential fault-injection campaign: the analytic
 //!   reliability verdicts cross-checked against the functional SECDED /
 //!   Chipkill / SYNERGY recovery pipelines, with replayable reproducers
 //!   for any disagreement. Also home of the generic checkpointable
 //!   [`JobFabric`](campaign::JobFabric).
-//! * [`fleet`] — fleet-scale lifetime reliability: N DIMMs over a T-year
-//!   horizon on the job fabric, with per-design availability / SDC / DUE
-//!   / degraded-slowdown curves.
+//! * [`fleet`] — the reliability Monte Carlo (Figure 11) at fleet scale:
+//!   N DIMMs over a T-year horizon on the job fabric, with per-design
+//!   availability / SDC / DUE / degraded-slowdown curves.
 //! * [`obs`] — telemetry: log-bucketed latency histograms, the named
 //!   metric registry, request-lifecycle span tracing, JSON/CSV export.
 //! * [`core`] — the SYNERGY functional memory (MAC-in-ECC-chip co-location,

@@ -6,7 +6,8 @@ use synergy::core::memory::{MemoryError, SynergyMemory, SynergyMemoryConfig};
 use synergy::core::secded_memory::{SecdedError, SecdedMemory};
 use synergy::core::system::{run, SystemConfig};
 use synergy::crypto::CacheLine;
-use synergy::faultsim::{simulate, EccPolicy, FaultModel, SimParams};
+use synergy::faultsim::{EccPolicy, FaultModel};
+use synergy::fleet::FleetParams;
 use synergy::secure::DesignConfig;
 use synergy::trace::{presets, MultiCoreTrace};
 
@@ -60,15 +61,10 @@ fn faultsim_policy_agrees_with_functional_memory() {
     // failures grow quadratically with the rate while SECDED's grow
     // linearly.)
     let model = FaultModel::sridharan().scaled(10.0);
-    let params = SimParams { devices: 200_000, threads: 2, ..Default::default() };
-    let secded = simulate(EccPolicy::Secded, &model, &params);
-    let synergy = simulate(EccPolicy::Synergy, &model, &params);
-    assert!(
-        synergy.failure_probability * 5.0 < secded.failure_probability,
-        "synergy {} vs secded {}",
-        synergy.failure_probability,
-        secded.failure_probability
-    );
+    let fleet = synergy::fleet::run(&FleetParams { dimms: 200_000, threads: 2, model, ..Default::default() });
+    let p = |d| fleet.report(d).due_probability + fleet.report(d).sdc_probability;
+    let (secded, synergy) = (p(EccPolicy::Secded), p(EccPolicy::Synergy));
+    assert!(synergy * 5.0 < secded, "synergy {synergy} vs secded {secded}");
 }
 
 /// Full performance stack: traces → LLC → secure engine → DRAM, for every
