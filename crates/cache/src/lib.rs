@@ -53,6 +53,10 @@ impl core::fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
+/// Largest supported associativity: a set's recency order is one `u64` of
+/// 4-bit way indices.
+pub const MAX_WAYS: usize = 16;
+
 /// Geometry of a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -67,12 +71,15 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`CacheError::InvalidGeometry`] when any parameter is zero,
-    /// `line_bytes` is not a power of two, or the capacity does not divide
-    /// evenly into `ways × line_bytes` sets.
+    /// `ways` exceeds [`MAX_WAYS`], `line_bytes` is not a power of two, or
+    /// the capacity does not divide evenly into `ways × line_bytes` sets.
     pub fn new(capacity_bytes: usize, ways: usize, line_bytes: usize) -> Result<Self, CacheError> {
         let invalid = |reason: String| Err(CacheError::InvalidGeometry { reason });
         if capacity_bytes == 0 || ways == 0 || line_bytes == 0 {
             return invalid("parameters must be nonzero".into());
+        }
+        if ways > MAX_WAYS {
+            return invalid(format!("{ways} ways exceed the maximum of {MAX_WAYS}"));
         }
         if !line_bytes.is_power_of_two() {
             return invalid(format!("line size {line_bytes} is not a power of two"));
@@ -134,6 +141,39 @@ const WAY_VALID: u64 = 1;
 const WAY_DIRTY: u64 = 2;
 const TAG_SHIFT: u32 = 2;
 
+// A set's LRU order is packed into one u64 "recency word" of 4-bit
+// fields: field i (bits 4i..4i+4) holds the index of the set's i-th most
+// recently used way, so field 0 names the MRU way and field `ways - 1`
+// the LRU way of a full set. Lines are never removed, and a fill takes
+// the first invalid way, so the valid ways of a set are always the
+// prefix 0..n. The word's first n fields are then a permutation of 0..n
+// and the rest are zero, which makes the all-zero word the empty set.
+const FIELD_BITS: u32 = 4;
+const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
+const FIELD_ONES: u64 = 0x1111_1111_1111_1111;
+const FIELD_HIGHS: u64 = FIELD_ONES << (FIELD_BITS - 1);
+
+/// Moves the field at bit offset `shift` of `order`, which holds `way`,
+/// to the front, sliding the fields before it back by one.
+#[inline]
+fn move_to_front(order: u64, shift: u32, way: usize) -> u64 {
+    let before = (1u64 << shift) - 1;
+    (order & !(before | FIELD_MASK << shift)) | (order & before) << FIELD_BITS | way as u64
+}
+
+/// Moves the valid `way` to the front of `order`. The field holding it
+/// is found branch-free: fields equal to `way` are zero in `x`, and the
+/// lowest field the zero test flags is the first true zero (a borrow can
+/// only flag fields above one). Way 0 may also match the zero fields
+/// past the valid prefix, but its own field comes first.
+#[inline]
+fn promote(order: u64, way: usize) -> u64 {
+    let x = order ^ (way as u64 * FIELD_ONES);
+    let zeros = x.wrapping_sub(FIELD_ONES) & !x & FIELD_HIGHS;
+    debug_assert!(zeros != 0, "way {way} missing from recency word {order:#x}");
+    move_to_front(order, zeros.trailing_zeros() & !(FIELD_BITS - 1), way)
+}
+
 /// Hit/miss statistics, separable by read and write.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -192,48 +232,50 @@ impl synergy_obs::Observe for CacheStats {
 ///
 /// # Storage layout
 ///
-/// Way state lives in two flat parallel arrays indexed by
-/// `set * ways + way`:
+/// Way state lives in one flat array indexed by `set * ways + way`, and
+/// LRU order in one word per set:
 ///
 /// ```text
-/// meta:     [ tag|d|v ][ tag|d|v ] ... one packed u64 per way
-/// last_use: [   u64   ][   u64   ] ... LRU clocks, probed only on evict
+/// meta:    [ tag|d|v ][ tag|d|v ] ... one packed u64 per way
+/// recency: [ w15 .. w1 w0 ]       ... one u64 per set, 4-bit way
+///                                     indices in MRU (w0) → LRU order
 /// ```
 ///
-/// Splitting the LRU clocks out of the probe array means a lookup touches
-/// one contiguous `ways`-long run of packed words (a single cacheline for
-/// 8-way geometries) and only the hitting way's clock; set index and tag
-/// come from precomputed shift/mask (line size and set count are validated
-/// powers of two, so the div/mod forms are exact shifts).
+/// A lookup touches one contiguous `ways`-long run of packed words (a
+/// single cacheline for 8-way geometries) and its set's recency word. A
+/// hit moves its way to the front of that word, and a full set's victim
+/// is read from its LRU field, each with a few shifts and masks. Both
+/// arrays start zeroed, which is the empty cache, so construction maps
+/// them lazily. Set index and tag come from precomputed shift/mask (line
+/// size and set count are validated powers of two, so the div/mod forms
+/// are exact shifts). At most [`MAX_WAYS`] ways fit in a recency word.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     /// Packed valid/dirty/tag words, `sets * ways` long.
     meta: Box<[u64]>,
-    /// LRU clocks, parallel to `meta`.
-    last_use: Box<[u64]>,
+    /// One recency word per set: way indices in MRU → LRU order.
+    recency: Box<[u64]>,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `log2(sets)`.
     set_bits: u32,
     /// `sets - 1`.
     set_mask: u64,
-    use_clock: u64,
     stats: CacheStats,
 }
 
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let slots = config.sets() * config.ways;
+        let sets = config.sets();
         Self {
             config,
-            meta: vec![0u64; slots].into_boxed_slice(),
-            last_use: vec![0u64; slots].into_boxed_slice(),
+            meta: vec![0u64; sets * config.ways].into_boxed_slice(),
+            recency: vec![0u64; sets].into_boxed_slice(),
             line_shift: config.line_bytes.trailing_zeros(),
-            set_bits: config.sets().trailing_zeros(),
-            set_mask: config.sets() as u64 - 1,
-            use_clock: 0,
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             stats: CacheStats::default(),
         }
     }
@@ -312,16 +354,21 @@ impl SetAssocCache {
 
     #[inline]
     fn touch(&mut self, addr: u64, mark_dirty: bool) -> bool {
-        self.use_clock += 1;
         let (set, tag) = self.set_and_tag(addr);
         if let Some(slot) = self.probe(set, tag) {
-            self.last_use[slot] = self.use_clock;
-            if mark_dirty {
-                self.meta[slot] |= WAY_DIRTY;
-            }
+            self.hit(set, slot, mark_dirty);
             true
         } else {
             false
+        }
+    }
+
+    /// Makes the valid line at `slot` its set's MRU and, if asked, dirty.
+    #[inline]
+    fn hit(&mut self, set: usize, slot: usize, mark_dirty: bool) {
+        self.recency[set] = promote(self.recency[set], slot - self.base(set));
+        if mark_dirty {
+            self.meta[slot] |= WAY_DIRTY;
         }
     }
 
@@ -338,54 +385,41 @@ impl SetAssocCache {
     /// Returns the eviction, if a valid line was displaced. Filling a line
     /// that is already present just updates its dirty bit.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
-        self.use_clock += 1;
         self.stats.fills += 1;
         let (set, tag) = self.set_and_tag(addr);
 
         // Already present (e.g. raced fills): refresh rather than duplicate.
         if let Some(slot) = self.probe(set, tag) {
-            self.last_use[slot] = self.use_clock;
-            if dirty {
-                self.meta[slot] |= WAY_DIRTY;
-            }
+            self.hit(set, slot, dirty);
             return None;
         }
 
-        // Victim: first invalid way, else the first way with the minimal
-        // LRU clock (scan order matches the original nested-Vec model).
+        // Victim: the first invalid way, else the LRU way. Valid ways are
+        // a prefix, so the set is full exactly when its last way is valid,
+        // and the first invalid way `n` sits at field `n` of the recency
+        // word, past the valid ones.
         let base = self.base(set);
         let ways = self.config.ways;
-        let mut victim = base;
-        let mut victim_clock = u64::MAX;
-        let mut found_invalid = false;
-        for slot in base..base + ways {
-            if self.meta[slot] & WAY_VALID == 0 {
-                victim = slot;
-                found_invalid = true;
-                break;
-            }
-            let clock = self.last_use[slot];
-            if clock < victim_clock {
-                victim = slot;
-                victim_clock = clock;
-            }
-        }
-
-        let eviction = if !found_invalid {
-            let word = self.meta[victim];
-            let was_dirty = word & WAY_DIRTY != 0;
+        let order = self.recency[set];
+        let (way, shift, eviction) = if self.meta[base + ways - 1] & WAY_VALID != 0 {
+            let shift = (ways as u32 - 1) * FIELD_BITS;
+            let way = (order >> shift & FIELD_MASK) as usize;
+            let was_dirty = self.meta[base + way] & WAY_DIRTY != 0;
             self.stats.evictions += 1;
             if was_dirty {
                 self.stats.writebacks += 1;
             }
-            Some(Eviction { addr: self.slot_addr(victim), dirty: was_dirty })
+            (way, shift, Some(Eviction { addr: self.slot_addr(base + way), dirty: was_dirty }))
         } else {
-            None
+            let way = self.meta[base..base + ways]
+                .iter()
+                .position(|&w| w & WAY_VALID == 0)
+                .expect("a set whose last way is invalid has an invalid way");
+            (way, way as u32 * FIELD_BITS, None)
         };
 
-        self.meta[victim] =
-            (tag << TAG_SHIFT) | WAY_VALID | if dirty { WAY_DIRTY } else { 0 };
-        self.last_use[victim] = self.use_clock;
+        self.meta[base + way] = (tag << TAG_SHIFT) | WAY_VALID | if dirty { WAY_DIRTY } else { 0 };
+        self.recency[set] = move_to_front(order, shift, way);
         eviction
     }
 
@@ -406,16 +440,6 @@ impl SetAssocCache {
         } else {
             false
         }
-    }
-
-    /// Removes a line if present, returning whether it was dirty.
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (set, tag) = self.set_and_tag(addr);
-        self.probe(set, tag).map(|slot| {
-            let was = self.meta[slot] & WAY_DIRTY != 0;
-            self.meta[slot] = 0;
-            was
-        })
     }
 
     /// Number of valid lines currently resident.
@@ -464,6 +488,15 @@ mod tests {
         assert!(CacheConfig::new(1000, 2, 64).is_err()); // not divisible
         let cfg = CacheConfig::new(8 << 20, 8, 64).unwrap();
         assert_eq!(cfg.sets(), 16384);
+    }
+
+    #[test]
+    fn more_ways_than_a_recency_word_holds_are_rejected() {
+        assert!(CacheConfig::new(16 * 64, MAX_WAYS, 64).is_ok());
+        assert!(matches!(
+            CacheConfig::new(17 * 64, 17, 64),
+            Err(CacheError::InvalidGeometry { .. })
+        ));
     }
 
     #[test]
@@ -537,15 +570,6 @@ mod tests {
         let ev = c.fill(256, false).expect("set 0 overflows");
         assert_eq!(ev.addr, 0);
         assert!(!ev.dirty);
-    }
-
-    #[test]
-    fn invalidate_reports_dirtiness() {
-        let mut c = small();
-        c.fill(0, true);
-        assert_eq!(c.invalidate(0), Some(true));
-        assert_eq!(c.invalidate(0), None);
-        assert!(!c.contains(0));
     }
 
     #[test]

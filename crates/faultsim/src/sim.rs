@@ -90,9 +90,11 @@ impl FaultyDevices {
         loop {
             // U = 1 − [0, 1) ∈ (0, 1], so the gap is finite and ≥ 0.
             let u = 1.0 - rng.gen::<f64>();
-            let gap = (-u.ln() / self.lambda).floor();
-            // A gap below the (rounded) remaining count is an integer
-            // below the exact one, so `index < count` never overflows.
+            let gap = -u.ln() / self.lambda;
+            // The run is ⌊gap⌋, and ⌊gap⌋ ≥ N exactly when gap ≥ N for an
+            // integer N, such as the (rounded) remaining count. A run below
+            // it is also below the exact count, so `index < count` never
+            // overflows; `as u64` truncates, which is ⌊·⌋ for gap ≥ 0.
             if gap >= (count - next) as f64 {
                 return;
             }

@@ -54,19 +54,27 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Appends an element, spilling to the heap when the inline array is
     /// full. The spill allocation happens at most once per high-water
     /// mark; after [`Self::clear`] the retained capacity is reused.
+    #[inline]
     pub fn push(&mut self, value: T) {
-        if self.spilled {
-            self.spill.push(value);
-        } else if self.len < N {
+        if !self.spilled && self.len < N {
             self.inline[self.len] = value;
+            self.len += 1;
         } else {
-            // Overflow: migrate inline contents to the heap so storage
-            // stays contiguous (Deref hands out one slice).
+            self.push_spilled(value);
+        }
+    }
+
+    /// The heap side of [`Self::push`]: appends to the spill vector,
+    /// first migrating the inline contents there on overflow so storage
+    /// stays contiguous (Deref hands out one slice).
+    #[cold]
+    fn push_spilled(&mut self, value: T) {
+        if !self.spilled {
             self.spill.clear();
             self.spill.extend_from_slice(&self.inline);
-            self.spill.push(value);
             self.spilled = true;
         }
+        self.spill.push(value);
         self.len += 1;
     }
 
