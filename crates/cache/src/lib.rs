@@ -116,6 +116,17 @@ impl CacheConfig {
     pub fn sets(&self) -> usize {
         self.capacity_bytes / (self.ways * self.line_bytes)
     }
+
+    /// One past the highest byte address the cache can hold:
+    /// `2^(30 + log2 line_bytes + log2 sets)`, the first address whose
+    /// tag no longer fits a way word's 30 tag bits. 1 PiB for the
+    /// Table III LLC, 16 TiB for its metadata cache. Saturates at
+    /// `u64::MAX` for geometries whose tags hold every 64-bit address.
+    /// Every probe and fill asserts its address is below this limit.
+    pub fn address_limit(&self) -> u64 {
+        let shift = TAG_BITS + self.line_bytes.trailing_zeros() + self.sets().trailing_zeros();
+        1u64.checked_shl(shift).unwrap_or(u64::MAX)
+    }
 }
 
 /// A line evicted by a fill.
@@ -127,19 +138,35 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-// Per-way state is packed into one u64 "meta word" per way:
+// Per-way state is packed into one u32 "way word" per way:
 //
-//   bit 0      valid
-//   bit 1      dirty
-//   bits 2..   tag
+//   bit 0       valid
+//   bit 1       dirty
+//   bits 2..32  tag (30 bits)
 //
 // A probe compares `word & !DIRTY` against `tag << TAG_SHIFT | VALID`, so
-// hit detection is a single load + mask + compare per way. The tag of a
-// 64-bit byte address loses `line_shift + set_bits` low bits first (≥ 7 in
-// every modeled geometry), so shifting it up by 2 cannot overflow.
-const WAY_VALID: u64 = 1;
-const WAY_DIRTY: u64 = 2;
+// hit detection is a single load + mask + compare per way. A tag of 30
+// bits or more would alias a smaller one, so `way_word` asserts it fits:
+// addresses must stay below `CacheConfig::address_limit()`.
+const WAY_VALID: u32 = 1;
+const WAY_DIRTY: u32 = 2;
 const TAG_SHIFT: u32 = 2;
+const TAG_BITS: u32 = u32::BITS - TAG_SHIFT;
+
+/// The valid, clean way word of `tag`.
+///
+/// # Panics
+///
+/// Panics if `tag` needs more than [`TAG_BITS`] bits, i.e. its address
+/// is at or past [`CacheConfig::address_limit`].
+#[inline]
+fn way_word(tag: u64) -> u32 {
+    assert!(
+        tag < 1 << TAG_BITS,
+        "tag {tag:#x} does not fit 30 bits: address at or past the cache's address limit"
+    );
+    (tag as u32) << TAG_SHIFT | WAY_VALID
+}
 
 // A set's LRU order is packed into one u64 "recency word" of 4-bit
 // fields: field i (bits 4i..4i+4) holds the index of the set's i-th most
@@ -236,13 +263,19 @@ impl synergy_obs::Observe for CacheStats {
 /// LRU order in one word per set:
 ///
 /// ```text
-/// meta:    [ tag|d|v ][ tag|d|v ] ... one packed u64 per way
+/// meta:    [ tag|d|v ][ tag|d|v ] ... one packed u32 per way, 30-bit tag
 /// recency: [ w15 .. w1 w0 ]       ... one u64 per set, 4-bit way
 ///                                     indices in MRU (w0) → LRU order
 /// ```
 ///
-/// A lookup touches one contiguous `ways`-long run of packed words (a
-/// single cacheline for 8-way geometries) and its set's recency word. A
+/// The Table III LLC (16384 sets × 8 ways) is 512 KiB of way words plus
+/// 128 KiB of recency words. Addresses must stay below
+/// [`CacheConfig::address_limit`], where the 30-bit tag runs out; every
+/// probe and fill asserts it, so a larger address panics rather than
+/// aliasing a smaller one.
+///
+/// A lookup touches one contiguous `ways`-long run of packed words (half
+/// a cacheline for 8-way geometries) and its set's recency word. A
 /// hit moves its way to the front of that word, and a full set's victim
 /// is read from its LRU field, each with a few shifts and masks. Both
 /// arrays start zeroed, which is the empty cache, so construction maps
@@ -253,7 +286,7 @@ impl synergy_obs::Observe for CacheStats {
 pub struct SetAssocCache {
     config: CacheConfig,
     /// Packed valid/dirty/tag words, `sets * ways` long.
-    meta: Box<[u64]>,
+    meta: Box<[u32]>,
     /// One recency word per set: way indices in MRU → LRU order.
     recency: Box<[u64]>,
     /// `log2(line_bytes)`.
@@ -271,7 +304,7 @@ impl SetAssocCache {
         let sets = config.sets();
         Self {
             config,
-            meta: vec![0u64; sets * config.ways].into_boxed_slice(),
+            meta: vec![0u32; sets * config.ways].into_boxed_slice(),
             recency: vec![0u64; sets].into_boxed_slice(),
             line_shift: config.line_bytes.trailing_zeros(),
             set_bits: sets.trailing_zeros(),
@@ -306,7 +339,7 @@ impl SetAssocCache {
     #[inline]
     fn slot_addr(&self, slot: usize) -> u64 {
         let set = (slot / self.config.ways) as u64;
-        let tag = self.meta[slot] >> TAG_SHIFT;
+        let tag = u64::from(self.meta[slot] >> TAG_SHIFT);
         ((tag << self.set_bits) | set) << self.line_shift
     }
 
@@ -319,7 +352,7 @@ impl SetAssocCache {
     /// Probes `set` for `tag`; returns the hitting slot index.
     #[inline]
     fn probe(&self, set: usize, tag: u64) -> Option<usize> {
-        let want = (tag << TAG_SHIFT) | WAY_VALID;
+        let want = way_word(tag);
         let base = self.base(set);
         self.meta[base..base + self.config.ways]
             .iter()
@@ -383,7 +416,13 @@ impl SetAssocCache {
     /// evicting the LRU way if the set is full.
     ///
     /// Returns the eviction, if a valid line was displaced. Filling a line
-    /// that is already present just updates its dirty bit.
+    /// that is already present evicts nothing: the line becomes its set's
+    /// MRU, and `dirty` sets its dirty bit but never clears it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is at or past [`CacheConfig::address_limit`]
+    /// (as does every lookup).
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
         self.stats.fills += 1;
         let (set, tag) = self.set_and_tag(addr);
@@ -418,7 +457,7 @@ impl SetAssocCache {
             (way, way as u32 * FIELD_BITS, None)
         };
 
-        self.meta[base + way] = (tag << TAG_SHIFT) | WAY_VALID | if dirty { WAY_DIRTY } else { 0 };
+        self.meta[base + way] = way_word(tag) | if dirty { WAY_DIRTY } else { 0 };
         self.recency[set] = move_to_front(order, shift, way);
         eviction
     }
@@ -447,18 +486,10 @@ impl SetAssocCache {
         self.meta.iter().filter(|&&w| w & WAY_VALID != 0).count()
     }
 
-    /// Drains every dirty line, returning their addresses (used at
-    /// simulation end to flush pending writebacks). Convenience wrapper
-    /// around [`Self::drain_dirty_into`].
-    pub fn drain_dirty(&mut self) -> Vec<u64> {
-        let mut dirty = Vec::new();
-        self.drain_dirty_into(&mut dirty);
-        dirty
-    }
-
     /// Drains every dirty line into a caller-owned buffer (not cleared
-    /// first), clearing the dirty bits. Addresses are appended in flat
-    /// slot order — identical to the original set-major / way-minor scan.
+    /// first), clearing the dirty bits — the writebacks a flush at
+    /// simulation end would issue. Addresses are appended in flat slot
+    /// order, set-major and way-minor.
     pub fn drain_dirty_into(&mut self, dirty: &mut Vec<u64>) {
         for slot in 0..self.meta.len() {
             let word = self.meta[slot];
@@ -593,11 +624,49 @@ mod tests {
         c.fill(0, true);
         c.fill(64, false);
         c.fill(128, true);
-        let mut drained = c.drain_dirty();
+        let mut drained = Vec::new();
+        c.drain_dirty_into(&mut drained);
         drained.sort_unstable();
         assert_eq!(drained, vec![0, 128]);
         // Second drain is empty.
-        assert!(c.drain_dirty().is_empty());
+        drained.clear();
+        c.drain_dirty_into(&mut drained);
+        assert!(drained.is_empty());
+    }
+
+    #[test]
+    fn address_limit_of_table_iii_caches() {
+        let llc = CacheConfig::new(8 << 20, 8, 64).unwrap();
+        assert_eq!(llc.address_limit(), 1 << 50, "1 PiB");
+        let metadata = CacheConfig::new(128 << 10, 8, 64).unwrap();
+        assert_eq!(metadata.address_limit(), 1 << 44, "16 TiB");
+        let huge = CacheConfig::new(1 << 40, 1, 1 << 20).unwrap();
+        assert_eq!(huge.address_limit(), u64::MAX, "saturates past 2^64");
+    }
+
+    #[test]
+    fn last_line_below_address_limit_round_trips() {
+        let mut c = small();
+        let limit = c.config().address_limit();
+        assert_eq!(limit, 1 << (30 + 6 + 1));
+        let last = limit - 64;
+        assert!(c.fill(last, true).is_none());
+        assert!(c.read(last), "the top line hits");
+        // The top line sits in set 1 with the largest tag; two more lines
+        // of set 1 evict it, and its address comes back whole.
+        c.fill(64, false);
+        let ev = c.fill(192, false).expect("set 1 overflows");
+        assert_eq!(ev, Eviction { addr: last, dirty: true });
+        assert!(!c.contains(last));
+    }
+
+    #[test]
+    #[should_panic(expected = "at or past the cache's address limit")]
+    fn first_line_past_address_limit_panics() {
+        let mut c = small();
+        let limit = c.config().address_limit();
+        // Its tag is 2^30, which a 30-bit field would alias with tag 0.
+        c.fill(limit, false);
     }
 
     #[test]

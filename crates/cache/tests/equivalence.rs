@@ -1,15 +1,19 @@
 //! Observation-equivalence proptest for the flat `SetAssocCache`.
 //!
 //! The production cache stores way state in one flat array of packed
-//! valid/dirty/tag words with shift/mask set indexing, and each set's LRU
-//! order in one recency word of 4-bit way indices. This test pins its
-//! *observable behaviour* — every hit/miss outcome, eviction (address and
-//! dirtiness), `take_dirty` / `contains` result, `drain_dirty` output,
-//! and the full `CacheStats` — against `RefCache`, a deliberately naive
-//! nested `Vec<Vec<Way>>` model with one `u64` LRU clock per way, written
-//! the way the cache was before either change. Geometries range over
-//! 1–16 sets with 1–5, 8 (the Table III LLC and metadata caches) and 16
-//! ways (the most a recency word holds), under random access streams.
+//! 32-bit valid/dirty/tag words (a 30-bit tag) with shift/mask set
+//! indexing, and each set's LRU order in one recency word of 4-bit way
+//! indices. This test pins its *observable behaviour* — every hit/miss
+//! outcome, eviction (address and dirtiness), `take_dirty` / `contains`
+//! result, `drain_dirty_into` output, and the full `CacheStats` — against
+//! `RefCache`, a deliberately naive nested `Vec<Vec<Way>>` model with a
+//! `u64` tag and one `u64` LRU clock per way, written the way the cache
+//! was before any of these changes. Geometries range over 1–16 sets with
+//! 1–5, 8 (the Table III LLC and metadata caches) and 16 ways (the most a
+//! recency word holds), under random access streams whose addresses are
+//! dense, strided, or spread over the top bits of the 30-bit tag range
+//! (up to the cache's `address_limit()`), where a truncated tag would
+//! alias.
 
 use proptest::prelude::*;
 use synergy_cache::{CacheConfig, Eviction, SetAssocCache};
@@ -123,6 +127,19 @@ impl RefCache {
     }
 }
 
+/// `addr_scale` arm that gives line index `i` the tag `i << 24` in set
+/// `i % sets`: tags differ only in bits 24..30, the top of the 30-bit
+/// tag field, so dropping any tag bit aliases lines of one set. The
+/// highest address, of line index 63, sits just below `address_limit()`.
+const TOP_TAG_BITS: u64 = 0;
+
+/// Drains `cache`'s dirty lines into a fresh vector.
+fn drained(cache: &mut SetAssocCache) -> Vec<u64> {
+    let mut dirty = Vec::new();
+    cache.drain_dirty_into(&mut dirty);
+    dirty
+}
+
 /// One step of a random access stream.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -174,15 +191,20 @@ proptest! {
     fn flat_cache_matches_nested_reference(
         cfg in geometry(),
         stream in ops(64),
-        addr_scale in prop_oneof![Just(1u64), Just(17u64), Just(1u64 << 20)],
+        addr_scale in prop_oneof![Just(1u64), Just(17u64), Just(1u64 << 20), Just(TOP_TAG_BITS)],
     ) {
         let mut flat = SetAssocCache::new(cfg);
         let mut reference = RefCache::new(&cfg);
         let line = cfg.line_bytes() as u64;
+        let sets = cfg.sets() as u64;
+        let line_number = |line_idx: u64| match addr_scale {
+            TOP_TAG_BITS => ((line_idx * sets) << 24) | (line_idx % sets),
+            scale => line_idx * scale,
+        };
         // Sub-line offset exercises line masking; addr_scale exercises
         // tags far beyond the set space.
         for (i, op) in stream.iter().enumerate() {
-            let at = |line_idx: u64| line_idx * addr_scale * line + (line_idx % line);
+            let at = |line_idx: u64| line_number(line_idx) * line + (line_idx % line);
             match *op {
                 Op::Read(a) => {
                     prop_assert_eq!(flat.read(at(a)), reference.touch(at(a), false), "read #{}", i);
@@ -200,12 +222,12 @@ proptest! {
                     prop_assert_eq!(flat.take_dirty(at(a)), reference.take_dirty(at(a)), "take_dirty #{}", i);
                 }
                 Op::Drain => {
-                    prop_assert_eq!(flat.drain_dirty(), reference.drain_dirty(), "drain #{}", i);
+                    prop_assert_eq!(drained(&mut flat), reference.drain_dirty(), "drain #{}", i);
                 }
             }
             prop_assert_eq!(flat.resident_lines(), reference.resident_lines(), "resident #{}", i);
         }
-        prop_assert_eq!(flat.drain_dirty(), reference.drain_dirty());
+        prop_assert_eq!(drained(&mut flat), reference.drain_dirty());
     }
 
     /// Hit/miss statistics stay exact under pure read/write/fill streams.
@@ -237,7 +259,7 @@ proptest! {
                 // Stats-neutral ops in the real cache; mirror on reference.
                 Op::Contains(a) => { reference.contains(a * line); flat.contains(a * line); }
                 Op::TakeDirty(a) => { reference.take_dirty(a * line); flat.take_dirty(a * line); }
-                Op::Drain => { reference.drain_dirty(); flat.drain_dirty(); }
+                Op::Drain => { reference.drain_dirty(); drained(&mut flat); }
             }
         }
         let s = flat.stats();

@@ -22,6 +22,13 @@
 //! the issue horizon is a minimum over banks rather than over queued
 //! requests. Only an ACT (new open row) and a column command (next hit)
 //! walk one bank's list.
+//!
+//! Every read's data arrives a fixed `tCAS + tBurst` after its column
+//! command, and at most one command issues per cycle, so in-flight reads
+//! complete in issue order: they wait in a FIFO whose front is the next
+//! completion.
+
+use std::collections::VecDeque;
 
 use crate::config::{DramConfig, TimingParams};
 use crate::mapping::DramLocation;
@@ -204,7 +211,10 @@ pub(crate) struct Channel {
     len: [usize; 2],
     /// Sequence number of the next request enqueued.
     next_seq: u64,
-    pending: Vec<PendingCompletion>,
+    /// `ceil(log2(banks))`: the low bits of a scan key that name its bank.
+    bank_bits: u32,
+    /// Issued reads awaiting their data, in completion order.
+    pending: VecDeque<PendingCompletion>,
     draining: bool,
     bus_free_at: u64,
     last_bus_op: Option<AccessKind>,
@@ -252,7 +262,8 @@ impl Channel {
             free: if slots > 0 { 0 } else { NIL },
             len: [0; 2],
             next_seq: 0,
-            pending: Vec::with_capacity(cfg.read_queue_capacity),
+            bank_bits: banks.next_power_of_two().trailing_zeros(),
+            pending: VecDeque::with_capacity(cfg.read_queue_capacity),
             draining: false,
             bus_free_at: 0,
             last_bus_op: None,
@@ -287,6 +298,10 @@ impl Channel {
         let b = loc.rank * self.banks_per_rank + loc.bank;
         let k = qi(req.kind);
         let seq = self.next_seq;
+        debug_assert!(
+            seq.leading_zeros() > self.bank_bits,
+            "sequence number {seq} overflows a scan key"
+        );
         self.next_seq += 1;
         let s = self.free;
         assert_ne!(s, NIL, "enqueue past the channel's queue capacity");
@@ -409,7 +424,7 @@ impl Channel {
             return now;
         }
         let mut event = self.issue_horizon;
-        for p in &self.pending {
+        if let Some(p) = self.pending.front() {
             event = event.min(p.at);
         }
         if cfg.timing.t_refi != 0 {
@@ -450,22 +465,16 @@ impl Channel {
 
     /// Moves reads whose data has arrived by `cycle` to `completions`.
     fn retire(&mut self, cycle: u64, completions: &mut Vec<Completion>) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].at <= cycle {
-                let p = self.pending.swap_remove(i);
-                completions.push(Completion {
-                    id: p.id,
-                    addr: p.addr,
-                    class: p.class,
-                    latency: p.latency,
-                    issue_cycle: p.issue_cycle,
-                    enqueue_cycle: p.enqueue_cycle,
-                    bank_ready_cycle: p.bank_ready_cycle,
-                });
-            } else {
-                i += 1;
-            }
+        while let Some(p) = self.pending.pop_front_if(|p| p.at <= cycle) {
+            completions.push(Completion {
+                id: p.id,
+                addr: p.addr,
+                class: p.class,
+                latency: p.latency,
+                issue_cycle: p.issue_cycle,
+                enqueue_cycle: p.enqueue_cycle,
+                bank_ready_cycle: p.bank_ready_cycle,
+            });
         }
     }
 
@@ -480,7 +489,7 @@ impl Channel {
     /// True when nothing can happen in this channel's tick at `cycle`
     /// (debug check of a tick the memory system skipped).
     pub(crate) fn is_quiet_at(&self, cycle: u64, cfg: &DramConfig) -> bool {
-        self.pending.iter().all(|p| p.at > cycle)
+        self.pending.front().is_none_or(|p| p.at > cycle)
             && (cfg.timing.t_refi == 0 || self.ranks.iter().all(|r| r.next_refresh > cycle))
             && !self.drain_flip_pending(cfg)
             && self.find_candidate(cycle, &cfg.timing).is_none()
@@ -559,21 +568,26 @@ impl Channel {
     /// queue), a row command a bank past `ready_row`, which holds no row
     /// hit, so that its oldest request misses. One pass over the banks
     /// takes, per queue, the smallest sequence number each kind of ready
-    /// bank offers.
+    /// bank offers, keyed `seq << bank_bits | bank` so the minimum also
+    /// names its bank.
     fn find_candidate(&self, cycle: u64, t: &TimingParams) -> Option<Candidate> {
-        // Per queue: the sequence number of the oldest column-ready hit and
-        // of the oldest request of a row-ready bank. Sequence numbers are
-        // unique, so each names its bank.
+        // Per queue: the key of the oldest column-ready hit and of the
+        // oldest request of a row-ready bank. Sequence numbers are unique
+        // and stay below 2^(64 - bank_bits), so keys order as their
+        // sequence numbers do; rotating rather than shifting keeps a
+        // missing request's NONE a NONE key.
+        let key = |seq: u64, bank: u64| seq.rotate_left(self.bank_bits) | bank;
         let mut col = [NONE; 2];
         let mut row = [NONE; 2];
-        for bank in &self.banks {
+        for (b, bank) in (0u64..).zip(&self.banks) {
             let col_ready = cycle >= bank.ready_col;
             let row_ready = cycle >= bank.ready_row;
             for k in 0..2 {
-                col[k] = col[k].min(if_ready(col_ready, bank.oldest_hit[k]));
-                row[k] = row[k].min(if_ready(row_ready, bank.oldest[k]));
+                col[k] = col[k].min(if_ready(col_ready, key(bank.oldest_hit[k], b)));
+                row[k] = row[k].min(if_ready(row_ready, key(bank.oldest[k], b)));
             }
         }
+        let bank_of = |key: u64| (key & ((1 << self.bank_bits) - 1)) as usize;
         let primary = if self.draining || self.len[0] == 0 {
             AccessKind::Write
         } else {
@@ -586,13 +600,12 @@ impl Channel {
         [primary, secondary].into_iter().find_map(|kind| {
             let k = qi(kind);
             if col[k] != NONE && cycle + lead(t, kind) >= self.bus_ready(t, kind) {
-                let b = self.bank_of(|bank| bank.oldest_hit[k] == col[k]);
-                return Some(Candidate::Col(kind, self.details[b].hit[k]));
+                return Some(Candidate::Col(kind, self.details[bank_of(col[k])].hit[k]));
             }
             if row[k] == NONE {
                 return None;
             }
-            let b = self.bank_of(|bank| bank.oldest[k] == row[k]);
+            let b = bank_of(row[k]);
             let detail = &self.details[b];
             Some(if detail.open_row != CLOSED {
                 Candidate::Pre(b)
@@ -600,11 +613,6 @@ impl Channel {
                 Candidate::Act { bank: b, row: self.slab[detail.head[k] as usize].row }
             })
         })
-    }
-
-    /// The bank holding the sequence number a scan picked.
-    fn bank_of(&self, holds: impl Fn(&Bank) -> bool) -> usize {
-        self.banks.iter().position(holds).expect("a picked request has a bank")
     }
 
     /// A conservative lower bound (≥ `from`) on the next cycle at which
@@ -761,7 +769,11 @@ impl Channel {
                 // enqueue ≤ bank_ready ≤ issue invariant unconditional.
                 let bank_ready =
                     q.bank_ready.unwrap_or(cycle).clamp(q.enqueue_cycle, cycle);
-                self.pending.push(PendingCompletion {
+                debug_assert!(
+                    self.pending.back().is_none_or(|p| p.at < done),
+                    "reads must complete in issue order"
+                );
+                self.pending.push_back(PendingCompletion {
                     at: done,
                     id: q.id,
                     addr: q.addr,

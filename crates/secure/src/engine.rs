@@ -199,12 +199,22 @@ impl SecureEngine {
     }
 
     /// Creates an engine with a custom metadata-cache geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data_bytes` is zero or not line-aligned, or if the
+    /// metadata layout reaches the metadata cache's
+    /// [`CacheConfig::address_limit`] (see
+    /// [`MetadataLayout::check_cache_reach`]).
     pub fn with_metadata_cache(
         design: DesignConfig,
         data_bytes: u64,
         metadata_cache: CacheConfig,
     ) -> Self {
         let layout = MetadataLayout::new(data_bytes, design.counter_org, design.tree_leaves);
+        if let Err(reason) = layout.check_cache_reach(&metadata_cache, "metadata cache") {
+            panic!("{reason}");
+        }
         Self {
             design,
             layout,
@@ -269,9 +279,9 @@ impl SecureEngine {
     /// Drains the dedicated metadata cache's dirty lines (clearing their
     /// dirty bits) and appends their addresses to `dirty` (not cleared
     /// first) — the writebacks an end-of-run flush would issue. Together
-    /// with the LLC's `drain_dirty`, this accounts for every increment that
-    /// has not yet reached DRAM, which is what the counter-conservation
-    /// property test audits.
+    /// with the LLC's `drain_dirty_into`, this accounts for every
+    /// increment that has not yet reached DRAM, which is what the
+    /// counter-conservation property test audits.
     pub fn drain_dirty_metadata_into(&mut self, dirty: &mut Vec<u64>) {
         self.metadata_cache.drain_dirty_into(dirty);
     }
@@ -813,6 +823,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "past the metadata cache's address limit of 68719476736 bytes")]
+    fn metadata_cache_too_small_to_tag_the_layout_panics_at_construction() {
+        // One 64 B-line set tags the first 64 GiB; 64 GiB of data plus
+        // its metadata reaches past that.
+        let one_set = CacheConfig::new(64, 1, 64).unwrap();
+        let _ = SecureEngine::with_metadata_cache(DesignConfig::synergy(), 64 << 30, one_set);
+    }
+
+    #[test]
     fn dirty_walk_dirties_llc_resident_tree_nodes() {
         // The lost-dirty-propagation pin: with a tiny dedicated cache the
         // integrity-tree path survives only in the LLC (SGX_O caches tree
@@ -837,8 +856,9 @@ mod tests {
 
         let misses_before = e.metadata_cache.stats().write_misses;
         let _ = writeback(&mut e, addr, &mut llc);
-        let tree_dirty = llc
-            .drain_dirty()
+        let mut dirty = Vec::new();
+        llc.drain_dirty_into(&mut dirty);
+        let tree_dirty = dirty
             .into_iter()
             .filter(|&a| matches!(e.layout().classify(a), Region::Tree(_)))
             .count();

@@ -21,6 +21,8 @@
 //!   lines (Bonsai counter tree) or the MAC lines (IVEC's GMAC tree);
 //!   the top level with ≤ 8 nodes is held on-chip and costs no traffic.
 
+use synergy_cache::CacheConfig;
+
 /// Counter organization (Figure 13's sensitivity axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterOrg {
@@ -379,6 +381,26 @@ impl MetadataLayout {
             }
         }
         Region::OutOfRange
+    }
+
+    /// Checks that every address of the layout, data and metadata alike,
+    /// lies below the [`CacheConfig::address_limit`] of `cache` (called
+    /// `name` in the message), so that cache can hold any of its lines.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the layout's size and the cache's limit, in
+    /// bytes, when the layout's top address reaches the limit.
+    pub fn check_cache_reach(&self, cache: &CacheConfig, name: &str) -> Result<(), String> {
+        let limit = cache.address_limit();
+        if self.total_bytes > limit {
+            return Err(format!(
+                "the metadata layout spans {} bytes, past the {name}'s address limit of \
+                 {limit} bytes",
+                self.total_bytes
+            ));
+        }
+        Ok(())
     }
 
     /// Storage overhead of each metadata region relative to data, as

@@ -210,7 +210,7 @@ proptest! {
             // exactly the remaining logically-dirty set.
             let mut resident = Vec::new();
             engine.drain_dirty_metadata_into(&mut resident);
-            resident.extend(llc.drain_dirty());
+            llc.drain_dirty_into(&mut resident);
             for addr in resident {
                 if engine.layout().classify(addr) == Region::Counter {
                     prop_assert!(
