@@ -145,7 +145,8 @@ pub struct Eviction {
 //   bits 2..32  tag (30 bits)
 //
 // A probe compares `word & !DIRTY` against `tag << TAG_SHIFT | VALID`, so
-// hit detection is a single load + mask + compare per way. A tag of 30
+// hit detection is a single load + mask + compare per way, and an invalid
+// way (valid bit clear) never matches, whatever its tag bits. A tag of 30
 // bits or more would alias a smaller one, so `way_word` asserts it fits:
 // addresses must stay below `CacheConfig::address_limit()`.
 const WAY_VALID: u32 = 1;
@@ -275,8 +276,10 @@ impl synergy_obs::Observe for CacheStats {
 /// aliasing a smaller one.
 ///
 /// A lookup touches one contiguous `ways`-long run of packed words (half
-/// a cacheline for 8-way geometries) and its set's recency word. A
-/// hit moves its way to the front of that word, and a full set's victim
+/// a cacheline for 8-way geometries) and its set's recency word. It
+/// compares every way of the run, four at a time, into a bit mask whose
+/// lowest set bit is the hitting way, with no branch per way. A hit
+/// moves its way to the front of that word, and a full set's victim
 /// is read from its LRU field, each with a few shifts and masks. Both
 /// arrays start zeroed, which is the empty cache, so construction maps
 /// them lazily. Set index and tag come from precomputed shift/mask (line
@@ -350,14 +353,29 @@ impl SetAssocCache {
     }
 
     /// Probes `set` for `tag`; returns the hitting slot index.
+    ///
+    /// Every way is compared, without an early exit: way `i`'s match sets
+    /// bit `i` of a hit mask, and the lowest set bit names the slot. A tag
+    /// is stored at most once per set, so at most one bit is set and the
+    /// slot is the one a first-match search finds. Ways are compared four
+    /// at a time (one vector compare and mask), the last `ways % 4` one by
+    /// one. With no data-dependent branch per way this measured faster
+    /// than the early-exit search on hits and no slower on misses.
     #[inline]
     fn probe(&self, set: usize, tag: u64) -> Option<usize> {
         let want = way_word(tag);
         let base = self.base(set);
-        self.meta[base..base + self.config.ways]
-            .iter()
-            .position(|&w| w & !WAY_DIRTY == want)
-            .map(|i| base + i)
+        let matches = |w: u32| u32::from(w & !WAY_DIRTY == want);
+        let (quads, rest) = self.meta[base..base + self.config.ways].as_chunks::<4>();
+        let mut hits = 0u32;
+        for (i, quad) in (0..).step_by(4).zip(quads) {
+            let [a, b, c, d] = quad.map(matches);
+            hits |= (a | b << 1 | c << 2 | d << 3) << i;
+        }
+        for (i, &w) in (4 * quads.len() as u32..).zip(rest) {
+            hits |= matches(w) << i;
+        }
+        (hits != 0).then(|| base + hits.trailing_zeros() as usize)
     }
 
     /// Performs a read lookup, updating LRU state. Returns `true` on hit.
@@ -667,6 +685,46 @@ mod tests {
         let limit = c.config().address_limit();
         // Its tag is 2^30, which a 30-bit field would alias with tag 0.
         c.fill(limit, false);
+    }
+
+    #[test]
+    fn probe_for_tag_0_never_hits_an_invalid_way() {
+        // Tag 0 in set 0 is address 0; every way word of an empty set is 0.
+        let mut c = SetAssocCache::new(CacheConfig::new(16 * 64, MAX_WAYS, 64).unwrap());
+        assert!(!c.contains(0));
+        assert!(!c.read(0));
+        assert!(!c.write(0));
+        assert!(!c.take_dirty(0));
+        // A partly filled set: the invalid ways past the valid prefix are
+        // still all-zero words.
+        c.fill(64, true);
+        assert!(!c.contains(0));
+        assert_eq!(c.fill(0, false), None, "a miss fills the first invalid way");
+        assert!(c.contains(0));
+    }
+
+    #[test]
+    fn probe_finds_a_match_in_the_last_of_16_ways_among_near_misses() {
+        // One set of 16 ways, so a line's tag is its line number. Ways
+        // 0..15 hold near misses of `want`: way 0 differs only in the top
+        // tag bit, way j > 0 only in tag bit j - 1, and every other one is
+        // dirty, so its word also differs in the dirty bit. `want` fills
+        // the last way.
+        let mut c = SetAssocCache::new(CacheConfig::new(16 * 64, MAX_WAYS, 64).unwrap());
+        let want = 0x2AAA_AAAAu64 & ((1 << TAG_BITS) - 1);
+        let flip = |j: usize| if j == 0 { 1 << (TAG_BITS - 1) } else { 1u64 << (j - 1) };
+        for j in 0..MAX_WAYS - 1 {
+            assert_eq!(c.fill((want ^ flip(j)) << 6, j % 2 == 1), None);
+        }
+        assert_eq!(c.fill(want << 6, false), None);
+        assert_eq!(c.meta[MAX_WAYS - 1], way_word(want), "the set is full, `want` last");
+        assert_eq!(c.probe(0, want), Some(MAX_WAYS - 1));
+        assert!(c.write(want << 6), "the write hits");
+        assert_eq!(c.probe(0, want), Some(MAX_WAYS - 1), "its dirty bit is ignored");
+        for j in 0..MAX_WAYS - 1 {
+            assert_eq!(c.probe(0, want ^ flip(j)), Some(j), "near miss {j}");
+        }
+        assert_eq!(c.probe(0, want ^ 1 << 20), None, "an absent tag misses");
     }
 
     #[test]

@@ -12,16 +12,18 @@
 //!   data-bus occupancy with direction-switch penalties) are enforced.
 //!
 //! Both queues live in one fixed slab per channel, sized once to the two
-//! queue capacities. Each request carries a channel sequence number (its
-//! age) and sits on its bank's list for its queue, oldest first. Each
-//! bank keeps, per queue, the sequence numbers of its oldest request and
-//! of its oldest request that hits the open row, plus the cycles from
-//! which its column command and its row command may issue. The request a
-//! bank would serve is one of those two, so a scan is one pass over the
-//! banks taking the smallest sequence number among the ready ones, and
-//! the issue horizon is a minimum over banks rather than over queued
-//! requests. Only an ACT (new open row) and a column command (next hit)
-//! walk one bank's list.
+//! queue capacities. Each request carries a scan key fixed at enqueue,
+//! its channel sequence number (its age) with its bank in the low bits,
+//! and sits on its bank's list for its queue, oldest first. Each bank
+//! keeps, per queue, the keys of its oldest request and of its oldest
+//! request that hits the open row, plus the cycles from which its column
+//! command and its row command may issue. The request a bank would serve
+//! is one of those two, so a scan is one pass over the occupied banks
+//! (a per-channel bitset names the banks holding queued requests) taking
+//! the smallest key among the ready ones, and the issue horizon is a
+//! minimum over those banks rather than over queued requests. Only an
+//! ACT (new open row) and a column command (next hit) walk one bank's
+//! list.
 //!
 //! Every read's data arrives a fixed `tCAS + tBurst` after its column
 //! command, and at most one command issues per cycle, so in-flight reads
@@ -44,21 +46,21 @@ const NIL: u32 = u32::MAX;
 /// [`BankDetail::open_row`] of a precharged bank (no row is this large).
 const CLOSED: u64 = u64::MAX;
 
-/// The sequence number of a request that does not exist, and the cycle of
-/// a command that cannot issue.
+/// The scan key of a request that does not exist, and the cycle of a
+/// command that cannot issue.
 const NONE: u64 = u64::MAX;
 
 /// What the scheduler's scans read of one bank: per queue (indexed by
-/// [`qi`]) the ages of its oldest queued request and of its oldest row
-/// hit, and the cycles from which its column command and its row command
-/// may issue.
+/// [`qi`]) the scan keys of its oldest queued request and of its oldest
+/// row hit, and the cycles from which its column command and its row
+/// command may issue.
 #[derive(Debug, Clone, Copy)]
 struct Bank {
-    /// Sequence number of the bank's oldest queued request, [`NONE`]
-    /// when it has none.
+    /// Scan key of the bank's oldest queued request, [`NONE`] when it
+    /// has none.
     oldest: [u64; 2],
-    /// Sequence number of the bank's oldest queued request that targets
-    /// the open row, [`NONE`] when none does (always, while closed).
+    /// Scan key of the bank's oldest queued request that targets the
+    /// open row, [`NONE`] when none does (always, while closed).
     oldest_hit: [u64; 2],
     ready_col: u64,
     /// First cycle the bank's row command may issue: `ready_pre` while a
@@ -124,13 +126,18 @@ struct Rank {
     next_refresh: u64,
 }
 
-/// A queued request in the channel's slab. The scheduler reads `seq`,
+/// A queued request in the channel's slab. The scheduler reads `key`,
 /// `row` and the links (kept together in the first 24 bytes); the rest is
 /// echoed in the completion.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
-    /// Channel-wide arrival order: smaller is older.
-    seq: u64,
+    /// Scan key, fixed at enqueue: the channel sequence number (arrival
+    /// order) shifted up by [`Channel::bank_bits`], with the flat bank
+    /// index in the low bits. Sequence numbers are unique and stay below
+    /// `2^(63 - bank_bits)`, so keys order as arrivals do (smaller is
+    /// older), never reach [`NONE`], and the minimum of a scan names its
+    /// bank.
+    key: u64,
     row: u64,
     /// Younger and older neighbours on the bank's list for `kind`
     /// ([`NIL`] at the ends); `next` chains the free list in a free slot.
@@ -156,7 +163,7 @@ impl Queued {
     /// A free slot whose free-list successor is `next`.
     fn free(next: u32) -> Self {
         Self {
-            seq: 0,
+            key: 0,
             row: 0,
             next,
             prev: NIL,
@@ -209,6 +216,11 @@ pub(crate) struct Channel {
     free: u32,
     /// Requests queued per queue.
     len: [usize; 2],
+    /// One bit per bank (bit `b % 64` of word `b / 64`), set while the
+    /// bank holds a queued request of either queue. The scans visit only
+    /// these banks: every other bank's oldest keys and `ready_row` are
+    /// [`NONE`], so it could add nothing to a minimum.
+    occupied: Vec<u64>,
     /// Sequence number of the next request enqueued.
     next_seq: u64,
     /// `ceil(log2(banks))`: the low bits of a scan key that name its bank.
@@ -261,6 +273,7 @@ impl Channel {
                 .collect(),
             free: if slots > 0 { 0 } else { NIL },
             len: [0; 2],
+            occupied: vec![0; banks.div_ceil(64)],
             next_seq: 0,
             bank_bits: banks.next_power_of_two().trailing_zeros(),
             pending: VecDeque::with_capacity(cfg.read_queue_capacity),
@@ -303,28 +316,30 @@ impl Channel {
             "sequence number {seq} overflows a scan key"
         );
         self.next_seq += 1;
+        let key = seq << self.bank_bits | b as u64;
         let s = self.free;
         assert_ne!(s, NIL, "enqueue past the channel's queue capacity");
         self.free = self.slab[s as usize].next;
         self.len[k] += 1;
+        self.occupied[b / 64] |= 1 << (b % 64);
         let (bank, detail) = (&mut self.banks[b], &mut self.details[b]);
         let hit = detail.open_row == loc.row;
         let tail = detail.tail[k];
         if tail == NIL {
             detail.head[k] = s;
-            bank.oldest[k] = seq;
+            bank.oldest[k] = key;
         } else {
             self.slab[tail as usize].next = s;
         }
         detail.tail[k] = s;
         if hit && detail.hit[k] == NIL {
             detail.hit[k] = s;
-            bank.oldest_hit[k] = seq;
+            bank.oldest_hit[k] = key;
         }
         // Attribution bookkeeping: a request arriving to an already-open
         // row never waits on the bank at all.
         self.slab[s as usize] = Queued {
-            seq,
+            key,
             row: loc.row,
             next: NIL,
             prev: tail,
@@ -355,7 +370,8 @@ impl Channel {
         }
     }
 
-    /// Takes slot `s` off its bank's list and returns it to the free list.
+    /// Takes slot `s` off its bank's list and returns it to the free list;
+    /// a bank left with no queued request leaves the occupied set.
     fn unlink(&mut self, s: u32) -> Queued {
         let q = self.slab[s as usize];
         let k = qi(q.kind.expect("unlinking a queued request"));
@@ -366,7 +382,7 @@ impl Channel {
                 detail.head[k] = q.next;
                 self.banks[b].oldest[k] = match q.next {
                     NIL => NONE,
-                    next => self.slab[next as usize].seq,
+                    next => self.slab[next as usize].key,
                 };
             }
             prev => self.slab[prev as usize].next = q.next,
@@ -374,6 +390,9 @@ impl Channel {
         match q.next {
             NIL => detail.tail[k] = q.prev,
             next => self.slab[next as usize].prev = q.prev,
+        }
+        if detail.head == [NIL; 2] {
+            self.occupied[b / 64] &= !(1 << (b % 64));
         }
         self.slab[s as usize] = Queued::free(self.free);
         self.free = s;
@@ -391,8 +410,20 @@ impl Channel {
         self.details[b].hit[k] = s;
         self.banks[b].oldest_hit[k] = match s {
             NIL => NONE,
-            s => self.slab[s as usize].seq,
+            s => self.slab[s as usize].key,
         };
+    }
+
+    /// Calls `f` with each occupied bank, ascending.
+    #[inline]
+    fn for_each_occupied(&self, mut f: impl FnMut(&Bank)) {
+        for (base, &word) in (0..).step_by(64).zip(&self.occupied) {
+            let mut bits = word;
+            while bits != 0 {
+                f(&self.banks[base + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Recomputes bank `b`'s [`Bank::ready_row`] after a change to its
@@ -566,27 +597,24 @@ impl Channel {
     /// Every readiness test is bank-level: a column command needs a row
     /// hit on a bank past `ready_col` (plus a data bus free for its
     /// queue), a row command a bank past `ready_row`, which holds no row
-    /// hit, so that its oldest request misses. One pass over the banks
-    /// takes, per queue, the smallest sequence number each kind of ready
-    /// bank offers, keyed `seq << bank_bits | bank` so the minimum also
+    /// hit, so that its oldest request misses. One pass over the
+    /// occupied banks (an empty bank offers only [`NONE`]) takes, per
+    /// queue, the smallest scan key (see [`Queued::key`]) each kind of
+    /// ready bank offers, so the minimum is the oldest request and also
     /// names its bank.
     fn find_candidate(&self, cycle: u64, t: &TimingParams) -> Option<Candidate> {
         // Per queue: the key of the oldest column-ready hit and of the
-        // oldest request of a row-ready bank. Sequence numbers are unique
-        // and stay below 2^(64 - bank_bits), so keys order as their
-        // sequence numbers do; rotating rather than shifting keeps a
-        // missing request's NONE a NONE key.
-        let key = |seq: u64, bank: u64| seq.rotate_left(self.bank_bits) | bank;
+        // oldest request of a row-ready bank.
         let mut col = [NONE; 2];
         let mut row = [NONE; 2];
-        for (b, bank) in (0u64..).zip(&self.banks) {
+        self.for_each_occupied(|bank| {
             let col_ready = cycle >= bank.ready_col;
             let row_ready = cycle >= bank.ready_row;
             for k in 0..2 {
-                col[k] = col[k].min(if_ready(col_ready, key(bank.oldest_hit[k], b)));
-                row[k] = row[k].min(if_ready(row_ready, key(bank.oldest[k], b)));
+                col[k] = col[k].min(if_ready(col_ready, bank.oldest_hit[k]));
+                row[k] = row[k].min(if_ready(row_ready, bank.oldest[k]));
             }
-        }
+        });
         let bank_of = |key: u64| (key & ((1 << self.bank_bits) - 1)) as usize;
         let primary = if self.draining || self.len[0] == 0 {
             AccessKind::Write
@@ -620,24 +648,24 @@ impl Channel {
     /// (issues and refreshes recompute [`Self::issue_horizon`], enqueues
     /// lower it). `u64::MAX` when both queues are empty.
     ///
-    /// One pass over the banks: per queue, the earliest `ready_col` of a
-    /// bank with row hits (clamped once to the queue's data-bus floor),
-    /// and the earliest `ready_row`. A precharge blocked by row-hit
-    /// friendliness contributes no bound of its own: it can only unblock
-    /// when the hitting request issues, and the horizon is recomputed
-    /// then.
+    /// One pass over the occupied banks (an empty bank bounds nothing):
+    /// per queue, the earliest `ready_col` of a bank with row hits
+    /// (clamped once to the queue's data-bus floor), and the earliest
+    /// `ready_row`. A precharge blocked by row-hit friendliness
+    /// contributes no bound of its own: it can only unblock when the
+    /// hitting request issues, and the horizon is recomputed then.
     fn next_issue_cycle(&self, from: u64, t: &TimingParams) -> u64 {
         if self.len == [0, 0] {
             return u64::MAX;
         }
         let mut col = [NONE; 2];
         let mut earliest = NONE;
-        for bank in &self.banks {
+        self.for_each_occupied(|bank| {
             for (col, &hit) in col.iter_mut().zip(&bank.oldest_hit) {
                 *col = (*col).min(if_ready(hit != NONE, bank.ready_col));
             }
             earliest = earliest.min(bank.ready_row);
-        }
+        });
         for (kind, col) in [AccessKind::Read, AccessKind::Write].into_iter().zip(col) {
             earliest = earliest.min(col.max(self.col_floor(t, kind)));
         }
@@ -666,31 +694,40 @@ impl Channel {
     }
 
     /// Debug check: bank `b`'s oldest request and oldest row hit per
-    /// queue equal a recount of the slab.
+    /// queue, and its occupancy bit, equal a recount of the slab.
     fn debug_check_bank(&self, b: usize) {
         debug_assert_eq!(
-            (self.banks[b].oldest, self.banks[b].oldest_hit),
+            self.kept(b),
             self.recount(b),
             "bank {b} drifted from its queued requests"
         );
     }
 
-    /// `(oldest, oldest_hit)` of bank `b`, recounted from every queued
-    /// request in the slab (not from the bank's lists).
-    fn recount(&self, b: usize) -> ([u64; 2], [u64; 2]) {
+    /// `(oldest, oldest_hit, occupied)` of bank `b` as the scans read it.
+    fn kept(&self, b: usize) -> ([u64; 2], [u64; 2], bool) {
+        let occupied = self.occupied[b / 64] >> (b % 64) & 1 != 0;
+        (self.banks[b].oldest, self.banks[b].oldest_hit, occupied)
+    }
+
+    /// [`Self::kept`] recounted from every queued request in the slab
+    /// (not from the bank's lists): the bank is occupied iff it has a
+    /// queued request.
+    fn recount(&self, b: usize) -> ([u64; 2], [u64; 2], bool) {
         let open = self.details[b].open_row;
         let mut oldest = [NONE; 2];
         let mut oldest_hit = [NONE; 2];
+        let mut occupied = false;
         for q in self.slab.iter().filter(|q| q.bank as usize == b) {
             if let Some(kind) = q.kind {
                 let k = qi(kind);
-                oldest[k] = oldest[k].min(q.seq);
+                occupied = true;
+                oldest[k] = oldest[k].min(q.key);
                 if q.row == open {
-                    oldest_hit[k] = oldest_hit[k].min(q.seq);
+                    oldest_hit[k] = oldest_hit[k].min(q.key);
                 }
             }
         }
-        (oldest, oldest_hit)
+        (oldest, oldest_hit, occupied)
     }
 
     fn issue_act(

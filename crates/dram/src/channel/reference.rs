@@ -5,11 +5,11 @@
 //! The reference never reads the banks' request lists, their oldest
 //! entries or `ready_row`, nor a rank's `act_floor`. It scans an
 //! age-ordered view of each queue, built from the slab's queued entries
-//! sorted by sequence number: pass 1 looks for the oldest ready column
-//! command, pass 2 for the oldest request whose bank accepts its row
-//! command, with row-hit friendliness decided by rescanning both queues
-//! and the tRRD/tFAW limits recomputed from each rank's ACT window. Its
-//! horizon takes the minimum over every queued request.
+//! sorted by scan key (arrival order): pass 1 looks for the oldest ready
+//! column command, pass 2 for the oldest request whose bank accepts its
+//! row command, with row-hit friendliness decided by rescanning both
+//! queues and the tRRD/tFAW limits recomputed from each rank's ACT
+//! window. Its horizon takes the minimum over every queued request.
 
 use super::{qi, BankDetail, Candidate, Channel, Queued, CLOSED, NIL};
 use crate::config::{DramConfig, TimingParams};
@@ -46,13 +46,13 @@ impl Channel {
     }
 
     /// `kind`'s queue, oldest first: `(slab slot, request)` for every
-    /// queued entry of that kind, sorted by sequence number.
+    /// queued entry of that kind, sorted by scan key (arrival order).
     fn queue_view(&self, kind: AccessKind) -> Vec<(u32, &Queued)> {
         let mut view: Vec<(u32, &Queued)> = (0u32..)
             .zip(&self.slab)
             .filter(|(_, q)| q.kind == Some(kind))
             .collect();
-        view.sort_by_key(|(_, q)| q.seq);
+        view.sort_by_key(|(_, q)| q.key);
         view
     }
 
@@ -244,7 +244,7 @@ impl Channel {
             self.queue_view(kind)
                 .into_iter()
                 .map(|(_, q)| {
-                    (q.seq, q.bank, q.row, q.id, q.addr, q.class, q.enqueue_cycle, q.bank_ready)
+                    (q.key, q.bank, q.row, q.id, q.addr, q.class, q.enqueue_cycle, q.bank_ready)
                 })
                 .collect::<Vec<_>>()
         };
@@ -424,8 +424,19 @@ mod tests {
     /// (whole decision state, completions and stats equal), the reference
     /// never issues where the new model skipped its scan, a completed
     /// scan's horizon equals the reference horizon, and every bank's lists
-    /// and oldest (hit) sequence numbers match the slab.
+    /// oldest (hit) scan keys and occupancy bits match the slab.
     fn assert_matches_reference(cfg: &DramConfig, ops: &[Op], tail: u64) -> MemorySystem {
+        assert_matches_reference_observing(cfg, ops, tail, |_| {})
+    }
+
+    /// [`assert_matches_reference`], showing `observe` the new model's
+    /// channel after every cycle's checks.
+    fn assert_matches_reference_observing(
+        cfg: &DramConfig,
+        ops: &[Op],
+        tail: u64,
+        mut observe: impl FnMut(&Channel),
+    ) -> MemorySystem {
         let mut mem = MemorySystem::new(cfg.clone()).unwrap();
         let mut reference = mem.channels[0].clone();
         let mut ref_stats = DramStats::default();
@@ -471,13 +482,10 @@ mod tests {
                 );
             }
             for b in 0..ch.banks.len() {
-                assert_eq!(
-                    (ch.banks[b].oldest, ch.banks[b].oldest_hit),
-                    ch.recount(b),
-                    "cycle {cycle}: bank {b}"
-                );
+                assert_eq!(ch.kept(b), ch.recount(b), "cycle {cycle}: bank {b}");
             }
             ch.check_lists();
+            observe(ch);
         }
         assert_eq!(feed.next_due(), None, "stream not fully enqueued");
         assert!(issued > 0 && ref_stats.refreshes > 0, "vacuous run");
@@ -610,6 +618,48 @@ mod tests {
             mem.channels[0].details[64..].iter().any(|b| b.ready_act > 0),
             "banks past 64 never activated"
         );
+        assert_fast_forward_matches(&cfg, &ops, 2000);
+    }
+
+    #[test]
+    fn banks_past_64_empty_and_refill_against_reference() {
+        // 8 ranks × 16 banks: banks 64..128 live in the occupancy set's
+        // second word. A burst over every bank, then a long stretch on
+        // banks 0..64 only (the second word drains to zero while the first
+        // stays busy), then a burst on banks 64..128 that refills it.
+        let mut cfg = small_config(8, 16);
+        cfg.read_queue_capacity = 32;
+        cfg.write_queue_capacity = 48;
+        cfg.write_hi_watermark = 32;
+        cfg.write_lo_watermark = 16;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut op = |banks: std::ops::Range<usize>, gap: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (
+                (x >> 60) % (gap + 1),
+                (x >> 33).is_multiple_of(3),
+                banks.start + ((x >> 40) as usize % banks.len()),
+                (x >> 20) % 4,
+                (x >> 10) % 4,
+            )
+        };
+        let mut ops: Vec<Op> = (0..400).map(|_| op(0..128, 1)).collect();
+        ops.extend((0..1200).map(|_| op(0..64, 4)));
+        ops.extend((0..400).map(|_| op(64..128, 1)));
+        // 0: second word not yet busy; 1: busy; 2: empty while the first
+        // word is busy; 3: busy again.
+        let mut phase = 0;
+        let mem = assert_matches_reference_observing(&cfg, &ops, 2000, |ch| {
+            let (low, high) = (ch.occupied[0], ch.occupied[1]);
+            phase = match (phase, low != 0, high != 0) {
+                (0, _, true) => 1,
+                (1, true, false) => 2,
+                (2, _, true) => 3,
+                (p, _, _) => p,
+            };
+        });
+        assert_eq!(phase, 3, "banks 64..128 never emptied and refilled");
+        assert_eq!(mem.channels[0].occupied, [0, 0], "queues drained at the end");
         assert_fast_forward_matches(&cfg, &ops, 2000);
     }
 }
