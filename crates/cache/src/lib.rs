@@ -337,13 +337,12 @@ impl SetAssocCache {
         ((line & self.set_mask) as usize, line >> self.set_bits)
     }
 
-    /// Byte address of the line stored at `slot` (inverse of
-    /// [`Self::set_and_tag`] given the slot's set).
+    /// Byte address of the line stored at `slot` of `set` (inverse of
+    /// [`Self::set_and_tag`]).
     #[inline]
-    fn slot_addr(&self, slot: usize) -> u64 {
-        let set = (slot / self.config.ways) as u64;
+    fn slot_addr(&self, set: usize, slot: usize) -> u64 {
         let tag = u64::from(self.meta[slot] >> TAG_SHIFT);
-        ((tag << self.set_bits) | set) << self.line_shift
+        ((tag << self.set_bits) | set as u64) << self.line_shift
     }
 
     /// Flat index of the first way of `set`.
@@ -450,7 +449,26 @@ impl SetAssocCache {
             self.hit(set, slot, dirty);
             return None;
         }
+        self.insert(set, tag, dirty)
+    }
 
+    /// [`Self::fill`] of a line the caller knows is absent: one whose
+    /// lookup has just missed, with no fill of the same line since. It
+    /// skips the presence probe, and so behaves as `fill` does on a miss.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::fill`]; in debug builds also if the line is present.
+    pub fn fill_missing(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
+        self.stats.fills += 1;
+        let (set, tag) = self.set_and_tag(addr);
+        debug_assert!(self.probe(set, tag).is_none(), "fill_missing of resident line {addr:#x}");
+        self.insert(set, tag, dirty)
+    }
+
+    /// Inserts `tag`, absent from `set`, as the set's MRU line.
+    #[inline]
+    fn insert(&mut self, set: usize, tag: u64, dirty: bool) -> Option<Eviction> {
         // Victim: the first invalid way, else the LRU way. Valid ways are
         // a prefix, so the set is full exactly when its last way is valid,
         // and the first invalid way `n` sits at field `n` of the recency
@@ -466,7 +484,7 @@ impl SetAssocCache {
             if was_dirty {
                 self.stats.writebacks += 1;
             }
-            (way, shift, Some(Eviction { addr: self.slot_addr(base + way), dirty: was_dirty }))
+            (way, shift, Some(Eviction { addr: self.slot_addr(set, base + way), dirty: was_dirty }))
         } else {
             let way = self.meta[base..base + ways]
                 .iter()
@@ -512,7 +530,7 @@ impl SetAssocCache {
         for slot in 0..self.meta.len() {
             let word = self.meta[slot];
             if word & (WAY_VALID | WAY_DIRTY) == (WAY_VALID | WAY_DIRTY) {
-                dirty.push(self.slot_addr(slot));
+                dirty.push(self.slot_addr(slot / self.config.ways, slot));
                 self.meta[slot] &= !WAY_DIRTY;
             }
         }

@@ -146,6 +146,9 @@ enum Op {
     Read(u64),
     Write(u64),
     Fill { addr: u64, dirty: bool },
+    /// [`SetAssocCache::fill_missing`] when the line is absent, else a
+    /// plain fill.
+    FillMissing { addr: u64, dirty: bool },
     Contains(u64),
     TakeDirty(u64),
     Drain,
@@ -174,7 +177,7 @@ fn ops(max_addr_lines: u64) -> impl Strategy<Value = Vec<Op>> {
         addr.clone().prop_map(Op::Write),
         (addr.clone(), any::<bool>()).prop_map(|(a, dirty)| Op::Fill { addr: a, dirty }),
         (addr.clone(), any::<bool>()).prop_map(|(a, dirty)| Op::Fill { addr: a, dirty }),
-        (addr.clone(), any::<bool>()).prop_map(|(a, dirty)| Op::Fill { addr: a, dirty }),
+        (addr.clone(), any::<bool>()).prop_map(|(a, dirty)| Op::FillMissing { addr: a, dirty }),
         addr.clone().prop_map(Op::Contains),
         addr.prop_map(Op::TakeDirty),
         Just(Op::Drain),
@@ -215,6 +218,14 @@ proptest! {
                 Op::Fill { addr, dirty } => {
                     prop_assert_eq!(flat.fill(at(addr), dirty), reference.fill(at(addr), dirty), "fill #{}", i);
                 }
+                Op::FillMissing { addr, dirty } => {
+                    let got = if reference.contains(at(addr)) {
+                        flat.fill(at(addr), dirty)
+                    } else {
+                        flat.fill_missing(at(addr), dirty)
+                    };
+                    prop_assert_eq!(got, reference.fill(at(addr), dirty), "fill_missing #{}", i);
+                }
                 Op::Contains(a) => {
                     prop_assert_eq!(flat.contains(at(a)), reference.contains(at(a)), "contains #{}", i);
                 }
@@ -248,13 +259,14 @@ proptest! {
                     if reference.touch(a * line, true) { wh += 1 } else { wm += 1 }
                     flat.write(a * line);
                 }
-                Op::Fill { addr, dirty } => {
+                Op::Fill { addr, dirty } | Op::FillMissing { addr, dirty } => {
                     fills += 1;
+                    let missing = matches!(op, Op::FillMissing { .. }) && !reference.contains(addr * line);
                     if let Some(e) = reference.fill(addr * line, dirty) {
                         ev += 1;
                         if e.dirty { wb += 1 }
                     }
-                    flat.fill(addr * line, dirty);
+                    if missing { flat.fill_missing(addr * line, dirty); } else { flat.fill(addr * line, dirty); }
                 }
                 // Stats-neutral ops in the real cache; mirror on reference.
                 Op::Contains(a) => { reference.contains(a * line); flat.contains(a * line); }

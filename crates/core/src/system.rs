@@ -1041,13 +1041,14 @@ fn warmup(
             let addr = line_addr(rec.addr, cfg.data_capacity);
             if rec.is_write {
                 if !llc.write(addr) {
-                    let _ = llc.fill(addr, true);
+                    let _ = llc.fill_missing(addr, true);
                 }
             } else if !llc.read(addr) {
                 // Metadata caches fill as they would on a real miss; the
-                // expansion itself is discarded.
+                // expansion itself is discarded. It fills only metadata
+                // lines, so the data line is still missing.
                 engine.expand_read_into(addr, llc, &mut scratch.exp);
-                let _ = llc.fill(addr, false);
+                let _ = llc.fill_missing(addr, false);
             }
         }
     }
@@ -1202,6 +1203,9 @@ fn issue_store(
     }
 }
 
+/// Fills the LLC with a data line its lookup has just missed (the read
+/// miss's expansion in between fills only metadata lines) and writes back
+/// the line it displaces.
 fn fill_data_line(
     addr: u64,
     dirty: bool,
@@ -1211,7 +1215,7 @@ fn fill_data_line(
     cycle: u64,
     scratch: &mut Scratch,
 ) {
-    if let Some(ev) = llc.fill(addr, dirty) {
+    if let Some(ev) = llc.fill_missing(addr, dirty) {
         if ev.dirty {
             match engine.layout().classify(ev.addr) {
                 Region::Data => {

@@ -16,14 +16,22 @@
 //! its channel sequence number (its age) with its bank in the low bits,
 //! and sits on its bank's list for its queue, oldest first. Each bank
 //! keeps, per queue, the keys of its oldest request and of its oldest
-//! request that hits the open row, plus the cycles from which its column
-//! command and its row command may issue. The request a bank would serve
-//! is one of those two, so a scan is one pass over the occupied banks
-//! (a per-channel bitset names the banks holding queued requests) taking
-//! the smallest key among the ready ones, and the issue horizon is a
-//! minimum over those banks rather than over queued requests. Only an
+//! request that hits the open row. The request a bank would serve is one
+//! of those two, so each bank offers, per queue, one key and one cycle
+//! from which it may issue ([`Bank`]). A scan is one pass over the
+//! occupied banks (a per-channel bitset names the banks holding queued
+//! requests) taking the smallest offer among the ready ones, and the same
+//! pass gathers the issue horizon, a minimum over those banks rather than
+//! over queued requests. After a column command or a precharge only the
+//! issued bank's part of the pass is redone; after an ACT, which moves the
+//! activate floor of every bank in its rank, the whole pass is. Only an
 //! ACT (new open row) and a column command (next hit) walk one bank's
-//! list.
+//! list, each as far as that bank's oldest row hit.
+//!
+//! A read's completion reports when its row became usable (attribution
+//! only, never read by the scheduler): the bank remembers the cycle of the
+//! ACT that opened its row, and the column command derives the read's
+//! stamp from it and the read's arrival.
 //!
 //! Every read's data arrives a fixed `tCAS + tBurst` after its column
 //! command, and at most one command issues per cycle, so in-flight reads
@@ -50,37 +58,70 @@ const CLOSED: u64 = u64::MAX;
 /// command that cannot issue.
 const NONE: u64 = u64::MAX;
 
-/// What the scheduler's scans read of one bank: per queue (indexed by
-/// [`qi`]) the scan keys of its oldest queued request and of its oldest
-/// row hit, and the cycles from which its column command and its row
-/// command may issue.
-#[derive(Debug, Clone, Copy)]
+/// Set in an offer ([`Bank::offer`]) of a row command; clear in one of a
+/// column command. Scan keys stay below it (see [`Queued::key`]).
+const ROW: u64 = 1 << 63;
+
+/// Width of each counter field of [`Bank::terms`].
+const TERM_BITS: u32 = 21;
+/// Where the counter fields of [`Bank::terms`] start: a column term of
+/// the read and of the write queue, and a row term.
+const COL_SHIFT: [u32; 2] = [0, TERM_BITS];
+const ROW_SHIFT: u32 = 2 * TERM_BITS;
+/// One column term of each queue, and one row term.
+const COL_TERM: [u64; 2] = [1 << COL_SHIFT[0], 1 << COL_SHIFT[1]];
+const ROW_TERM: u64 = 1 << ROW_SHIFT;
+
+/// What the scheduler's scans read of one bank: what it offers to issue
+/// and from which cycle. Derived from the bank's [`BankDetail`] by
+/// [`Channel::settle`] after each change to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Bank {
-    /// Scan key of the bank's oldest queued request, [`NONE`] when it
-    /// has none.
-    oldest: [u64; 2],
-    /// Scan key of the bank's oldest queued request that targets the
-    /// open row, [`NONE`] when none does (always, while closed).
-    oldest_hit: [u64; 2],
-    ready_col: u64,
-    /// First cycle the bank's row command may issue: `ready_pre` while a
-    /// row is open, the later of `ready_act` and the rank's activate floor
-    /// while closed. [`NONE`] when the bank needs no row command: nothing
-    /// is queued, or a queued row hit holds the open row (row-hit
-    /// friendliness blocks the precharge). Kept by [`Channel::settle_row`].
-    ready_row: u64,
+    /// First cycle the bank's offers may issue: `ready_col` while it holds
+    /// a row hit; otherwise that of its row command, `ready_pre` while a
+    /// row is open and the later of `ready_act` and the rank's activate
+    /// floor while closed. [`NONE`] when nothing is queued.
+    ready: u64,
+    /// Per queue (indexed by [`qi`]): the scan key of the bank's oldest
+    /// row hit (a column command), or, when the bank holds no row hit in
+    /// either queue, of its oldest request with [`ROW`] set (its row
+    /// command: precharge or activate). [`NONE`] when it offers nothing
+    /// to the queue: the queue holds none of its requests, or only misses
+    /// while a row hit in the other queue holds the open row (row-hit
+    /// friendliness blocks the precharge).
+    offer: [u64; 2],
+    /// The bank's terms of the issue horizon, one [`TERM_BITS`]-bit
+    /// counter field each: [`COL_TERM`] of each queue it offers a column
+    /// command, else [`ROW_TERM`]. A scan sums the terms of the banks ready
+    /// at its cycle.
+    terms: u64,
 }
 
-/// The rest of a bank's state: its open row and row timing, and where its
-/// requests sit in the slab.
+impl Bank {
+    /// A bank with nothing queued.
+    const EMPTY: Bank = Bank { ready: NONE, offer: [NONE; 2], terms: 0 };
+}
+
+/// The rest of a bank's state: its open row, its queues' oldest entries
+/// and row timing, and where its requests sit in the slab.
 #[derive(Debug, Clone, Copy)]
 struct BankDetail {
     /// Index of the bank's rank in [`Channel::ranks`].
     rank: usize,
     /// The open row, [`CLOSED`] when precharged.
     open_row: u64,
+    /// Per queue: scan key of the bank's oldest queued request, [`NONE`]
+    /// when it has none.
+    oldest: [u64; 2],
+    /// Per queue: scan key of the bank's oldest queued request that
+    /// targets the open row, [`NONE`] when none does (always, while
+    /// closed).
+    oldest_hit: [u64; 2],
+    ready_col: u64,
     ready_act: u64,
     ready_pre: u64,
+    /// Cycle of the ACT that opened `open_row` (stale while closed).
+    opened_at: u64,
     /// Per queue: slab slots of the oldest and youngest queued request
     /// and of the oldest row hit, [`NIL`] when there is none.
     head: [u32; 2],
@@ -88,12 +129,12 @@ struct BankDetail {
     hit: [u32; 2],
 }
 
-/// `x` when `cond` holds, else [`NONE`] (`u64::MAX`), as a conditional
-/// move: a plain `if` compiles to branches on the scans' data-dependent
-/// readiness tests, which measured slower in the benchmark's traced
-/// `dram.tick_ns`.
+/// `x` when `cond` holds, else [`NONE`] (`u64::MAX`), as a mask: a
+/// select, even `std::hint::select_unpredictable`, can compile to a branch
+/// on the scan's data-dependent readiness test, which mispredicts.
+#[inline(always)]
 fn if_ready(cond: bool, x: u64) -> u64 {
-    std::hint::select_unpredictable(cond, x, NONE)
+    x | u64::from(cond).wrapping_sub(1)
 }
 
 /// Index of `kind`'s queue in the per-bank arrays.
@@ -135,7 +176,7 @@ struct Queued {
     /// order) shifted up by [`Channel::bank_bits`], with the flat bank
     /// index in the low bits. Sequence numbers are unique and stay below
     /// `2^(63 - bank_bits)`, so keys order as arrivals do (smaller is
-    /// older), never reach [`NONE`], and the minimum of a scan names its
+    /// older), stay below [`ROW`], and the minimum of a scan names its
     /// bank.
     key: u64,
     row: u64,
@@ -151,12 +192,6 @@ struct Queued {
     id: u64,
     addr: u64,
     enqueue_cycle: u64,
-    /// When the row serving this request became usable: stamped at
-    /// enqueue if the row was already open, at ACT completion otherwise;
-    /// cleared when a precharge or refresh closes the row again. Pure
-    /// bookkeeping for cycle attribution — never consulted by the
-    /// scheduler.
-    bank_ready: Option<u64>,
 }
 
 impl Queued {
@@ -173,7 +208,6 @@ impl Queued {
             id: 0,
             addr: 0,
             enqueue_cycle: 0,
-            bank_ready: None,
         }
     }
 }
@@ -201,6 +235,104 @@ enum Candidate {
     Pre(usize),
 }
 
+impl Candidate {
+    /// The flat index of the bank the command goes to.
+    fn bank(self, slab: &[Queued]) -> usize {
+        match self {
+            Candidate::Col(_, s) => slab[s as usize].bank as usize,
+            Candidate::Act { bank, .. } | Candidate::Pre(bank) => bank,
+        }
+    }
+}
+
+/// What one pass over the occupied banks finds at `cycle`: per queue the
+/// smallest offer the pick may take, and what the issue horizon needs.
+/// Each bank's terms are its `ready` cycle, as a column term of each
+/// queue it offers a column command, else as a row term. A term at or
+/// before `cycle` is only counted: the horizon is never below
+/// `cycle + 1`, so every such term bounds it alike, and the count lets an
+/// issue take its own bank's terms back out ([`Scan::remove_ready`]).
+#[derive(Debug, Clone, Copy)]
+struct Scan {
+    cycle: u64,
+    /// Per queue: the smallest offer below which a ready bank's offer is
+    /// passed over: `0`, or [`ROW`] to pass over column commands while
+    /// the data bus cannot take the queue's burst.
+    floor: [u64; 2],
+    /// Per queue: the smallest offer of a bank ready at `cycle`, at or
+    /// above `floor`.
+    best: [u64; 2],
+    /// Per queue: the earliest column term after `cycle`.
+    col_wait: [u64; 2],
+    /// The earliest row term after `cycle`.
+    row_wait: u64,
+    /// The sum of [`Bank::terms`] over the banks ready at `cycle`.
+    ready: u64,
+}
+
+impl Scan {
+    fn new(cycle: u64, floor: [u64; 2]) -> Self {
+        Self { cycle, floor, best: [NONE; 2], col_wait: [NONE; 2], row_wait: NONE, ready: 0 }
+    }
+
+    /// Adds `bank`'s offers and terms. An empty bank adds nothing.
+    #[inline(always)]
+    fn add(&mut self, bank: &Bank) {
+        // All ones while the bank waits, else zero. Opaque to the
+        // optimiser, which would otherwise branch on it (each value makes
+        // half of the updates below no-ops) and mispredict.
+        let waits = std::hint::black_box(u64::from(self.cycle < bank.ready).wrapping_neg());
+        let wait = bank.ready | !waits;
+        for k in 0..2 {
+            let offer = bank.offer[k];
+            self.best[k] = self.best[k].min(offer | waits | if_ready(offer >= self.floor[k], 0));
+            self.col_wait[k] = self.col_wait[k].min(if_ready(offer < ROW, wait));
+        }
+        self.row_wait = self.row_wait.min(if_ready(bank.terms >= ROW_TERM, wait));
+        self.ready += bank.terms & !waits;
+    }
+
+    /// Takes back the terms of `bank`, which the pick found ready: they
+    /// were all counted, none was a wait.
+    fn remove_ready(&mut self, bank: &Bank) {
+        debug_assert!(self.cycle >= bank.ready, "the issued bank was not ready");
+        self.ready -= bank.terms;
+    }
+
+    /// The issue horizon the terms give (≥ `cycle + 1`, `u64::MAX` when
+    /// there are none): the earliest row term, or column term of a queue
+    /// clamped to the queue's data-bus floor in `col_floor`.
+    fn horizon(&self, col_floor: [u64; 2]) -> u64 {
+        let term = |shift: u32, wait: u64| {
+            if (self.ready >> shift) & ((1 << TERM_BITS) - 1) != 0 {
+                self.cycle
+            } else {
+                wait
+            }
+        };
+        let mut earliest = term(ROW_SHIFT, self.row_wait);
+        for k in 0..2 {
+            earliest = earliest.min(term(COL_SHIFT[k], self.col_wait[k]).max(col_floor[k]));
+        }
+        earliest.max(self.cycle + 1)
+    }
+
+    /// Drops every row term, for [`Scan::add_row`] to count them afresh.
+    fn clear_rows(&mut self) {
+        self.row_wait = NONE;
+        self.ready &= !(((1 << TERM_BITS) - 1) << ROW_SHIFT);
+    }
+
+    /// Adds `bank`'s row term, if it has one.
+    #[inline(always)]
+    fn add_row(&mut self, bank: &Bank) {
+        let term = if_ready(bank.terms >= ROW_TERM, bank.ready);
+        let waits = std::hint::black_box(u64::from(self.cycle < term).wrapping_neg());
+        self.row_wait = self.row_wait.min(term | !waits);
+        self.ready += ROW_TERM & !waits;
+    }
+}
+
 /// One DRAM channel with its queues and device state.
 #[derive(Debug, Clone)]
 pub(crate) struct Channel {
@@ -218,8 +350,8 @@ pub(crate) struct Channel {
     len: [usize; 2],
     /// One bit per bank (bit `b % 64` of word `b / 64`), set while the
     /// bank holds a queued request of either queue. The scans visit only
-    /// these banks: every other bank's oldest keys and `ready_row` are
-    /// [`NONE`], so it could add nothing to a minimum.
+    /// these banks: every other bank is [`Bank::EMPTY`], which adds
+    /// nothing to a scan.
     occupied: Vec<u64>,
     /// Sequence number of the next request enqueued.
     next_seq: u64,
@@ -228,13 +360,18 @@ pub(crate) struct Channel {
     /// Issued reads awaiting their data, in completion order.
     pending: VecDeque<PendingCompletion>,
     draining: bool,
+    /// The earliest of the ranks' refresh deadlines.
+    next_refresh: u64,
     bus_free_at: u64,
     last_bus_op: Option<AccessKind>,
     /// A lower bound on the next cycle at which any queued command could
     /// legally issue, `u64::MAX` with both queues empty. Recomputed after
-    /// every scan (whether or not it issued), lowered by each enqueue to
-    /// cover the new request's bank, and zeroed by a refresh to force a
-    /// scan in the same tick. While `cycle < issue_horizon`, the FR-FCFS
+    /// every scan (whether or not it issued) from the scan's own pass,
+    /// lowered by each enqueue to cover the new request's bank, and
+    /// zeroed by a refresh to force a scan in the same tick. A precharge
+    /// blocked by row-hit friendliness contributes no bound of its own: it
+    /// can only unblock when the hitting request issues, and the horizon
+    /// is recomputed then. While `cycle < issue_horizon`, the FR-FCFS
     /// scan is provably fruitless and skipped.
     issue_horizon: u64,
     /// Ticks whose FR-FCFS scan `issue_horizon` skipped (observability).
@@ -244,13 +381,16 @@ pub(crate) struct Channel {
 impl Channel {
     pub(crate) fn new(cfg: &DramConfig) -> Self {
         let banks = cfg.ranks_per_channel * cfg.banks_per_rank;
-        let bank = Bank { oldest: [NONE; 2], oldest_hit: [NONE; 2], ready_col: 0, ready_row: NONE };
         let details = (0..banks)
             .map(|b| BankDetail {
                 rank: b / cfg.banks_per_rank,
                 open_row: CLOSED,
+                oldest: [NONE; 2],
+                oldest_hit: [NONE; 2],
+                ready_col: 0,
                 ready_act: 0,
                 ready_pre: 0,
+                opened_at: 0,
                 head: [NIL; 2],
                 tail: [NIL; 2],
                 hit: [NIL; 2],
@@ -263,8 +403,14 @@ impl Channel {
         };
         let slots = u32::try_from(cfg.read_queue_capacity + cfg.write_queue_capacity)
             .expect("validated: queue capacities fit a u32 slab index");
+        // At most one bank per queued request is occupied, so a scan's
+        // term counters never carry into the next field.
+        assert!(
+            banks.min(slots as usize) < 1 << TERM_BITS,
+            "a channel of more than 2^{TERM_BITS} banks and queue slots"
+        );
         Self {
-            banks: vec![bank; banks],
+            banks: vec![Bank::EMPTY; banks],
             details,
             banks_per_rank: cfg.banks_per_rank,
             ranks: vec![rank; cfg.ranks_per_channel],
@@ -278,6 +424,7 @@ impl Channel {
             bank_bits: banks.next_power_of_two().trailing_zeros(),
             pending: VecDeque::with_capacity(cfg.read_queue_capacity),
             draining: false,
+            next_refresh: cfg.timing.t_refi,
             bus_free_at: 0,
             last_bus_op: None,
             issue_horizon: u64::MAX,
@@ -322,22 +469,20 @@ impl Channel {
         self.free = self.slab[s as usize].next;
         self.len[k] += 1;
         self.occupied[b / 64] |= 1 << (b % 64);
-        let (bank, detail) = (&mut self.banks[b], &mut self.details[b]);
+        let detail = &mut self.details[b];
         let hit = detail.open_row == loc.row;
         let tail = detail.tail[k];
         if tail == NIL {
             detail.head[k] = s;
-            bank.oldest[k] = key;
+            detail.oldest[k] = key;
         } else {
             self.slab[tail as usize].next = s;
         }
         detail.tail[k] = s;
         if hit && detail.hit[k] == NIL {
             detail.hit[k] = s;
-            bank.oldest_hit[k] = key;
+            detail.oldest_hit[k] = key;
         }
-        // Attribution bookkeeping: a request arriving to an already-open
-        // row never waits on the bank at all.
         self.slab[s as usize] = Queued {
             key,
             row: loc.row,
@@ -349,18 +494,21 @@ impl Channel {
             id: req.id,
             addr: req.addr,
             enqueue_cycle: cycle,
-            bank_ready: hit.then_some(cycle),
         };
-        self.settle_row(b);
+        self.settle(b);
         self.debug_check_bank(b);
         // The horizon already bounds every other request; the new one adds
         // the bound of its own next command. (As a row hit it may also
         // block its bank's precharge, which only makes the old horizon
-        // conservative, never optimistic.)
+        // conservative, never optimistic.) A miss's bank offers a row
+        // command unless a row hit blocks it.
+        let bank = &self.banks[b];
         let bound = if hit {
-            self.banks[b].ready_col.max(self.col_floor(&cfg.timing, req.kind))
+            self.details[b].ready_col.max(self.col_floor(&cfg.timing, req.kind))
+        } else if bank.terms >= ROW_TERM {
+            bank.ready
         } else {
-            self.banks[b].ready_row
+            NONE
         };
         self.issue_horizon = self.issue_horizon.min(bound.max(cycle));
         if self.drain_flip_pending(cfg) {
@@ -380,7 +528,7 @@ impl Channel {
         match q.prev {
             NIL => {
                 detail.head[k] = q.next;
-                self.banks[b].oldest[k] = match q.next {
+                detail.oldest[k] = match q.next {
                     NIL => NONE,
                     next => self.slab[next as usize].key,
                 };
@@ -408,7 +556,7 @@ impl Channel {
             s = self.slab[s as usize].next;
         }
         self.details[b].hit[k] = s;
-        self.banks[b].oldest_hit[k] = match s {
+        self.details[b].oldest_hit[k] = match s {
             NIL => NONE,
             s => self.slab[s as usize].key,
         };
@@ -426,17 +574,45 @@ impl Channel {
         }
     }
 
-    /// Recomputes bank `b`'s [`Bank::ready_row`] after a change to its
-    /// queue, its row or its rank's activate floor.
-    fn settle_row(&mut self, b: usize) {
-        let (bank, detail) = (&mut self.banks[b], &self.details[b]);
-        bank.ready_row = if bank.oldest == [NONE; 2] || bank.oldest_hit != [NONE; 2] {
-            NONE
-        } else if detail.open_row != CLOSED {
-            detail.ready_pre
+    /// One pass over the occupied banks at `cycle` (see [`Scan`]), column
+    /// commands of a queue passed over while the data bus cannot take its
+    /// burst.
+    fn scan(&self, cycle: u64, t: &TimingParams) -> Scan {
+        let floor = [AccessKind::Read, AccessKind::Write]
+            .map(|kind| if cycle + lead(t, kind) >= self.bus_ready(t, kind) { 0 } else { ROW });
+        let mut scan = Scan::new(cycle, floor);
+        self.for_each_occupied(|bank| scan.add(bank));
+        scan
+    }
+
+    /// Rederives bank `b`'s [`Bank`] after a change to its queue, its row
+    /// or its row timing, or to its rank's activate floor.
+    fn settle(&mut self, b: usize) {
+        self.banks[b] = self.derive(b);
+    }
+
+    /// Bank `b`'s [`Bank`], derived from its detail and its rank's
+    /// activate floor.
+    fn derive(&self, b: usize) -> Bank {
+        let detail = &self.details[b];
+        let [hit_r, hit_w] = detail.oldest_hit;
+        if hit_r != NONE || hit_w != NONE {
+            Bank {
+                ready: detail.ready_col,
+                offer: detail.oldest_hit,
+                terms: COL_TERM[0] * u64::from(hit_r != NONE)
+                    + COL_TERM[1] * u64::from(hit_w != NONE),
+            }
+        } else if detail.oldest == [NONE; 2] {
+            Bank::EMPTY
         } else {
-            detail.ready_act.max(self.ranks[detail.rank].act_floor)
-        };
+            let ready = if detail.open_row != CLOSED {
+                detail.ready_pre
+            } else {
+                detail.ready_act.max(self.ranks[detail.rank].act_floor)
+            };
+            Bank { ready, offer: detail.oldest.map(|key| key | ROW), terms: ROW_TERM }
+        }
     }
 
     pub(crate) fn scan_skips(&self) -> u64 {
@@ -459,9 +635,7 @@ impl Channel {
             event = event.min(p.at);
         }
         if cfg.timing.t_refi != 0 {
-            for r in &self.ranks {
-                event = event.min(r.next_refresh);
-            }
+            event = event.min(self.next_refresh);
         }
         event
     }
@@ -488,10 +662,27 @@ impl Channel {
             self.scan_skips += 1;
             return;
         }
-        if let Some(c) = self.find_candidate(cycle, &cfg.timing) {
-            self.issue(cycle, &cfg.timing, stats, c);
+        let t = &cfg.timing;
+        let mut scan = self.scan(cycle, t);
+        if let Some(c) = self.pick(&scan) {
+            let b = c.bank(&self.slab);
+            scan.remove_ready(&self.banks[b]);
+            self.issue(cycle, t, stats, c);
+            if let Candidate::Act { .. } = c {
+                // The ACT raised its rank's activate floor, and with it
+                // the row term of every closed bank of the rank.
+                scan.clear_rows();
+                self.for_each_occupied(|bank| scan.add_row(bank));
+            }
+            // Otherwise only the issued bank changed.
+            scan.add(&self.banks[b]);
         }
-        self.issue_horizon = self.next_issue_cycle(cycle + 1, &cfg.timing);
+        self.issue_horizon = scan.horizon(self.col_floors(t));
+        debug_assert_eq!(
+            self.issue_horizon,
+            self.scan(cycle, t).horizon(self.col_floors(t)),
+            "issue horizon drifted from a fresh pass at cycle {cycle}"
+        );
     }
 
     /// Moves reads whose data has arrived by `cycle` to `completions`.
@@ -521,13 +712,13 @@ impl Channel {
     /// (debug check of a tick the memory system skipped).
     pub(crate) fn is_quiet_at(&self, cycle: u64, cfg: &DramConfig) -> bool {
         self.pending.front().is_none_or(|p| p.at > cycle)
-            && (cfg.timing.t_refi == 0 || self.ranks.iter().all(|r| r.next_refresh > cycle))
+            && (cfg.timing.t_refi == 0 || self.next_refresh > cycle)
             && !self.drain_flip_pending(cfg)
             && self.find_candidate(cycle, &cfg.timing).is_none()
     }
 
     fn handle_refresh(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats) {
-        if t.t_refi == 0 {
+        if t.t_refi == 0 || cycle < self.next_refresh {
             return;
         }
         for r in 0..self.ranks.len() {
@@ -546,24 +737,20 @@ impl Channel {
             // rescan this tick.
             self.issue_horizon = 0;
         }
+        self.next_refresh = self.ranks.iter().map(|r| r.next_refresh).min().unwrap_or(NONE);
     }
 
     /// Closes bank `b`'s row (precharge or refresh), holding its next
-    /// activate until `ready_act` at the earliest: nothing hits any more,
-    /// and (attribution) its queued reads lose their open row.
+    /// activate until `ready_act` at the earliest: nothing hits any more.
+    /// (Attribution needs nothing here: a read's row becomes usable at
+    /// the ACT that reopens it, see [`Self::issue_col_command`].)
     fn close_row(&mut self, b: usize, ready_act: u64) {
         let detail = &mut self.details[b];
         detail.open_row = CLOSED;
         detail.ready_act = detail.ready_act.max(ready_act);
         detail.hit = [NIL; 2];
-        self.banks[b].oldest_hit = [NONE; 2];
-        let mut s = detail.head[0];
-        while s != NIL {
-            let q = &mut self.slab[s as usize];
-            q.bank_ready = None;
-            s = q.next;
-        }
-        self.settle_row(b);
+        detail.oldest_hit = [NONE; 2];
+        self.settle(b);
     }
 
     fn update_drain_mode(&mut self, cfg: &DramConfig) {
@@ -584,7 +771,13 @@ impl Channel {
         }
     }
 
-    /// The command the scheduler would issue this cycle, if any: FR-FCFS
+    /// The command the scheduler would issue at `cycle`, if any (see
+    /// [`Self::pick`]).
+    fn find_candidate(&self, cycle: u64, t: &TimingParams) -> Option<Candidate> {
+        self.pick(&self.scan(cycle, t))
+    }
+
+    /// The command the scheduler issues after `scan`, if any: FR-FCFS
     /// over the serviced queue (the oldest request whose column command is
     /// ready, else the oldest request whose bank accepts its row command),
     /// then over the other queue when the first can make no progress.
@@ -596,80 +789,39 @@ impl Channel {
     ///
     /// Every readiness test is bank-level: a column command needs a row
     /// hit on a bank past `ready_col` (plus a data bus free for its
-    /// queue), a row command a bank past `ready_row`, which holds no row
-    /// hit, so that its oldest request misses. One pass over the
-    /// occupied banks (an empty bank offers only [`NONE`]) takes, per
-    /// queue, the smallest scan key (see [`Queued::key`]) each kind of
-    /// ready bank offers, so the minimum is the oldest request and also
-    /// names its bank.
-    fn find_candidate(&self, cycle: u64, t: &TimingParams) -> Option<Candidate> {
-        // Per queue: the key of the oldest column-ready hit and of the
-        // oldest request of a row-ready bank.
-        let mut col = [NONE; 2];
-        let mut row = [NONE; 2];
-        self.for_each_occupied(|bank| {
-            let col_ready = cycle >= bank.ready_col;
-            let row_ready = cycle >= bank.ready_row;
-            for k in 0..2 {
-                col[k] = col[k].min(if_ready(col_ready, bank.oldest_hit[k]));
-                row[k] = row[k].min(if_ready(row_ready, bank.oldest[k]));
-            }
-        });
-        let bank_of = |key: u64| (key & ((1 << self.bank_bits) - 1)) as usize;
-        let primary = if self.draining || self.len[0] == 0 {
-            AccessKind::Write
+    /// queue), a row command a bank past its row command's cycle, which
+    /// holds no row hit, so that its oldest request misses. Each bank
+    /// offers one of the two per queue, the scan kept the smallest ready
+    /// offer, and a column command's offer (the scan key of its request,
+    /// see [`Queued::key`]) sorts below every row command's, so the
+    /// smallest offer is the oldest ready column command, else the oldest
+    /// request of a row-ready bank, and names its bank.
+    fn pick(&self, scan: &Scan) -> Option<Candidate> {
+        let (primary, secondary) = if self.draining || self.len[0] == 0 {
+            (AccessKind::Write, AccessKind::Read)
         } else {
-            AccessKind::Read
+            (AccessKind::Read, AccessKind::Write)
         };
-        let secondary = match primary {
-            AccessKind::Read => AccessKind::Write,
-            AccessKind::Write => AccessKind::Read,
-        };
-        [primary, secondary].into_iter().find_map(|kind| {
-            let k = qi(kind);
-            if col[k] != NONE && cycle + lead(t, kind) >= self.bus_ready(t, kind) {
-                return Some(Candidate::Col(kind, self.details[bank_of(col[k])].hit[k]));
-            }
-            if row[k] == NONE {
-                return None;
-            }
-            let b = bank_of(row[k]);
-            let detail = &self.details[b];
-            Some(if detail.open_row != CLOSED {
-                Candidate::Pre(b)
-            } else {
-                Candidate::Act { bank: b, row: self.slab[detail.head[k] as usize].row }
-            })
+        let kind = if scan.best[qi(primary)] != NONE { primary } else { secondary };
+        let k = qi(kind);
+        let offer = scan.best[k];
+        if offer == NONE {
+            return None;
+        }
+        let b = (offer & ((1 << self.bank_bits) - 1)) as usize;
+        let detail = &self.details[b];
+        Some(if offer < ROW {
+            Candidate::Col(kind, detail.hit[k])
+        } else if detail.open_row != CLOSED {
+            Candidate::Pre(b)
+        } else {
+            Candidate::Act { bank: b, row: self.slab[detail.head[k] as usize].row }
         })
     }
 
-    /// A conservative lower bound (≥ `from`) on the next cycle at which
-    /// any queued command could issue, assuming no external state change
-    /// (issues and refreshes recompute [`Self::issue_horizon`], enqueues
-    /// lower it). `u64::MAX` when both queues are empty.
-    ///
-    /// One pass over the occupied banks (an empty bank bounds nothing):
-    /// per queue, the earliest `ready_col` of a bank with row hits
-    /// (clamped once to the queue's data-bus floor), and the earliest
-    /// `ready_row`. A precharge blocked by row-hit friendliness
-    /// contributes no bound of its own: it can only unblock when the
-    /// hitting request issues, and the horizon is recomputed then.
-    fn next_issue_cycle(&self, from: u64, t: &TimingParams) -> u64 {
-        if self.len == [0, 0] {
-            return u64::MAX;
-        }
-        let mut col = [NONE; 2];
-        let mut earliest = NONE;
-        self.for_each_occupied(|bank| {
-            for (col, &hit) in col.iter_mut().zip(&bank.oldest_hit) {
-                *col = (*col).min(if_ready(hit != NONE, bank.ready_col));
-            }
-            earliest = earliest.min(bank.ready_row);
-        });
-        for (kind, col) in [AccessKind::Read, AccessKind::Write].into_iter().zip(col) {
-            earliest = earliest.min(col.max(self.col_floor(t, kind)));
-        }
-        earliest.max(from)
+    /// Each queue's data-bus floor for its column commands.
+    fn col_floors(&self, t: &TimingParams) -> [u64; 2] {
+        [self.col_floor(t, AccessKind::Read), self.col_floor(t, AccessKind::Write)]
     }
 
     /// The earliest cycle a column command of `kind` may issue given the
@@ -694,7 +846,7 @@ impl Channel {
     }
 
     /// Debug check: bank `b`'s oldest request and oldest row hit per
-    /// queue, and its occupancy bit, equal a recount of the slab.
+    /// queue, its occupancy bit and its [`Bank`] equal a recount.
     fn debug_check_bank(&self, b: usize) {
         debug_assert_eq!(
             self.kept(b),
@@ -703,16 +855,17 @@ impl Channel {
         );
     }
 
-    /// `(oldest, oldest_hit, occupied)` of bank `b` as the scans read it.
-    fn kept(&self, b: usize) -> ([u64; 2], [u64; 2], bool) {
+    /// `(oldest, oldest_hit, occupied, bank)` of bank `b` as the scans
+    /// read it.
+    fn kept(&self, b: usize) -> ([u64; 2], [u64; 2], bool, Bank) {
         let occupied = self.occupied[b / 64] >> (b % 64) & 1 != 0;
-        (self.banks[b].oldest, self.banks[b].oldest_hit, occupied)
+        (self.details[b].oldest, self.details[b].oldest_hit, occupied, self.banks[b])
     }
 
     /// [`Self::kept`] recounted from every queued request in the slab
     /// (not from the bank's lists): the bank is occupied iff it has a
-    /// queued request.
-    fn recount(&self, b: usize) -> ([u64; 2], [u64; 2], bool) {
+    /// queued request, and its [`Bank`] is derived afresh.
+    fn recount(&self, b: usize) -> ([u64; 2], [u64; 2], bool, Bank) {
         let open = self.details[b].open_row;
         let mut oldest = [NONE; 2];
         let mut oldest_hit = [NONE; 2];
@@ -727,7 +880,7 @@ impl Channel {
                 }
             }
         }
-        (oldest, oldest_hit, occupied)
+        (oldest, oldest_hit, occupied, self.derive(b))
     }
 
     fn issue_act(
@@ -740,9 +893,10 @@ impl Channel {
     ) {
         let detail = &mut self.details[b];
         detail.open_row = row;
+        detail.opened_at = cycle;
         detail.ready_pre = detail.ready_pre.max(cycle + t.t_ras);
         detail.ready_act = cycle + t.t_rc;
-        self.banks[b].ready_col = cycle + t.t_rcd;
+        detail.ready_col = cycle + t.t_rcd;
         let r = detail.rank;
         let rank = &mut self.ranks[r];
         rank.act_window.rotate_right(1);
@@ -750,31 +904,34 @@ impl Channel {
         let rrd = if cycle != 0 { cycle + t.t_rrd } else { 0 };
         rank.act_floor = rrd.max(rank.act_window[3].map_or(0, |oldest| oldest + t.t_faw));
         stats.activates += 1;
-        // Attribution: every unstamped read waiting on the new row gets
-        // its row at tRCD after the activate.
-        let ready = cycle + t.t_rcd;
-        let mut s = self.details[b].head[0];
-        while s != NIL {
-            let q = &mut self.slab[s as usize];
-            if q.row == row {
-                q.bank_ready.get_or_insert(ready);
-            }
-            s = q.next;
-        }
         for k in 0..2 {
             self.seek_hit(b, k, self.details[b].head[k]);
         }
-        // The new activate floor holds every closed bank of the rank.
-        for b in r * self.banks_per_rank..(r + 1) * self.banks_per_rank {
-            self.settle_row(b);
+        self.settle(b);
+        // The new activate floor holds every other closed bank of the rank
+        // that offers an activate (a bank with nothing queued, or with a
+        // row hit, offers none). The floor only rises, so it raises such a
+        // bank's `ready` (the later of `ready_act` and the floor) to itself.
+        let floor = self.ranks[r].act_floor;
+        let rank = r * self.banks_per_rank..(r + 1) * self.banks_per_rank;
+        for w in rank.start / 64..rank.end.div_ceil(64) {
+            let mut bits = self.occupied[w];
+            while bits != 0 {
+                let o = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let bank = &mut self.banks[o];
+                if rank.contains(&o) && bank.terms >= ROW_TERM && self.details[o].open_row == CLOSED {
+                    bank.ready = bank.ready.max(floor);
+                }
+            }
         }
         self.debug_check_bank(b);
     }
 
     fn issue_pre(&mut self, cycle: u64, t: &TimingParams, stats: &mut DramStats, b: usize) {
         // PRE issues now; `cycle >= ready_pre` was checked by the caller.
-        // (Attribution: a stamped waiter on the closed row goes back to
-        // waiting on the bank; a waiter on another row never had a stamp.)
+        // (Attribution: every waiter now waits for the next ACT, whose
+        // cycle the bank records.)
         self.close_row(b, cycle + t.t_rp);
         stats.precharges += 1;
         self.debug_check_bank(b);
@@ -793,19 +950,25 @@ impl Channel {
         debug_assert_eq!(self.details[b].hit[k], s, "column command for a younger hit");
         self.seek_hit(b, k, self.slab[s as usize].next);
         let q = self.unlink(s);
-        self.banks[b].ready_col = cycle + t.t_ccd;
         let detail = &mut self.details[b];
+        detail.ready_col = cycle + t.t_ccd;
         match kind {
             AccessKind::Read => {
                 let done = cycle + t.t_cas + t.t_burst;
                 detail.ready_pre = detail.ready_pre.max(cycle + t.t_rtp);
                 self.bus_free_at = done;
-                // An unstamped request here means its ACT predates the
-                // stamping bookkeeping (can't happen via `enqueue`/
-                // `issue_act`, but be defensive); clamp keeps the
+                // Attribution: a read that arrived after the ACT that
+                // opened its row found the row open; an older one waited
+                // for that ACT to complete (a close since would have
+                // needed another ACT). The clamp keeps the
                 // enqueue ≤ bank_ready ≤ issue invariant unconditional.
-                let bank_ready =
-                    q.bank_ready.unwrap_or(cycle).clamp(q.enqueue_cycle, cycle);
+                let opened = detail.opened_at;
+                let ready = if q.enqueue_cycle > opened {
+                    q.enqueue_cycle
+                } else {
+                    opened + t.t_rcd
+                };
+                let bank_ready = ready.clamp(q.enqueue_cycle, cycle);
                 debug_assert!(
                     self.pending.back().is_none_or(|p| p.at < done),
                     "reads must complete in issue order"
@@ -832,7 +995,7 @@ impl Channel {
         stats.bursts += 1;
         stats.busy_cycles += t.t_burst;
         self.last_bus_op = Some(kind);
-        self.settle_row(b);
+        self.settle(b);
         self.debug_check_bank(b);
     }
 }

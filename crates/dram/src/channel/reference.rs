@@ -3,7 +3,7 @@
 //! that hold the two to the same command on every cycle.
 //!
 //! The reference never reads the banks' request lists, their oldest
-//! entries or `ready_row`, nor a rank's `act_floor`. It scans an
+//! entries or offers, nor a rank's `act_floor`. It scans an
 //! age-ordered view of each queue, built from the slab's queued entries
 //! sorted by scan key (arrival order): pass 1 looks for the oldest ready
 //! column command, pass 2 for the oldest request whose bank accepts its
@@ -13,7 +13,7 @@
 
 use super::{qi, BankDetail, Candidate, Channel, Queued, CLOSED, NIL};
 use crate::config::{DramConfig, TimingParams};
-use crate::request::{AccessKind, Completion};
+use crate::request::{AccessKind, Completion, Request};
 use crate::stats::DramStats;
 
 impl BankDetail {
@@ -153,7 +153,7 @@ impl Channel {
                             continue;
                         }
                         seen_row_match |= bit;
-                        self.banks[b].ready_col.max(bus_ready.saturating_sub(lead))
+                        bank.ready_col.max(bus_ready.saturating_sub(lead))
                     }
                     Some(_) => {
                         if seen_pre & bit != 0 {
@@ -213,7 +213,7 @@ impl Channel {
         bus_ready: u64,
     ) -> bool {
         let b = q.bank as usize;
-        if self.details[b].open() != Some(q.row) || cycle < self.banks[b].ready_col {
+        if self.details[b].open() != Some(q.row) || cycle < self.details[b].ready_col {
             return false;
         }
         cycle + super::lead(t, kind) >= bus_ready
@@ -243,16 +243,13 @@ impl Channel {
         let queue = |kind| {
             self.queue_view(kind)
                 .into_iter()
-                .map(|(_, q)| {
-                    (q.key, q.bank, q.row, q.id, q.addr, q.class, q.enqueue_cycle, q.bank_ready)
-                })
+                .map(|(_, q)| (q.key, q.bank, q.row, q.id, q.addr, q.class, q.enqueue_cycle))
                 .collect::<Vec<_>>()
         };
         let banks: Vec<_> = self
-            .banks
+            .details
             .iter()
-            .zip(&self.details)
-            .map(|(b, d)| (d.open(), d.ready_act, b.ready_col, d.ready_pre))
+            .map(|d| (d.open(), d.opened_at, d.ready_act, d.ready_col, d.ready_pre))
             .collect();
         format!(
             "{:?}",
@@ -318,7 +315,7 @@ impl Channel {
 
 mod tests {
     use super::*;
-    use crate::request::{Request, RequestClass};
+    use crate::request::RequestClass;
     use crate::MemorySystem;
     use proptest::prelude::*;
 
@@ -418,13 +415,116 @@ mod tests {
         }
     }
 
+    /// A queued read as the eager attribution oracle tracks it.
+    struct Waiting {
+        bank: usize,
+        row: u64,
+        enqueue: u64,
+        /// When the read's row became usable, if it is usable now.
+        stamp: Option<u64>,
+        /// The ACT that set `stamp`, if one did.
+        act: Option<u64>,
+    }
+
+    /// Eager attribution stamps, kept beside a channel run under the
+    /// reference scheduler: a read is stamped at enqueue when its row is
+    /// already open, else at the ACT that opens its row (+ tRCD); a
+    /// precharge or refresh of its bank clears the stamp. Its completion
+    /// must report the stamp it held at its column command, clamped to
+    /// `[enqueue, issue]` (the issue cycle when unstamped).
+    #[derive(Default)]
+    struct EagerStamps {
+        waiting: std::collections::HashMap<u64, Waiting>,
+        /// `bank_ready_cycle` each issued read must complete with.
+        expected: std::collections::HashMap<u64, u64>,
+        /// Completions checked so far.
+        checked: usize,
+        /// Issued reads stamped at arrival (their row was open), at an
+        /// ACT in their arrival cycle, and at a later ACT.
+        arrived_open: usize,
+        arrived_at_act: usize,
+        waited_for_act: usize,
+    }
+
+    impl EagerStamps {
+        /// `req` is about to be enqueued into `ch` at `cycle`.
+        fn enqueue(&mut self, ch: &Channel, req: &Request, cfg: &DramConfig, cycle: u64) {
+            if req.kind == AccessKind::Read {
+                let loc = crate::map_address(cfg, req.addr);
+                let bank = loc.rank * cfg.banks_per_rank + loc.bank;
+                let stamp = (ch.details[bank].open() == Some(loc.row)).then_some(cycle);
+                let w = Waiting { bank, row: loc.row, enqueue: cycle, stamp, act: None };
+                self.waiting.insert(req.id, w);
+            }
+        }
+
+        /// `ch` has just ticked `cycle` under the reference scheduler,
+        /// refreshing the ranks in `refreshed` and issuing `c`.
+        fn ticked(
+            &mut self,
+            ch: &Channel,
+            t: &TimingParams,
+            cycle: u64,
+            refreshed: &[usize],
+            c: Option<Candidate>,
+        ) {
+            let banks_per_rank = ch.banks_per_rank;
+            for w in self.waiting.values_mut() {
+                if refreshed.contains(&(w.bank / banks_per_rank)) {
+                    (w.stamp, w.act) = (None, None);
+                }
+            }
+            match c {
+                Some(Candidate::Act { bank, row }) => {
+                    for w in self.waiting.values_mut() {
+                        if w.bank == bank && w.row == row && w.stamp.is_none() {
+                            w.stamp = Some(cycle + t.t_rcd);
+                            w.act = Some(cycle);
+                        }
+                    }
+                }
+                Some(Candidate::Pre(bank)) => {
+                    for w in self.waiting.values_mut().filter(|w| w.bank == bank) {
+                        (w.stamp, w.act) = (None, None);
+                    }
+                }
+                Some(Candidate::Col(AccessKind::Read, _)) => {
+                    let id = ch.pending.back().expect("an issued read is pending").id;
+                    let w = self.waiting.remove(&id).expect("issued read was queued");
+                    match w.act {
+                        None => self.arrived_open += 1,
+                        Some(act) if act == w.enqueue => self.arrived_at_act += 1,
+                        Some(_) => self.waited_for_act += 1,
+                    }
+                    let ready = w.stamp.unwrap_or(cycle).clamp(w.enqueue, cycle);
+                    self.expected.insert(id, ready);
+                }
+                Some(Candidate::Col(AccessKind::Write, _)) | None => {}
+            }
+        }
+
+        /// Every completion in `done` not yet checked carries its stamp.
+        fn check(&mut self, done: &[Completion], cycle: u64) {
+            for c in &done[self.checked..] {
+                let expected = self.expected.remove(&c.id).expect("completed read was issued");
+                assert_eq!(
+                    c.bank_ready_cycle, expected,
+                    "cycle {cycle}: read {} bank-ready stamp",
+                    c.id
+                );
+            }
+            self.checked = done.len();
+        }
+    }
+
     /// Feeds `ops` to a one-channel [`MemorySystem`] ticked every cycle and
     /// to a mirror channel under the reference scheduler, then ticks both
     /// for `tail` more cycles. On every cycle: the same command issues
     /// (whole decision state, completions and stats equal), the reference
     /// never issues where the new model skipped its scan, a completed
-    /// scan's horizon equals the reference horizon, and every bank's lists
-    /// oldest (hit) scan keys and occupancy bits match the slab.
+    /// scan's horizon equals the reference horizon, every bank's lists
+    /// oldest (hit) scan keys and occupancy bits match the slab, and every
+    /// completed read's bank-ready cycle equals its [`EagerStamps`] stamp.
     fn assert_matches_reference(cfg: &DramConfig, ops: &[Op], tail: u64) -> MemorySystem {
         assert_matches_reference_observing(cfg, ops, tail, |_| {})
     }
@@ -435,16 +535,29 @@ mod tests {
         cfg: &DramConfig,
         ops: &[Op],
         tail: u64,
-        mut observe: impl FnMut(&Channel),
+        observe: impl FnMut(&Channel),
     ) -> MemorySystem {
+        run_against_reference(cfg, ops, tail, observe).0
+    }
+
+    /// [`assert_matches_reference_observing`], also returning the eager
+    /// stamp table.
+    fn run_against_reference(
+        cfg: &DramConfig,
+        ops: &[Op],
+        tail: u64,
+        mut observe: impl FnMut(&Channel),
+    ) -> (MemorySystem, EagerStamps) {
         let mut mem = MemorySystem::new(cfg.clone()).unwrap();
         let mut reference = mem.channels[0].clone();
         let mut ref_stats = DramStats::default();
         let (mut done, mut ref_done) = (Vec::new(), Vec::new());
         let mut feed = Feed::new(cfg, ops);
+        let mut stamps = EagerStamps::default();
         let mut issued = 0;
         for cycle in 0..run_length(ops, tail) {
             feed.feed(&mut mem, cycle, |req| {
+                stamps.enqueue(&reference, &req, cfg, cycle);
                 reference.enqueue(req, crate::map_address(cfg, req.addr), cycle, cfg);
             });
 
@@ -452,8 +565,13 @@ mod tests {
             let horizon = mem.channels[0].issue_horizon;
             let (skips, refreshes) = (mem.scan_skips(), mem.stats().refreshes);
             mem.tick_into(&mut done);
+            let refresh_due: Vec<u64> = reference.ranks.iter().map(|r| r.next_refresh).collect();
             let c = reference.tick_reference(cycle, cfg, &mut ref_done, &mut ref_stats);
             let refreshed = mem.stats().refreshes > refreshes;
+            let ranks_refreshed: Vec<usize> = (0..refresh_due.len())
+                .filter(|&r| reference.ranks[r].next_refresh != refresh_due[r])
+                .collect();
+            stamps.ticked(&reference, &cfg.timing, cycle, &ranks_refreshed, c);
 
             let ch = &mem.channels[0];
             assert_eq!(
@@ -462,6 +580,7 @@ mod tests {
                 "cycle {cycle}: {c:?}"
             );
             assert_eq!(done, ref_done, "cycle {cycle}: completions");
+            stamps.check(&done, cycle);
             assert_eq!(mem.stats(), &ref_stats, "cycle {cycle}: stats");
             if c.is_some() {
                 issued += 1;
@@ -489,7 +608,8 @@ mod tests {
         }
         assert_eq!(feed.next_due(), None, "stream not fully enqueued");
         assert!(issued > 0 && ref_stats.refreshes > 0, "vacuous run");
-        mem
+        assert!(stamps.checked > 0 || ops.iter().all(|op| op.1), "no read completed");
+        (mem, stamps)
     }
 
     /// Runs `ops` with the event-horizon fast path (`next_event_cycle` +
@@ -585,6 +705,33 @@ mod tests {
             );
             assert_fast_forward_matches(&cfg, &stream, tail);
         }
+    }
+
+    #[test]
+    fn completions_carry_the_eager_bank_ready_stamps() {
+        // One rank of two banks and three rows per bank, reads with a
+        // few writes, gaps from back-to-back to idle: reads arrive on an
+        // open row, on an idle bank (activated in their arrival cycle)
+        // and behind a conflict (activated later), and refreshes close
+        // rows under waiting reads.
+        let cfg = config(1, 2, 3);
+        let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
+        let ops: Vec<Op> = (0..800)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let gap = [0, 1, 3, 30][(x >> 61) as usize % 4];
+                (gap, i % 7 == 0, (x >> 40) as usize % 2, (x >> 20) % 3, (x >> 10) % 4)
+            })
+            .collect();
+        let (_, stamps) = run_against_reference(&cfg, &ops, 2000, |_| {});
+        assert!(
+            stamps.arrived_open > 0 && stamps.arrived_at_act > 0 && stamps.waited_for_act > 0,
+            "stamp cases not all seen: {} at arrival, {} at an ACT in the arrival cycle, \
+             {} at a later ACT",
+            stamps.arrived_open,
+            stamps.arrived_at_act,
+            stamps.waited_for_act
+        );
     }
 
     #[test]

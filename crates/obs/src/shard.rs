@@ -1,7 +1,7 @@
 //! The one in-order shard runner under every parallel job in the
-//! workspace: the figure sweeps (`synergy-bench`), the Figure 11 Monte
-//! Carlo (`synergy-faultsim`) and the checkpointable job fabric
-//! ([`crate::fabric`], which the campaign and the fleet simulator run on).
+//! workspace: the figure sweeps (`synergy-bench`) and the checkpointable
+//! job fabric ([`crate::fabric`], which the campaign and the fleet
+//! simulator, and with it the Figure 11 Monte Carlo, run on).
 //!
 //! [`run_in_order`] computes `work(i)` for every index of a range on a
 //! pool of scoped workers and hands each result to `sink(i, r)` **in

@@ -21,7 +21,7 @@
 //! this is precisely the LLC-contention effect behind the `*-web`
 //! anomaly in Figure 8.
 
-use synergy_cache::{CacheConfig, CacheStats, SetAssocCache};
+use synergy_cache::{CacheConfig, CacheStats, Eviction, SetAssocCache};
 use synergy_dram::{AccessKind, RequestClass};
 use synergy_obs::InlineVec;
 
@@ -581,7 +581,9 @@ impl SecureEngine {
             if ev.dirty {
                 let (_, victim_in_llc) = self.caching_policy(self.layout.classify(ev.addr));
                 if victim_in_llc {
-                    self.llc_fill(ev.addr, true, llc, out);
+                    // The LLC may still hold the victim's clean shadow.
+                    let displaced = llc.fill(ev.addr, true);
+                    self.spill(displaced, out);
                 } else {
                     out.write(ev.addr, self.class_of(ev.addr));
                 }
@@ -589,11 +591,18 @@ impl SecureEngine {
         }
     }
 
-    /// Fills the LLC with a metadata line, converting displaced victims
-    /// into writebacks (dirty metadata → DRAM write; dirty data → returned
-    /// to the caller for full expansion).
-    fn llc_fill(&mut self, addr: u64, dirty: bool, llc: &mut SetAssocCache, out: &mut Expansion) {
-        if let Some(ev) = llc.fill(addr, dirty) {
+    /// Fills the LLC with a metadata line its lookup has just missed (see
+    /// [`SetAssocCache::fill_missing`]), spilling the displaced line.
+    fn llc_fill(&self, addr: u64, dirty: bool, llc: &mut SetAssocCache, out: &mut Expansion) {
+        let displaced = llc.fill_missing(addr, dirty);
+        self.spill(displaced, out);
+    }
+
+    /// Turns a line an LLC fill displaced into a writeback (dirty metadata
+    /// → DRAM write; dirty data → returned to the caller for full
+    /// expansion).
+    fn spill(&self, displaced: Option<Eviction>, out: &mut Expansion) {
+        if let Some(ev) = displaced {
             if ev.dirty {
                 match self.layout.classify(ev.addr) {
                     Region::Data => out.evicted_dirty_data.push(ev.addr),

@@ -165,7 +165,15 @@ impl core::fmt::Display for Suite {
 pub struct TraceGen {
     spec: WorkloadSpec,
     rng: StdRng,
-    /// Current position for streaming patterns.
+    /// Exclusive upper bound of a record's gap, `2·max(1000/apki, 1)`.
+    gap_bound: f64,
+    /// Probability that a record is a write, `1 - read_fraction`.
+    write_fraction: f64,
+    /// Footprint in lines ([`WorkloadSpec::footprint_lines`]).
+    lines: u64,
+    /// The spec's access pattern with every per-record constant resolved.
+    draw: Draw,
+    /// Current position for streaming patterns, below `lines`.
     stream_pos: u64,
     /// Next line within the current random/pointer-chase block.
     burst_pos: u64,
@@ -173,6 +181,87 @@ pub struct TraceGen {
     burst_left: u64,
     /// Base address offset (so rate-mode copies don't share data).
     base: u64,
+}
+
+/// An [`AccessPattern`] resolved against a footprint of `lines` lines:
+/// line counts clamped to `1..=lines`, probabilities to `[0, 1]` where
+/// the pattern clamps them, and the stream step reduced below `lines`,
+/// so a stream position plus its step stays below `2·lines`.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    Streaming {
+        step: u64,
+    },
+    /// [`AccessPattern::Random`], or [`AccessPattern::PointerChase`]
+    /// when `chase`: blocks of `cluster` lines.
+    Block {
+        cluster: u64,
+        hot: HotSet,
+        chase: bool,
+    },
+    Graph {
+        stream_fraction: f64,
+        core_fraction: f64,
+        core_lines: u64,
+        hot: HotSet,
+    },
+}
+
+/// A hot working set: its first `lines` lines, drawn from with
+/// probability `fraction`.
+#[derive(Debug, Clone, Copy)]
+struct HotSet {
+    fraction: f64,
+    lines: u64,
+}
+
+impl HotSet {
+    fn new(fraction: f64, bytes: u64, lines: u64) -> Self {
+        Self { fraction: fraction.clamp(0.0, 1.0), lines: (bytes / LINE_BYTES).clamp(1, lines) }
+    }
+}
+
+impl Draw {
+    fn new(pattern: AccessPattern, lines: u64) -> Self {
+        let block = |cluster: u64, hot_fraction, hot_bytes, chase| Draw::Block {
+            cluster: cluster.max(1).min(lines),
+            hot: HotSet::new(hot_fraction, hot_bytes, lines),
+            chase,
+        };
+        match pattern {
+            AccessPattern::Streaming { stride } => {
+                Draw::Streaming { step: (stride / LINE_BYTES).max(1) % lines }
+            }
+            AccessPattern::Random { cluster, hot_fraction, hot_bytes } => {
+                block(cluster, hot_fraction, hot_bytes, false)
+            }
+            AccessPattern::PointerChase { cluster, hot_fraction, hot_bytes } => {
+                block(cluster, hot_fraction, hot_bytes, true)
+            }
+            AccessPattern::Graph {
+                stream_fraction,
+                core_fraction,
+                core_bytes,
+                hot_fraction,
+                hot_bytes,
+            } => Draw::Graph {
+                stream_fraction,
+                core_fraction: core_fraction.clamp(0.0, 1.0),
+                core_lines: (core_bytes / LINE_BYTES).clamp(1, lines),
+                hot: HotSet::new(hot_fraction, hot_bytes, lines),
+            },
+        }
+    }
+}
+
+/// `x % m` for `x < 2·m`.
+fn wrap(x: u64, m: u64) -> u64 {
+    debug_assert!(x / m < 2, "{x} is not below twice {m}");
+    if x >= m {
+        x - m
+    } else {
+        x
+    }
 }
 
 impl TraceGen {
@@ -185,7 +274,19 @@ impl TraceGen {
     /// used to give each rate-mode core a private copy of the footprint.
     pub fn with_base(spec: WorkloadSpec, seed: u64, base: u64) -> Self {
         let rng = StdRng::seed_from_u64(seed ^ 0x5DEECE66D);
-        Self { spec, rng, stream_pos: 0, burst_pos: 0, burst_left: 0, base }
+        let lines = spec.footprint_lines();
+        Self {
+            gap_bound: 2.0 * (1000.0 / spec.apki).max(1.0),
+            write_fraction: 1.0 - spec.read_fraction,
+            lines,
+            draw: Draw::new(spec.pattern, lines),
+            spec,
+            rng,
+            stream_pos: 0,
+            burst_pos: 0,
+            burst_left: 0,
+            base,
+        }
     }
 
     /// The workload parameterization.
@@ -195,12 +296,11 @@ impl TraceGen {
 
     /// Generates the next trace record.
     pub fn next_record(&mut self) -> TraceRecord {
-        let mean_gap = (1000.0 / self.spec.apki).max(1.0);
         // Uniform around the mean keeps intensity exact in expectation
         // without the burstiness of heavy tails (PinPoint slices are
         // similarly smooth at the 1000-instruction scale).
-        let gap = self.rng.gen_range(0.0..2.0 * mean_gap) as u32;
-        let is_write = self.rng.gen_bool(1.0 - self.spec.read_fraction);
+        let gap = self.rng.gen_range(0.0..self.gap_bound) as u32;
+        let is_write = self.rng.gen_bool(self.write_fraction);
         let (line, dependent) = self.next_line();
         TraceRecord {
             gap,
@@ -211,78 +311,68 @@ impl TraceGen {
     }
 
     fn next_line(&mut self) -> (u64, bool) {
-        let lines = self.spec.footprint_lines();
-        match self.spec.pattern {
-            AccessPattern::Streaming { stride } => {
-                let line = self.stream_pos;
-                self.stream_pos = (self.stream_pos + (stride / LINE_BYTES).max(1)) % lines;
-                (line, false)
+        match self.draw {
+            Draw::Streaming { step } => (self.advance_stream(step), false),
+            Draw::Block { cluster, hot, chase } => {
+                // A pointer chase is *dependent*: the first load of each
+                // node (block) is fed by the previous one, so MLP
+                // collapses; the node's remaining lines issue in its
+                // shadow.
+                let fresh = self.advance_block(cluster, hot);
+                (self.take_from_block(), chase && fresh)
             }
-            AccessPattern::Random { cluster, hot_fraction, hot_bytes } => {
-                let _ = self.advance_block(lines, cluster, hot_fraction, hot_bytes);
-                (self.take_from_block(lines), false)
-            }
-            AccessPattern::PointerChase { cluster, hot_fraction, hot_bytes } => {
-                // The traversal is *dependent*: the first load of each node
-                // (block) is fed by the previous one, so MLP collapses;
-                // the node's remaining lines issue in its shadow.
-                let fresh = self.advance_block(lines, cluster, hot_fraction, hot_bytes);
-                (self.take_from_block(lines), fresh)
-            }
-            AccessPattern::Graph {
-                stream_fraction,
-                core_fraction,
-                core_bytes,
-                hot_fraction,
-                hot_bytes,
-            } => {
+            Draw::Graph { stream_fraction, core_fraction, core_lines, hot } => {
                 if self.rng.gen_bool(stream_fraction) {
-                    let line = self.stream_pos;
-                    self.stream_pos = (self.stream_pos + 1) % lines;
-                    (line, false)
-                } else if self.rng.gen_bool(core_fraction.clamp(0.0, 1.0)) {
-                    let core_lines = (core_bytes / LINE_BYTES).clamp(1, lines);
+                    (self.advance_stream(1), false)
+                } else if self.rng.gen_bool(core_fraction) {
                     (self.rng.gen_range(0..core_lines), true)
                 } else {
                     // Renormalize: hot_fraction is relative to non-core
                     // vertex accesses.
-                    (self.hot_or_cold_line(lines, hot_fraction, hot_bytes), true)
+                    (self.hot_or_cold_line(hot), true)
                 }
             }
         }
     }
 
+    /// Returns the stream position and moves it `step` lines on.
+    fn advance_stream(&mut self, step: u64) -> u64 {
+        let line = self.stream_pos;
+        self.stream_pos = wrap(line + step, self.lines);
+        line
+    }
+
     /// Starts a new block when the current one is exhausted. Returns true
     /// when a new block was selected.
-    fn advance_block(&mut self, lines: u64, cluster: u64, hot_fraction: f64, hot_bytes: u64) -> bool {
+    fn advance_block(&mut self, cluster: u64, hot: HotSet) -> bool {
         if self.burst_left > 0 {
             return false;
         }
-        let cluster = cluster.max(1).min(lines);
-        let first = self.hot_or_cold_line(lines, hot_fraction, hot_bytes);
+        let first = self.hot_or_cold_line(hot);
         self.burst_pos = (first / cluster) * cluster;
         self.burst_left = cluster;
         true
     }
 
     /// Draws a line from the hot working set with probability
-    /// `hot_fraction`, otherwise uniformly from the whole footprint.
-    fn hot_or_cold_line(&mut self, lines: u64, hot_fraction: f64, hot_bytes: u64) -> u64 {
-        let hot_lines = (hot_bytes / LINE_BYTES).clamp(1, lines);
-        if self.rng.gen_bool(hot_fraction.clamp(0.0, 1.0)) {
-            self.rng.gen_range(0..hot_lines)
+    /// `hot.fraction`, otherwise uniformly from the whole footprint.
+    fn hot_or_cold_line(&mut self, hot: HotSet) -> u64 {
+        if self.rng.gen_bool(hot.fraction) {
+            self.rng.gen_range(0..hot.lines)
         } else {
-            self.rng.gen_range(0..lines)
+            self.rng.gen_range(0..self.lines)
         }
     }
 
-    fn take_from_block(&mut self, lines: u64) -> u64 {
-        let line = self.burst_pos % lines;
+    /// The block's next line: the block starts at or below a line of the
+    /// footprint and spans at most `lines` lines, so it ends below
+    /// `2·lines`.
+    fn take_from_block(&mut self) -> u64 {
+        let line = wrap(self.burst_pos, self.lines);
         self.burst_pos += 1;
         self.burst_left -= 1;
         line
     }
-
 }
 
 impl WorkloadSpec {
